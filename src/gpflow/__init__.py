@@ -19,15 +19,13 @@ from .grid import (
     norm_l2,
 )
 from .problem import Problem, harmonic_potential, well_potential, zero_potential
-from .greens import GreenSolveError, LinearOperator, SolverConfig, solve_green
+from .greens import LinearOperator, solve_green
 from .energy import (
     energy,
     energy_decrease,
-    gamma,
     metric_gradient,
     project_tangent,
     retract,
-    riemannian_gradient,
     scheme_state,
 )
 from .flows import (
@@ -35,11 +33,9 @@ from .flows import (
     IterationRecord,
     RunConfig,
     StepPolicy,
-    StepsizeFloorReached,
     initial_guess,
     run,
     sign_normalize,
-    step,
 )
 from .spectral import (
     EigengapDegenerateError,
@@ -57,7 +53,6 @@ __all__ = [
     "CheckResult",
     "ConvergenceReport",
     "EigengapDegenerateError",
-    "GreenSolveError",
     "Grid",
     "GridFunction",
     "GridMismatchError",
@@ -70,10 +65,8 @@ __all__ = [
     "Problem",
     "RateFit",
     "RunConfig",
-    "SolverConfig",
     "SpectralReport",
     "StepPolicy",
-    "StepsizeFloorReached",
     "build_grid",
     "check_suite",
     "cross_scheme_agreement",
@@ -82,7 +75,6 @@ __all__ = [
     "estimate_poincare",
     "failures",
     "fit_rate",
-    "gamma",
     "harmonic_potential",
     "initial_guess",
     "inner",
@@ -94,12 +86,10 @@ __all__ = [
     "norm_l2",
     "project_tangent",
     "retract",
-    "riemannian_gradient",
     "run",
     "scheme_state",
     "sign_normalize",
     "solve_green",
-    "step",
     "well_potential",
     "zero_potential",
 ]

@@ -13,16 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .flows import ConvergenceReport, RunConfig, StepPolicy, run
-from .greens import GreenSolveError
 from .grid import GridFunction, MetricKind, build_grid
 from .problem import Problem, harmonic_potential, well_potential, zero_potential
 from .spectral import SpectralReport, linearized_operator, lowest_two_eigen
@@ -31,6 +28,10 @@ from .verify import CheckResult, check_suite, failures
 
 class UsageError(ValueError):
     """Bad flags or inconsistent configuration; maps to exit code 1."""
+
+
+class SolveError(RuntimeError):
+    """A solver stopped short of its goal; maps to exit code 2."""
 
 
 _SCHEMES = {"h1": MetricKind.H1, "a0": MetricKind.A0, "au": MetricKind.AU}
@@ -192,9 +193,12 @@ def parse_config(argv: list[str]) -> CliConfig:
     if isinstance(alphas, str):
         alphas = tuple(_parse_float_list(alphas, "--alphas"))
     elif alphas is not None:
-        alphas = tuple(float(a) for a in alphas)
+        alphas = tuple(_finite(a, "--alphas") for a in alphas)
     if ns.command == "sweep" and not alphas:
         raise UsageError("sweep requires --alphas, e.g. --alphas 0.05,0.1,0.2")
+    trials = int(pick("trials"))
+    if trials < 0:
+        raise UsageError(f"--trials must be >= 0, got {trials}")
 
     return CliConfig(
         command=ns.command,
@@ -202,23 +206,33 @@ def parse_config(argv: list[str]) -> CliConfig:
         n=tuple(n),
         bounds=bounds,
         potential=str(pick("potential")),
-        beta=float(pick("beta")),
+        beta=_finite(pick("beta"), "--beta"),
         scheme=scheme,
-        tol=float(pick("tol")),
+        tol=_finite(pick("tol"), "--tol"),
         max_iter=int(pick("max_iter")),
         seed=int(pick("seed")),
         init=str(pick("init")),
         init_path=pick("init_path"),
         mode=mode,
-        alpha0=float(pick("alpha0")),
-        shrink=float(pick("shrink")),
-        alpha_floor=float(pick("alpha_floor")),
+        alpha0=_finite(pick("alpha0"), "--alpha0"),
+        shrink=_finite(pick("shrink"), "--shrink"),
+        alpha_floor=_finite(pick("alpha_floor"), "--alpha-floor"),
         output=pick("output"),
         format=fmt,
-        trials=int(pick("trials")),
+        trials=trials,
         alphas=alphas,
         cross_scheme=bool(pick("cross_scheme")),
     )
+
+
+def _finite(value, flag):
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{flag} expects a number, got {value!r}")
+    if not math.isfinite(number):
+        raise UsageError(f"{flag} must be finite, got {value!r}")
+    return number
 
 
 def _parse_int_list(text, flag):
@@ -229,10 +243,7 @@ def _parse_int_list(text, flag):
 
 
 def _parse_float_list(text, flag):
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}")
+    values = [_finite(part, flag) for part in text.split(",") if part.strip()]
     if not values:
         raise UsageError(f"{flag} expects at least one value")
     return values
@@ -283,8 +294,8 @@ def build_potential(cfg: CliConfig, grid) -> GridFunction:
 
 
 def build_problem(cfg: CliConfig) -> Problem:
-    grid = build_grid(cfg.dim, cfg.n, cfg.bounds)
     try:
+        grid = build_grid(cfg.dim, cfg.n, cfg.bounds)
         return Problem(grid, build_potential(cfg, grid), cfg.beta)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -432,7 +443,10 @@ def cmd_run(cfg: CliConfig) -> int:
 
 def _spectral_at_final(problem, report):
     op = linearized_operator(problem, report.final)
-    return lowest_two_eigen(op)
+    try:
+        return lowest_two_eigen(op)
+    except RuntimeError as exc:  # degenerate eigengap, or inverse power iteration stalled
+        raise SolveError(str(exc)) from exc
 
 
 def cmd_verify(cfg: CliConfig) -> int:
@@ -462,27 +476,9 @@ def cmd_spectrum(cfg: CliConfig) -> int:
     return 0
 
 
-def _thread_cap() -> int:
-    value = os.environ.get("GPFLOW_THREADS", "")
-    if value.strip():
-        try:
-            cap = int(value)
-        except ValueError:
-            raise UsageError(f"GPFLOW_THREADS must be an integer, got {value!r}")
-        if cap < 1:
-            raise UsageError("GPFLOW_THREADS must be >= 1")
-        return cap
-    return os.cpu_count() or 1
-
-
 def cmd_sweep(cfg: CliConfig) -> int:
     problem = build_problem(cfg)
-
-    def one(alpha):
-        return run(problem, run_config(cfg, alpha0=alpha, mode="fixed"))
-
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(cfg.alphas))) as pool:
-        reports = list(pool.map(one, cfg.alphas))
+    reports = [run(problem, run_config(cfg, alpha0=alpha, mode="fixed")) for alpha in cfg.alphas]
 
     entries = []
     for alpha, report in zip(cfg.alphas, reports):
@@ -514,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except GreenSolveError as exc:
+    except SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -19,12 +19,11 @@ from .grid import (
     Metric,
     MetricKind,
     edge_difference_sum,
-    inner,
     inner_l2,
     norm,
     norm_l2,
 )
-from .greens import LinearOperator, SolverConfig, solve_green
+from .greens import LinearOperator, solve_green
 from .problem import Problem
 
 SchemeKind = MetricKind  # schemes are named after their metrics; L2 is not a scheme
@@ -48,6 +47,35 @@ def _require_unit(u: GridFunction) -> None:
         raise ValueError("function is not unit L2-norm within 1e-10")
 
 
+def _energy_terms(problem: Problem, f: GridFunction) -> tuple[float, float, float]:
+    """Kinetic, potential and quartic parts of the energy of f."""
+    w = problem.grid.cell_volume
+    kinetic = 0.5 * edge_difference_sum(f, f)
+    potential = 0.5 * w * float(np.sum(problem.V.values * f.values**2))
+    quartic = 0.25 * problem.beta * w * float(np.sum(f.values**4))
+    return kinetic, potential, quartic
+
+
+def _energy_difference(
+    problem: Problem, u: GridFunction, v: GridFunction, diff: np.ndarray
+) -> float:
+    """E(u) - E(v) from the exact difference ``diff`` = u - v, term by term.
+
+    Every term factors through diff, so nothing cancels between two O(1)
+    energies.
+    """
+    grid = problem.grid
+    w = grid.cell_volume
+    d = GridFunction(grid, diff)
+    summ = GridFunction(grid, u.values + v.values)
+    kinetic = 0.5 * edge_difference_sum(d, summ)
+    potential = 0.5 * w * float(np.sum(problem.V.values * d.values * summ.values))
+    sq_diff = d.values * summ.values  # u^2 - v^2
+    sq_sum = u.values**2 + v.values**2
+    quartic = 0.25 * problem.beta * w * float(np.sum(sq_diff * sq_sum))
+    return kinetic + potential + quartic
+
+
 def energy(problem: Problem, u: GridFunction) -> float:
     """Discrete Gross-Pitaevskii energy.
 
@@ -57,10 +85,7 @@ def energy(problem: Problem, u: GridFunction) -> float:
     """
     if u.grid != problem.grid:
         raise GridMismatchError("function does not live on the problem grid")
-    w = problem.grid.cell_volume
-    kinetic = 0.5 * edge_difference_sum(u, u)
-    potential = 0.5 * w * float(np.sum(problem.V.values * u.values**2))
-    quartic = 0.25 * problem.beta * w * float(np.sum(u.values**4))
+    kinetic, potential, quartic = _energy_terms(problem, u)
     return kinetic + potential + quartic
 
 
@@ -71,15 +96,7 @@ def energy_decrease(problem: Problem, u: GridFunction, v: GridFunction) -> float
     decreases far below the rounding floor of the individual energies; the
     line search relies on this near convergence.
     """
-    w = problem.grid.cell_volume
-    diff = GridFunction(problem.grid, u.values - v.values)
-    summ = GridFunction(problem.grid, u.values + v.values)
-    kinetic = 0.5 * edge_difference_sum(diff, summ)
-    potential = 0.5 * w * float(np.sum(problem.V.values * diff.values * summ.values))
-    sq_diff = diff.values * summ.values  # u^2 - v^2
-    sq_sum = u.values**2 + v.values**2
-    quartic = 0.25 * problem.beta * w * float(np.sum(sq_diff * sq_sum))
-    return kinetic + potential + quartic
+    return _energy_difference(problem, u, v, u.values - v.values)
 
 
 def step_decrease(
@@ -93,17 +110,8 @@ def step_decrease(
     keeps the decrease accurate at the alpha*residual^2 scale even when that
     is far below the rounding floor of the energies themselves.
     """
-    grid = problem.grid
-    w = grid.cell_volume
-    y = GridFunction(grid, u.values - alpha * g.values)
-    diff = GridFunction(grid, alpha * g.values)
-    summ = GridFunction(grid, u.values + y.values)
-    kinetic = 0.5 * edge_difference_sum(diff, summ)
-    potential = 0.5 * w * float(np.sum(problem.V.values * diff.values * summ.values))
-    sq_diff = diff.values * summ.values  # u^2 - y^2
-    sq_sum = u.values**2 + y.values**2
-    quartic = 0.25 * problem.beta * w * float(np.sum(sq_diff * sq_sum))
-    unnormalized = kinetic + potential + quartic
+    y = GridFunction(problem.grid, u.values - alpha * g.values)
+    unnormalized = _energy_difference(problem, u, y, alpha * g.values)
 
     # ||y||^2 = 1 + t_y with every term of t_y small; no large cancellation.
     # The stored u sits eps off the sphere, so compare the energies of the
@@ -114,9 +122,7 @@ def step_decrease(
 
     def normalization_correction(f, t):
         s2 = 1.0 + t
-        kin = 0.5 * edge_difference_sum(f, f)
-        pot = 0.5 * w * float(np.sum(problem.V.values * f.values**2))
-        quart = 0.25 * problem.beta * w * float(np.sum(f.values**4))
+        kin, pot, quart = _energy_terms(problem, f)
         return (kin + pot) * (t / s2) + quart * (t * (t + 2.0) / s2**2)
 
     decrease = (
@@ -124,41 +130,40 @@ def step_decrease(
         + normalization_correction(y, t_y)
         - normalization_correction(u, t_u)
     )
-    u_next = GridFunction(grid, y.values / math.sqrt(1.0 + t_y))
+    u_next = GridFunction(problem.grid, y.values / math.sqrt(1.0 + t_y))
     return decrease, u_next
 
 
-def metric_gradient(
-    kind: SchemeKind,
-    problem: Problem,
-    u: GridFunction,
-    cfg: SolverConfig = SolverConfig(),
-) -> GridFunction:
+def _gradient(
+    kind: SchemeKind, problem: Problem, u: GridFunction, op: LinearOperator
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Metric gradient values at u, and the Green-solve term added to u.
+
+    H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u: u itself, with
+    no Green-solve term (None).  ``op`` is the scheme's operator at u.
+    """
+    if kind is MetricKind.H1:
+        gv = op.solve(problem.V.values * u.values + problem.beta * u.values**3)
+    elif kind is MetricKind.A0:
+        gv = problem.beta * op.solve(u.values**3)
+    else:
+        return u.values, None
+    return u.values + gv, gv
+
+
+def metric_gradient(kind: SchemeKind, problem: Problem, u: GridFunction) -> GridFunction:
     """Gradient of the energy in the scheme's metric.
 
     H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u: u itself.
     """
     if u.grid != problem.grid:
         raise GridMismatchError("function does not live on the problem grid")
-    if kind is MetricKind.H1:
-        rhs = GridFunction(problem.grid, problem.V.values * u.values + problem.beta * u.values**3)
-        g = solve_green(Metric(MetricKind.H1), problem, rhs, cfg)
-        return GridFunction(problem.grid, u.values + g.values)
-    if kind is MetricKind.A0:
-        rhs = GridFunction(problem.grid, u.values**3)
-        g = solve_green(Metric(MetricKind.A0), problem, rhs, cfg)
-        return GridFunction(problem.grid, u.values + problem.beta * g.values)
-    if kind is MetricKind.AU:
-        return u
-    raise ValueError("L2 is not a scheme metric")
+    grad, _ = _gradient(kind, problem, u, LinearOperator(metric_for(kind, u), problem))
+    return GridFunction(problem.grid, grad)
 
 
 def project_tangent(
-    metric: Metric,
-    problem: Problem,
-    u: GridFunction,
-    xi: GridFunction,
-    cfg: SolverConfig = SolverConfig(),
+    metric: Metric, problem: Problem, u: GridFunction, xi: GridFunction
 ) -> GridFunction:
     """Project xi onto the tangent space at u, orthogonally in the metric.
 
@@ -166,7 +171,7 @@ def project_tangent(
     L2-orthogonal to u (the squared metric norm of G u equals (G u, u)_L2).
     """
     _require_unit(u)
-    gu = solve_green(metric, problem, u, cfg)
+    gu = solve_green(metric, problem, u)
     coeff = inner_l2(xi, u) / inner_l2(gu, u)
     return GridFunction(u.grid, xi.values - coeff * gu.values)
 
@@ -198,34 +203,12 @@ def scheme_state(
         op = LinearOperator(metric, problem)
     gu = GridFunction(problem.grid, op.solve(u.values))
     denom = inner_l2(gu, u)  # equals ||G u||_X^2
-    if kind is MetricKind.H1:
-        rhs = problem.V.values * u.values + problem.beta * u.values**3
-        gv = op.solve(rhs)
-        grad = u.values + gv
-        numer = 1.0 + inner_l2(GridFunction(problem.grid, gv), u)
-    elif kind is MetricKind.A0:
-        gv = problem.beta * op.solve(u.values**3)
-        grad = u.values + gv
-        numer = 1.0 + inner_l2(GridFunction(problem.grid, gv), u)
-    else:
-        grad = u.values
-        numer = 1.0
-    gamma_val = numer / denom
-    rgrad = GridFunction(problem.grid, grad - gamma_val * gu.values)
+    grad, gv = _gradient(kind, problem, u, op)
+    numer = 1.0 if gv is None else 1.0 + inner_l2(GridFunction(problem.grid, gv), u)
+    gamma = numer / denom
+    rgrad = GridFunction(problem.grid, grad - gamma * gu.values)
     residual = norm(metric, problem, rgrad)
-    return SchemeState(rgrad, gamma_val, residual, gu)
-
-
-def riemannian_gradient(
-    kind: SchemeKind, problem: Problem, u: GridFunction
-) -> GridFunction:
-    """Metric gradient projected onto the tangent space at u."""
-    return scheme_state(kind, problem, u).riemannian_gradient
-
-
-def gamma(kind: SchemeKind, problem: Problem, u: GridFunction) -> float:
-    """Multiplier (eigenvalue estimate) of the scheme at u."""
-    return scheme_state(kind, problem, u).gamma
+    return SchemeState(rgrad, gamma, residual, gu)
 
 
 def retract(u: GridFunction) -> GridFunction:

@@ -59,7 +59,7 @@ class RunConfig:
     def __post_init__(self):
         if self.scheme is MetricKind.L2:
             raise ValueError("L2 is not a scheme")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # also rejects NaN
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -135,49 +135,6 @@ def sign_normalize(u: GridFunction) -> GridFunction:
     return u
 
 
-def step(
-    scheme: SchemeKind, problem: Problem, u: GridFunction, alpha: float
-) -> GridFunction:
-    """One projected gradient step: retract(u - alpha * riemannian gradient)."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
-    state = scheme_state(scheme, problem, u)
-    return retract(
-        GridFunction(u.grid, u.values - alpha * state.riemannian_gradient.values)
-    )
-
-
-class StepsizeFloorReached(RuntimeError):
-    """Sufficient decrease unreachable above the stepsize floor."""
-
-    def __init__(self, alpha: float, decrease: float):
-        super().__init__(
-            f"sufficient decrease not met down to alpha={alpha:.3e} (decrease {decrease:.3e})"
-        )
-        self.alpha = alpha
-        self.decrease = decrease
-
-
-def backtrack(
-    scheme: SchemeKind,
-    problem: Problem,
-    u: GridFunction,
-    policy: StepPolicy,
-) -> tuple[float, GridFunction]:
-    """Largest alpha in {alpha0 * shrink^k} meeting sufficient decrease.
-
-    Fixed mode returns alpha0 unconditionally.  Raises StepsizeFloorReached
-    when no candidate above the floor satisfies the decrease inequality.
-    """
-    state = scheme_state(scheme, problem, u)
-    if state.residual == 0.0:
-        raise ValueError("residual is zero; caller should have stopped")
-    alpha, u_next, decrease, ok = _search(problem, u, state, policy)
-    if not ok and policy.mode == "backtracking":
-        raise StepsizeFloorReached(alpha, decrease)
-    return alpha, u_next
-
-
 def _search(problem, u, state, policy):
     """Shared candidate loop; returns (alpha, u_next, decrease, accepted)."""
     g = state.riemannian_gradient
@@ -197,6 +154,7 @@ def run(
     problem: Problem,
     cfg: RunConfig,
     reference: GridFunction | None = None,
+    u0: GridFunction | None = None,
 ) -> ConvergenceReport:
     """Iterate the scheme until the residual tolerance, max_iter or the floor.
 
@@ -204,10 +162,14 @@ def run(
     difference-form decreases, so monotonicity of the trace reflects the
     accepted line-search decreases rather than rounding of O(1) energies.
     When ``reference`` is given, each record carries the H1 distance to it.
+    When ``u0`` is given, the run starts from retract(u0), exactly as from a
+    file holding u0, and ``cfg.init`` is ignored.
     """
     from . import spectral  # local import to avoid a cycle
 
-    if cfg.init == "file":
+    if u0 is not None:
+        u = retract(u0)
+    elif cfg.init == "file":
         u = load_function(problem, cfg.init_path)
     else:
         u = initial_guess(problem, cfg.init, cfg.seed)

@@ -8,9 +8,6 @@ adjoint identity (z, g)_X = (z, w)_L2 for every z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -23,36 +20,6 @@ from .grid import (
     apply_neg_laplacian,
 )
 from .problem import Problem
-
-
-class GreenSolveError(RuntimeError):
-    """Iterative solve failed to reach the requested residual."""
-
-    def __init__(self, message: str, residual: float, best: np.ndarray | None = None):
-        super().__init__(f"{message} (achieved relative residual {residual:.3e})")
-        self.residual = residual
-        self.best = best
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances for the inner SPD solves.
-
-    The default relative tolerance sits two orders below the outer
-    verification tolerances so Green-solve error never pollutes lemma checks.
-    """
-
-    rel_tol: float = 1e-12
-    max_iter: int | None = None  # None -> 10 * dof
-    preconditioner: str = "jacobi"  # "none" or "jacobi"
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must be in (0, 1)")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.preconditioner not in ("none", "jacobi"):
-            raise ValueError("preconditioner must be 'none' or 'jacobi'")
 
 
 def _laplacian_matrix_1d(n: int, h: float) -> sp.csr_matrix:
@@ -76,11 +43,11 @@ def laplacian_matrix(grid) -> sp.csr_matrix:
 
 
 class LinearOperator:
-    """The SPD operator A_X of a metric, with matrix-free apply and solves.
+    """The SPD operator A_X of a metric: matrix-free apply and direct solves.
 
-    Solves use a cached sparse LU factorization; the matrix-free conjugate
-    gradient below is the alternative path for callers that only have an
-    operator application.
+    ``solve`` is the one Green's solve of the package.  It factorizes the
+    sparse matrix on first use and caches the LU factors, so an operator that
+    is kept (H1 and a0 within a run) is factorized once.
     """
 
     def __init__(self, metric: Metric, problem: Problem):
@@ -106,19 +73,10 @@ class LinearOperator:
         out += self._diag_term * values
         return out
 
-    def apply_fn(self, u: GridFunction) -> GridFunction:
-        return GridFunction(self.grid, self.apply(u.values))
-
     def matrix(self) -> sp.csr_matrix:
         if self._matrix is None:
             self._matrix = laplacian_matrix(self.grid) + sp.diags(self._diag_term)
         return self._matrix
-
-    def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.grid.dof)
-        for h in self.grid.h:
-            d += 2.0 / h**2
-        return d + self._diag_term
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Direct solve via cached sparse LU (exact up to roundoff)."""
@@ -129,65 +87,12 @@ class LinearOperator:
         return self._factor.solve(np.asarray(rhs, dtype=float))
 
 
-def conjugate_gradient(
-    apply: Callable[[np.ndarray], np.ndarray],
-    rhs: GridFunction,
-    cfg: SolverConfig = SolverConfig(),
-    x0: np.ndarray | None = None,
-    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> GridFunction:
-    """Matrix-free (preconditioned) conjugate gradient for SPD operators.
-
-    Iterates until the relative residual ||A x - b|| / ||b|| drops below
-    cfg.rel_tol.  Deterministic for identical inputs.  Raises GreenSolveError
-    carrying the best iterate if max_iter is exhausted.
-    """
-    b = rhs.values
-    grid = rhs.grid
-    if not np.any(b):
-        return GridFunction(grid, np.zeros_like(b))
-    max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * grid.dof
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - apply(x) if x0 is not None else b.copy()
-    b_norm = float(np.linalg.norm(b))
-    z = precondition(r) if precondition is not None else r
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    rel = float(np.linalg.norm(r)) / b_norm
-    if rel <= cfg.rel_tol:
-        return GridFunction(grid, x)
-    for _ in range(max_iter):
-        ap = apply(p)
-        alpha = rz / float(np.dot(p, ap))
-        x = x + alpha * p
-        r = r - alpha * ap
-        rel = float(np.linalg.norm(r)) / b_norm
-        if rel <= cfg.rel_tol:
-            return GridFunction(grid, x)
-        z = precondition(r) if precondition is not None else r
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise GreenSolveError("conjugate gradient did not converge", rel, best=x)
-
-
-def solve_green(
-    metric: Metric,
-    problem: Problem,
-    w: GridFunction,
-    cfg: SolverConfig = SolverConfig(),
-) -> GridFunction:
+def solve_green(metric: Metric, problem: Problem, w: GridFunction) -> GridFunction:
     """Apply the Green's operator of the metric: solve A_X g = w.
 
-    Uses Jacobi-preconditioned conjugate gradient (the matrix-free,
-    dimension-agnostic SPD solver); a zero right-hand side short-circuits to
-    zero output.
+    One direct solve through a fresh LinearOperator; a zero right-hand side
+    short-circuits to zero output.
     """
     if w.grid != problem.grid:
         raise GridMismatchError("right-hand side does not live on the problem grid")
-    op = LinearOperator(metric, problem)
-    precondition = None
-    if cfg.preconditioner == "jacobi":
-        inv_diag = 1.0 / op.diagonal()
-        precondition = lambda r: inv_diag * r
-    return conjugate_gradient(op.apply, w, cfg, precondition=precondition)
+    return GridFunction(problem.grid, LinearOperator(metric, problem).solve(w.values))

@@ -30,7 +30,7 @@ class Problem:
             raise ValueError("potential does not live on the problem grid")
         if np.any(self.V.values < 0.0):
             raise ValueError("potential must be non-negative")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:  # also rejects NaN
             raise ValueError("beta must be non-negative")
         object.__setattr__(self, "v_max", float(np.max(self.V.values)))
 

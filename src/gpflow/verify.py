@@ -2,9 +2,9 @@
 
 Each check packages one lemma/theorem-derived property as a pass/fail result
 with the smallest observed slack as its margin.  Inequality checks carry an
-additive 1e-9 tolerance on the slack to absorb inner-solver residue (inner
-solves run at 1e-12).  Every check owns a generator seeded from (seed, check
-name), so identical inputs yield identical results.
+additive 1e-9 tolerance on the slack to absorb the roundoff of the direct
+(sparse LU) Green's solves.  Every check owns a generator seeded from
+(seed, check name), so identical inputs yield identical results.
 """
 
 from __future__ import annotations
@@ -502,14 +502,8 @@ def check_local_exponential(ctx: CheckContext) -> CheckResult:
     scale = norm(H1, problem, ustar)
     direction = _tangent_probe(problem, ustar, rng)
     u0 = retract(GridFunction(problem.grid, ustar.values + 0.05 * scale * direction.values))
-    path = _save_start(problem, u0)
-    cfg = replace(
-        ctx.report.config, init="file", init_path=path, tol=1e-14, max_iter=60
-    )
-    try:
-        rep = run(problem, cfg, reference=ustar)
-    finally:
-        _cleanup(path)
+    cfg = replace(ctx.report.config, tol=1e-14, max_iter=60)
+    rep = run(problem, cfg, reference=ustar, u0=u0)
     deltas = [r.delta for r in rep.records if r.delta is not None and r.delta > 1e-7]
     if len(deltas) < 5:
         return _skip(name, "local trace too short above the accuracy floor")
@@ -521,24 +515,6 @@ def check_local_exponential(ctx: CheckContext) -> CheckResult:
         len(deltas),
         f"fitted contraction rho = {fit.rho:.4f} (r^2 = {fit.r_squared:.4f})",
     )
-
-
-def _save_start(problem, u) -> str:
-    import tempfile
-
-    fd = tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False)
-    np.savetxt(fd, u.values)
-    fd.close()
-    return fd.name
-
-
-def _cleanup(path):
-    import os
-
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
 
 
 # --- spectral invariants -----------------------------------------------------
@@ -672,6 +648,8 @@ def check_suite(
     sweep=None,
 ) -> list[CheckResult]:
     """Run every registered check; unavailable prerequisites yield skips."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     ctx = CheckContext(problem, report, spectral, trials, seed, sweep)
     return [check(ctx) for check in ALL_CHECKS.values()]
 

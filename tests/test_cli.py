@@ -186,8 +186,7 @@ def test_spectrum_command(tmp_path):
     assert data["final"]["lambda"] == pytest.approx(lam0, rel=1e-8)
 
 
-def test_sweep_command(tmp_path, monkeypatch):
-    monkeypatch.setenv("GPFLOW_THREADS", "1")
+def test_sweep_command(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(["sweep", "--n", "31", "--beta", "5", "--alphas", "0.1,0.2", "-o", str(out)])
     assert code == 0
@@ -197,11 +196,43 @@ def test_sweep_command(tmp_path, monkeypatch):
     assert entries[0]["rho"] > entries[1]["rho"]  # larger alpha contracts faster here
 
 
-def test_bad_threads_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("GPFLOW_THREADS", "zero")
-    assert main(["sweep", "--n", "15", "--alphas", "0.1", "-o", str(tmp_path / "s.json")]) == 1
-
-
 def test_emit_report_csv_requires_run_trace(tmp_path):
     with pytest.raises(UsageError):
         emit_report({"meta": {}}, "csv", str(tmp_path / "x.csv"))
+
+
+def _stall_inverse_power(*args, **kwargs):
+    raise RuntimeError("inverse power iteration did not converge (residual 1.000e-03)")
+
+
+@pytest.mark.parametrize(
+    "argv, code, stall_eigensolver",
+    [
+        (["run", "--n", "0"], 1, False),
+        (["run", "--bounds", "1,0"], 1, False),
+        (["run", "--bounds", "0,inf"], 1, False),
+        (["run", "--beta", "nan"], 1, False),
+        (["run", "--tol", "nan"], 1, False),
+        (["run", "--alpha0", "inf"], 1, False),
+        (["run", "--shrink", "nan"], 1, False),
+        (["run", "--alpha-floor", "nan"], 1, False),
+        (["sweep", "--n", "7", "--alphas", "0.1,nan"], 1, False),
+        (["verify", "--n", "7", "--trials", "-1"], 1, False),
+        # two wells split by a 1e14 barrier: lambda1 - lambda0 below resolution
+        (["spectrum", "--n", "3", "--scheme", "a0", "--potential", "file:{barrier}"], 2, False),
+        (["spectrum", "--n", "7", "--beta", "10"], 2, True),
+    ],
+)
+def test_bad_input_exits_with_one_error_line(
+    argv, code, stall_eigensolver, tmp_path, monkeypatch, capsys
+):
+    barrier = tmp_path / "barrier.csv"
+    np.savetxt(barrier, [0.0, 1e14, 0.0])
+    if stall_eigensolver:
+        monkeypatch.setattr("gpflow.spectral.DENSE_EIGEN_MAX_DOF", 0)
+        monkeypatch.setattr("gpflow.spectral._inverse_power", _stall_inverse_power)
+    argv = [a.format(barrier=barrier) for a in argv]
+    assert main(argv + ["-o", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err

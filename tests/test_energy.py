@@ -6,12 +6,10 @@ import pytest
 from gpflow.energy import (
     energy,
     energy_decrease,
-    gamma,
     metric_for,
     metric_gradient,
     project_tangent,
     retract,
-    riemannian_gradient,
     scheme_state,
     step_decrease,
 )
@@ -91,7 +89,7 @@ def test_riemannian_gradient_tangent():
     prob = nonlinear_problem(beta=25.0)
     u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
     for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
-        r = riemannian_gradient(kind, prob, u)
+        r = scheme_state(kind, prob, u).riemannian_gradient
         assert abs(inner_l2(r, u)) < 1e-10
 
 
@@ -127,7 +125,7 @@ def test_step_decrease_matches_energy_difference():
     rng = np.random.default_rng(4)
     prob = nonlinear_problem(beta=20.0)
     u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
-    g = riemannian_gradient(MetricKind.H1, prob, u)
+    g = scheme_state(MetricKind.H1, prob, u).riemannian_gradient
     decrease, u_next = step_decrease(prob, u, g, 0.3)
     assert norm_l2(u_next) == pytest.approx(1.0, abs=1e-14)
     direct = energy(prob, u) - energy(prob, u_next)
@@ -147,10 +145,3 @@ def test_metric_for_rejects_l2_and_missing_base():
     with pytest.raises(ValueError):
         metric_for(MetricKind.AU)
 
-
-def test_gamma_function_matches_scheme_state():
-    rng = np.random.default_rng(5)
-    prob = nonlinear_problem(beta=30.0)
-    u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
-    for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
-        assert gamma(kind, prob, u) == scheme_state(kind, prob, u).gamma

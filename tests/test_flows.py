@@ -10,8 +10,8 @@ from gpflow.flows import (
     load_function,
     run,
     sign_normalize,
-    step,
 )
+from gpflow.energy import energy, scheme_state, step_decrease
 from gpflow.grid import GridFunction, MetricKind, build_grid, norm_l2
 from gpflow.problem import Problem, harmonic_potential, zero_potential
 
@@ -113,9 +113,8 @@ def test_sign_normalize():
 def test_step_moves_downhill():
     prob = nonlinear_problem(beta=20.0)
     u = initial_guess(prob, "random", seed=1)
-    from gpflow.energy import energy
-
-    v = step(MetricKind.H1, prob, u, 0.2)
+    g = scheme_state(MetricKind.H1, prob, u).riemannian_gradient
+    _, v = step_decrease(prob, u, g, 0.2)
     assert norm_l2(v) == pytest.approx(1.0)
     assert energy(prob, v) < energy(prob, u)
 
@@ -130,6 +129,18 @@ def test_init_from_file(tmp_path):
     report = run(prob, RunConfig(scheme=MetricKind.H1, init="file", init_path=str(path)))
     assert report.status == "converged"
     assert len(report.records) <= 3  # already at the solution
+
+
+def test_run_from_u0_matches_file_start(tmp_path):
+    prob = nonlinear_problem()
+    start = initial_guess(prob, "random", seed=4)
+    path = tmp_path / "start.csv"
+    np.savetxt(path, start.values)
+    cfg = RunConfig(scheme=MetricKind.A0, max_iter=20)
+    from_file = run(prob, RunConfig(scheme=MetricKind.A0, max_iter=20, init="file", init_path=str(path)))
+    from_u0 = run(prob, cfg, u0=start)
+    assert [r.energy for r in from_u0.records] == [r.energy for r in from_file.records]
+    np.testing.assert_array_equal(from_u0.final.values, from_file.final.values)
 
 
 def test_run_config_validation():

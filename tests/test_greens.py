@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpflow.greens import (
-    GreenSolveError,
-    LinearOperator,
-    SolverConfig,
-    conjugate_gradient,
-    laplacian_matrix,
-    solve_green,
-)
+from gpflow.energy import metric_gradient, retract, scheme_state
+from gpflow.greens import LinearOperator, laplacian_matrix, solve_green
 from gpflow.grid import (
     A0,
     GridFunction,
@@ -70,43 +66,6 @@ def test_solve_green_adjoint_identity():
         assert inner(metric, prob, z, g) == pytest.approx(inner_l2(z, w), rel=1e-9, abs=1e-9)
 
 
-def test_conjugate_gradient_matches_direct():
-    rng = np.random.default_rng(3)
-    prob = make_problem(n=25, dim=2)
-    op = LinearOperator(A0, prob)
-    rhs = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
-    inv_diag = 1.0 / op.diagonal()
-    x = conjugate_gradient(op.apply, rhs, precondition=lambda r: inv_diag * r)
-    np.testing.assert_allclose(x.values, op.solve(rhs.values), rtol=1e-8, atol=1e-10)
-
-
-def test_conjugate_gradient_zero_rhs():
-    prob = make_problem(n=9)
-    op = LinearOperator(H1, prob)
-    rhs = GridFunction(prob.grid, np.zeros(prob.grid.dof))
-    assert not np.any(conjugate_gradient(op.apply, rhs).values)
-
-
-def test_conjugate_gradient_reports_failure():
-    rng = np.random.default_rng(4)
-    prob = make_problem(n=63)
-    op = LinearOperator(H1, prob)
-    rhs = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
-    with pytest.raises(GreenSolveError) as err:
-        conjugate_gradient(op.apply, rhs, SolverConfig(max_iter=2))
-    assert err.value.residual > 0.0
-    assert err.value.best is not None
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(preconditioner="ilu")
-
-
 def test_l2_has_no_green_operator():
     prob = make_problem(n=9)
     with pytest.raises(ValueError):
@@ -117,3 +76,61 @@ def test_zero_rhs_short_circuit():
     prob = make_problem(n=9)
     zero = GridFunction(prob.grid, np.zeros(prob.grid.dof))
     assert not np.any(solve_green(H1, prob, zero).values)
+
+
+# --- properties over random small grids --------------------------------------
+
+
+@st.composite
+def small_problems(draw):
+    """A random 1D-3D grid with <= 7 nodes per axis, V >= 0, beta >= 0, and a
+    seeded generator for the grid functions drawn on it."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim))
+    lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+    grid = build_grid(dim, n, [(0.0, length) for length in lengths])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v_scale = draw(st.sampled_from([0.0, 1.0, 100.0]))
+    beta = draw(st.sampled_from([0.0, 10.0, 100.0]))
+    V = GridFunction(grid, v_scale * rng.uniform(0.0, 1.0, grid.dof))
+    return Problem(grid, V, beta), rng
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(small_problems())
+def test_solve_green_matches_dense_solve(case):
+    prob, rng = case
+    grid = prob.grid
+    base = GridFunction(grid, rng.uniform(-2.0, 2.0, grid.dof))
+    w = GridFunction(grid, rng.standard_normal(grid.dof))
+    z = GridFunction(grid, rng.standard_normal(grid.dof))
+    lap = laplacian_matrix(grid).toarray()
+    diags = {
+        MetricKind.H1: np.zeros(grid.dof),
+        MetricKind.A0: prob.V.values,
+        MetricKind.AU: prob.V.values + prob.beta * base.values**2,
+    }
+    for metric in (H1, A0, Metric(MetricKind.AU, base=base)):
+        g = solve_green(metric, prob, w)
+        expected = np.linalg.solve(lap + np.diag(diags[metric.kind]), w.values)
+        np.testing.assert_allclose(
+            g.values, expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected))
+        )
+        assert inner(metric, prob, z, g) == pytest.approx(inner_l2(z, w), rel=1e-9, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(small_problems())
+def test_scheme_state_gradient_is_projected_metric_gradient(case):
+    prob, rng = case
+    u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
+    for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
+        state = scheme_state(kind, prob, u)
+        grad = metric_gradient(kind, prob, u)
+        np.testing.assert_array_equal(
+            state.riemannian_gradient.values,
+            grad.values - state.gamma * state.green_u.values,
+        )

@@ -140,6 +140,12 @@ def test_trials_zero_skips_sampled_checks(linear_setup):
     assert not results["thm:energy_decay"].skipped
 
 
+def test_negative_trials_rejected(linear_setup):
+    problem, report, spectral = linear_setup
+    with pytest.raises(ValueError):
+        check_suite(problem, report, spectral, trials=-1, seed=0)
+
+
 def test_missing_spectral_skips_dependents(nonlinear_setup):
     problem, report, _ = nonlinear_setup
     results = {r.name: r for r in check_suite(problem, report, None, trials=3, seed=0)}
