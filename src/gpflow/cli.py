@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .flows import ConvergenceReport, RunConfig, StepPolicy, run
+from .flows import ConvergenceReport, RunConfig, StepPolicy, load_function, run
 from .grid import GridFunction, MetricKind, build_grid
 from .problem import Problem, harmonic_potential, well_potential, zero_potential
 from .spectral import SpectralReport, linearized_operator, lowest_two_eigen
@@ -171,7 +171,7 @@ def parse_config(argv: list[str]) -> CliConfig:
             return file_values[key]
         return _DEFAULTS[key]
 
-    dim = int(pick("dim"))
+    dim = _int(pick("dim"), "--dim")
     if dim not in (1, 2, 3):
         raise UsageError(f"--dim must be 1, 2 or 3, got {dim}")
     n = _parse_int_list(str(pick("n")), "--n")
@@ -179,6 +179,11 @@ def parse_config(argv: list[str]) -> CliConfig:
         n = n * dim
     if len(n) != dim:
         raise UsageError(f"--n gives {len(n)} axes but --dim is {dim}")
+    if ns.command in ("verify", "spectrum") and math.prod(n) < 3:
+        raise UsageError(
+            f"{ns.command} needs at least 3 interior unknowns for its eigensolve, "
+            f"got {math.prod(n)}"
+        )
     bounds = _parse_bounds(str(pick("bounds")), dim)
     scheme = str(pick("scheme")).lower()
     if scheme not in _SCHEMES:
@@ -196,7 +201,7 @@ def parse_config(argv: list[str]) -> CliConfig:
         alphas = tuple(_finite(a, "--alphas") for a in alphas)
     if ns.command == "sweep" and not alphas:
         raise UsageError("sweep requires --alphas, e.g. --alphas 0.05,0.1,0.2")
-    trials = int(pick("trials"))
+    trials = _int(pick("trials"), "--trials")
     if trials < 0:
         raise UsageError(f"--trials must be >= 0, got {trials}")
 
@@ -209,8 +214,8 @@ def parse_config(argv: list[str]) -> CliConfig:
         beta=_finite(pick("beta"), "--beta"),
         scheme=scheme,
         tol=_finite(pick("tol"), "--tol"),
-        max_iter=int(pick("max_iter")),
-        seed=int(pick("seed")),
+        max_iter=_int(pick("max_iter"), "--max-iter"),
+        seed=_int(pick("seed"), "--seed"),
         init=str(pick("init")),
         init_path=pick("init_path"),
         mode=mode,
@@ -232,6 +237,16 @@ def _finite(value, flag):
         raise UsageError(f"{flag} expects a number, got {value!r}")
     if not math.isfinite(number):
         raise UsageError(f"{flag} must be finite, got {value!r}")
+    return number
+
+
+def _int(value, flag):
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{flag} expects an integer, got {value!r}")
+    if not isinstance(value, str) and number != value:  # 2.5 would truncate
+        raise UsageError(f"{flag} expects an integer, got {value!r}")
     return number
 
 
@@ -296,9 +311,16 @@ def build_potential(cfg: CliConfig, grid) -> GridFunction:
 def build_problem(cfg: CliConfig) -> Problem:
     try:
         grid = build_grid(cfg.dim, cfg.n, cfg.bounds)
-        return Problem(grid, build_potential(cfg, grid), cfg.beta)
+        problem = Problem(grid, build_potential(cfg, grid), cfg.beta)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if cfg.init == "file" and cfg.init_path:
+        # read once up front so a malformed start file is a usage error
+        try:
+            load_function(problem, cfg.init_path)
+        except ValueError as exc:
+            raise UsageError(f"cannot use start file {cfg.init_path}: {exc}")
+    return problem
 
 
 def run_config(cfg: CliConfig, alpha0: float | None = None, mode: str | None = None) -> RunConfig:
@@ -445,7 +467,7 @@ def _spectral_at_final(problem, report):
     op = linearized_operator(problem, report.final)
     try:
         return lowest_two_eigen(op)
-    except RuntimeError as exc:  # degenerate eigengap, or inverse power iteration stalled
+    except RuntimeError as exc:  # degenerate eigengap, or ARPACK did not converge
         raise SolveError(str(exc)) from exc
 
 

@@ -4,6 +4,10 @@ The linearized operator at u* is -Laplacian + V + beta*u*^2, i.e. the AU
 metric operator based at u*.  Its two smallest eigenvalues give the gap
 factor min{1, (lambda1 - lambda0) / (4 lambda0)} that controls the local
 contraction of all three schemes.
+
+Both eigenpairs come from one path at every grid size: shift-invert Lanczos
+(ARPACK's ``eigsh`` at sigma = 0) whose inverse is the operator's own cached
+LU solve, ``LinearOperator.solve``.
 """
 
 from __future__ import annotations
@@ -12,16 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from .grid import Grid, GridFunction, GridMismatchError, Metric, MetricKind
 from .greens import LinearOperator
 from .problem import Problem
-
-# Above this size the dense symmetric eigensolve is replaced by inverse power
-# iteration with L2 deflation; kept low enough that the 2D benchmark grids
-# stay inside the lemma suite's runtime budget.
-DENSE_EIGEN_MAX_DOF = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,55 +56,29 @@ def linearized_operator(problem: Problem, ustar: GridFunction) -> LinearOperator
     return LinearOperator(Metric(MetricKind.AU, base=ustar), problem)
 
 
-def lowest_two_eigen(op: LinearOperator, tol: float = 1e-10) -> SpectralReport:
+def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     """Two smallest eigenvalues and the ground eigenvector (unit L2).
 
-    Dense symmetric eigensolve for small operators; inverse power iteration
-    through the operator's solver, with L2 deflation of v0 for the second
-    eigenvalue, beyond that.
+    Shift-invert Lanczos at sigma = 0 with ``op.solve`` as the inverse and a
+    fixed all-ones start vector, so repeated calls agree bit for bit.  ARPACK
+    needs more unknowns than requested eigenpairs: grids with fewer than 3
+    interior unknowns raise ValueError.  ARPACK's non-convergence surfaces as
+    ``ArpackNoConvergence``, a RuntimeError.
     """
     grid = op.grid
-    if grid.dof <= DENSE_EIGEN_MAX_DOF:
-        dense = op.matrix().toarray()
-        vals, vecs = scipy.linalg.eigh(dense, subset_by_index=[0, 1])
-        lam0, lam1 = float(vals[0]), float(vals[1])
-        v0 = vecs[:, 0]
-    else:
-        lam0, v0 = _inverse_power(op, tol)
-        lam1, _ = _inverse_power(op, tol, deflate=v0)
+    n = grid.dof
+    if n < 3:
+        raise ValueError(f"the eigensolve needs at least 3 interior unknowns, got {n}")
+    inverse = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
+    vals, vecs = spla.eigsh(op.matrix(), k=2, sigma=0.0, OPinv=inverse, v0=np.ones(n))
+    lam0, lam1 = float(vals[0]), float(vals[1])
     if lam1 - lam0 < 1e-12:
         raise EigengapDegenerateError(
             f"gap {lam1 - lam0:.3e} below 1e-12: linearized eigengap degenerate"
         )
-    w = grid.cell_volume
-    v0 = v0 / (math.sqrt(w) * np.linalg.norm(v0))
+    v0 = vecs[:, 0]
+    v0 = v0 / (math.sqrt(grid.cell_volume) * np.linalg.norm(v0))
     return SpectralReport(lam0, lam1, GridFunction(grid, v0))
-
-
-def _inverse_power(op, tol, deflate=None, max_iter=10000):
-    """Inverse power iteration; optionally L2-deflates a known eigenvector."""
-    rng = np.random.default_rng(20240601)
-    w = op.grid.cell_volume
-
-    def project_out(x):
-        if deflate is None:
-            return x
-        return x - (np.dot(deflate, x) / np.dot(deflate, deflate)) * deflate
-
-    x = project_out(rng.standard_normal(op.grid.dof))
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(max_iter):
-        x = project_out(op.solve(x))
-        x /= np.linalg.norm(x)
-        ax = op.apply(x)
-        lam = float(np.dot(x, ax))
-        resid = math.sqrt(w) * float(np.linalg.norm(ax - lam * x))
-        if resid <= tol * lam:
-            return lam, x
-    raise RuntimeError(
-        f"inverse power iteration did not converge (residual {resid:.3e})"
-    )
 
 
 def laplacian_min_eigenvalue(grid: Grid) -> float:

@@ -1,10 +1,12 @@
 """Named, reportable checks for every numerical invariant of the solver.
 
 Each check packages one lemma/theorem-derived property as a pass/fail result
-with the smallest observed slack as its margin.  Inequality checks carry an
-additive 1e-9 tolerance on the slack to absorb the roundoff of the direct
-(sparse LU) Green's solves.  Every check owns a generator seeded from
-(seed, check name), so identical inputs yield identical results.
+with the smallest observed slack as its margin; a check with nothing to
+observe (no trials, no accepted steps, a one-record trace) is a skip, never a
+pass.  Inequality checks carry an additive 1e-9 tolerance on the slack to
+absorb the roundoff of the direct (sparse LU) Green's solves.  Every check
+owns a generator seeded from (seed, check name), so identical inputs yield
+identical results.
 """
 
 from __future__ import annotations
@@ -64,6 +66,9 @@ def _skip(name: str, detail: str) -> CheckResult:
 
 
 def _result(name: str, margin: float, trials: int, detail: str) -> CheckResult:
+    """A pass iff margin >= 0; nothing observed (zero trials) is a skip, never a pass."""
+    if trials == 0:
+        return _skip(name, detail)
     return CheckResult(name, passed=margin >= 0.0, margin=margin, trials=trials, detail=detail)
 
 
@@ -433,7 +438,7 @@ def check_energy_decay(ctx: CheckContext) -> CheckResult:
         return _skip(name, "no run report available")
     energies = [r.energy for r in ctx.report.records]
     if len(energies) < 2:
-        return _result(name, 0.0, len(energies), "trace too short to decrease")
+        return _skip(name, "trace too short to decrease")
     margin = min(energies[k] - energies[k + 1] for k in range(len(energies) - 1))
     return _result(name, margin, len(energies), f"min per-step energy decrease {margin:.3e}")
 
@@ -444,7 +449,7 @@ def check_sufficient_decrease(ctx: CheckContext) -> CheckResult:
         return _skip(name, "no run report available")
     accepted = [r for r in ctx.report.records if r.alpha > 0.0 and r.sufficient_decrease]
     if not accepted:
-        return _result(name, 0.0, 0, "no accepted steps in the trace")
+        return _skip(name, "no accepted steps in the trace")
     margin = min(r.decrease - 0.5 * r.alpha * r.residual**2 for r in accepted)
     return _result(name, margin, len(accepted), "logged decreases re-verified against the predicate")
 
@@ -480,7 +485,7 @@ def check_residual_summability(ctx: CheckContext) -> CheckResult:
         return _skip(name, "no run report available")
     accepted = [r for r in ctx.report.records if r.alpha > 0.0 and r.sufficient_decrease]
     if not accepted:
-        return _result(name, 0.0, 0, "no accepted steps in the trace")
+        return _skip(name, "no accepted steps in the trace")
     alpha_min = min(r.alpha for r in accepted)
     total = sum(r.residual**2 for r in accepted)
     bound = 2.0 * ctx.report.records[0].energy / alpha_min

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from gpflow import cli
 from gpflow.cli import (
@@ -201,8 +202,16 @@ def test_emit_report_csv_requires_run_trace(tmp_path):
         emit_report({"meta": {}}, "csv", str(tmp_path / "x.csv"))
 
 
-def _stall_inverse_power(*args, **kwargs):
-    raise RuntimeError("inverse power iteration did not converge (residual 1.000e-03)")
+def _stall_eigsh(*args, **kwargs):
+    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+
+def test_spectrum_byte_identical(tmp_path):
+    args = ["spectrum", "--dim", "2", "--n", "15", "--beta", "10", "--potential", "harmonic:20"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(args + ["-o", str(a)]) == 0
+    assert main(args + ["-o", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -218,20 +227,42 @@ def _stall_inverse_power(*args, **kwargs):
         (["run", "--alpha-floor", "nan"], 1, False),
         (["sweep", "--n", "7", "--alphas", "0.1,nan"], 1, False),
         (["verify", "--n", "7", "--trials", "-1"], 1, False),
-        # two wells split by a 1e14 barrier: lambda1 - lambda0 below resolution
+        # two wells split by a 1e16 barrier: lambda1 - lambda0 below resolution
         (["spectrum", "--n", "3", "--scheme", "a0", "--potential", "file:{barrier}"], 2, False),
         (["spectrum", "--n", "7", "--beta", "10"], 2, True),
+        # the eigensolve needs at least 3 interior unknowns
+        (["verify", "--n", "1"], 1, False),
+        (["spectrum", "--n", "1"], 1, False),
+        (["verify", "--n", "2"], 1, False),
+        (["spectrum", "--dim", "2", "--n", "1,2"], 1, False),
+        # malformed start files
+        (["run", "--n", "7", "--init", "file", "--init-path", "{short}"], 1, False),
+        (["run", "--n", "7", "--init", "file", "--init-path", "{text}"], 1, False),
+        # config-file values of the wrong type for integer keys
+        (["run", "--config", "{cfg_dim}"], 1, False),
+        (["run", "--config", "{cfg_max_iter}"], 1, False),
+        (["run", "--config", "{cfg_seed}"], 1, False),
+        (["verify", "--n", "7", "--config", "{cfg_trials}"], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(
     argv, code, stall_eigensolver, tmp_path, monkeypatch, capsys
 ):
-    barrier = tmp_path / "barrier.csv"
-    np.savetxt(barrier, [0.0, 1e14, 0.0])
+    contents = {
+        "barrier": "0\n1e16\n0\n",
+        "short": "1\n2\n",
+        "text": "abc\nxyz\n",
+        "cfg_dim": json.dumps({"dim": "x"}),
+        "cfg_max_iter": json.dumps({"max_iter": 2.5}),
+        "cfg_seed": json.dumps({"seed": "s"}),
+        "cfg_trials": json.dumps({"trials": [1]}),
+    }
+    files = {key: tmp_path / key for key in contents}
+    for key, text in contents.items():
+        files[key].write_text(text)
     if stall_eigensolver:
-        monkeypatch.setattr("gpflow.spectral.DENSE_EIGEN_MAX_DOF", 0)
-        monkeypatch.setattr("gpflow.spectral._inverse_power", _stall_inverse_power)
-    argv = [a.format(barrier=barrier) for a in argv]
+        monkeypatch.setattr("gpflow.spectral.spla.eigsh", _stall_eigsh)
+    argv = [a.format(**files) for a in argv]
     assert main(argv + ["-o", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")

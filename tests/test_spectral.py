@@ -1,16 +1,19 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gpflow.flows import RunConfig, run
 from gpflow.greens import LinearOperator, laplacian_matrix
-from gpflow.grid import GridFunction, H1, MetricKind, build_grid, norm_l2
-from gpflow.problem import Problem, harmonic_potential, zero_potential
+from gpflow.grid import A0, GridFunction, H1, Metric, MetricKind, build_grid, norm_l2
+from gpflow.problem import Problem, zero_potential
 from gpflow.spectral import (
     EigengapDegenerateError,
     SpectralReport,
-    _inverse_power,
     estimate_poincare,
     fit_rate,
     laplacian_min_eigenvalue,
@@ -48,16 +51,65 @@ def test_estimate_poincare_hand_oracle():
     assert estimate_poincare(prob.grid) == pytest.approx(1.0 / math.sqrt(lam0))
 
 
-def test_inverse_power_matches_dense():
-    grid = build_grid(1, [63], [(0.0, 1.0)])
-    prob = Problem(grid, harmonic_potential(grid, 30.0), 0.0)
-    op = LinearOperator(H1, prob)
-    dense = op.matrix().toarray()
-    vals = scipy.linalg.eigvalsh(dense)
-    lam0, v0 = _inverse_power(op, tol=1e-10)
-    assert lam0 == pytest.approx(vals[0], rel=1e-9)
-    lam1, _ = _inverse_power(op, tol=1e-10, deflate=v0)
-    assert lam1 == pytest.approx(vals[1], rel=1e-9)
+@st.composite
+def small_operators(draw):
+    """An H1, a0 or a_u operator on a random 1D-3D grid with 3 or more unknowns
+    and <= 7 nodes per axis, with random V >= 0, beta >= 0 and a_u base."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim))
+    assume(math.prod(n) >= 3)
+    lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+    grid = build_grid(dim, n, [(0.0, length) for length in lengths])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v_scale = draw(st.sampled_from([0.0, 1.0, 100.0]))
+    V = GridFunction(grid, v_scale * rng.uniform(0.0, 1.0, grid.dof))
+    prob = Problem(grid, V, draw(st.sampled_from([0.0, 10.0, 100.0])))
+    base = GridFunction(grid, rng.uniform(-2.0, 2.0, grid.dof))
+    metric = draw(st.sampled_from([H1, A0, Metric(MetricKind.AU, base=base)]))
+    return LinearOperator(metric, prob)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_operators())
+def test_lowest_two_eigen_matches_dense(op):
+    vals = scipy.linalg.eigvalsh(op.matrix().toarray())
+    report = lowest_two_eigen(op)
+    assert report.lambda0 == pytest.approx(vals[0], rel=1e-10)
+    assert report.lambda1 == pytest.approx(vals[1], rel=1e-10)
+    assert norm_l2(report.v0) == pytest.approx(1.0, rel=1e-12)
+    resid = op.apply(report.v0.values) - report.lambda0 * report.v0.values
+    assert np.linalg.norm(resid) <= 1e-10 * report.lambda0 * np.linalg.norm(report.v0.values)
+
+
+@pytest.mark.parametrize(
+    "n, bounds",
+    [
+        ([9], [(0.0, 1.0)]),
+        ([5, 7], [(0.0, 1.0), (0.0, 1.5)]),
+        ([3, 4, 5], [(0.0, 1.0), (0.0, 1.2), (-0.5, 1.0)]),
+        ([31, 31], [(0.0, 1.0), (0.0, 1.0)]),
+    ],
+)
+def test_lowest_two_eigen_closed_form_laplacian(n, bounds):
+    # beta = 0, V = 0: the eigenvalues are the sums of one per-axis eigenvalue
+    # (2/h^2)(1 - cos(pi k h / (b - a))), k = 1..n, for each axis
+    grid = build_grid(len(n), n, bounds)
+    per_axis = [
+        [(2.0 / h**2) * (1.0 - math.cos(math.pi * k * h / (b - a))) for k in range(1, m + 1)]
+        for m, h, (a, b) in zip(grid.n, grid.h, grid.bounds)
+    ]
+    sums = sorted(sum(combo) for combo in itertools.product(*per_axis))
+    report = lowest_two_eigen(LinearOperator(H1, Problem(grid, zero_potential(grid), 0.0)))
+    assert report.lambda0 == pytest.approx(laplacian_min_eigenvalue(grid), rel=1e-10)
+    assert report.lambda0 == pytest.approx(sums[0], rel=1e-10)
+    assert report.lambda1 == pytest.approx(sums[1], rel=1e-10)
+
+
+@pytest.mark.parametrize("dim, n", [(1, [1]), (1, [2]), (2, [1, 2])])
+def test_lowest_two_eigen_needs_three_unknowns(dim, n):
+    grid = build_grid(dim, n, [(0.0, 1.0)] * dim)
+    with pytest.raises(ValueError):
+        lowest_two_eigen(LinearOperator(H1, Problem(grid, zero_potential(grid), 0.0)))
 
 
 def test_degenerate_gap_raises():
@@ -69,6 +121,12 @@ def test_degenerate_gap_raises():
             import scipy.sparse as sp
 
             return sp.identity(self.grid.dof, format="csr")
+
+        def apply(self, values):
+            return values
+
+        def solve(self, rhs):
+            return rhs
 
     grid = build_grid(1, [4], [(0.0, 1.0)])
     with pytest.raises(EigengapDegenerateError):
