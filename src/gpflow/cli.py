@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .flows import ConvergenceReport, RunConfig, StepPolicy, load_function, run
+from .greens import GreenSolveError
 from .grid import GridFunction, MetricKind, build_grid
 from .problem import Problem, harmonic_potential, well_potential, zero_potential
 from .spectral import SpectralReport, linearized_operator, lowest_two_eigen
@@ -210,23 +211,23 @@ def parse_config(argv: list[str]) -> CliConfig:
         dim=dim,
         n=tuple(n),
         bounds=bounds,
-        potential=str(pick("potential")),
+        potential=_str(pick("potential"), "--potential"),
         beta=_finite(pick("beta"), "--beta"),
         scheme=scheme,
         tol=_finite(pick("tol"), "--tol"),
         max_iter=_int(pick("max_iter"), "--max-iter"),
         seed=_int(pick("seed"), "--seed"),
         init=str(pick("init")),
-        init_path=pick("init_path"),
+        init_path=_str(pick("init_path"), "--init-path", optional=True),
         mode=mode,
         alpha0=_finite(pick("alpha0"), "--alpha0"),
         shrink=_finite(pick("shrink"), "--shrink"),
         alpha_floor=_finite(pick("alpha_floor"), "--alpha-floor"),
-        output=pick("output"),
+        output=_str(pick("output"), "--output", optional=True),
         format=fmt,
         trials=trials,
         alphas=alphas,
-        cross_scheme=bool(pick("cross_scheme")),
+        cross_scheme=_bool(pick("cross_scheme"), "--cross-scheme"),
     )
 
 
@@ -248,6 +249,20 @@ def _int(value, flag):
     if not isinstance(value, str) and number != value:  # 2.5 would truncate
         raise UsageError(f"{flag} expects an integer, got {value!r}")
     return number
+
+
+def _bool(value, flag):
+    if not isinstance(value, bool):  # "false" would be truthy
+        raise UsageError(f"{flag} expects true or false, got {value!r}")
+    return value
+
+
+def _str(value, flag, optional=False):
+    if value is None and optional:
+        return None
+    if not isinstance(value, str):
+        raise UsageError(f"{flag} expects a string, got {value!r}")
+    return value
 
 
 def _parse_int_list(text, flag):
@@ -523,21 +538,23 @@ def cmd_sweep(cfg: CliConfig) -> int:
 _COMMANDS = {"run": cmd_run, "verify": cmd_verify, "spectrum": cmd_spectrum, "sweep": cmd_sweep}
 
 
+def _print_error(exc: Exception) -> None:
+    # one line, whatever the message: numpy's loadtxt errors span two
+    print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
         cfg = parse_config(argv)
         return _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, OSError) as exc:
+        _print_error(exc)
         return 1
-    except SolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SolveError, GreenSolveError) as exc:  # GreenSolveError: CG hit its cap
+        _print_error(exc)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -194,8 +194,8 @@ def scheme_state(
 ) -> SchemeState:
     """Riemannian gradient, multiplier and residual norm at u, in one pass.
 
-    A prebuilt LinearOperator may be passed to reuse its factorization across
-    iterations (the H1 and a0 operators never change within a run).
+    A prebuilt LinearOperator may be passed to reuse it across iterations
+    (the H1 and a0 operators never change within a run).
     """
     _require_unit(u)
     metric = metric_for(kind, u)

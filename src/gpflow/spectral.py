@@ -6,8 +6,8 @@ factor min{1, (lambda1 - lambda0) / (4 lambda0)} that controls the local
 contraction of all three schemes.
 
 Both eigenpairs come from one path at every grid size: shift-invert Lanczos
-(ARPACK's ``eigsh`` at sigma = 0) whose inverse is the operator's own cached
-LU solve, ``LinearOperator.solve``.
+(ARPACK's ``eigsh`` at sigma = 0) whose inverse is the package's one Green's
+solve, ``LinearOperator.solve``.
 """
 
 from __future__ import annotations
@@ -60,17 +60,24 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     """Two smallest eigenvalues and the ground eigenvector (unit L2).
 
     Shift-invert Lanczos at sigma = 0 with ``op.solve`` as the inverse and a
-    fixed all-ones start vector, so repeated calls agree bit for bit.  ARPACK
-    needs more unknowns than requested eigenpairs: grids with fewer than 3
-    interior unknowns raise ValueError.  ARPACK's non-convergence surfaces as
-    ``ArpackNoConvergence``, a RuntimeError.
+    fixed, seeded start vector, so repeated calls agree bit for bit.  The
+    start vector has no symmetry on purpose: on a symmetric grid and
+    potential the all-ones vector has no component along an antisymmetric
+    second eigenvector, and Lanczos, which only sees the eigenvectors its
+    start vector touches, would then report the third eigenvalue as lambda1
+    unless solver roundoff happened to supply the missing component.
+
+    ARPACK needs more unknowns than requested eigenpairs: grids with fewer
+    than 3 interior unknowns raise ValueError.  ARPACK's non-convergence
+    surfaces as ``ArpackNoConvergence``, a RuntimeError.
     """
     grid = op.grid
     n = grid.dof
     if n < 3:
         raise ValueError(f"the eigensolve needs at least 3 interior unknowns, got {n}")
+    start = np.random.default_rng(0).uniform(0.5, 1.5, n)
     inverse = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
-    vals, vecs = spla.eigsh(op.matrix(), k=2, sigma=0.0, OPinv=inverse, v0=np.ones(n))
+    vals, vecs = spla.eigsh(op.matrix(), k=2, sigma=0.0, OPinv=inverse, v0=start)
     lam0, lam1 = float(vals[0]), float(vals[1])
     if lam1 - lam0 < 1e-12:
         raise EigengapDegenerateError(

@@ -4,7 +4,8 @@ Each check packages one lemma/theorem-derived property as a pass/fail result
 with the smallest observed slack as its margin; a check with nothing to
 observe (no trials, no accepted steps, a one-record trace) is a skip, never a
 pass.  Inequality checks carry an additive 1e-9 tolerance on the slack to
-absorb the roundoff of the direct (sparse LU) Green's solves.  Every check
+absorb the error of the Green's solves (exact up to roundoff for H1, CG to
+relative residual 1e-13 for a0 and a_u).  Every check
 owns a generator seeded from (seed, check name), so identical inputs yield
 identical results.
 """

@@ -63,29 +63,44 @@ def test_criterion_1_linear_oracle():
     print("ACCEPTANCE 1 linear oracle (gamma = lambda0 = pi^2): PASS")
 
 
+def assert_energy_decay(key, reports):
+    for scheme, report in reports.items():
+        assert report.status == "converged", (key, scheme)
+        energies = [r.energy for r in report.records]
+        assert all(a >= b for a, b in zip(energies, energies[1:])), (key, scheme)
+        for r in report.records:
+            if r.alpha > 0.0 and r.sufficient_decrease:
+                assert r.decrease >= 0.5 * r.alpha * r.residual**2, (key, scheme, r.n)
+
+
+def assert_schemes_agree(key, problem, reports):
+    finals = {s: sign_normalize(r.final) for s, r in reports.items()}
+    gammas = {s: r.final_record.gamma for s, r in reports.items()}
+    for a, b in itertools.combinations(SCHEMES, 2):
+        dist = norm_l2(GridFunction(problem.grid, finals[a].values - finals[b].values))
+        assert dist <= 1e-6, (key, a, b, dist)
+        assert abs(gammas[a] - gammas[b]) <= 1e-6, (key, a, b)
+
+
 def test_criterion_2_energy_decay(benchmarks):
     for key, (problem, reports) in benchmarks.items():
-        for scheme, report in reports.items():
-            assert report.status == "converged", (key, scheme)
-            energies = [r.energy for r in report.records]
-            assert all(a >= b for a, b in zip(energies, energies[1:])), (key, scheme)
-            for r in report.records:
-                if r.alpha > 0.0 and r.sufficient_decrease:
-                    assert r.decrease >= 0.5 * r.alpha * r.residual**2, (key, scheme, r.n)
+        assert_energy_decay(key, reports)
     print("ACCEPTANCE 2 energy decay on all 18 benchmarks x 3 schemes: PASS")
 
 
 def test_criterion_3_cross_scheme_agreement(benchmarks):
     for key, (problem, reports) in benchmarks.items():
-        finals = {s: sign_normalize(r.final) for s, r in reports.items()}
-        gammas = {s: r.final_record.gamma for s, r in reports.items()}
-        for a, b in itertools.combinations(SCHEMES, 2):
-            dist = norm_l2(
-                GridFunction(problem.grid, finals[a].values - finals[b].values)
-            )
-            assert dist <= 1e-6, (key, a, b, dist)
-            assert abs(gammas[a] - gammas[b]) <= 1e-6, (key, a, b)
+        assert_schemes_agree(key, problem, reports)
     print("ACCEPTANCE 3 cross-scheme agreement (L2 and gamma within 1e-6): PASS")
+
+
+def test_criteria_2_3_in_3d():
+    grid = build_grid(3, [15] * 3, [(0.0, 1.0)] * 3)
+    problem = Problem(grid, harmonic_potential(grid, 20.0), 100.0)
+    reports = {scheme: run(problem, RunConfig(scheme=scheme)) for scheme in SCHEMES}
+    assert_energy_decay("3d-15^3", reports)
+    assert_schemes_agree("3d-15^3", problem, reports)
+    print("ACCEPTANCE 2+3 in 3D (15^3, harmonic:20, beta=100): PASS")
 
 
 def test_criterion_4_eigengap_and_rate():

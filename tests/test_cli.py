@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,6 +205,37 @@ def test_emit_report_csv_requires_run_trace(tmp_path):
         emit_report({"meta": {}}, "csv", str(tmp_path / "x.csv"))
 
 
+def test_config_cross_scheme_takes_json_booleans(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"cross_scheme": True}))
+    assert parse_config(["verify", "--config", str(path)]).cross_scheme is True
+    path.write_text(json.dumps({"cross_scheme": False}))
+    assert parse_config(["verify", "--config", str(path)]).cross_scheme is False
+    for value in ("false", "true", 0, 1, None):
+        path.write_text(json.dumps({"cross_scheme": value}))
+        with pytest.raises(UsageError):
+            parse_config(["verify", "--config", str(path)])
+
+
+def test_config_string_keys_are_type_checked(tmp_path):
+    path = tmp_path / "cfg.json"
+    # a number as output path would be opened as a file descriptor
+    for values in ({"output": 3}, {"init_path": 3}, {"potential": 5}, {"potential": None}):
+        path.write_text(json.dumps(values))
+        with pytest.raises(UsageError):
+            parse_config(["run", "--config", str(path)])
+    path.write_text(json.dumps({"output": None, "init_path": None}))
+    cfg = parse_config(["run", "--config", str(path)])
+    assert cfg.output is None and cfg.init_path is None
+
+
+def test_import_leaves_scipy_fft_unloaded():
+    # scipy.fft pulls in scipy.special; the first Green's solve imports it
+    code = "import sys, gpflow.cli; sys.exit('scipy.fft' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # find gpflow as we do
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def _stall_eigsh(*args, **kwargs):
     raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
 
@@ -215,7 +249,7 @@ def test_spectrum_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, code, stall_eigensolver",
+    "argv, code, stall",
     [
         (["run", "--n", "0"], 1, False),
         (["run", "--bounds", "1,0"], 1, False),
@@ -243,11 +277,15 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--config", "{cfg_max_iter}"], 1, False),
         (["run", "--config", "{cfg_seed}"], 1, False),
         (["verify", "--n", "7", "--config", "{cfg_trials}"], 1, False),
+        # CG stops short of its tolerance (a zero tolerance is unreachable)
+        (["run", "--n", "7", "--scheme", "a0", "--potential", "harmonic:20"], 2, "cg"),
+        # config-file values of the wrong type for boolean and string keys
+        (["verify", "--n", "7", "--config", "{cfg_cross}"], 1, False),
+        (["run", "--n", "7", "--config", "{cfg_init_path}"], 1, False),
     ],
 )
-def test_bad_input_exits_with_one_error_line(
-    argv, code, stall_eigensolver, tmp_path, monkeypatch, capsys
-):
+def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):
+    """``stall`` stubs a solver: True the eigensolver, "cg" the Green's solve."""
     contents = {
         "barrier": "0\n1e16\n0\n",
         "short": "1\n2\n",
@@ -256,12 +294,16 @@ def test_bad_input_exits_with_one_error_line(
         "cfg_max_iter": json.dumps({"max_iter": 2.5}),
         "cfg_seed": json.dumps({"seed": "s"}),
         "cfg_trials": json.dumps({"trials": [1]}),
+        "cfg_cross": json.dumps({"cross_scheme": "false"}),
+        "cfg_init_path": json.dumps({"init": "file", "init_path": 3}),
     }
     files = {key: tmp_path / key for key in contents}
     for key, text in contents.items():
         files[key].write_text(text)
-    if stall_eigensolver:
+    if stall is True:
         monkeypatch.setattr("gpflow.spectral.spla.eigsh", _stall_eigsh)
+    elif stall == "cg":
+        monkeypatch.setattr("gpflow.greens.CG_RTOL", 0.0)
     argv = [a.format(**files) for a in argv]
     assert main(argv + ["-o", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpflow import greens
 from gpflow.energy import metric_gradient, retract, scheme_state
-from gpflow.greens import LinearOperator, laplacian_matrix, solve_green
+from gpflow.greens import GreenSolveError, LinearOperator, laplacian_matrix, solve_green
 from gpflow.grid import (
     A0,
     GridFunction,
@@ -15,7 +16,7 @@ from gpflow.grid import (
     inner,
     inner_l2,
 )
-from gpflow.problem import Problem, harmonic_potential
+from gpflow.problem import Problem, harmonic_potential, well_potential
 
 
 def make_problem(n=15, beta=5.0, dim=1, omega=10.0):
@@ -64,6 +65,36 @@ def test_solve_green_adjoint_identity():
     for metric in (H1, A0, Metric(MetricKind.AU, base=base)):
         g = solve_green(metric, prob, w)
         assert inner(metric, prob, z, g) == pytest.approx(inner_l2(z, w), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 63), (3, 19)])
+def test_solve_residual_well_potential(dim, n):
+    # a deep well: the diagonal term jumps by 1000 across the box, so the
+    # mean-shifted preconditioner is far from exact for a0 and a_u
+    grid = build_grid(dim, [n] * dim, [(0.0, 1.0)] * dim)
+    prob = Problem(grid, well_potential(grid, 1000.0, 0.25, 0.75), 100.0)
+    rng = np.random.default_rng(3)
+    base = retract(GridFunction(grid, rng.uniform(0.0, 1.0, grid.dof)))
+    rhs = rng.standard_normal(grid.dof)
+    for metric in (H1, A0, Metric(MetricKind.AU, base=base)):
+        op = LinearOperator(metric, prob)
+        x = op.solve(rhs)
+        resid = np.linalg.norm(op.matrix() @ x - rhs)
+        assert resid <= 1e-12 * np.linalg.norm(rhs), (metric.kind, resid)
+
+
+def test_cg_stopping_short_raises(monkeypatch):
+    # a zero tolerance is unreachable: at n = 31 CG runs into its iteration
+    # cap; at n = 63 its residual first shrinks to ~1e-160, where r.z and
+    # p.Ap underflow to zero (breakdown)
+    monkeypatch.setattr(greens, "CG_RTOL", 0.0)
+    for n in (31, 63):
+        prob = make_problem(n=n)
+        rhs = np.random.default_rng(4).standard_normal(prob.grid.dof)
+        with pytest.raises(GreenSolveError):
+            LinearOperator(A0, prob).solve(rhs)
+    # the H1 solve is one exact transform pair and runs no CG
+    LinearOperator(H1, prob).solve(rhs)
 
 
 def test_l2_has_no_green_operator():
