@@ -164,18 +164,26 @@ def parse_config(argv: list[str]) -> CliConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    def pick(key):
+    def pick(key, convert, **options):
+        """The flag's value, else the file's, else the default, converted.
+
+        A file value is converted, and so type-checked, even when a flag
+        overrides it: a bad value in the file is an error either way.
+        """
+        flag = "--" + key.replace("_", "-")
+        if key in file_values:
+            from_file = convert(file_values[key], flag, **options)
         value = getattr(ns, key, None)
         if value is not None:
-            return value
+            return convert(value, flag, **options)
         if key in file_values:
-            return file_values[key]
-        return _DEFAULTS[key]
+            return from_file
+        return convert(_DEFAULTS[key], flag, **options)
 
-    dim = _int(pick("dim"), "--dim")
+    dim = pick("dim", _int)
     if dim not in (1, 2, 3):
         raise UsageError(f"--dim must be 1, 2 or 3, got {dim}")
-    n = _parse_int_list(str(pick("n")), "--n")
+    n = pick("n", _parse_int_list)
     if len(n) == 1:
         n = n * dim
     if len(n) != dim:
@@ -185,24 +193,20 @@ def parse_config(argv: list[str]) -> CliConfig:
             f"{ns.command} needs at least 3 interior unknowns for its eigensolve, "
             f"got {math.prod(n)}"
         )
-    bounds = _parse_bounds(str(pick("bounds")), dim)
-    scheme = str(pick("scheme")).lower()
+    bounds = _parse_bounds(pick("bounds", _parse_float_list), dim)
+    scheme = pick("scheme", _str).lower()
     if scheme not in _SCHEMES:
         raise UsageError(f"--scheme must be one of h1, a0, au, got {scheme!r}")
-    fmt = str(pick("format")).lower()
+    fmt = pick("format", _str).lower()
     if fmt not in ("json", "csv"):
         raise UsageError(f"--format must be json or csv, got {fmt!r}")
-    mode = str(pick("mode"))
+    mode = pick("mode", _str)
     if mode not in ("backtracking", "fixed"):
         raise UsageError(f"--mode must be backtracking or fixed, got {mode!r}")
-    alphas = pick("alphas")
-    if isinstance(alphas, str):
-        alphas = tuple(_parse_float_list(alphas, "--alphas"))
-    elif alphas is not None:
-        alphas = tuple(_finite(a, "--alphas") for a in alphas)
+    alphas = pick("alphas", _alphas)
     if ns.command == "sweep" and not alphas:
         raise UsageError("sweep requires --alphas, e.g. --alphas 0.05,0.1,0.2")
-    trials = _int(pick("trials"), "--trials")
+    trials = pick("trials", _int)
     if trials < 0:
         raise UsageError(f"--trials must be >= 0, got {trials}")
 
@@ -211,23 +215,23 @@ def parse_config(argv: list[str]) -> CliConfig:
         dim=dim,
         n=tuple(n),
         bounds=bounds,
-        potential=_str(pick("potential"), "--potential"),
-        beta=_finite(pick("beta"), "--beta"),
+        potential=pick("potential", _str),
+        beta=pick("beta", _finite),
         scheme=scheme,
-        tol=_finite(pick("tol"), "--tol"),
-        max_iter=_int(pick("max_iter"), "--max-iter"),
-        seed=_int(pick("seed"), "--seed"),
-        init=str(pick("init")),
-        init_path=_str(pick("init_path"), "--init-path", optional=True),
+        tol=pick("tol", _finite),
+        max_iter=pick("max_iter", _int),
+        seed=pick("seed", _int),
+        init=pick("init", _str),
+        init_path=pick("init_path", _str, optional=True),
         mode=mode,
-        alpha0=_finite(pick("alpha0"), "--alpha0"),
-        shrink=_finite(pick("shrink"), "--shrink"),
-        alpha_floor=_finite(pick("alpha_floor"), "--alpha-floor"),
-        output=_str(pick("output"), "--output", optional=True),
+        alpha0=pick("alpha0", _finite),
+        shrink=pick("shrink", _finite),
+        alpha_floor=pick("alpha_floor", _finite),
+        output=pick("output", _str, optional=True),
         format=fmt,
         trials=trials,
         alphas=alphas,
-        cross_scheme=_bool(pick("cross_scheme"), "--cross-scheme"),
+        cross_scheme=pick("cross_scheme", _bool),
     )
 
 
@@ -265,29 +269,39 @@ def _str(value, flag, optional=False):
     return value
 
 
-def _parse_int_list(text, flag):
+def _alphas(value, flag):
+    if value is None:
+        return None
+    if isinstance(value, str):
+        return tuple(_parse_float_list(value, flag))
+    if not isinstance(value, list):
+        raise UsageError(f"{flag} expects a list of numbers, got {value!r}")
+    return tuple(_finite(a, flag) for a in value)
+
+
+def _parse_int_list(value, flag):
+    text = str(value)
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
-def _parse_float_list(text, flag):
-    values = [_finite(part, flag) for part in text.split(",") if part.strip()]
+def _parse_float_list(value, flag):
+    values = [_finite(part, flag) for part in str(value).split(",") if part.strip()]
     if not values:
         raise UsageError(f"{flag} expects at least one value")
     return values
 
 
-def _parse_bounds(text, dim):
-    parts = _parse_float_list(text, "--bounds")
+def _parse_bounds(parts, dim):
     if len(parts) == 2:
         interval = (parts[0], parts[1])
         return tuple(interval for _ in range(dim))
     if len(parts) == 2 * dim:
         return tuple((parts[2 * k], parts[2 * k + 1]) for k in range(dim))
     raise UsageError(
-        f"--bounds expects 'a,b' (shared) or one pair per axis, got {text!r}"
+        f"--bounds expects 'a,b' (shared) or one pair per axis, got {len(parts)} values"
     )
 
 

@@ -99,6 +99,38 @@ def energy_decrease(problem: Problem, u: GridFunction, v: GridFunction) -> float
     return _energy_difference(problem, u, v, u.values - v.values)
 
 
+def _normalization_correction(problem: Problem, f: GridFunction, t: float) -> float:
+    """E(f / sqrt(1 + t)) - E(f), where ||f||^2 = 1 + t."""
+    s2 = 1.0 + t
+    kin, pot, quart = _energy_terms(problem, f)
+    return (kin + pot) * (t / s2) + quart * (t * (t + 2.0) / s2**2)
+
+
+def _step_decreases(problem: Problem, u: GridFunction, g: GridFunction):
+    """The function alpha -> step_decrease(problem, u, g, alpha).
+
+    The terms at u that do not depend on alpha are computed once, so a line
+    search pays for them once per step instead of once per trial.
+    """
+    # ||y||^2 = 1 + t_y with every term of t_y small; no large cancellation.
+    # The stored u sits eps off the sphere, so compare the energies of the
+    # exactly normalized u and y: subtract the normalization correction at u
+    # as well, or that eps-level offset drowns decreases near convergence.
+    t_u = inner_l2(u, u) - 1.0
+    correction_u = _normalization_correction(problem, u, t_u)
+    gu, gg = inner_l2(g, u), inner_l2(g, g)
+
+    def decrease_at(alpha: float) -> tuple[float, GridFunction]:
+        y = GridFunction(problem.grid, u.values - alpha * g.values)
+        unnormalized = _energy_difference(problem, u, y, alpha * g.values)
+        t_y = t_u - 2.0 * alpha * gu + alpha * alpha * gg
+        decrease = unnormalized + _normalization_correction(problem, y, t_y) - correction_u
+        u_next = GridFunction(problem.grid, y.values / math.sqrt(1.0 + t_y))
+        return decrease, u_next
+
+    return decrease_at
+
+
 def step_decrease(
     problem: Problem, u: GridFunction, g: GridFunction, alpha: float
 ) -> tuple[float, GridFunction]:
@@ -110,45 +142,31 @@ def step_decrease(
     keeps the decrease accurate at the alpha*residual^2 scale even when that
     is far below the rounding floor of the energies themselves.
     """
-    y = GridFunction(problem.grid, u.values - alpha * g.values)
-    unnormalized = _energy_difference(problem, u, y, alpha * g.values)
-
-    # ||y||^2 = 1 + t_y with every term of t_y small; no large cancellation.
-    # The stored u sits eps off the sphere, so compare the energies of the
-    # exactly normalized u and y: subtract the normalization correction at u
-    # as well, or that eps-level offset drowns decreases near convergence.
-    t_u = inner_l2(u, u) - 1.0
-    t_y = t_u - 2.0 * alpha * inner_l2(g, u) + alpha * alpha * inner_l2(g, g)
-
-    def normalization_correction(f, t):
-        s2 = 1.0 + t
-        kin, pot, quart = _energy_terms(problem, f)
-        return (kin + pot) * (t / s2) + quart * (t * (t + 2.0) / s2**2)
-
-    decrease = (
-        unnormalized
-        + normalization_correction(y, t_y)
-        - normalization_correction(u, t_u)
-    )
-    u_next = GridFunction(problem.grid, y.values / math.sqrt(1.0 + t_y))
-    return decrease, u_next
+    return _step_decreases(problem, u, g)(alpha)
 
 
 def _gradient(
-    kind: SchemeKind, problem: Problem, u: GridFunction, op: LinearOperator
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Metric gradient values at u, and the Green-solve term added to u.
+    kind: SchemeKind,
+    problem: Problem,
+    u: GridFunction,
+    op: LinearOperator,
+    x0: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Metric gradient values at u, the Green-solve term added to u, and
+    that term's unscaled Green solve.
 
-    H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u: u itself, with
-    no Green-solve term (None).  ``op`` is the scheme's operator at u.
+    H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u, and a0 at
+    beta = 0: u itself, with no Green-solve term (None, None).  ``op`` is the
+    scheme's operator at u; the a0 solve starts from ``x0``.
     """
     if kind is MetricKind.H1:
-        gv = op.solve(problem.V.values * u.values + problem.beta * u.values**3)
-    elif kind is MetricKind.A0:
-        gv = problem.beta * op.solve(u.values**3)
+        gv = solution = op.solve(problem.V.values * u.values + problem.beta * u.values**3)
+    elif kind is MetricKind.A0 and problem.beta != 0.0:
+        solution = op.solve(u.values**3, x0)
+        gv = problem.beta * solution
     else:
-        return u.values, None
-    return u.values + gv, gv
+        return u.values, None, None
+    return u.values + gv, gv, solution
 
 
 def metric_gradient(kind: SchemeKind, problem: Problem, u: GridFunction) -> GridFunction:
@@ -158,7 +176,7 @@ def metric_gradient(kind: SchemeKind, problem: Problem, u: GridFunction) -> Grid
     """
     if u.grid != problem.grid:
         raise GridMismatchError("function does not live on the problem grid")
-    grad, _ = _gradient(kind, problem, u, LinearOperator(metric_for(kind, u), problem))
+    grad, _, _ = _gradient(kind, problem, u, LinearOperator(metric_for(kind, u), problem))
     return GridFunction(problem.grid, grad)
 
 
@@ -178,12 +196,18 @@ def project_tangent(
 
 @dataclass(frozen=True, eq=False)
 class SchemeState:
-    """Everything one iteration needs: direction, multiplier, residual."""
+    """Everything one iteration needs: direction, multiplier, residual.
+
+    ``green_u`` is G u and ``green_term`` the unscaled Green solve inside the
+    gradient (G_H1(V u + beta u^3) for H1, G_a0(u^3) for a0, None when the
+    gradient has none); the next step's solves start from them.
+    """
 
     riemannian_gradient: GridFunction
     gamma: float
     residual: float
     green_u: GridFunction
+    green_term: np.ndarray | None
 
 
 def scheme_state(
@@ -191,24 +215,32 @@ def scheme_state(
     problem: Problem,
     u: GridFunction,
     op: LinearOperator | None = None,
+    prev: SchemeState | None = None,
 ) -> SchemeState:
     """Riemannian gradient, multiplier and residual norm at u, in one pass.
 
     A prebuilt LinearOperator may be passed to reuse it across iterations
-    (the H1 and a0 operators never change within a run).
+    (the H1 and a0 operators never change within a run).  ``prev``, the
+    state of the previous iterate, warm-starts the CG solves: its G u starts
+    the solve for G u (also across a_u's change of operator between steps)
+    and its ``green_term`` the a0 solve for G u^3.  A start changes the
+    solves only within their tolerance, never their stopping test.
     """
     _require_unit(u)
     metric = metric_for(kind, u)
     if op is None:
         op = LinearOperator(metric, problem)
-    gu = GridFunction(problem.grid, op.solve(u.values))
+    start_u = start_term = None
+    if prev is not None:
+        start_u, start_term = prev.green_u.values, prev.green_term
+    gu = GridFunction(problem.grid, op.solve(u.values, start_u))
     denom = inner_l2(gu, u)  # equals ||G u||_X^2
-    grad, gv = _gradient(kind, problem, u, op)
+    grad, gv, solution = _gradient(kind, problem, u, op, start_term)
     numer = 1.0 if gv is None else 1.0 + inner_l2(GridFunction(problem.grid, gv), u)
     gamma = numer / denom
     rgrad = GridFunction(problem.grid, grad - gamma * gu.values)
     residual = norm(metric, problem, rgrad)
-    return SchemeState(rgrad, gamma, residual, gu)
+    return SchemeState(rgrad, gamma, residual, gu, solution)
 
 
 def retract(u: GridFunction) -> GridFunction:

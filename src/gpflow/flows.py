@@ -15,11 +15,11 @@ import numpy as np
 
 from .energy import (
     SchemeKind,
+    _step_decreases,
     energy,
     metric_for,
     retract,
     scheme_state,
-    step_decrease,
 )
 from .greens import LinearOperator
 from .grid import GridFunction, MetricKind, norm_l2
@@ -136,12 +136,16 @@ def sign_normalize(u: GridFunction) -> GridFunction:
 
 
 def _search(problem, u, state, policy):
-    """Shared candidate loop; returns (alpha, u_next, decrease, accepted)."""
-    g = state.riemannian_gradient
+    """Shared candidate loop; returns (alpha, u_next, decrease, accepted).
+
+    Each trial's decrease is step_decrease's, with the terms at u that do
+    not depend on alpha computed once per step.
+    """
+    decrease_at = _step_decreases(problem, u, state.riemannian_gradient)
     res_sq = state.residual**2
     alpha = policy.alpha0
     while True:
-        decrease, u_next = step_decrease(problem, u, g, alpha)
+        decrease, u_next = decrease_at(alpha)
         accepted = decrease >= 0.5 * alpha * res_sq
         if accepted or policy.mode == "fixed":
             return alpha, u_next, decrease, accepted
@@ -182,13 +186,14 @@ def run(
     status = "max_iter"
     max_drift = 0.0
     current_energy = energy(problem, u)
+    state = None  # the previous step's state warm-starts this step's solves
 
     for n in range(cfg.max_iter + 1):
         max_drift = max(max_drift, abs(norm_l2(u) - 1.0))
         op = fixed_op
         if cfg.scheme is MetricKind.AU:
             op = LinearOperator(metric_for(cfg.scheme, u), problem)
-        state = scheme_state(cfg.scheme, problem, u, op=op)
+        state = scheme_state(cfg.scheme, problem, u, op=op, prev=state)
         delta = _h1_distance(u, reference) if reference is not None else None
 
         if state.residual <= cfg.tol:

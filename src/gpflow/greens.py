@@ -85,8 +85,8 @@ class LinearOperator:
     ``solve`` is the one Green's solve of the package: exact for H1 (one
     orthonormal DST-I pair), preconditioned conjugate gradients for a0 and
     a_u with the DST inverse of -Laplacian + mean(diagonal term) as
-    preconditioner.  Nothing is factorized, so a new operator per a_u step
-    costs no more than a kept one.
+    preconditioner, optionally warm-started.  Nothing is factorized, so a new
+    operator per a_u step costs no more than a kept one.
     """
 
     def __init__(self, metric: Metric, problem: Problem):
@@ -105,6 +105,7 @@ class LinearOperator:
             self._diag_term = problem.V.values + problem.beta * metric.base.values**2
         self._laplacian, eig = _sine_basis(self.grid)
         self._precond_eig = eig + float(np.mean(self._diag_term))
+        self.iterations = 0  # CG iterations of the last solve
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         u = GridFunction(self.grid, values)
@@ -122,32 +123,49 @@ class LinearOperator:
         coeffs = dstn(r.reshape(self.grid.n), type=1, norm="ortho")
         return dstn(coeffs / self._precond_eig, type=1, norm="ortho").ravel()
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve A_X x = rhs to relative residual CG_RTOL.
+    def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+        """Solve A_X x = rhs to relative residual CG_RTOL, from x0 if given.
 
         H1 has a zero diagonal term, so the preconditioner is its exact
-        inverse and no CG iteration runs.  Otherwise CG stops once the
-        residual norm is at most CG_RTOL times that of rhs, or raises
-        GreenSolveError on breakdown or after 2 * grid.dof iterations.  In
-        exact arithmetic CG terminates within grid.dof iterations; in
+        inverse: no CG iteration runs and x0 is ignored.  Otherwise CG starts
+        at x0 (zero when None) from the explicitly computed residual
+        rhs - A x0, and stops once the residual norm is at most CG_RTOL times
+        that of rhs, whatever the start; a start that already meets the test
+        is returned without iterating.  A close start, such as the previous
+        step's solution along a gradient flow, only shortens the solve.  (The
+        updated residual the test reads drifts from the true one by about
+        eps * ||A x0||, so a start much larger than the solution raises the
+        true residual's floor.)  The number of CG iterations run is left in
+        ``self.iterations``: 0 for H1, a zero rhs or a start that meets the
+        test.
+
+        Raises GreenSolveError on breakdown or after 2 * grid.dof iterations.
+        In exact arithmetic CG terminates within grid.dof iterations; in
         floating point it loses that finite termination, and on grids of a
         few dozen unknowns, where termination rather than the preconditioned
         rate ends the solve, high-contrast a_u operators need up to
         ~1.5 * grid.dof.
         """
+        self.iterations = 0
         b = np.asarray(rhs, dtype=float)
         if not np.any(b):
             return np.zeros_like(b)
         if self.metric.kind is MetricKind.H1:
             return self._precondition(b)
         lap, diag = self._laplacian, self._diag_term
-        x = np.zeros_like(b)
-        r = b.copy()
+        target = CG_RTOL * float(np.linalg.norm(b))
+        if x0 is None:
+            x = np.zeros_like(b)
+            r = b.copy()
+        else:
+            x = np.array(x0, dtype=float)
+            r = b - (lap @ x + diag * x)
+            if np.linalg.norm(r) <= target:
+                return x
         z = self._precondition(r)
         p = z
         rz = float(r @ z)
-        target = CG_RTOL * float(np.linalg.norm(b))
-        for _ in range(2 * self.grid.dof):
+        for self.iterations in range(1, 2 * self.grid.dof + 1):
             ap = lap @ p + diag * p
             curvature = float(p @ ap)
             if not (rz > 0.0 and curvature > 0.0):  # breakdown: roundoff has won

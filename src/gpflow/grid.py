@@ -162,7 +162,8 @@ def edge_difference_sum(u: GridFunction, v: GridFunction) -> float:
 
     Bitwise symmetric in (u, v): every term is a product of one u-difference
     and one v-difference, summed in a fixed order.  Algebraically equal to
-    the L2 pairing of -Laplacian(u) with v (summation by parts).
+    the L2 pairing of -Laplacian(u) with v (summation by parts).  The form
+    of u with itself takes one difference per axis.
     """
     grid = _check_same_grid(u, v)
     uu = u.reshaped()
@@ -170,7 +171,7 @@ def edge_difference_sum(u: GridFunction, v: GridFunction) -> float:
     total = 0.0
     for axis in range(grid.dim):
         du = np.diff(uu, axis=axis, prepend=0.0, append=0.0)
-        dv = np.diff(vv, axis=axis, prepend=0.0, append=0.0)
+        dv = du if v is u else np.diff(vv, axis=axis, prepend=0.0, append=0.0)
         total += float(np.sum(du * dv)) / grid.h[axis] ** 2
     return grid.cell_volume * total
 

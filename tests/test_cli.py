@@ -282,6 +282,11 @@ def test_spectrum_byte_identical(tmp_path):
         # config-file values of the wrong type for boolean and string keys
         (["verify", "--n", "7", "--config", "{cfg_cross}"], 1, False),
         (["run", "--n", "7", "--config", "{cfg_init_path}"], 1, False),
+        # config-file values of the wrong type under a flag that overrides them
+        (["run", "--n", "7", "--config", "{cfg_output}"], 1, False),
+        (["verify", "--n", "7", "--cross-scheme", "--config", "{cfg_cross}"], 1, False),
+        # a config-file alpha list that is a bare number
+        (["sweep", "--n", "7", "--config", "{cfg_alphas}"], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):
@@ -296,6 +301,8 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
         "cfg_trials": json.dumps({"trials": [1]}),
         "cfg_cross": json.dumps({"cross_scheme": "false"}),
         "cfg_init_path": json.dumps({"init": "file", "init_path": 3}),
+        "cfg_output": json.dumps({"output": 3}),  # "-o out" is appended below
+        "cfg_alphas": json.dumps({"alphas": 0.1}),
     }
     files = {key: tmp_path / key for key in contents}
     for key, text in contents.items():

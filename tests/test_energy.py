@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
+from gpflow import greens
 from gpflow.energy import (
     energy,
     energy_decrease,
@@ -23,6 +25,7 @@ from gpflow.grid import (
     norm_l2,
 )
 from gpflow.problem import Problem, harmonic_potential, zero_potential
+from strategies import PROPERTY_SETTINGS, small_problems
 
 
 def linear_problem(n=31):
@@ -145,3 +148,52 @@ def test_metric_for_rejects_l2_and_missing_base():
     with pytest.raises(ValueError):
         metric_for(MetricKind.AU)
 
+
+
+def test_a0_at_beta_zero_skips_the_cubic_solve(monkeypatch):
+    solves = []
+    original = greens.LinearOperator.solve
+
+    def counting_solve(self, rhs, x0=None):
+        solves.append(self.metric.kind)
+        return original(self, rhs, x0)
+
+    monkeypatch.setattr(greens.LinearOperator, "solve", counting_solve)
+    rng = np.random.default_rng(5)
+    for beta, expected in ((0.0, 1), (10.0, 2)):
+        prob = nonlinear_problem(beta=beta)
+        u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
+        solves.clear()
+        state = scheme_state(MetricKind.A0, prob, u)
+        assert solves == [MetricKind.A0] * expected
+        assert (state.green_term is None) == (beta == 0.0)
+        solves.clear()
+        metric_gradient(MetricKind.A0, prob, u)
+        assert len(solves) == expected - 1
+
+
+def test_scheme_state_warm_start_matches_cold():
+    # the previous state's solves start this one's; the result agrees with a
+    # cold start to the solves' tolerance
+    rng = np.random.default_rng(6)
+    prob = nonlinear_problem(n=63, beta=100.0, omega=20.0)
+    u_prev = retract(GridFunction(prob.grid, rng.uniform(0.5, 1.0, prob.grid.dof)))
+    for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
+        prev = scheme_state(kind, prob, u_prev)
+        u = retract(GridFunction(prob.grid, u_prev.values - 1e-3 * prev.riemannian_gradient.values))
+        cold = scheme_state(kind, prob, u)
+        warm = scheme_state(kind, prob, u, prev=prev)
+        assert warm.gamma == pytest.approx(cold.gamma, rel=1e-12)
+        assert warm.residual == pytest.approx(cold.residual, rel=1e-9)
+        np.testing.assert_allclose(warm.green_u.values, cold.green_u.values, rtol=1e-11)
+
+
+@PROPERTY_SETTINGS
+@given(small_problems())
+def test_energy_decrease_matches_energy_difference_property(case):
+    prob, rng = case
+    u = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
+    v = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
+    eu, ev = energy(prob, u), energy(prob, v)
+    # both sides carry the roundoff of the O(E) energies, not of their difference
+    assert energy_decrease(prob, u, v) == pytest.approx(eu - ev, rel=1e-12, abs=1e-12 * max(eu, ev))

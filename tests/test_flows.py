@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from gpflow.flows import (
     RunConfig,
     StepPolicy,
+    _search,
     initial_guess,
     load_function,
     run,
     sign_normalize,
 )
-from gpflow.energy import energy, scheme_state, step_decrease
+from gpflow import greens
+from gpflow.energy import energy, retract, scheme_state, step_decrease
 from gpflow.grid import GridFunction, MetricKind, build_grid, norm_l2
 from gpflow.problem import Problem, harmonic_potential, zero_potential
+from strategies import PROPERTY_SETTINGS, small_problems
 
 SCHEMES = (MetricKind.H1, MetricKind.A0, MetricKind.AU)
 
@@ -179,3 +183,36 @@ def test_deterministic_reports():
     b = run(prob, cfg)
     assert [r.energy for r in a.records] == [r.energy for r in b.records]
     np.testing.assert_array_equal(a.final.values, b.final.values)
+
+
+@PROPERTY_SETTINGS
+@given(small_problems())
+def test_search_decrease_is_step_decrease_bit_for_bit(case):
+    # the search computes the terms at u once per step; every trial must
+    # still give exactly step_decrease's decrease and step
+    prob, rng = case
+    u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
+    for kind in SCHEMES:
+        state = scheme_state(kind, prob, u)
+        for policy in (StepPolicy(alpha0=4.0), StepPolicy(mode="fixed", alpha0=0.3)):
+            alpha, u_next, decrease, _ = _search(prob, u, state, policy)
+            expected, expected_next = step_decrease(prob, u, state.riemannian_gradient, alpha)
+            assert decrease == expected
+            np.testing.assert_array_equal(u_next.values, expected_next.values)
+
+
+@pytest.mark.parametrize("scheme", [MetricKind.A0, MetricKind.AU])
+def test_run_warm_starts_every_solve_after_the_first_step(scheme, monkeypatch):
+    starts = []
+    original = greens.LinearOperator.solve
+
+    def recording_solve(self, rhs, x0=None):
+        starts.append(x0 is not None)
+        return original(self, rhs, x0)
+
+    monkeypatch.setattr(greens.LinearOperator, "solve", recording_solve)
+    report = run(nonlinear_problem(), RunConfig(scheme=scheme))
+    assert report.status == "converged"
+    per_step = 2 if scheme is MetricKind.A0 else 1  # a0 also solves for G u^3
+    assert len(starts) == per_step * len(report.records)
+    assert starts == [False] * per_step + [True] * (len(starts) - per_step)

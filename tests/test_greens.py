@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from gpflow import greens
 from gpflow.energy import metric_gradient, retract, scheme_state
-from gpflow.greens import GreenSolveError, LinearOperator, laplacian_matrix, solve_green
+from gpflow.flows import RunConfig, run
+from gpflow.greens import CG_RTOL, GreenSolveError, LinearOperator, laplacian_matrix, solve_green
 from gpflow.grid import (
     A0,
     GridFunction,
@@ -17,6 +17,7 @@ from gpflow.grid import (
     inner_l2,
 )
 from gpflow.problem import Problem, harmonic_potential, well_potential
+from strategies import PROPERTY_SETTINGS, small_problems
 
 
 def make_problem(n=15, beta=5.0, dim=1, omega=10.0):
@@ -109,25 +110,42 @@ def test_zero_rhs_short_circuit():
     assert not np.any(solve_green(H1, prob, zero).values)
 
 
+def test_warm_solve_from_exact_solution_takes_no_iterations():
+    rng = np.random.default_rng(5)
+    prob = make_problem(n=15, dim=2)
+    base = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
+    x = rng.standard_normal(prob.grid.dof)
+    for metric in (H1, A0, Metric(MetricKind.AU, base=base)):
+        op = LinearOperator(metric, prob)
+        rhs = op.matrix() @ x
+        op.solve(rhs)
+        if metric.kind is MetricKind.H1:  # the exact transform pair ignores x0
+            assert op.iterations == 0
+            continue
+        assert op.iterations > 0
+        np.testing.assert_array_equal(op.solve(rhs, x0=x), x)
+        assert op.iterations == 0
+
+
+def test_warm_start_at_converged_a0_state_saves_iterations():
+    # two consecutive iterates near convergence of the 2D-63 a0 flow: the
+    # solve at the later one, started from the earlier one's solution
+    prob = make_problem(n=63, beta=100.0, dim=2, omega=20.0)
+    cfg = RunConfig(scheme=MetricKind.A0)
+    steps = len(run(prob, cfg).records) - 1
+    u_prev = run(prob, RunConfig(scheme=MetricKind.A0, max_iter=steps - 1)).final
+    u = run(prob, RunConfig(scheme=MetricKind.A0, max_iter=steps)).final
+    op = LinearOperator(A0, prob)
+    for rhs_of in (lambda f: f.values, lambda f: f.values**3):
+        start = op.solve(rhs_of(u_prev))
+        cold = op.solve(rhs_of(u))
+        cold_iterations = op.iterations
+        warm = op.solve(rhs_of(u), x0=start)
+        assert op.iterations < cold_iterations, (op.iterations, cold_iterations)
+        np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-11 * np.max(np.abs(cold)))
+
+
 # --- properties over random small grids --------------------------------------
-
-
-@st.composite
-def small_problems(draw):
-    """A random 1D-3D grid with <= 7 nodes per axis, V >= 0, beta >= 0, and a
-    seeded generator for the grid functions drawn on it."""
-    dim = draw(st.integers(1, 3))
-    n = draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim))
-    lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
-    grid = build_grid(dim, n, [(0.0, length) for length in lengths])
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    v_scale = draw(st.sampled_from([0.0, 1.0, 100.0]))
-    beta = draw(st.sampled_from([0.0, 10.0, 100.0]))
-    V = GridFunction(grid, v_scale * rng.uniform(0.0, 1.0, grid.dof))
-    return Problem(grid, V, beta), rng
-
-
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @PROPERTY_SETTINGS
@@ -165,3 +183,24 @@ def test_scheme_state_gradient_is_projected_metric_gradient(case):
             state.riemannian_gradient.values,
             grad.values - state.gamma * state.green_u.values,
         )
+
+
+@PROPERTY_SETTINGS
+@given(small_problems())
+def test_warm_solve_matches_dense_solve(case):
+    prob, rng = case
+    grid = prob.grid
+    base = GridFunction(grid, rng.uniform(-2.0, 2.0, grid.dof))
+    rhs = rng.standard_normal(grid.dof)
+    for metric in (H1, A0, Metric(MetricKind.AU, base=base)):
+        op = LinearOperator(metric, prob)
+        matrix = op.matrix().toarray()
+        expected = np.linalg.solve(matrix, rhs)
+        # a random start of the solution's size (a start far larger than the
+        # solution raises the floor of the true residual to ~eps ||A x0||)
+        x0 = np.max(np.abs(expected)) * rng.standard_normal(grid.dof)
+        x = op.solve(rhs, x0=x0)
+        np.testing.assert_allclose(
+            x, expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected))
+        )
+        assert np.linalg.norm(rhs - matrix @ x) <= CG_RTOL * np.linalg.norm(rhs)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from gpflow.grid import (
     A0,
@@ -20,6 +21,7 @@ from gpflow.grid import (
     norm_l2,
 )
 from gpflow.problem import Problem, zero_potential
+from strategies import PROPERTY_SETTINGS, small_problems
 
 
 def grid_1d(n=3, a=0.0, b=1.0):
@@ -143,3 +145,17 @@ def test_norm_positive_definite():
     u = GridFunction(g, rng.standard_normal(g.dof))
     for metric in (L2, H1, A0, Metric(MetricKind.AU, base=u)):
         assert norm(metric, prob, u) > 0.0
+
+
+@PROPERTY_SETTINGS
+@given(small_problems())
+def test_summation_by_parts_property(case):
+    prob, rng = case
+    grid = prob.grid
+    u = GridFunction(grid, rng.standard_normal(grid.dof))
+    v = GridFunction(grid, rng.standard_normal(grid.dof))
+    lap_u = apply_neg_laplacian(grid, u)
+    # the edge form against w (-Laplacian u, v), to roundoff of the summed terms
+    scale = grid.cell_volume * float(np.sum(np.abs(lap_u.values * v.values)))
+    assert edge_difference_sum(u, v) == pytest.approx(inner_l2(lap_u, v), rel=0.0, abs=1e-13 * scale)
+    assert edge_difference_sum(u, u) == edge_difference_sum(u, GridFunction(grid, u.values))
