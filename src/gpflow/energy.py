@@ -9,7 +9,7 @@ running eigenvalue estimate; at a critical point it equals the eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .grid import (
     norm,
     norm_l2,
 )
+from . import greens
 from .greens import LinearOperator, solve_green
 from .problem import Problem
 
@@ -151,18 +152,20 @@ def _gradient(
     u: GridFunction,
     op: LinearOperator,
     x0: np.ndarray | None = None,
+    rtol: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Metric gradient values at u, the Green-solve term added to u, and
     that term's unscaled Green solve.
 
     H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u, and a0 at
     beta = 0: u itself, with no Green-solve term (None, None).  ``op`` is the
-    scheme's operator at u; the a0 solve starts from ``x0``.
+    scheme's operator at u; the a0 solve starts from ``x0`` and stops at
+    ``rtol``.
     """
     if kind is MetricKind.H1:
         gv = solution = op.solve(problem.V.values * u.values + problem.beta * u.values**3)
     elif kind is MetricKind.A0 and problem.beta != 0.0:
-        solution = op.solve(u.values**3, x0)
+        solution = op.solve(u.values**3, x0, rtol)
         gv = problem.beta * solution
     else:
         return u.values, None, None
@@ -200,7 +203,9 @@ class SchemeState:
 
     ``green_u`` is G u and ``green_term`` the unscaled Green solve inside the
     gradient (G_H1(V u + beta u^3) for H1, G_a0(u^3) for a0, None when the
-    gradient has none); the next step's solves start from them.
+    gradient has none); the next step's solves start from them.  ``rtol`` is
+    the relative residual the a0 and a_u solves behind the state stopped at,
+    and ``cg_iterations`` the CG iterations it took, every solve counted.
     """
 
     riemannian_gradient: GridFunction
@@ -208,6 +213,33 @@ class SchemeState:
     residual: float
     green_u: GridFunction
     green_term: np.ndarray | None
+    rtol: float
+    cg_iterations: int
+
+
+def _solve_state(
+    kind: SchemeKind,
+    problem: Problem,
+    u: GridFunction,
+    op: LinearOperator,
+    start: SchemeState | None,
+    rtol: float,
+) -> SchemeState:
+    """The state at u with every solve at ``rtol``, started from ``start``'s."""
+    start_u = start_term = None
+    if start is not None:
+        start_u, start_term = start.green_u.values, start.green_term
+    gu = GridFunction(problem.grid, op.solve(u.values, start_u, rtol))
+    iterations = op.iterations
+    denom = inner_l2(gu, u)  # equals ||G u||_X^2
+    grad, gv, solution = _gradient(kind, problem, u, op, start_term, rtol)
+    if solution is not None:  # op.iterations now counts the gradient's solve
+        iterations += op.iterations
+    numer = 1.0 if gv is None else 1.0 + inner_l2(GridFunction(problem.grid, gv), u)
+    gamma = numer / denom
+    rgrad = GridFunction(problem.grid, grad - gamma * gu.values)
+    residual = norm(metric_for(kind, u), problem, rgrad)
+    return SchemeState(rgrad, gamma, residual, gu, solution, rtol, iterations)
 
 
 def scheme_state(
@@ -216,6 +248,7 @@ def scheme_state(
     u: GridFunction,
     op: LinearOperator | None = None,
     prev: SchemeState | None = None,
+    tol: float | None = None,
 ) -> SchemeState:
     """Riemannian gradient, multiplier and residual norm at u, in one pass.
 
@@ -225,22 +258,30 @@ def scheme_state(
     the solve for G u (also across a_u's change of operator between steps)
     and its ``green_term`` the a0 solve for G u^3.  A start changes the
     solves only within their tolerance, never their stopping test.
+
+    Every solve stops at relative residual greens.CG_RTOL, with one
+    exception.  When ``tol`` (the flow's residual tolerance) and ``prev``
+    are both given and the scheme is not H1 (whose solve is exact), the
+    solves stop at the forcing term clamp(CG_FORCING * prev.residual,
+    CG_RTOL, CG_RTOL_MAX): an inexact G u still gives a direction exactly
+    tangent to the sphere (gamma = numer / denom), and the residual is the
+    norm of that direction.  Such a state is certified before it can end a
+    run: if its residual is at most ``tol``, the solves are rerun at
+    CG_RTOL, started from the loose solutions, and the tight state is
+    returned, its ``cg_iterations`` counting both passes.
     """
     _require_unit(u)
-    metric = metric_for(kind, u)
     if op is None:
-        op = LinearOperator(metric, problem)
-    start_u = start_term = None
-    if prev is not None:
-        start_u, start_term = prev.green_u.values, prev.green_term
-    gu = GridFunction(problem.grid, op.solve(u.values, start_u))
-    denom = inner_l2(gu, u)  # equals ||G u||_X^2
-    grad, gv, solution = _gradient(kind, problem, u, op, start_term)
-    numer = 1.0 if gv is None else 1.0 + inner_l2(GridFunction(problem.grid, gv), u)
-    gamma = numer / denom
-    rgrad = GridFunction(problem.grid, grad - gamma * gu.values)
-    residual = norm(metric, problem, rgrad)
-    return SchemeState(rgrad, gamma, residual, gu, solution)
+        op = LinearOperator(metric_for(kind, u), problem)
+    if tol is None or prev is None or kind is MetricKind.H1:
+        return _solve_state(kind, problem, u, op, prev, greens.CG_RTOL)
+    forcing = greens.CG_FORCING * prev.residual
+    rtol = min(max(forcing, greens.CG_RTOL), greens.CG_RTOL_MAX)
+    state = _solve_state(kind, problem, u, op, prev, rtol)
+    if state.residual > tol or rtol == greens.CG_RTOL:
+        return state
+    tight = _solve_state(kind, problem, u, op, state, greens.CG_RTOL)
+    return replace(tight, cg_iterations=state.cg_iterations + tight.cg_iterations)
 
 
 def retract(u: GridFunction) -> GridFunction:

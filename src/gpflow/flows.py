@@ -21,6 +21,7 @@ from .energy import (
     retract,
     scheme_state,
 )
+from . import greens
 from .greens import LinearOperator
 from .grid import GridFunction, MetricKind, norm_l2
 from .problem import Problem
@@ -81,6 +82,8 @@ class IterationRecord:
     decrease: float
     sufficient_decrease: bool = True
     delta: float | None = None  # H1 distance to a reference, when tracked
+    trials: int = 0  # line-search trials in the step
+    cg_iterations: int = 0  # CG iterations of the step's Green's solves
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,6 +157,18 @@ def _search(problem, u, state, policy):
             return alpha, u_next, decrease, False
 
 
+def _trial_count(policy: StepPolicy, alpha: float, accepted: bool) -> int:
+    """The number of trials _search ran to return alpha.
+
+    Its k-th trial is alpha0 * shrink^(k-1), and a search stopped by the
+    floor returns the first stepsize below it, untried.
+    """
+    if policy.mode == "fixed":
+        return 1
+    k = round(math.log(alpha / policy.alpha0) / math.log(policy.shrink))
+    return k + 1 if accepted else k
+
+
 def run(
     problem: Problem,
     cfg: RunConfig,
@@ -168,6 +183,16 @@ def run(
     When ``reference`` is given, each record carries the H1 distance to it.
     When ``u0`` is given, the run starts from retract(u0), exactly as from a
     file holding u0, and ``cfg.init`` is ignored.
+
+    After the first step, the a0 and a_u Green's solves run at a tolerance
+    tied to the last residual (scheme_state's ``tol``), but every state a
+    run reports is tight (solved at greens.CG_RTOL): a state meeting
+    ``cfg.tol`` is certified before it is declared converged, and the state
+    at n == max_iter always is.  A line search that reaches the floor along
+    a loose direction recomputes the state at u tightly; if that state meets
+    ``cfg.tol`` the run has converged, otherwise the search runs once more
+    along it, so "stepsize_floor" also ends only at a tight state.  Each
+    record carries its step's line-search trials and CG iterations.
     """
     from . import spectral  # local import to avoid a cycle
 
@@ -183,7 +208,6 @@ def run(
         fixed_op = LinearOperator(metric_for(cfg.scheme), problem)
 
     records: list[IterationRecord] = []
-    status = "max_iter"
     max_drift = 0.0
     current_energy = energy(problem, u)
     state = None  # the previous step's state warm-starts this step's solves
@@ -193,28 +217,33 @@ def run(
         op = fixed_op
         if cfg.scheme is MetricKind.AU:
             op = LinearOperator(metric_for(cfg.scheme, u), problem)
-        state = scheme_state(cfg.scheme, problem, u, op=op, prev=state)
+        # the state of the last step a run may take is always certified
+        tol = cfg.tol if n < cfg.max_iter else math.inf
+        state = scheme_state(cfg.scheme, problem, u, op=op, prev=state, tol=tol)
+        cg_iterations = state.cg_iterations
         delta = _h1_distance(u, reference) if reference is not None else None
 
-        if state.residual <= cfg.tol:
-            records.append(
-                IterationRecord(n, current_energy, state.residual, state.gamma, 0.0, 0.0, True, delta)
-            )
-            status = "converged"
-            break
-        if n == cfg.max_iter:
-            records.append(
-                IterationRecord(n, current_energy, state.residual, state.gamma, 0.0, 0.0, True, delta)
-            )
-            status = "max_iter"
-            break
+        step, trials = None, 0  # step: _search's result, None when none is taken
+        while state.residual > cfg.tol and n < cfg.max_iter:
+            alpha, u_next, decrease, accepted = step = _search(problem, u, state, cfg.policy)
+            trials += _trial_count(cfg.policy, alpha, accepted)
+            if accepted or cfg.policy.mode == "fixed" or state.rtol <= greens.CG_RTOL:
+                break
+            # a loose direction reached the floor: retry once along the tight one
+            state = scheme_state(cfg.scheme, problem, u, op=op, prev=state)
+            cg_iterations += state.cg_iterations
+            step = None
 
-        alpha, u_next, decrease, accepted = _search(problem, u, state, cfg.policy)
+        alpha, u_next, decrease, accepted = step or (0.0, u, 0.0, True)
         records.append(
             IterationRecord(
-                n, current_energy, state.residual, state.gamma, alpha, decrease, accepted, delta
+                n, current_energy, state.residual, state.gamma, alpha, decrease, accepted,
+                delta, trials, cg_iterations,
             )
         )
+        if step is None:
+            status = "converged" if state.residual <= cfg.tol else "max_iter"
+            break
         if not accepted and cfg.policy.mode == "backtracking":
             status = "stepsize_floor"
             break

@@ -30,8 +30,13 @@ from .grid import (
 )
 from .problem import Problem
 
-# CG stops once its residual ||b - A x||_2 is at most CG_RTOL ||b||_2
+# CG stops once its residual ||b - A x||_2 is at most rtol ||b||_2; rtol is
+# CG_RTOL unless the caller passes its own
 CG_RTOL = 1e-13
+# Along a flow the a0 and a_u solves run at the forcing term
+# clamp(CG_FORCING * previous residual, CG_RTOL, CG_RTOL_MAX) (energy.scheme_state)
+CG_FORCING = 0.01
+CG_RTOL_MAX = 1e-3
 
 
 class GreenSolveError(RuntimeError):
@@ -123,15 +128,18 @@ class LinearOperator:
         coeffs = dstn(r.reshape(self.grid.n), type=1, norm="ortho")
         return dstn(coeffs / self._precond_eig, type=1, norm="ortho").ravel()
 
-    def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-        """Solve A_X x = rhs to relative residual CG_RTOL, from x0 if given.
+    def solve(
+        self, rhs: np.ndarray, x0: np.ndarray | None = None, rtol: float | None = None
+    ) -> np.ndarray:
+        """Solve A_X x = rhs to relative residual rtol, from x0 if given.
 
-        H1 has a zero diagonal term, so the preconditioner is its exact
-        inverse: no CG iteration runs and x0 is ignored.  Otherwise CG starts
-        at x0 (zero when None) from the explicitly computed residual
-        rhs - A x0, and stops once the residual norm is at most CG_RTOL times
-        that of rhs, whatever the start; a start that already meets the test
-        is returned without iterating.  A close start, such as the previous
+        ``rtol`` None means the module's CG_RTOL, read at call time.  H1 has a
+        zero diagonal term, so the preconditioner is its exact inverse: no CG
+        iteration runs, and x0 and rtol are ignored.  Otherwise CG starts at
+        x0 (zero when None) from the explicitly computed residual rhs - A x0,
+        and stops once the residual norm is at most rtol times that of rhs,
+        whatever the start; a start that already meets the test is returned
+        without iterating.  A close start, such as the previous
         step's solution along a gradient flow, only shortens the solve.  (The
         updated residual the test reads drifts from the true one by about
         eps * ||A x0||, so a start much larger than the solution raises the
@@ -139,7 +147,8 @@ class LinearOperator:
         ``self.iterations``: 0 for H1, a zero rhs or a start that meets the
         test.
 
-        Raises GreenSolveError on breakdown or after 2 * grid.dof iterations.
+        Raises GreenSolveError, naming the rtol it missed, on breakdown or
+        after 2 * grid.dof iterations.
         In exact arithmetic CG terminates within grid.dof iterations; in
         floating point it loses that finite termination, and on grids of a
         few dozen unknowns, where termination rather than the preconditioned
@@ -152,8 +161,10 @@ class LinearOperator:
             return np.zeros_like(b)
         if self.metric.kind is MetricKind.H1:
             return self._precondition(b)
+        if rtol is None:
+            rtol = CG_RTOL
         lap, diag = self._laplacian, self._diag_term
-        target = CG_RTOL * float(np.linalg.norm(b))
+        target = rtol * float(np.linalg.norm(b))
         if x0 is None:
             x = np.zeros_like(b)
             r = b.copy()
@@ -180,7 +191,7 @@ class LinearOperator:
             p = z + (rz_next / rz) * p
             rz = rz_next
         raise GreenSolveError(
-            f"preconditioned CG stopped short of relative residual {CG_RTOL:g} "
+            f"preconditioned CG stopped short of relative residual {rtol:g} "
             f"(iteration cap {2 * self.grid.dof})"
         )
 

@@ -162,17 +162,23 @@ def edge_difference_sum(u: GridFunction, v: GridFunction) -> float:
 
     Bitwise symmetric in (u, v): every term is a product of one u-difference
     and one v-difference, summed in a fixed order.  Algebraically equal to
-    the L2 pairing of -Laplacian(u) with v (summation by parts).  The form
-    of u with itself takes one difference per axis.
+    the L2 pairing of -Laplacian(u) with v (summation by parts).  Per axis,
+    the interior edges are slice differences and the two boundary edges the
+    end slabs themselves (their neighbour is the zero boundary value); the
+    form of u with itself takes one difference per axis.
     """
     grid = _check_same_grid(u, v)
     uu = u.reshaped()
     vv = v.reshaped()
     total = 0.0
     for axis in range(grid.dim):
-        du = np.diff(uu, axis=axis, prepend=0.0, append=0.0)
-        dv = du if v is u else np.diff(vv, axis=axis, prepend=0.0, append=0.0)
-        total += float(np.sum(du * dv)) / grid.h[axis] ** 2
+        head = (slice(None),) * axis
+        upper, lower = head + (slice(1, None),), head + (slice(None, -1),)
+        first, last = head + (0,), head + (-1,)
+        du = uu[upper] - uu[lower]
+        dv = du if v is u else vv[upper] - vv[lower]
+        edges = (uu[first] * vv[first]).sum() + (du * dv).sum() + (uu[last] * vv[last]).sum()
+        total += float(edges) / grid.h[axis] ** 2
     return grid.cell_volume * total
 
 

@@ -154,9 +154,9 @@ def test_a0_at_beta_zero_skips_the_cubic_solve(monkeypatch):
     solves = []
     original = greens.LinearOperator.solve
 
-    def counting_solve(self, rhs, x0=None):
+    def counting_solve(self, rhs, x0=None, rtol=None):
         solves.append(self.metric.kind)
-        return original(self, rhs, x0)
+        return original(self, rhs, x0, rtol)
 
     monkeypatch.setattr(greens.LinearOperator, "solve", counting_solve)
     rng = np.random.default_rng(5)

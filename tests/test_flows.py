@@ -13,9 +13,9 @@ from gpflow.flows import (
     run,
     sign_normalize,
 )
-from gpflow import greens
+from gpflow import flows, greens
 from gpflow.energy import energy, retract, scheme_state, step_decrease
-from gpflow.grid import GridFunction, MetricKind, build_grid, norm_l2
+from gpflow.grid import GridFunction, MetricKind, build_grid, inner_l2, norm_l2
 from gpflow.problem import Problem, harmonic_potential, zero_potential
 from strategies import PROPERTY_SETTINGS, small_problems
 
@@ -206,13 +206,105 @@ def test_run_warm_starts_every_solve_after_the_first_step(scheme, monkeypatch):
     starts = []
     original = greens.LinearOperator.solve
 
-    def recording_solve(self, rhs, x0=None):
+    def recording_solve(self, rhs, x0=None, rtol=None):
         starts.append(x0 is not None)
-        return original(self, rhs, x0)
+        return original(self, rhs, x0, rtol)
 
     monkeypatch.setattr(greens.LinearOperator, "solve", recording_solve)
     report = run(nonlinear_problem(), RunConfig(scheme=scheme))
     assert report.status == "converged"
     per_step = 2 if scheme is MetricKind.A0 else 1  # a0 also solves for G u^3
-    assert len(starts) == per_step * len(report.records)
+    # the converged state is certified by one more set of (warm) solves
+    assert len(starts) == per_step * (len(report.records) + 1)
     assert starts == [False] * per_step + [True] * (len(starts) - per_step)
+
+
+def harmonic_2d(n=31, beta=100.0):
+    grid = build_grid(2, [n, n], [(0.0, 1.0)] * 2)
+    return Problem(grid, harmonic_potential(grid, 20.0), beta)
+
+
+def track_states(monkeypatch):
+    """Record (tol, state) for every scheme_state call run makes."""
+    calls = []
+    original = flows.scheme_state
+
+    def tracking(*args, **kwargs):
+        state = original(*args, **kwargs)
+        calls.append((kwargs.get("tol"), state))
+        return state
+
+    monkeypatch.setattr(flows, "scheme_state", tracking)
+    return calls
+
+
+@pytest.mark.parametrize("max_iter", [50000, 10])
+@pytest.mark.parametrize("scheme", [MetricKind.A0, MetricKind.AU])
+def test_reported_state_is_certified(scheme, max_iter, monkeypatch):
+    calls = track_states(monkeypatch)
+    prob = harmonic_2d()
+    cfg = RunConfig(scheme=scheme, max_iter=max_iter)
+    report = run(prob, cfg)
+    assert report.status == ("converged" if max_iter > 10 else "max_iter")
+    # the run solved loosely along the way, but the state it reports is tight
+    assert any(state.rtol > greens.CG_RTOL for _, state in calls)
+    assert calls[-1][1].rtol == greens.CG_RTOL
+    fresh = scheme_state(scheme, prob, report.final)
+    last = report.final_record
+    assert last.gamma == pytest.approx(fresh.gamma, rel=1e-12)
+    # the residual is a difference of terms of size gamma ||G u||_X, so two
+    # tight states agree on it to the solves' tolerance on that scale
+    scale = fresh.gamma * math.sqrt(inner_l2(fresh.green_u, report.final))
+    assert abs(last.residual - fresh.residual) <= 1e-12 * scale
+    if report.status == "converged":
+        assert max(last.residual, fresh.residual) <= cfg.tol
+
+
+@pytest.mark.parametrize("scheme", [MetricKind.A0, MetricKind.AU])
+def test_floor_reached_along_a_loose_direction_is_retried(scheme, monkeypatch):
+    # a forcing term of 1 solves so loosely that some line searches reach the
+    # floor; each is retried along the tight direction at the same iterate
+    monkeypatch.setattr(greens, "CG_FORCING", 1.0)
+    calls = track_states(monkeypatch)
+    report = run(harmonic_2d(), RunConfig(scheme=scheme))
+    retries = [state for tol, state in calls if tol is None]
+    assert retries
+    assert all(state.rtol == greens.CG_RTOL for state in retries)
+    assert len(calls) == len(report.records) + len(retries)
+    assert report.status == "converged"
+    assert all(r.sufficient_decrease for r in report.records)
+
+
+@pytest.mark.parametrize(
+    "scheme, policy, forcing",
+    [
+        (MetricKind.A0, StepPolicy(), greens.CG_FORCING),
+        (MetricKind.A0, StepPolicy(), 1.0),  # with floor retries
+        (MetricKind.AU, StepPolicy(mode="fixed", alpha0=0.1), greens.CG_FORCING),
+        (MetricKind.A0, StepPolicy(alpha0=4.0, alpha_floor=1.0), greens.CG_FORCING),  # stepsize_floor
+    ],
+)
+def test_records_count_trials_and_cg_iterations(scheme, policy, forcing, monkeypatch):
+    monkeypatch.setattr(greens, "CG_FORCING", forcing)
+    iterations, trials = [], []
+    solve, step_decreases = greens.LinearOperator.solve, flows._step_decreases
+
+    def counting_solve(self, rhs, x0=None, rtol=None):
+        x = solve(self, rhs, x0, rtol)
+        iterations.append(self.iterations)
+        return x
+
+    def counting_decreases(*args):
+        decrease_at = step_decreases(*args)
+
+        def trial(alpha):
+            trials.append(alpha)
+            return decrease_at(alpha)
+
+        return trial
+
+    monkeypatch.setattr(greens.LinearOperator, "solve", counting_solve)
+    monkeypatch.setattr(flows, "_step_decreases", counting_decreases)
+    report = run(harmonic_2d(), RunConfig(scheme=scheme, policy=policy, max_iter=200))
+    assert sum(r.cg_iterations for r in report.records) == sum(iterations) > 0
+    assert sum(r.trials for r in report.records) == len(trials) > 0

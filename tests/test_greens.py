@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gpflow import greens
 from gpflow.energy import metric_gradient, retract, scheme_state
@@ -204,3 +205,37 @@ def test_warm_solve_matches_dense_solve(case):
             x, expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected))
         )
         assert np.linalg.norm(rhs - matrix @ x) <= CG_RTOL * np.linalg.norm(rhs)
+
+
+@PROPERTY_SETTINGS
+@given(small_problems(), st.floats(-12.0, -3.0))
+def test_solve_meets_the_rtol_it_is_given(case, log_rtol):
+    prob, rng = case
+    grid = prob.grid
+    rtol = 10.0**log_rtol
+    base = GridFunction(grid, rng.uniform(-2.0, 2.0, grid.dof))
+    rhs = rng.standard_normal(grid.dof)
+    for metric in (A0, Metric(MetricKind.AU, base=base)):
+        op = LinearOperator(metric, prob)
+        matrix = op.matrix()
+        # a start such as the previous step's solution along a flow: the
+        # solution for a nearby right-hand side
+        x0 = op.solve(rhs + 0.1 * rng.standard_normal(grid.dof))
+        x = op.solve(rhs, x0=x0, rtol=rtol)
+        # the updated residual CG tests drifts from the true one by ~eps ||A x0||
+        drift = 1e-14 * (np.linalg.norm(rhs) + np.linalg.norm(matrix @ x0))
+        assert np.linalg.norm(rhs - matrix @ x) <= rtol * np.linalg.norm(rhs) + drift
+
+
+def test_solve_stops_at_the_rtol_it_is_given():
+    prob = make_problem(n=31)
+    rhs = np.random.default_rng(4).standard_normal(prob.grid.dof)
+    op = LinearOperator(A0, prob)
+    op.solve(rhs)
+    tight = op.iterations
+    x = op.solve(rhs, rtol=1e-3)
+    assert 0 < op.iterations < tight
+    assert np.linalg.norm(rhs - op.matrix() @ x) <= 1e-3 * np.linalg.norm(rhs)
+    # the error names the tolerance the solve missed, not CG_RTOL
+    with pytest.raises(GreenSolveError, match=r"relative residual 0 "):
+        op.solve(rhs, rtol=0.0)

@@ -159,3 +159,29 @@ def test_summation_by_parts_property(case):
     scale = grid.cell_volume * float(np.sum(np.abs(lap_u.values * v.values)))
     assert edge_difference_sum(u, v) == pytest.approx(inner_l2(lap_u, v), rel=0.0, abs=1e-13 * scale)
     assert edge_difference_sum(u, u) == edge_difference_sum(u, GridFunction(grid, u.values))
+
+
+def _padded_difference_form(u, v):
+    """The Dirichlet edge form from zero-padded differences, the reference
+    for edge_difference_sum's slice differences."""
+    grid = u.grid
+    total = 0.0
+    for axis in range(grid.dim):
+        du = np.diff(u.reshaped(), axis=axis, prepend=0.0, append=0.0)
+        dv = np.diff(v.reshaped(), axis=axis, prepend=0.0, append=0.0)
+        total += float(np.sum(du * dv)) / grid.h[axis] ** 2
+    return grid.cell_volume * total
+
+
+@PROPERTY_SETTINGS
+@given(small_problems())
+def test_edge_difference_sum_matches_padded_differences(case):
+    prob, rng = case
+    u = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
+    v = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
+    for a, b in ((u, v), (u, u)):
+        scale = abs(_padded_difference_form(a, a)) + abs(_padded_difference_form(b, b))
+        assert edge_difference_sum(a, b) == pytest.approx(
+            _padded_difference_form(a, b), rel=0.0, abs=1e-14 * scale
+        )
+    assert edge_difference_sum(u, v) == edge_difference_sum(v, u)
