@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` (one gradient-flow run), ``verify`` (run plus the full
 invariant suite), ``spectrum`` (linearized eigenpair at the computed state),
-``sweep`` (fixed-stepsize runs over an alpha list).  Output is JSON or CSV,
-rendered deterministically so identical seeds give byte-identical files.
+``sweep`` (fixed-stepsize runs over an alpha list).  Output is JSON, or CSV
+for a ``run`` trace, rendered deterministically so identical seeds give
+byte-identical files.
 
 Exit codes: 0 success, 1 usage error, 2 non-convergence, 3 check failure.
 """
@@ -124,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shrink", type=float, help="backtracking shrink factor")
         p.add_argument("--alpha-floor", dest="alpha_floor", type=float)
         p.add_argument("--output", "-o", help="output path (default: stdout)")
-        p.add_argument("--format", help="json | csv")
+        p.add_argument("--format", help="json | csv (csv: run only)")
 
     p_run = sub.add_parser("run", help="one gradient-flow run")
     add_common(p_run)
@@ -200,6 +201,8 @@ def parse_config(argv: list[str]) -> CliConfig:
     fmt = pick("format", _str).lower()
     if fmt not in ("json", "csv"):
         raise UsageError(f"--format must be json or csv, got {fmt!r}")
+    if fmt == "csv" and ns.command != "run":
+        raise UsageError(f"--format csv is only available for run, not {ns.command}")
     mode = pick("mode", _str)
     if mode not in ("backtracking", "fixed"):
         raise UsageError(f"--mode must be backtracking or fixed, got {mode!r}")
@@ -209,6 +212,9 @@ def parse_config(argv: list[str]) -> CliConfig:
     trials = pick("trials", _int)
     if trials < 0:
         raise UsageError(f"--trials must be >= 0, got {trials}")
+    seed = pick("seed", _int)
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
 
     return CliConfig(
         command=ns.command,
@@ -220,7 +226,7 @@ def parse_config(argv: list[str]) -> CliConfig:
         scheme=scheme,
         tol=pick("tol", _finite),
         max_iter=pick("max_iter", _int),
-        seed=pick("seed", _int),
+        seed=seed,
         init=pick("init", _str),
         init_path=pick("init_path", _str, optional=True),
         mode=mode,
@@ -459,16 +465,8 @@ def render_csv(report: ConvergenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(payload, fmt: str, path: str | None) -> None:
-    """Write a report in the requested format; None path means stdout."""
-    if fmt == "csv":
-        if not isinstance(payload, ConvergenceReport):
-            raise UsageError("csv output is only available for run traces")
-        text = render_csv(payload)
-    elif isinstance(payload, ConvergenceReport):
-        raise ValueError("serialize run reports through report_payload")
-    else:
-        text = render_json(payload)
+def write_output(text: str, path: str | None) -> None:
+    """Write rendered output; None path means stdout."""
     if path is None:
         sys.stdout.write(text)
     else:
@@ -479,16 +477,12 @@ def emit_report(payload, fmt: str, path: str | None) -> None:
 # --- commands ----------------------------------------------------------------
 
 
-def _emit_run(cfg: CliConfig, report: ConvergenceReport) -> None:
-    if cfg.format == "csv":
-        emit_report(report, "csv", cfg.output)
-    else:
-        emit_report(report_payload(cfg, report), "json", cfg.output)
-
-
 def cmd_run(cfg: CliConfig) -> int:
     report = run(build_problem(cfg), run_config(cfg))
-    _emit_run(cfg, report)
+    if cfg.format == "csv":
+        write_output(render_csv(report), cfg.output)
+    else:
+        write_output(render_json(report_payload(cfg, report)), cfg.output)
     return 0 if report.status == "converged" else 2
 
 
@@ -504,7 +498,7 @@ def cmd_verify(cfg: CliConfig) -> int:
     problem = build_problem(cfg)
     report = run(problem, run_config(cfg))
     if report.status != "converged":
-        emit_report(report_payload(cfg, report), "json", cfg.output)
+        write_output(render_json(report_payload(cfg, report)), cfg.output)
         return 2
     spectral = _spectral_at_final(problem, report)
     results = check_suite(problem, report, spectral, trials=cfg.trials, seed=cfg.seed)
@@ -512,7 +506,7 @@ def cmd_verify(cfg: CliConfig) -> int:
         from .verify import cross_scheme_agreement
 
         results = results + [cross_scheme_agreement(problem, run_config(cfg))]
-    emit_report(checks_payload(cfg, results), "json", cfg.output)
+    write_output(render_json(checks_payload(cfg, results)), cfg.output)
     return 3 if failures(results) else 0
 
 
@@ -520,10 +514,10 @@ def cmd_spectrum(cfg: CliConfig) -> int:
     problem = build_problem(cfg)
     report = run(problem, run_config(cfg))
     if report.status != "converged":
-        emit_report(report_payload(cfg, report), "json", cfg.output)
+        write_output(render_json(report_payload(cfg, report)), cfg.output)
         return 2
     spectral = _spectral_at_final(problem, report)
-    emit_report(spectral_payload(cfg, report, spectral), "json", cfg.output)
+    write_output(render_json(spectral_payload(cfg, report, spectral)), cfg.output)
     return 0
 
 
@@ -545,7 +539,7 @@ def cmd_sweep(cfg: CliConfig) -> int:
             entry["rho"] = report.rate.rho
             entry["r_squared"] = report.rate.r_squared
         entries.append(entry)
-    emit_report({"meta": _meta(cfg), "sweep": entries}, "json", cfg.output)
+    write_output(render_json({"meta": _meta(cfg), "sweep": entries}), cfg.output)
     return 0 if all(r.status == "converged" for r in reports) else 2
 
 

@@ -64,6 +64,8 @@ class RunConfig:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.init not in ("default_bump", "random", "file"):
             raise ValueError("init must be 'default_bump', 'random' or 'file'")
         if self.init == "file" and not self.init_path:
@@ -142,7 +144,9 @@ def _search(problem, u, state, policy):
     """Shared candidate loop; returns (alpha, u_next, decrease, accepted).
 
     Each trial's decrease is step_decrease's, with the terms at u that do
-    not depend on alpha computed once per step.
+    not depend on alpha computed once per step.  The returned alpha is the
+    last one tried, so decrease and u_next belong to it; a search whose next
+    stepsize would fall below the floor returns its last trial unaccepted.
     """
     decrease_at = _step_decreases(problem, u, state.riemannian_gradient)
     res_sq = state.residual**2
@@ -150,23 +154,17 @@ def _search(problem, u, state, policy):
     while True:
         decrease, u_next = decrease_at(alpha)
         accepted = decrease >= 0.5 * alpha * res_sq
-        if accepted or policy.mode == "fixed":
+        if accepted or policy.mode == "fixed" or alpha * policy.shrink < policy.alpha_floor:
             return alpha, u_next, decrease, accepted
         alpha *= policy.shrink
-        if alpha < policy.alpha_floor:
-            return alpha, u_next, decrease, False
 
 
-def _trial_count(policy: StepPolicy, alpha: float, accepted: bool) -> int:
-    """The number of trials _search ran to return alpha.
+def _trial_count(policy: StepPolicy, alpha: float) -> int:
+    """The number of trials _search ran to return alpha, the last one tried.
 
-    Its k-th trial is alpha0 * shrink^(k-1), and a search stopped by the
-    floor returns the first stepsize below it, untried.
+    Its k-th trial is alpha0 * shrink^(k-1).
     """
-    if policy.mode == "fixed":
-        return 1
-    k = round(math.log(alpha / policy.alpha0) / math.log(policy.shrink))
-    return k + 1 if accepted else k
+    return round(math.log(alpha / policy.alpha0) / math.log(policy.shrink)) + 1
 
 
 def run(
@@ -226,7 +224,7 @@ def run(
         step, trials = None, 0  # step: _search's result, None when none is taken
         while state.residual > cfg.tol and n < cfg.max_iter:
             alpha, u_next, decrease, accepted = step = _search(problem, u, state, cfg.policy)
-            trials += _trial_count(cfg.policy, alpha, accepted)
+            trials += _trial_count(cfg.policy, alpha)
             if accepted or cfg.policy.mode == "fixed" or state.rtol <= greens.CG_RTOL:
                 break
             # a loose direction reached the floor: retry once along the tight one

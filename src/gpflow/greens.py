@@ -5,29 +5,23 @@ A_au = -Laplacian + V + beta*base^2), the Green's operator returns g with
 A_X g = w componentwise.  With uniform quadrature weights this is exactly the
 adjoint identity (z, g)_X = (z, w)_L2 for every z.
 
-Every solve goes through the discrete sine transform (DST-I), which
-diagonalizes the Dirichlet -Laplacian exactly: the H1 solve is one transform
-pair divided by the Laplacian's eigenvalues, and the a0 and a_u solves run
-conjugate gradients preconditioned by the same transform, shifted by the mean
-of the operator's diagonal term (the kinetic preconditioner of Antoine,
-Levitt and Tang, J. Comput. Phys. 343, 2017).
+This module holds only the operators and their solve; the -Laplacian
+matrix and its eigenvalues are the grid's (``grid.sine_basis``).  Every solve
+goes through the discrete sine transform (DST-I), which diagonalizes the
+Dirichlet -Laplacian exactly: the H1 solve is one transform pair divided by
+the Laplacian's eigenvalues, and the a0 and a_u solves run conjugate
+gradients preconditioned by the same transform, shifted by the mean of the
+operator's diagonal term (the kinetic preconditioner of Antoine, Levitt and
+Tang, J. Comput. Phys. 343, 2017).  ``apply``, CG and ``matrix`` share the
+one matrix.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import (
-    Grid,
-    GridFunction,
-    GridMismatchError,
-    Metric,
-    MetricKind,
-    apply_neg_laplacian,
-)
+from .grid import GridFunction, GridMismatchError, Metric, MetricKind, sine_basis
 from .problem import Problem
 
 # CG stops once its residual ||b - A x||_2 is at most rtol ||b||_2; rtol is
@@ -43,49 +37,9 @@ class GreenSolveError(RuntimeError):
     """Preconditioned CG did not reach its tolerance within its iteration cap."""
 
 
-def _laplacian_matrix_1d(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def laplacian_matrix(grid) -> sp.csr_matrix:
-    """Sparse matrix of the discrete -Laplacian (Kronecker sum over axes)."""
-    mats = [_laplacian_matrix_1d(n, h) for n, h in zip(grid.n, grid.h)]
-    eyes = [sp.identity(n, format="csr") for n in grid.n]
-    total = sp.csr_matrix((grid.dof, grid.dof))
-    for axis, m in enumerate(mats):
-        factors = [eyes[k] if k != axis else m for k in range(grid.dim)]
-        term = factors[0]
-        for f in factors[1:]:
-            term = sp.kron(term, f, format="csr")
-        total = total + term
-    return total.tocsr()
-
-
-@functools.lru_cache(maxsize=8)
-def _sine_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The grid's -Laplacian matrix and its DST-I eigenvalues, built once.
-
-    Along an axis with n nodes and spacing h the eigenvalue of the k-th sine
-    mode is (4/h^2) sin^2(pi k / (2(n + 1))); the box operator is the
-    Kronecker sum, so its eigenvalues broadcast to the grid's shape.  Both
-    are shared by every operator on the grid, so both are read-only.
-    """
-    eig = np.zeros(grid.n)
-    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
-        k = np.arange(1, n + 1)
-        shape = [1] * grid.dim
-        shape[axis] = n
-        eig = eig + ((4.0 / h**2) * np.sin(np.pi * k / (2 * (n + 1))) ** 2).reshape(shape)
-    lap = laplacian_matrix(grid)
-    for array in (eig, lap.data, lap.indices, lap.indptr):
-        array.setflags(write=False)
-    return lap, eig
-
-
 class LinearOperator:
-    """The SPD operator A_X of a metric: matrix-free apply and DST-based solves.
+    """The SPD operator A_X of a metric: the grid's -Laplacian matrix plus a
+    diagonal term, with DST-based solves.
 
     ``solve`` is the one Green's solve of the package: exact for H1 (one
     orthonormal DST-I pair), preconditioned conjugate gradients for a0 and
@@ -108,15 +62,12 @@ class LinearOperator:
             self._diag_term = problem.V.values.copy()
         else:
             self._diag_term = problem.V.values + problem.beta * metric.base.values**2
-        self._laplacian, eig = _sine_basis(self.grid)
+        self._laplacian, eig = sine_basis(self.grid)
         self._precond_eig = eig + float(np.mean(self._diag_term))
         self.iterations = 0  # CG iterations of the last solve
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        u = GridFunction(self.grid, values)
-        out = apply_neg_laplacian(self.grid, u).values.copy()
-        out += self._diag_term * values
-        return out
+        return self._laplacian @ values + self._diag_term * values
 
     def matrix(self) -> sp.csr_matrix:
         return self._laplacian + sp.diags(self._diag_term)
@@ -163,21 +114,20 @@ class LinearOperator:
             return self._precondition(b)
         if rtol is None:
             rtol = CG_RTOL
-        lap, diag = self._laplacian, self._diag_term
         target = rtol * float(np.linalg.norm(b))
         if x0 is None:
             x = np.zeros_like(b)
             r = b.copy()
         else:
             x = np.array(x0, dtype=float)
-            r = b - (lap @ x + diag * x)
+            r = b - self.apply(x)
             if np.linalg.norm(r) <= target:
                 return x
         z = self._precondition(r)
         p = z
         rz = float(r @ z)
         for self.iterations in range(1, 2 * self.grid.dof + 1):
-            ap = lap @ p + diag * p
+            ap = self.apply(p)
             curvature = float(p @ ap)
             if not (rz > 0.0 and curvature > 0.0):  # breakdown: roundoff has won
                 break

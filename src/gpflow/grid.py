@@ -1,18 +1,26 @@
-"""Tensor-product box grids with Dirichlet boundaries and discrete inner products.
+"""Tensor-product box grids with Dirichlet boundaries, the discrete -Laplacian
+and discrete inner products.
 
 Only the interior nodes are stored; boundary values are implicitly zero, which
 encodes the zero-trace condition exactly at the discrete level.  Values are
 kept in lexicographic order (last axis fastest), so serialized functions are
 portable across implementations.
+
+This module is the one place that knows the discrete Dirichlet -Laplacian:
+``sine_basis`` builds its sparse matrix and its closed-form spectrum in the
+sine (DST-I) basis once per grid, and the stencil, the Green's operators and
+solves, and the eigen checks all read those two.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class GridMismatchError(ValueError):
@@ -81,6 +89,9 @@ def build_grid(
     if any(a >= b for a, b in bounds):
         raise ValueError(f"degenerate interval in bounds {bounds}")
     h = tuple((b - a) / (k + 1) for (a, b), k in zip(bounds, n))
+    # the stencil weighs 1/h^2, which must be a positive finite float
+    if not all(0.0 < hk * hk < math.inf and 1.0 / (hk * hk) < math.inf for hk in h):
+        raise ValueError(f"grid spacing {h} out of range: 1/h^2 must be positive and finite")
     return Grid(dim=dim, bounds=bounds, n=n, h=h)
 
 
@@ -136,25 +147,56 @@ def _check_same_grid(*funcs: GridFunction) -> Grid:
     return grid
 
 
+def _laplacian_matrix_1d(n: int, h: float) -> sp.csr_matrix:
+    main = np.full(n, 2.0 / h**2)
+    off = np.full(n - 1, -1.0 / h**2)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+
+def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
+    """Sparse matrix of the discrete -Laplacian (Kronecker sum over axes)."""
+    mats = [_laplacian_matrix_1d(n, h) for n, h in zip(grid.n, grid.h)]
+    eyes = [sp.identity(n, format="csr") for n in grid.n]
+    total = sp.csr_matrix((grid.dof, grid.dof))
+    for axis, m in enumerate(mats):
+        factors = [eyes[k] if k != axis else m for k in range(grid.dim)]
+        term = factors[0]
+        for f in factors[1:]:
+            term = sp.kron(term, f, format="csr")
+        total = total + term
+    return total.tocsr()
+
+
+@functools.lru_cache(maxsize=8)
+def sine_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The grid's -Laplacian matrix and its DST-I eigenvalues, built once.
+
+    Along an axis with n nodes and spacing h the eigenvalue of the k-th sine
+    mode is (4/h^2) sin^2(pi k / (2(n + 1))); the box operator is the
+    Kronecker sum, so its eigenvalues broadcast to the grid's shape; the
+    first entry (k = 1 on every axis) is the smallest.  Both are shared by
+    every reader on the grid, so both are read-only.
+    """
+    eig = np.zeros(grid.n)
+    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
+        k = np.arange(1, n + 1)
+        shape = [1] * grid.dim
+        shape[axis] = n
+        eig = eig + ((4.0 / h**2) * np.sin(np.pi * k / (2 * (n + 1))) ** 2).reshape(shape)
+    lap = laplacian_matrix(grid)
+    for array in (eig, lap.data, lap.indices, lap.indptr):
+        array.setflags(write=False)
+    return lap, eig
+
+
 def apply_neg_laplacian(grid: Grid, u: GridFunction) -> GridFunction:
-    """Second-order central-difference -Laplacian with zero Dirichlet boundary."""
+    """Second-order central-difference -Laplacian with zero Dirichlet boundary.
+
+    The grid's one -Laplacian matrix (``sine_basis``) times u's values.
+    """
     if u.grid != grid:
         raise GridMismatchError("function does not live on the given grid")
-    v = u.reshaped()
-    out = np.zeros_like(v)
-    for axis in range(grid.dim):
-        h2 = grid.h[axis] ** 2
-        upper = np.roll(v, -1, axis=axis)
-        lower = np.roll(v, 1, axis=axis)
-        # roll wraps around; the Dirichlet condition zeroes the wrapped slabs
-        idx_hi = [slice(None)] * grid.dim
-        idx_hi[axis] = -1
-        upper[tuple(idx_hi)] = 0.0
-        idx_lo = [slice(None)] * grid.dim
-        idx_lo[axis] = 0
-        lower[tuple(idx_lo)] = 0.0
-        out += (2.0 * v - upper - lower) / h2
-    return GridFunction(grid, out.ravel())
+    return GridFunction(grid, sine_basis(grid)[0] @ u.values)
 
 
 def edge_difference_sum(u: GridFunction, v: GridFunction) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +41,21 @@ def zero_potential(grid: Grid) -> GridFunction:
 
 
 def harmonic_potential(grid: Grid, omega: float) -> GridFunction:
-    """V = (omega^2 / 2) * sum_i (x_i - center_i)^2, centered in the box."""
+    """V = (omega^2 / 2) * sum_i (x_i - center_i)^2, centered in the box.
+
+    A potential beyond the float range is GridFunction's non-finite ValueError.
+    """
     coords = grid.meshgrid()
     V = np.zeros(grid.n)
     for axis, x in enumerate(coords):
         a, b = grid.bounds[axis]
         V += (x - 0.5 * (a + b)) ** 2
-    return GridFunction(grid, (0.5 * omega**2 * V).ravel())
+    try:
+        scale = 0.5 * omega**2
+    except OverflowError:
+        scale = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan, rejected too
+        return GridFunction(grid, (scale * V).ravel())
 
 
 def well_potential(grid: Grid, depth: float, lo: float, hi: float) -> GridFunction:

@@ -7,7 +7,8 @@ contraction of all three schemes.
 
 Both eigenpairs come from one path at every grid size: shift-invert Lanczos
 (ARPACK's ``eigsh`` at sigma = 0) whose inverse is the package's one Green's
-solve, ``LinearOperator.solve``.
+solve, ``LinearOperator.solve``.  The pure -Laplacian's spectrum needs no
+solver: it is the grid's closed-form sine spectrum (``grid.sine_basis``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, GridFunction, GridMismatchError, Metric, MetricKind
+from .grid import Grid, GridFunction, GridMismatchError, Metric, MetricKind, sine_basis
 from .greens import LinearOperator
 from .problem import Problem
 
@@ -89,16 +90,9 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
 
 
 def laplacian_min_eigenvalue(grid: Grid) -> float:
-    """Smallest eigenvalue of the discrete Dirichlet -Laplacian, closed form.
-
-    Per axis the 1D eigenvalues are (2/h^2)(1 - cos(pi k h / (b - a))); the
-    box operator is the Kronecker sum, so its minimum is the sum of the
-    per-axis minima.
-    """
-    total = 0.0
-    for (a, b), h in zip(grid.bounds, grid.h):
-        total += (2.0 / h**2) * (1.0 - math.cos(math.pi * h / (b - a)))
-    return total
+    """Smallest eigenvalue of the discrete Dirichlet -Laplacian: the first
+    entry of the grid's sine spectrum (the k = 1 mode on every axis)."""
+    return float(sine_basis(grid)[1].flat[0])
 
 
 def estimate_poincare(grid: Grid) -> float:

@@ -42,6 +42,7 @@ from .grid import (
     inner_l2,
     norm,
     norm_l2,
+    sine_basis,
 )
 from .problem import Problem
 from .spectral import SpectralReport, estimate_poincare, fit_rate
@@ -84,7 +85,7 @@ def smoothed_noise(problem: Problem, rng: np.random.Generator) -> GridFunction:
     """
     grid = problem.grid
     x = rng.uniform(-1.0, 1.0, grid.dof)
-    diag = sum(2.0 / h**2 for h in grid.h)
+    diag = sine_basis(grid)[0].diagonal()
     lx = apply_neg_laplacian(grid, GridFunction(grid, x)).values
     x = x - lx / diag
     return retract(GridFunction(grid, x))

@@ -10,8 +10,7 @@ import scipy.linalg
 
 from gpflow.cli import main
 from gpflow.flows import RunConfig, StepPolicy, run, sign_normalize
-from gpflow.greens import laplacian_matrix
-from gpflow.grid import GridFunction, MetricKind, build_grid, norm_l2
+from gpflow.grid import GridFunction, MetricKind, build_grid, laplacian_matrix, norm_l2
 from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from gpflow.spectral import fit_rate, linearized_operator, lowest_two_eigen
 from gpflow.verify import check_suite, failures

@@ -13,7 +13,6 @@ from gpflow.cli import (
     UsageError,
     build_potential,
     build_problem,
-    emit_report,
     main,
     parse_config,
 )
@@ -200,11 +199,6 @@ def test_sweep_command(tmp_path):
     assert entries[0]["rho"] > entries[1]["rho"]  # larger alpha contracts faster here
 
 
-def test_emit_report_csv_requires_run_trace(tmp_path):
-    with pytest.raises(UsageError):
-        emit_report({"meta": {}}, "csv", str(tmp_path / "x.csv"))
-
-
 def test_config_cross_scheme_takes_json_booleans(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"cross_scheme": True}))
@@ -287,6 +281,14 @@ def test_spectrum_byte_identical(tmp_path):
         (["verify", "--n", "7", "--cross-scheme", "--config", "{cfg_cross}"], 1, False),
         # a config-file alpha list that is a bare number
         (["sweep", "--n", "7", "--config", "{cfg_alphas}"], 1, False),
+        # csv is a run trace format only
+        (["verify", "--n", "15", "--trials", "1", "--format", "csv"], 1, False),
+        # spacings whose 1/h^2 underflows or overflows
+        (["run", "--bounds", "0,1e-300"], 1, False),
+        (["run", "--bounds", "0,1e300"], 1, False),
+        # a potential beyond the float range
+        (["run", "--potential", "harmonic:1e200"], 1, False),
+        (["run", "--init", "random", "--seed", "-1"], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):

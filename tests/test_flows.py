@@ -308,3 +308,30 @@ def test_records_count_trials_and_cg_iterations(scheme, policy, forcing, monkeyp
     report = run(harmonic_2d(), RunConfig(scheme=scheme, policy=policy, max_iter=200))
     assert sum(r.cg_iterations for r in report.records) == sum(iterations) > 0
     assert sum(r.trials for r in report.records) == len(trials) > 0
+
+
+def test_floor_record_carries_its_last_trial(monkeypatch):
+    # a search stopped by the floor reports the last stepsize it tried, next
+    # to that trial's decrease
+    searches, trials = [], []
+    step_decreases = flows._step_decreases
+
+    def recording_decreases(*args):
+        searches.append(args)
+        decrease_at = step_decreases(*args)
+
+        def trial(alpha):
+            trials.append(alpha)
+            return decrease_at(alpha)
+
+        return trial
+
+    monkeypatch.setattr(flows, "_step_decreases", recording_decreases)
+    policy = StepPolicy(alpha0=4.0, alpha_floor=1.0)
+    report = run(harmonic_2d(), RunConfig(scheme=MetricKind.A0, policy=policy))
+    assert report.status == "stepsize_floor"
+    last = report.final_record
+    assert last.alpha == trials[-1]
+    assert last.trials == len(trials)
+    prob, u, g = searches[-1]
+    assert last.decrease == step_decrease(prob, u, g, last.alpha)[0]

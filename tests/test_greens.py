@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gpflow import greens
 from gpflow.energy import metric_gradient, retract, scheme_state
 from gpflow.flows import RunConfig, run
-from gpflow.greens import CG_RTOL, GreenSolveError, LinearOperator, laplacian_matrix, solve_green
+from gpflow.greens import CG_RTOL, GreenSolveError, LinearOperator, solve_green
 from gpflow.grid import (
     A0,
     GridFunction,
@@ -16,6 +16,7 @@ from gpflow.grid import (
     build_grid,
     inner,
     inner_l2,
+    laplacian_matrix,
 )
 from gpflow.problem import Problem, harmonic_potential, well_potential
 from strategies import PROPERTY_SETTINGS, small_problems

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 
 from gpflow.grid import (
@@ -19,8 +20,10 @@ from gpflow.grid import (
     inner_l2,
     norm,
     norm_l2,
+    sine_basis,
 )
 from gpflow.problem import Problem, zero_potential
+from gpflow.spectral import laplacian_min_eigenvalue
 from strategies import PROPERTY_SETTINGS, small_problems
 
 
@@ -159,6 +162,20 @@ def test_summation_by_parts_property(case):
     scale = grid.cell_volume * float(np.sum(np.abs(lap_u.values * v.values)))
     assert edge_difference_sum(u, v) == pytest.approx(inner_l2(lap_u, v), rel=0.0, abs=1e-13 * scale)
     assert edge_difference_sum(u, u) == edge_difference_sum(u, GridFunction(grid, u.values))
+
+
+@PROPERTY_SETTINGS
+@given(small_problems())
+def test_sine_spectrum_is_the_laplacian_spectrum_property(case):
+    # the closed-form sine spectrum against a dense eigensolve of the one
+    # -Laplacian matrix, on boxes with unequal sides
+    grid = case[0].grid
+    lap, eig = sine_basis(grid)
+    dense = scipy.linalg.eigvalsh(lap.toarray())  # ascending
+    closed = np.sort(eig.ravel())
+    np.testing.assert_allclose(closed, dense, rtol=1e-12, atol=0.0)
+    assert laplacian_min_eigenvalue(grid) == closed[0]
+    assert laplacian_min_eigenvalue(grid) == pytest.approx(dense[0], rel=1e-12)
 
 
 def _padded_difference_form(u, v):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpflow.flows import RunConfig, run
-from gpflow.greens import LinearOperator, laplacian_matrix
+from gpflow.greens import LinearOperator
 from gpflow.grid import A0, GridFunction, H1, Metric, MetricKind, build_grid, norm_l2
 from gpflow.problem import Problem, zero_potential
 from gpflow.spectral import (
@@ -35,14 +35,6 @@ def test_lowest_two_eigen_closed_form_1d():
     assert report.lambda0 == pytest.approx(32.0 * (1.0 - math.cos(math.pi / 4)))
     assert report.lambda1 == pytest.approx(32.0)
     assert norm_l2(report.v0) == pytest.approx(1.0)
-
-
-def test_laplacian_min_eigenvalue_matches_dense():
-    for dim, n in ((1, 9), (2, 5)):
-        prob = linear_problem(n, dim)
-        dense = laplacian_matrix(prob.grid).toarray()
-        lam_min = scipy.linalg.eigvalsh(dense)[0]
-        assert laplacian_min_eigenvalue(prob.grid) == pytest.approx(lam_min, rel=1e-12)
 
 
 def test_estimate_poincare_hand_oracle():
