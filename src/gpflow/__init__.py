@@ -30,6 +30,7 @@ from .energy import (
 )
 from .flows import (
     ConvergenceReport,
+    FlowBreakdownError,
     IterationRecord,
     RunConfig,
     StepPolicy,
@@ -53,6 +54,7 @@ __all__ = [
     "CheckResult",
     "ConvergenceReport",
     "EigengapDegenerateError",
+    "FlowBreakdownError",
     "Grid",
     "GridFunction",
     "GridMismatchError",

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .flows import ConvergenceReport, RunConfig, StepPolicy, load_function, run
+from .flows import (
+    ConvergenceReport,
+    FlowBreakdownError,
+    RunConfig,
+    StepPolicy,
+    load_function,
+    run,
+)
 from .greens import GreenSolveError
 from .grid import GridFunction, MetricKind, build_grid
 from .problem import Problem, harmonic_potential, well_potential, zero_potential
@@ -490,7 +497,7 @@ def _spectral_at_final(problem, report):
     op = linearized_operator(problem, report.final)
     try:
         return lowest_two_eigen(op)
-    except RuntimeError as exc:  # degenerate eigengap, or ARPACK did not converge
+    except RuntimeError as exc:  # degenerate eigengap, or an unconverged eigenpair
         raise SolveError(str(exc)) from exc
 
 
@@ -560,7 +567,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError) as exc:
         _print_error(exc)
         return 1
-    except (SolveError, GreenSolveError) as exc:  # GreenSolveError: CG hit its cap
+    # GreenSolveError: CG hit its cap; FlowBreakdownError: a step left the float range
+    except (SolveError, GreenSolveError, FlowBreakdownError) as exc:
         _print_error(exc)
         return 2
 

@@ -27,6 +27,11 @@ from .grid import GridFunction, MetricKind, norm_l2
 from .problem import Problem
 
 
+class FlowBreakdownError(RuntimeError):
+    """A step overflowed or produced NaN, e.g. a retraction from a stepsize
+    beyond the float range: the run cannot continue."""
+
+
 @dataclass(frozen=True)
 class StepPolicy:
     """Stepsize policy: a fixed stepsize or backtracking from alpha0."""
@@ -191,6 +196,10 @@ def run(
     ``cfg.tol`` the run has converged, otherwise the search runs once more
     along it, so "stepsize_floor" also ends only at a tight state.  Each
     record carries its step's line-search trials and CG iterations.
+
+    A floating-point overflow or invalid operation in any step raises
+    FlowBreakdownError naming the step, instead of the input check that
+    the broken iterate would fail next.
     """
     from . import spectral  # local import to avoid a cycle
 
@@ -201,11 +210,34 @@ def run(
     else:
         u = initial_guess(problem, cfg.init, cfg.seed)
 
+    records: list[IterationRecord] = []
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            u, status, max_drift = _iterate(problem, cfg, u, reference, records)
+    except FloatingPointError as exc:
+        raise FlowBreakdownError(
+            f"{cfg.scheme.value} run broke down at step {len(records)}: {exc}"
+        ) from exc
+
+    u = sign_normalize(u)
+    rate = _fit_tail_rate(records, spectral)
+    return ConvergenceReport(
+        records=records,
+        final=u,
+        status=status,
+        config=cfg,
+        rate=rate,
+        max_norm_drift=max_drift,
+    )
+
+
+def _iterate(problem, cfg, u, reference, records):
+    """run's loop from u: appends one record per iteration to ``records`` and
+    returns (final iterate, status, largest drift of ||u|| from 1)."""
     fixed_op = None
     if cfg.scheme in (MetricKind.H1, MetricKind.A0):
         fixed_op = LinearOperator(metric_for(cfg.scheme), problem)
 
-    records: list[IterationRecord] = []
     max_drift = 0.0
     current_energy = energy(problem, u)
     state = None  # the previous step's state warm-starts this step's solves
@@ -247,17 +279,7 @@ def run(
             break
         current_energy -= decrease
         u = u_next
-
-    u = sign_normalize(u)
-    rate = _fit_tail_rate(records, spectral)
-    return ConvergenceReport(
-        records=records,
-        final=u,
-        status=status,
-        config=cfg,
-        rate=rate,
-        max_norm_drift=max_drift,
-    )
+    return u, status, max_drift
 
 
 def _h1_distance(u: GridFunction, ref: GridFunction) -> float:

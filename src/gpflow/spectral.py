@@ -5,15 +5,22 @@ metric operator based at u*.  Its two smallest eigenvalues give the gap
 factor min{1, (lambda1 - lambda0) / (4 lambda0)} that controls the local
 contraction of all three schemes.
 
-Both eigenpairs come from one path at every grid size: shift-invert Lanczos
-(ARPACK's ``eigsh`` at sigma = 0) whose inverse is the package's one Green's
-solve, ``LinearOperator.solve``.  The pure -Laplacian's spectrum needs no
-solver: it is the grid's closed-form sine spectrum (``grid.sine_basis``).
+Both eigenpairs come from one path at every grid size: LOBPCG (Knyazev, SIAM
+J. Sci. Comput. 23, 2001; ``scipy.sparse.linalg.lobpcg``) on the operator's
+matrix, preconditioned by the operator's own DST-I inverse of
+-Laplacian + mean(diagonal term), the preconditioner its conjugate gradients
+use (Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).  No inner solve
+runs.  At a converged ground state u* the start block already holds the
+ground eigenvector to the flow's tolerance.  Every returned pair is checked
+against its residual tolerance; LOBPCG's own non-convergence only warns.
+The pure -Laplacian's spectrum needs no solver: it is the grid's closed-form
+sine spectrum (``grid.sine_basis``).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,25 +67,64 @@ def linearized_operator(problem: Problem, ustar: GridFunction) -> LinearOperator
 def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     """Two smallest eigenvalues and the ground eigenvector (unit L2).
 
-    Shift-invert Lanczos at sigma = 0 with ``op.solve`` as the inverse and a
-    fixed, seeded start vector, so repeated calls agree bit for bit.  The
-    start vector has no symmetry on purpose: on a symmetric grid and
-    potential the all-ones vector has no component along an antisymmetric
-    second eigenvector, and Lanczos, which only sees the eigenvectors its
-    start vector touches, would then report the third eigenvalue as lambda1
-    unless solver roundoff happened to supply the missing component.
+    LOBPCG on ``op.matrix()`` with ``op._precondition`` as preconditioner,
+    from a fixed start block, so repeated calls agree bit for bit.  The
+    block is [base, r] for an a_u operator (at u* the base is the ground
+    eigenvector to the flow's tolerance) and [r1, r2] otherwise, r drawn
+    uniform(0.5, 1.5) from ``default_rng(0)``.  The random column has no
+    symmetry on purpose: on a symmetric grid and potential the all-ones
+    vector has no component along an antisymmetric second eigenvector, and
+    an iterative eigensolver, which only sees the eigenvectors its start
+    touches, would then report the third eigenvalue as lambda1 unless
+    roundoff happened to supply the missing component.
 
-    ARPACK needs more unknowns than requested eigenpairs: grids with fewer
-    than 3 interior unknowns raise ValueError.  ARPACK's non-convergence
-    surfaces as ``ArpackNoConvergence``, a RuntimeError.
+    LOBPCG stops once every pair has ||A v - lambda v|| <= tol for unit v,
+    with tol = max(1e-10 * lambda_min(-Laplacian), 16 eps ||A||_inf).  The
+    first term bounds the relative residual by 1e-10 * lambda0, since
+    lambda0 >= lambda_min(-Laplacian) when V >= 0 and beta >= 0 (Weyl).  The
+    second keeps tol above the roundoff floor of the residual itself, about
+    eps ||A||_inf, which the first term falls below on fine grids; below
+    that floor LOBPCG only warns and returns a pair that is no eigenpair.
+    Its warnings (also the one that it switched to a dense ``eigh`` below 10
+    unknowns) are silenced; instead both residuals are recomputed.  On
+    high-contrast operators (strong beta or steep potentials) scipy's LOBPCG
+    can stall well above tol as its search basis degenerates; a restart from
+    the pairs it returned rebuilds the basis, so a call runs up to 10 passes
+    of at most 200 iterations and raises RuntimeError, naming the residuals,
+    if the last pass still leaves one above tol.
+
+    Grids with fewer than 3 interior unknowns raise ValueError; a gap
+    lambda1 - lambda0 below 1e-12 raises EigengapDegenerateError.
     """
     grid = op.grid
     n = grid.dof
     if n < 3:
         raise ValueError(f"the eigensolve needs at least 3 interior unknowns, got {n}")
-    start = np.random.default_rng(0).uniform(0.5, 1.5, n)
-    inverse = spla.LinearOperator((n, n), matvec=op.solve, dtype=float)
-    vals, vecs = spla.eigsh(op.matrix(), k=2, sigma=0.0, OPinv=inverse, v0=start)
+    A = op.matrix()
+    tol = max(
+        1e-10 * laplacian_min_eigenvalue(grid),
+        16.0 * np.finfo(float).eps * float(abs(A).sum(axis=1).max()),
+    )
+    # a stand-in operator (matrix, apply, grid) may carry neither of these
+    metric = getattr(op, "metric", None)
+    precondition = getattr(op, "_precondition", None)
+    vecs = np.random.default_rng(0).uniform(0.5, 1.5, (n, 2))  # the start block
+    if metric is not None and metric.base is not None:
+        vecs[:, 0] = metric.base.values
+    for _ in range(10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vals, vecs = spla.lobpcg(A, vecs, M=precondition, tol=tol, maxiter=200, largest=False)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+        if np.all(residuals <= tol):
+            break
+    else:
+        raise RuntimeError(
+            f"LOBPCG stopped at eigen-residuals {residuals[0]:.3e}, {residuals[1]:.3e} "
+            f"above tolerance {tol:.3e}"
+        )
     lam0, lam1 = float(vals[0]), float(vals[1])
     if lam1 - lam0 < 1e-12:
         raise EigengapDegenerateError(

@@ -6,7 +6,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from gpflow import cli
 from gpflow.cli import (
@@ -230,8 +229,9 @@ def test_import_leaves_scipy_fft_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def _stall_eigsh(*args, **kwargs):
-    raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+def _stall_lobpcg(A, X, *args, **kwargs):
+    # the start block back, with its Rayleigh quotients: no eigenpairs
+    return np.sort(np.sum(X * (A @ X), axis=0) / np.sum(X * X, axis=0)), X
 
 
 def test_spectrum_byte_identical(tmp_path):
@@ -289,6 +289,9 @@ def test_spectrum_byte_identical(tmp_path):
         # a potential beyond the float range
         (["run", "--potential", "harmonic:1e200"], 1, False),
         (["run", "--init", "random", "--seed", "-1"], 1, False),
+        # a retraction beyond the float range, and beta * u^3 beyond it
+        (["run", "--n", "7", "--beta", "10", "--mode", "fixed", "--alpha0", "1e200"], 2, False),
+        (["run", "--n", "7", "--beta", "1e308"], 2, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):
@@ -310,7 +313,7 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
     for key, text in contents.items():
         files[key].write_text(text)
     if stall is True:
-        monkeypatch.setattr("gpflow.spectral.spla.eigsh", _stall_eigsh)
+        monkeypatch.setattr("gpflow.spectral.spla.lobpcg", _stall_lobpcg)
     elif stall == "cg":
         monkeypatch.setattr("gpflow.greens.CG_RTOL", 0.0)
     argv = [a.format(**files) for a in argv]

@@ -147,6 +147,21 @@ def test_warm_start_at_converged_a0_state_saves_iterations():
         np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-11 * np.max(np.abs(cold)))
 
 
+@PROPERTY_SETTINGS
+@given(small_problems(), st.integers(1, 3))
+def test_precondition_block_matches_columns(case, k):
+    # one dstn over a (dof, k) block gives the k single-vector transforms, up
+    # to the order in which a vectorized transform may sum
+    prob, rng = case
+    for metric in (H1, A0):
+        op = LinearOperator(metric, prob)
+        block = rng.standard_normal((prob.grid.dof, k))
+        columns = np.column_stack([op._precondition(block[:, j].copy()) for j in range(k)])
+        np.testing.assert_allclose(
+            op._precondition(block), columns, rtol=0.0, atol=1e-14 * np.max(np.abs(columns))
+        )
+
+
 # --- properties over random small grids --------------------------------------
 
 

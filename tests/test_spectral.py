@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gpflow.flows import RunConfig, run
 from gpflow.greens import LinearOperator
 from gpflow.grid import A0, GridFunction, H1, Metric, MetricKind, build_grid, norm_l2
-from gpflow.problem import Problem, zero_potential
+from gpflow.problem import Problem, harmonic_potential, zero_potential
 from gpflow.spectral import (
     EigengapDegenerateError,
     SpectralReport,
@@ -44,11 +44,12 @@ def test_estimate_poincare_hand_oracle():
 
 
 @st.composite
-def small_operators(draw):
-    """An H1, a0 or a_u operator on a random 1D-3D grid with 3 or more unknowns
-    and <= 7 nodes per axis, with random V >= 0, beta >= 0 and a_u base."""
-    dim = draw(st.integers(1, 3))
-    n = draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim))
+def small_operators(draw, dims=st.integers(1, 3), nodes=st.integers(1, 7)):
+    """An H1, a0 or a_u operator on a random grid with 3 or more unknowns,
+    by default 1D-3D with <= 7 nodes per axis, with random V >= 0, beta >= 0
+    and a_u base."""
+    dim = draw(dims)
+    n = draw(st.lists(nodes, min_size=dim, max_size=dim))
     assume(math.prod(n) >= 3)
     lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
     grid = build_grid(dim, n, [(0.0, length) for length in lengths])
@@ -71,6 +72,76 @@ def test_lowest_two_eigen_matches_dense(op):
     assert norm_l2(report.v0) == pytest.approx(1.0, rel=1e-12)
     resid = op.apply(report.v0.values) - report.lambda0 * report.v0.values
     assert np.linalg.norm(resid) <= 1e-10 * report.lambda0 * np.linalg.norm(report.v0.values)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_operators(dims=st.just(1), nodes=st.integers(10, 40)))
+def test_lowest_two_eigen_matches_dense_iterating(op):
+    # 10 or more unknowns: LOBPCG iterates instead of handing over to dense eigh
+    vals = scipy.linalg.eigvalsh(op.matrix().toarray())
+    report = lowest_two_eigen(op)
+    assert report.lambda0 == pytest.approx(vals[0], rel=1e-10)
+    assert report.lambda1 == pytest.approx(vals[1], rel=1e-10)
+    resid = op.apply(report.v0.values) - report.lambda0 * report.v0.values
+    assert np.linalg.norm(resid) <= 1e-10 * report.lambda0 * np.linalg.norm(report.v0.values)
+
+
+def test_lowest_two_eigen_triply_degenerate_lambda1():
+    # a centered harmonic potential on a cube: the first excited level is
+    # the three axis-aligned modes
+    grid = build_grid(3, [7] * 3, [(0.0, 1.0)] * 3)
+    op = LinearOperator(A0, Problem(grid, harmonic_potential(grid, 20.0), 0.0))
+    vals = scipy.linalg.eigvalsh(op.matrix().toarray())
+    assert vals[2] - vals[1] < 1e-9 * vals[1] and vals[3] - vals[1] < 1e-9 * vals[1]
+    report = lowest_two_eigen(op)
+    assert report.lambda0 == pytest.approx(vals[0], rel=1e-10)
+    assert report.lambda1 == pytest.approx(vals[1], rel=1e-10)
+
+
+def test_lowest_two_eigen_at_roundoff_floor():
+    # at 1D-2047 the residual's roundoff floor eps * ||A||_inf lies above
+    # 1e-10 * lambda_min(-Laplacian), so the floor term sets the tolerance
+    grid = build_grid(1, [2047], [(0.0, 1.0)])
+    prob = Problem(grid, harmonic_potential(grid, 20.0), 100.0)
+    report = run(prob, RunConfig(scheme=MetricKind.AU))
+    op = linearized_operator(prob, report.final)
+    A = op.matrix()
+    row_sum = float(abs(A).sum(axis=1).max())
+    assert np.finfo(float).eps * row_sum > 1e-10 * laplacian_min_eigenvalue(grid)
+    spec = lowest_two_eigen(op)
+    vals = scipy.linalg.eigvalsh_tridiagonal(
+        A.diagonal(), A.diagonal(1), select="i", select_range=(0, 1)
+    )
+    assert spec.lambda0 == pytest.approx(vals[0], rel=1e-10)
+    assert spec.lambda0 == pytest.approx(144.6880, rel=1e-6)
+    assert spec.lambda1 == pytest.approx(vals[1], rel=1e-10)
+
+
+def test_lowest_two_eigen_restarts_a_stalled_solve():
+    # strong interaction: one LOBPCG pass stalls above tol, a restart converges
+    grid = build_grid(1, [255], [(0.0, 1.0)])
+    prob = Problem(grid, zero_potential(grid), 1e4)
+    report = run(prob, RunConfig(scheme=MetricKind.AU))
+    op = linearized_operator(prob, report.final)
+    A = op.matrix()
+    vals = scipy.linalg.eigvalsh_tridiagonal(
+        A.diagonal(), A.diagonal(1), select="i", select_range=(0, 1)
+    )
+    spec = lowest_two_eigen(op)
+    assert spec.lambda0 == pytest.approx(vals[0], rel=1e-10)
+    assert spec.lambda1 == pytest.approx(vals[1], rel=1e-10)
+
+
+def test_lowest_two_eigen_rejects_unconverged_pairs(monkeypatch):
+    def start_unchanged(A, X, *args, **kwargs):
+        return np.sum(X * (A @ X), axis=0) / np.sum(X * X, axis=0), X
+
+    monkeypatch.setattr("gpflow.spectral.spla.lobpcg", start_unchanged)
+    grid = build_grid(2, [15, 15], [(0.0, 1.0)] * 2)
+    op = LinearOperator(A0, Problem(grid, harmonic_potential(grid, 20.0), 0.0))
+    with pytest.raises(RuntimeError, match="above tolerance") as info:
+        lowest_two_eigen(op)
+    assert not isinstance(info.value, EigengapDegenerateError)
 
 
 @pytest.mark.parametrize(
