@@ -12,11 +12,14 @@ Dirichlet -Laplacian exactly: the H1 solve is one transform pair divided by
 the Laplacian's eigenvalues, and the a0 and a_u solves run conjugate
 gradients preconditioned by the same transform, shifted by the mean of the
 operator's diagonal term (the kinetic preconditioner of Antoine, Levitt and
-Tang, J. Comput. Phys. 343, 2017).  ``apply``, CG and ``matrix`` share the
-one matrix.
+Tang, J. Comput. Phys. 343, 2017).  ``laplacian_inverse`` gives the same
+transform pair at any shift, for the eigensolve's preconditioner.  ``apply``,
+CG and ``matrix`` share the one matrix.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,24 +59,39 @@ class LinearOperator:
         self.metric = metric
         self.problem = problem
         self.grid = problem.grid
+        # D in A_X = -Laplacian + D: 0, V or V + beta*base^2
         if metric.kind is MetricKind.H1:
-            self._diag_term = np.zeros(self.grid.dof)
+            self.diagonal_term = np.zeros(self.grid.dof)
         elif metric.kind is MetricKind.A0:
-            self._diag_term = problem.V.values.copy()
+            self.diagonal_term = problem.V.values.copy()
         else:
-            self._diag_term = problem.V.values + problem.beta * metric.base.values**2
-        self._laplacian, eig = sine_basis(self.grid)
-        self._precond_eig = eig + float(np.mean(self._diag_term))
+            self.diagonal_term = problem.V.values + problem.beta * metric.base.values**2
+        self._laplacian, self._laplacian_eig = sine_basis(self.grid)
+        self._precond_eig = self._laplacian_eig + float(np.mean(self.diagonal_term))
         self.iterations = 0  # CG iterations of the last solve
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self._laplacian @ values + self._diag_term * values
+        return self._laplacian @ values + self.diagonal_term * values
 
     def matrix(self) -> sp.csr_matrix:
-        return self._laplacian + sp.diags(self._diag_term)
+        return self._laplacian + sp.diags(self.diagonal_term)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
-        """Exact inverse of -Laplacian + mean(diagonal term), via DST-I.
+        """CG's preconditioner: the exact inverse of -Laplacian + mean(diagonal
+        term), via DST-I, of one vector (dof,) or a block (dof, k)."""
+        return self._sine_divide(r, self._precond_eig)
+
+    def laplacian_inverse(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The map r -> (-Laplacian + shift)^-1 r, exact by one DST-I pair.
+
+        ``shift`` must exceed -lambda_min(-Laplacian); ``r`` is one vector
+        (dof,) or a block (dof, k).
+        """
+        eig = self._laplacian_eig + shift
+        return lambda r: self._sine_divide(r, eig)
+
+    def _sine_divide(self, r: np.ndarray, eig: np.ndarray) -> np.ndarray:
+        """r divided by ``eig`` (grid-shaped) in the orthonormal DST-I basis.
 
         ``r`` is one vector (dof,) or a block (dof, k) of k columns, all
         transformed by one ``dstn`` over the grid axes.
@@ -84,7 +102,8 @@ class LinearOperator:
         # a vector (CG's case) takes the default all-axes transform: naming
         # the axes costs scipy a few microseconds of argument checks per call
         axes = tuple(range(self.grid.dim)) if batch else None
-        eig = self._precond_eig[..., None] if batch else self._precond_eig
+        if batch:
+            eig = eig[..., None]
         coeffs = dstn(r.reshape(self.grid.n + batch), type=1, norm="ortho", axes=axes)
         return dstn(coeffs / eig, type=1, norm="ortho", axes=axes).reshape(r.shape)
 

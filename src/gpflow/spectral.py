@@ -7,9 +7,10 @@ contraction of all three schemes.
 
 Both eigenpairs come from one path at every grid size: LOBPCG (Knyazev, SIAM
 J. Sci. Comput. 23, 2001; ``scipy.sparse.linalg.lobpcg``) on the operator's
-matrix, preconditioned by the operator's own DST-I inverse of
--Laplacian + mean(diagonal term), the preconditioner its conjugate gradients
-use (Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).  No inner solve
+matrix, preconditioned by the combined potential and kinetic preconditioner
+of Antoine, Levitt and Tang (J. Comput. Phys. 343, 2017): a diagonal scaling
+around a DST-I inverse of -Laplacian + shift, with its shifts read off the
+start vector's Rayleigh quotient (``_eigen_preconditioner``).  No inner solve
 runs.  At a converged ground state u* the start block already holds the
 ground eigenvector to the flow's tolerance.  Every returned pair is checked
 against its residual tolerance; LOBPCG's own non-convergence only warns.
@@ -67,31 +68,27 @@ def linearized_operator(problem: Problem, ustar: GridFunction) -> LinearOperator
 def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     """Two smallest eigenvalues and the ground eigenvector (unit L2).
 
-    LOBPCG on ``op.matrix()`` with ``op._precondition`` as preconditioner,
-    from a fixed start block, so repeated calls agree bit for bit.  The
-    block is [base, r] for an a_u operator (at u* the base is the ground
-    eigenvector to the flow's tolerance) and [r1, r2] otherwise, r drawn
-    uniform(0.5, 1.5) from ``default_rng(0)``.  The random column has no
-    symmetry on purpose: on a symmetric grid and potential the all-ones
-    vector has no component along an antisymmetric second eigenvector, and
-    an iterative eigensolver, which only sees the eigenvectors its start
-    touches, would then report the third eigenvalue as lambda1 unless
-    roundoff happened to supply the missing component.
+    One LOBPCG call on ``op.matrix()`` with ``_eigen_preconditioner``, from a
+    fixed start block, so repeated calls agree bit for bit.  The block is
+    [base, r] for an a_u operator (at u* the base is the ground eigenvector
+    to the flow's tolerance) and [r1, r2] otherwise, r drawn uniform(0.5, 1.5)
+    from ``default_rng(0)``.  The random column has no symmetry on purpose:
+    on a symmetric grid and potential the all-ones vector has no component
+    along an antisymmetric second eigenvector, and an iterative eigensolver,
+    which only sees the eigenvectors its start touches, would then report
+    the third eigenvalue as lambda1 unless roundoff happened to supply the
+    missing component.
 
     LOBPCG stops once every pair has ||A v - lambda v|| <= tol for unit v,
-    with tol = max(1e-10 * lambda_min(-Laplacian), 16 eps ||A||_inf).  The
-    first term bounds the relative residual by 1e-10 * lambda0, since
-    lambda0 >= lambda_min(-Laplacian) when V >= 0 and beta >= 0 (Weyl).  The
-    second keeps tol above the roundoff floor of the residual itself, about
-    eps ||A||_inf, which the first term falls below on fine grids; below
-    that floor LOBPCG only warns and returns a pair that is no eigenpair.
-    Its warnings (also the one that it switched to a dense ``eigh`` below 10
-    unknowns) are silenced; instead both residuals are recomputed.  On
-    high-contrast operators (strong beta or steep potentials) scipy's LOBPCG
-    can stall well above tol as its search basis degenerates; a restart from
-    the pairs it returned rebuilds the basis, so a call runs up to 10 passes
-    of at most 200 iterations and raises RuntimeError, naming the residuals,
-    if the last pass still leaves one above tol.
+    with tol = max(1e-10 * (lambda_min(-Laplacian) + min D), 16 eps ||A||_inf)
+    for A = -Laplacian + D.  The first term bounds the relative residual by
+    1e-10 * lambda0, since lambda0 >= lambda_min(-Laplacian) + min D (Weyl).
+    The second keeps tol above the roundoff floor of the residual itself,
+    about eps ||A||_inf, which the first term falls below on fine grids;
+    below that floor LOBPCG only warns and returns a pair that is no
+    eigenpair.  Its warnings (also the one that it switched to a dense
+    ``eigh`` below 10 unknowns) are silenced; instead both residuals are
+    recomputed, and a pair above tol raises RuntimeError naming them.
 
     Grids with fewer than 3 interior unknowns raise ValueError; a gap
     lambda1 - lambda0 below 1e-12 raises EigengapDegenerateError.
@@ -102,25 +99,20 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
         raise ValueError(f"the eigensolve needs at least 3 interior unknowns, got {n}")
     A = op.matrix()
     tol = max(
-        1e-10 * laplacian_min_eigenvalue(grid),
+        1e-10 * (laplacian_min_eigenvalue(grid) + float(op.diagonal_term.min())),
         16.0 * np.finfo(float).eps * float(abs(A).sum(axis=1).max()),
     )
-    # a stand-in operator (matrix, apply, grid) may carry neither of these
-    metric = getattr(op, "metric", None)
-    precondition = getattr(op, "_precondition", None)
     vecs = np.random.default_rng(0).uniform(0.5, 1.5, (n, 2))  # the start block
-    if metric is not None and metric.base is not None:
-        vecs[:, 0] = metric.base.values
-    for _ in range(10):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, vecs = spla.lobpcg(A, vecs, M=precondition, tol=tol, maxiter=200, largest=False)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
-        if np.all(residuals <= tol):
-            break
-    else:
+    if op.metric.base is not None:
+        vecs[:, 0] = op.metric.base.values
+    precondition = _eigen_preconditioner(op, vecs[:, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        vals, vecs = spla.lobpcg(A, vecs, M=precondition, tol=tol, maxiter=500, largest=False)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+    if np.any(residuals > tol):
         raise RuntimeError(
             f"LOBPCG stopped at eigen-residuals {residuals[0]:.3e}, {residuals[1]:.3e} "
             f"above tolerance {tol:.3e}"
@@ -133,6 +125,43 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     v0 = vecs[:, 0]
     v0 = v0 / (math.sqrt(grid.cell_volume) * np.linalg.norm(v0))
     return SpectralReport(lam0, lam1, GridFunction(grid, v0))
+
+
+def _eigen_preconditioner(op: LinearOperator, x: np.ndarray):
+    """LOBPCG's preconditioner for A = -Laplacian + D, built about x.
+
+    M r = s (-Laplacian + alpha)^-1 (s r) with s = (alpha + E)^(-1/2): the
+    combined potential and kinetic preconditioner of Antoine, Levitt and
+    Tang.  x's Rayleigh quotient splits into a potential part sigma (the
+    x^2-weighted mean of D) and a kinetic part K; at u* their sum is lambda0.
+    With E = max(D - sigma, 0) and D frozen locally, M^-1 is within a factor
+    1 + min(E, k)/alpha of alpha (A - sigma + alpha) on a mode of -Laplacian
+    eigenvalue k where D >= sigma.  So M inverts A around the shift
+    sigma - alpha, about K + alpha below lambda0, up to a factor of at most
+    1 + Q/alpha with Q = min(max E, lambda_max(-Laplacian)).  A small alpha
+    brings the shift close to lambda0, which LOBPCG needs when the gap is a
+    tiny fraction of lambda0 (strong beta); a large alpha keeps the factor
+    small, which it needs where D spans orders of magnitude (steep
+    potentials).  alpha = sqrt(K Q) minimizes the product
+    (K + alpha)(1 + Q/alpha).  It is kept at least lambda_min(-Laplacian):
+    for a constant D (Q = 0), as in H1, M is then the exact
+    (A - sigma + alpha)^-1 up to a scale, which LOBPCG ignores.
+    """
+    laplacian, eig = sine_basis(op.grid)
+    weight = x * x / float(x @ x)
+    sigma = float(op.diagonal_term @ weight)
+    kinetic = max(float(x @ (laplacian @ x)) / float(x @ x), 0.0)
+    excess = np.maximum(op.diagonal_term - sigma, 0.0)
+    spread = min(float(excess.max()), float(eig.max()))
+    alpha = max(math.sqrt(kinetic * spread), float(eig.flat[0]))
+    inverse = op.laplacian_inverse(alpha)
+    scale = 1.0 / np.sqrt(alpha + excess)
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        s = scale.reshape((-1,) + (1,) * (r.ndim - 1))
+        return s * inverse(s * r)
+
+    return precondition
 
 
 def laplacian_min_eigenvalue(grid: Grid) -> float:

@@ -289,8 +289,10 @@ def test_spectrum_byte_identical(tmp_path):
         # a potential beyond the float range
         (["run", "--potential", "harmonic:1e200"], 1, False),
         (["run", "--init", "random", "--seed", "-1"], 1, False),
-        # a retraction beyond the float range, and beta * u^3 beyond it
+        # a retraction beyond the float range, fixed or as the first trial of
+        # a backtracking search, and beta * u^3 beyond it
         (["run", "--n", "7", "--beta", "10", "--mode", "fixed", "--alpha0", "1e200"], 2, False),
+        (["run", "--n", "7", "--beta", "10", "--alpha0", "1e200"], 2, False),
         (["run", "--n", "7", "--beta", "1e308"], 2, False),
     ],
 )
