@@ -529,25 +529,29 @@ def cmd_spectrum(cfg: CliConfig) -> int:
 
 
 def cmd_sweep(cfg: CliConfig) -> int:
+    """One entry per alpha; a run that breaks down keeps its entry, with status
+    "breakdown" and null results, and the first breakdown is reported."""
     problem = build_problem(cfg)
-    reports = [run(problem, run_config(cfg, alpha0=alpha, mode="fixed")) for alpha in cfg.alphas]
-
-    entries = []
-    for alpha, report in zip(cfg.alphas, reports):
-        entry = {
-            "alpha": alpha,
-            "status": report.status,
-            "lambda": report.final_record.gamma,
-            "iterations": len(report.records),
-            "rho": None,
-            "r_squared": None,
-        }
-        if report.rate is not None:
-            entry["rho"] = report.rate.rho
-            entry["r_squared"] = report.rate.r_squared
+    entries, breakdown = [], None
+    for alpha in cfg.alphas:
+        entry = {"alpha": alpha, "status": "breakdown", "lambda": None, "iterations": None,
+                 "rho": None, "r_squared": None}
+        try:
+            report = run(problem, run_config(cfg, alpha0=alpha, mode="fixed"))
+        except FlowBreakdownError as exc:
+            breakdown = breakdown or exc
+        else:
+            entry["status"] = report.status
+            entry["lambda"] = report.final_record.gamma
+            entry["iterations"] = len(report.records)
+            if report.rate is not None:
+                entry["rho"] = report.rate.rho
+                entry["r_squared"] = report.rate.r_squared
         entries.append(entry)
     write_output(render_json({"meta": _meta(cfg), "sweep": entries}), cfg.output)
-    return 0 if all(r.status == "converged" for r in reports) else 2
+    if breakdown is not None:
+        _print_error(breakdown)
+    return 0 if all(e["status"] == "converged" for e in entries) else 2
 
 
 _COMMANDS = {"run": cmd_run, "verify": cmd_verify, "spectrum": cmd_spectrum, "sweep": cmd_sweep}

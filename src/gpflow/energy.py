@@ -201,6 +201,11 @@ def project_tangent(
 class SchemeState:
     """Everything one iteration needs: direction, multiplier, residual.
 
+    ``gradient`` holds the values of the metric gradient at u, from the
+    state's own solve (a state solved at greens.CG_RTOL without a start, as
+    ``scheme_state`` returns it without ``prev``, has exactly
+    ``metric_gradient``'s values), and ``riemannian_gradient`` is
+    gradient - gamma * G u.
     ``green_u`` is G u and ``green_term`` the unscaled Green solve inside the
     gradient (G_H1(V u + beta u^3) for H1, G_a0(u^3) for a0, None when the
     gradient has none); the next step's solves start from them.  ``rtol`` is
@@ -209,6 +214,7 @@ class SchemeState:
     """
 
     riemannian_gradient: GridFunction
+    gradient: np.ndarray
     gamma: float
     residual: float
     green_u: GridFunction
@@ -239,7 +245,7 @@ def _solve_state(
     gamma = numer / denom
     rgrad = GridFunction(problem.grid, grad - gamma * gu.values)
     residual = norm(metric_for(kind, u), problem, rgrad)
-    return SchemeState(rgrad, gamma, residual, gu, solution, rtol, iterations)
+    return SchemeState(rgrad, grad, gamma, residual, gu, solution, rtol, iterations)
 
 
 def scheme_state(

@@ -146,30 +146,25 @@ def sign_normalize(u: GridFunction) -> GridFunction:
 
 
 def _search(problem, u, state, policy):
-    """Shared candidate loop; returns (alpha, u_next, decrease, accepted).
+    """Shared candidate loop; returns (alpha, u_next, decrease, accepted, trials).
 
     Each trial's decrease is step_decrease's, with the terms at u that do
     not depend on alpha computed once per step.  The returned alpha is the
-    last one tried, so decrease and u_next belong to it; a search whose next
-    stepsize would fall below the floor returns its last trial unaccepted.
+    last one tried, so decrease and u_next belong to it, and ``trials``
+    counts the stepsizes tried; a search whose next stepsize would fall
+    below the floor returns its last trial unaccepted.
     """
     decrease_at = _step_decreases(problem, u, state.riemannian_gradient)
     res_sq = state.residual**2
     alpha = policy.alpha0
+    trials = 1
     while True:
         decrease, u_next = decrease_at(alpha)
         accepted = decrease >= 0.5 * alpha * res_sq
         if accepted or policy.mode == "fixed" or alpha * policy.shrink < policy.alpha_floor:
-            return alpha, u_next, decrease, accepted
+            return alpha, u_next, decrease, accepted, trials
         alpha *= policy.shrink
-
-
-def _trial_count(policy: StepPolicy, alpha: float) -> int:
-    """The number of trials _search ran to return alpha, the last one tried.
-
-    Its k-th trial is alpha0 * shrink^(k-1).
-    """
-    return round(math.log(alpha / policy.alpha0) / math.log(policy.shrink)) + 1
+        trials += 1
 
 
 def run(
@@ -255,8 +250,9 @@ def _iterate(problem, cfg, u, reference, records):
 
         step, trials = None, 0  # step: _search's result, None when none is taken
         while state.residual > cfg.tol and n < cfg.max_iter:
-            alpha, u_next, decrease, accepted = step = _search(problem, u, state, cfg.policy)
-            trials += _trial_count(cfg.policy, alpha)
+            alpha, u_next, decrease, accepted, tried = _search(problem, u, state, cfg.policy)
+            step = alpha, u_next, decrease, accepted
+            trials += tried
             if accepted or cfg.policy.mode == "fixed" or state.rtol <= greens.CG_RTOL:
                 break
             # a loose direction reached the floor: retry once along the tight one

@@ -5,15 +5,27 @@ with the smallest observed slack as its margin; a check with nothing to
 observe (no trials, no accepted steps, a one-record trace) is a skip, never a
 pass.  Inequality checks carry an additive 1e-9 tolerance on the slack to
 absorb the error of the Green's solves (exact up to roundoff for H1, CG to
-relative residual 1e-13 for a0 and a_u).  Every check
-owns a generator seeded from (seed, check name), so identical inputs yield
-identical results.
+relative residual 1e-13 for a0 and a_u).
+
+Every check is registered in ALL_CHECKS by ``@_check(name, *needs)``, which
+turns a body ``body(ctx, name)`` into the module-level ``check_*(ctx)``.
+``needs`` names the check's prerequisites, from ``report`` (a run report),
+``ustar`` (a converged ground state), ``converged`` (the same, for a check
+of the run rather than the state), ``spectral`` (a spectral report) and
+``trials`` (at least one trial requested); the check skips with the first
+missing one, in the order given, before its body runs.  A sampled check
+gives only its per-draw body to ``_sampled``, which draws ``ctx.trials``
+times from the check's one generator, seeded from (seed, check name), and
+takes the smallest margin; identical inputs therefore yield identical
+results.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,90 +132,130 @@ class CheckContext:
         return ustar if ustar is not None else smoothed_noise(self.problem, rng)
 
 
-# --- grid invariants ---------------------------------------------------------
+# --- the check protocol ------------------------------------------------------
+
+# prerequisite -> (whether ctx has it, the skip detail when it does not)
+_NEEDS = {
+    "report": (lambda ctx: ctx.report is not None, "no run report available"),
+    "ustar": (lambda ctx: ctx.ustar() is not None, "no converged ground state available"),
+    "converged": (lambda ctx: ctx.ustar() is not None, "no converged run available"),
+    "spectral": (lambda ctx: ctx.spectral is not None, "no spectral report available"),
+    "trials": (lambda ctx: ctx.trials != 0, "no trials requested"),
+}
+
+ALL_CHECKS: dict[str, Callable[[CheckContext], CheckResult]] = {}
 
 
-def check_inner_symmetry(ctx: CheckContext) -> CheckResult:
-    name = "grid:inner_symmetry"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
-    worst = 0.0
-    for _ in range(ctx.trials):
-        u = smoothed_noise(ctx.problem, rng)
-        v = smoothed_noise(ctx.problem, rng)
-        for metric in (L2, H1, A0, Metric(MetricKind.AU, base=ctx.au_base(rng))):
-            worst = max(worst, abs(inner(metric, ctx.problem, u, v) - inner(metric, ctx.problem, v, u)))
-    return _result(name, -worst, ctx.trials, f"max symmetry defect {worst:.3e} (must be exactly 0)")
+def _check(name: str, *needs: str):
+    """Register ``body(ctx, name)`` in ALL_CHECKS as the check ``name``.
+
+    The registered ``check(ctx)`` skips with the first of ``needs`` (keys of
+    _NEEDS) that ctx lacks, in the order given, before the body runs.
+    """
+    prerequisites = [_NEEDS[need] for need in needs]
+
+    def register(body):
+        @functools.wraps(body)
+        def check(ctx: CheckContext) -> CheckResult:
+            for present, detail in prerequisites:
+                if not present(ctx):
+                    return _skip(name, detail)
+            return body(ctx, name)
+
+        ALL_CHECKS[name] = check
+        return check
+
+    return register
 
 
-def check_positive_definite(ctx: CheckContext) -> CheckResult:
-    name = "grid:positive_definite"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
-    worst = math.inf
-    for _ in range(ctx.trials):
-        u = smoothed_noise(ctx.problem, rng)
-        for metric in (L2, H1, A0, Metric(MetricKind.AU, base=ctx.au_base(rng))):
-            worst = min(worst, inner(metric, ctx.problem, u, u))
-    return _result(name, worst, ctx.trials, f"min quadratic form value {worst:.3e}")
+def _sampled(
+    ctx: CheckContext, name: str, trial: Callable[[np.random.Generator], Iterable[float]]
+) -> float:
+    """The smallest margin over ctx.trials draws, from inf.
 
-
-def check_summation_by_parts(ctx: CheckContext) -> CheckResult:
-    name = "grid:summation_by_parts"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
+    ``trial(rng)`` runs one draw and yields the margins it observes; every
+    draw reads the check's one generator, seeded from (ctx.seed, name), in
+    turn.
+    """
     rng = _rng_for(ctx.seed, name)
     margin = math.inf
     for _ in range(ctx.trials):
+        for observed in trial(rng):
+            margin = min(margin, observed)
+    return margin
+
+
+# --- grid invariants ---------------------------------------------------------
+
+
+@_check("grid:inner_symmetry", "trials")
+def check_inner_symmetry(ctx: CheckContext, name: str) -> CheckResult:
+    def trial(rng):
+        u = smoothed_noise(ctx.problem, rng)
+        v = smoothed_noise(ctx.problem, rng)
+        for metric in (L2, H1, A0, Metric(MetricKind.AU, base=ctx.au_base(rng))):
+            yield -abs(inner(metric, ctx.problem, u, v) - inner(metric, ctx.problem, v, u))
+
+    margin = _sampled(ctx, name, trial)
+    detail = f"max symmetry defect {-margin:.3e} (must be exactly 0)"
+    return _result(name, margin, ctx.trials, detail)
+
+
+@_check("grid:positive_definite", "trials")
+def check_positive_definite(ctx: CheckContext, name: str) -> CheckResult:
+    def trial(rng):
+        u = smoothed_noise(ctx.problem, rng)
+        for metric in (L2, H1, A0, Metric(MetricKind.AU, base=ctx.au_base(rng))):
+            yield inner(metric, ctx.problem, u, u)
+
+    margin = _sampled(ctx, name, trial)
+    return _result(name, margin, ctx.trials, f"min quadratic form value {margin:.3e}")
+
+
+@_check("grid:summation_by_parts", "trials")
+def check_summation_by_parts(ctx: CheckContext, name: str) -> CheckResult:
+    def trial(rng):
         u = smoothed_noise(ctx.problem, rng)
         v = smoothed_noise(ctx.problem, rng)
         edge = inner(H1, ctx.problem, u, v)
         lap = inner_l2(apply_neg_laplacian(ctx.problem.grid, u), v)
-        margin = min(margin, 1e-12 * (1.0 + abs(edge)) - abs(edge - lap))
+        yield 1e-12 * (1.0 + abs(edge)) - abs(edge - lap)
+
+    margin = _sampled(ctx, name, trial)
     return _result(name, margin, ctx.trials, "edge form vs Laplacian pairing")
 
 
-def check_equiv_a0_h1(ctx: CheckContext) -> CheckResult:
-    name = "lemma:equiv_a0_H1"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
+@_check("lemma:equiv_a0_H1", "trials")
+def check_equiv_a0_h1(ctx: CheckContext, name: str) -> CheckResult:
     c3 = estimate_poincare(ctx.problem.grid)
     upper = math.sqrt(1.0 + c3**2 * ctx.problem.v_max)
-    margin = math.inf
-    for _ in range(ctx.trials):
+
+    def trial(rng):
         u = smoothed_noise(ctx.problem, rng)
         nh1 = norm(H1, ctx.problem, u)
         na0 = norm(A0, ctx.problem, u)
-        margin = min(margin, na0 - nh1 + SLACK_TOL, upper * nh1 - na0 + SLACK_TOL)
+        yield na0 - nh1 + SLACK_TOL
+        yield upper * nh1 - na0 + SLACK_TOL
+
+    margin = _sampled(ctx, name, trial)
     return _result(name, margin, ctx.trials, f"equivalence constant {upper:.6f}")
 
 
-def check_equiv_au_h1(ctx: CheckContext) -> CheckResult:
-    name = "lemma:equiv_au_H1"
-    ustar = ctx.ustar()
-    if ustar is None:
-        return _skip(name, "no converged ground state available")
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
-    metric = Metric(MetricKind.AU, base=ustar)
-    margin = math.inf
-    for _ in range(ctx.trials):
+@_check("lemma:equiv_au_H1", "ustar", "trials")
+def check_equiv_au_h1(ctx: CheckContext, name: str) -> CheckResult:
+    metric = Metric(MetricKind.AU, base=ctx.ustar())
+
+    def trial(rng):
         u = smoothed_noise(ctx.problem, rng)
-        margin = min(margin, norm(metric, ctx.problem, u) - norm(H1, ctx.problem, u) + SLACK_TOL)
+        yield norm(metric, ctx.problem, u) - norm(H1, ctx.problem, u) + SLACK_TOL
+
+    margin = _sampled(ctx, name, trial)
     return _result(name, margin, ctx.trials, "a_u norm at the ground state dominates H1")
 
 
-def check_stab_au(ctx: CheckContext) -> CheckResult:
-    name = "lemma:stab_au"
+@_check("lemma:stab_au", "ustar", "trials")
+def check_stab_au(ctx: CheckContext, name: str) -> CheckResult:
     ustar = ctx.ustar()
-    if ustar is None:
-        return _skip(name, "no converged ground state available")
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
     rng = _rng_for(ctx.seed, name)
     probes = [smoothed_noise(ctx.problem, rng) for _ in range(max(3, ctx.trials // 2))]
     ref = Metric(MetricKind.AU, base=ustar)
@@ -224,60 +276,50 @@ def check_stab_au(ctx: CheckContext) -> CheckResult:
 # --- Green's operator invariants --------------------------------------------
 
 
-def check_adjoint_identity(ctx: CheckContext) -> CheckResult:
-    name = "greens:adjoint_identity"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
-    margin = math.inf
-    for _ in range(ctx.trials):
+@_check("greens:adjoint_identity", "trials")
+def check_adjoint_identity(ctx: CheckContext, name: str) -> CheckResult:
+    def trial(rng):
         z = smoothed_noise(ctx.problem, rng)
         w = smoothed_noise(ctx.problem, rng)
+        rhs = inner_l2(z, w)
         for metric in (H1, A0, Metric(MetricKind.AU, base=ctx.au_base(rng))):
-            g = solve_green(metric, ctx.problem, w)
-            lhs = inner(metric, ctx.problem, z, g)
-            rhs = inner_l2(z, w)
-            margin = min(margin, SLACK_TOL * (1.0 + abs(rhs)) - abs(lhs - rhs))
+            lhs = inner(metric, ctx.problem, z, solve_green(metric, ctx.problem, w))
+            yield SLACK_TOL * (1.0 + abs(rhs)) - abs(lhs - rhs)
+
+    margin = _sampled(ctx, name, trial)
     return _result(name, margin, ctx.trials, "(z, G w)_X vs (z, w)_L2")
 
 
-def check_gu_bound(ctx: CheckContext) -> CheckResult:
-    name = "lemma:Gu"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
+@_check("lemma:Gu", "trials")
+def check_gu_bound(ctx: CheckContext, name: str) -> CheckResult:
     c3 = estimate_poincare(ctx.problem.grid)
-    margin = math.inf
-    for _ in range(ctx.trials):
+
+    def trial(rng):
         u = smoothed_noise(ctx.problem, rng)
         g = solve_green(H1, ctx.problem, u)
-        margin = min(margin, c3 * norm_l2(u) - norm(H1, ctx.problem, g) + SLACK_TOL)
+        yield c3 * norm_l2(u) - norm(H1, ctx.problem, g) + SLACK_TOL
+
+    margin = _sampled(ctx, name, trial)
     return _result(name, margin, ctx.trials, f"Poincare constant {c3:.6f}")
 
 
-def check_green_self_adjoint(ctx: CheckContext) -> CheckResult:
-    name = "greens:self_adjoint"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
-    margin = math.inf
-    for _ in range(ctx.trials):
+@_check("greens:self_adjoint", "trials")
+def check_green_self_adjoint(ctx: CheckContext, name: str) -> CheckResult:
+    def trial(rng):
         z = smoothed_noise(ctx.problem, rng)
         w = smoothed_noise(ctx.problem, rng)
         for metric in (H1, A0, Metric(MetricKind.AU, base=ctx.au_base(rng))):
             a = inner_l2(z, solve_green(metric, ctx.problem, w))
             b = inner_l2(w, solve_green(metric, ctx.problem, z))
-            margin = min(margin, SLACK_TOL * (1.0 + abs(a)) - abs(a - b))
+            yield SLACK_TOL * (1.0 + abs(a)) - abs(a - b)
+
+    margin = _sampled(ctx, name, trial)
     return _result(name, margin, ctx.trials, "(z, G w)_L2 vs (w, G z)_L2")
 
 
-def check_gau_lipschitz(ctx: CheckContext) -> CheckResult:
-    name = "lemma:Gau"
+@_check("lemma:Gau", "ustar", "trials")
+def check_gau_lipschitz(ctx: CheckContext, name: str) -> CheckResult:
     ustar = ctx.ustar()
-    if ustar is None:
-        return _skip(name, "no converged ground state available")
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
     rng = _rng_for(ctx.seed, name)
     ref = Metric(MetricKind.AU, base=ustar)
     gstar = solve_green(ref, ctx.problem, ustar)
@@ -299,94 +341,82 @@ def check_gau_lipschitz(ctx: CheckContext) -> CheckResult:
 # --- energy invariants -------------------------------------------------------
 
 
-def check_gradient_consistency(ctx: CheckContext) -> CheckResult:
-    name = "energy:gradient_consistency"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
+@_check("energy:gradient_consistency", "trials")
+def check_gradient_consistency(ctx: CheckContext, name: str) -> CheckResult:
     t = 1e-5
-    margin = math.inf
-    worst = 0.0
-    for _ in range(ctx.trials):
+
+    def trial(rng):  # yields minus each relative mismatch
         u = retract(smoothed_noise(ctx.problem, rng))
         h = _tangent_probe(ctx.problem, u, rng)
+        up = GridFunction(ctx.problem.grid, u.values + t * h.values)
+        dn = GridFunction(ctx.problem.grid, u.values - t * h.values)
+        # the difference form avoids the rounding floor of the two O(1)
+        # energies, which would drown the derivative at this t
+        fd = energy_decrease(ctx.problem, up, dn) / (2.0 * t)
         for kind in SCHEMES:
             grad = metric_gradient(kind, ctx.problem, u)
             ip = inner(metric_for(kind, u), ctx.problem, grad, h)
-            up = GridFunction(ctx.problem.grid, u.values + t * h.values)
-            dn = GridFunction(ctx.problem.grid, u.values - t * h.values)
-            # the difference form avoids the rounding floor of the two O(1)
-            # energies, which would drown the derivative at this t
-            fd = energy_decrease(ctx.problem, up, dn) / (2.0 * t)
             rel = abs(ip - fd) / max(abs(fd), abs(ip), 1e-30)
-            worst = max(worst, rel)
-            margin = min(margin, 1e-6 - rel)
-    return _result(name, margin, ctx.trials, f"max relative FD mismatch {worst:.3e}")
+            yield -rel
+
+    worst = -_sampled(ctx, name, trial)
+    # rounding is monotone, so 1e-6 - worst is the least 1e-6 - mismatch
+    return _result(name, 1e-6 - worst, ctx.trials, f"max relative FD mismatch {worst:.3e}")
 
 
-def check_pythagorean_split(ctx: CheckContext) -> CheckResult:
-    name = "energy:pythagorean_split"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
-    margin = math.inf
-    for _ in range(ctx.trials):
+@_check("energy:pythagorean_split", "trials")
+def check_pythagorean_split(ctx: CheckContext, name: str) -> CheckResult:
+    def trial(rng):
         u = retract(smoothed_noise(ctx.problem, rng))
         for kind in SCHEMES:
             metric = metric_for(kind, u)
             state = scheme_state(kind, ctx.problem, u)
-            grad = metric_gradient(kind, ctx.problem, u)
+            grad = GridFunction(ctx.problem.grid, state.gradient)
+            rgrad = state.riemannian_gradient
             full = inner(metric, ctx.problem, grad, grad)
-            proj = inner(metric, ctx.problem, state.riemannian_gradient, state.riemannian_gradient)
+            proj = inner(metric, ctx.problem, rgrad, rgrad)
             tail = state.gamma**2 * inner(metric, ctx.problem, state.green_u, state.green_u)
-            rel = abs(full - (proj + tail)) / max(abs(full), 1e-30)
-            margin = min(margin, 1e-8 - rel)
+            yield 1e-8 - abs(full - (proj + tail)) / max(abs(full), 1e-30)
+
+    margin = _sampled(ctx, name, trial)
     return _result(name, margin, ctx.trials, "||grad||^2 = ||proj||^2 + gamma^2 ||G u||^2")
 
 
-def check_projected_norm_inequality(ctx: CheckContext) -> CheckResult:
-    name = "lemma:esti_gradEu"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
-    margin = math.inf
-    for _ in range(ctx.trials):
+@_check("lemma:esti_gradEu", "trials")
+def check_projected_norm_inequality(ctx: CheckContext, name: str) -> CheckResult:
+    def trial(rng):
         u = retract(smoothed_noise(ctx.problem, rng))
         for kind in SCHEMES:
             metric = metric_for(kind, u)
             state = scheme_state(kind, ctx.problem, u)
-            grad = metric_gradient(kind, ctx.problem, u)
-            margin = min(
-                margin,
+            grad = GridFunction(ctx.problem.grid, state.gradient)
+            yield (
                 norm(metric, ctx.problem, grad)
                 - norm(metric, ctx.problem, state.riemannian_gradient)
-                + SLACK_TOL,
+                + SLACK_TOL
             )
-    return _result(name, margin, ctx.trials, "projected gradient never exceeds the full gradient")
+
+    margin = _sampled(ctx, name, trial)
+    detail = "projected gradient never exceeds the full gradient"
+    return _result(name, margin, ctx.trials, detail)
 
 
-def check_projection_tangency(ctx: CheckContext) -> CheckResult:
-    name = "energy:projection_tangency"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
-    margin = math.inf
-    for _ in range(ctx.trials):
+@_check("energy:projection_tangency", "trials")
+def check_projection_tangency(ctx: CheckContext, name: str) -> CheckResult:
+    def trial(rng):
         u = retract(smoothed_noise(ctx.problem, rng))
         xi = smoothed_noise(ctx.problem, rng)
         for metric in (H1, A0, Metric(MetricKind.AU, base=u)):
             r = project_tangent(metric, ctx.problem, u, xi)
-            margin = min(margin, 1e-10 - abs(inner_l2(r, u)))
+            yield 1e-10 - abs(inner_l2(r, u))
+
+    margin = _sampled(ctx, name, trial)
     return _result(name, margin, ctx.trials, "projected vector is L2-orthogonal to the base")
 
 
-def check_retraction_bound(ctx: CheckContext) -> CheckResult:
-    name = "lemma:esti_retraction"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
-    margin = math.inf
-    for _ in range(ctx.trials):
+@_check("lemma:esti_retraction", "trials")
+def check_retraction_bound(ctx: CheckContext, name: str) -> CheckResult:
+    def trial(rng):
         u = retract(smoothed_noise(ctx.problem, rng))
         t = _tangent_probe(ctx.problem, u, rng)
         for scale in (1e-3, 1e-2, 1e-1, 0.5):
@@ -394,20 +424,19 @@ def check_retraction_bound(ctx: CheckContext) -> CheckResult:
             upxi = GridFunction(ctx.problem.grid, u.values + xi.values)
             drift = GridFunction(ctx.problem.grid, retract(upxi).values - upxi.values)
             bound = 0.5 * norm_l2(xi) ** 2 * norm(H1, ctx.problem, upxi)
-            margin = min(margin, bound - norm(H1, ctx.problem, drift) + SLACK_TOL)
+            yield bound - norm(H1, ctx.problem, drift) + SLACK_TOL
+
+    margin = _sampled(ctx, name, trial)
     return _result(name, margin, ctx.trials, "retraction drift within the quadratic bound")
 
 
-def check_linear_error_expansion(ctx: CheckContext) -> CheckResult:
-    name = "lemma:linear_error"
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
+@_check("lemma:linear_error", "trials")
+def check_linear_error_expansion(ctx: CheckContext, name: str) -> CheckResult:
     problem = ctx.problem
     w = problem.grid.cell_volume
     beta = problem.beta
-    margin = math.inf
-    for _ in range(ctx.trials):
+
+    def trial(rng):
         u = retract(smoothed_noise(problem, rng))
         v0 = smoothed_noise(problem, rng)
         v = GridFunction(problem.grid, 0.5 * v0.values)
@@ -426,18 +455,18 @@ def check_linear_error_expansion(ctx: CheckContext) -> CheckResult:
                 )
             )
         )
-        rel = abs(lhs - rhs) / max(abs(lhs), 1e-30)
-        margin = min(margin, 1e-9 - rel)
-    return _result(name, margin, ctx.trials, "second-order remainder matches the exact expansion")
+        yield 1e-9 - abs(lhs - rhs) / max(abs(lhs), 1e-30)
+
+    margin = _sampled(ctx, name, trial)
+    detail = "second-order remainder matches the exact expansion"
+    return _result(name, margin, ctx.trials, detail)
 
 
 # --- flow (run trace) invariants --------------------------------------------
 
 
-def check_energy_decay(ctx: CheckContext) -> CheckResult:
-    name = "thm:energy_decay"
-    if ctx.report is None:
-        return _skip(name, "no run report available")
+@_check("thm:energy_decay", "report")
+def check_energy_decay(ctx: CheckContext, name: str) -> CheckResult:
     energies = [r.energy for r in ctx.report.records]
     if len(energies) < 2:
         return _skip(name, "trace too short to decrease")
@@ -445,65 +474,51 @@ def check_energy_decay(ctx: CheckContext) -> CheckResult:
     return _result(name, margin, len(energies), f"min per-step energy decrease {margin:.3e}")
 
 
-def check_sufficient_decrease(ctx: CheckContext) -> CheckResult:
-    name = "flows:sufficient_decrease"
-    if ctx.report is None:
-        return _skip(name, "no run report available")
-    accepted = [r for r in ctx.report.records if r.alpha > 0.0 and r.sufficient_decrease]
+def _accepted_steps(report: ConvergenceReport):
+    return [r for r in report.records if r.alpha > 0.0 and r.sufficient_decrease]
+
+
+@_check("flows:sufficient_decrease", "report")
+def check_sufficient_decrease(ctx: CheckContext, name: str) -> CheckResult:
+    accepted = _accepted_steps(ctx.report)
     if not accepted:
         return _skip(name, "no accepted steps in the trace")
     margin = min(r.decrease - 0.5 * r.alpha * r.residual**2 for r in accepted)
     return _result(name, margin, len(accepted), "logged decreases re-verified against the predicate")
 
 
-def check_iterate_boundedness(ctx: CheckContext) -> CheckResult:
-    name = "thm:iterate_boundedness"
-    if ctx.report is None:
-        return _skip(name, "no run report available")
+@_check("thm:iterate_boundedness", "report")
+def check_iterate_boundedness(ctx: CheckContext, name: str) -> CheckResult:
     e0 = ctx.report.records[0].energy
     bound = math.sqrt(max(2.0 * e0, 0.0))
     margin = min(bound - math.sqrt(max(2.0 * r.energy, 0.0)) for r in ctx.report.records)
     final_norm = norm(H1, ctx.problem, ctx.report.final)
     margin = min(margin, bound - final_norm + SLACK_TOL)
-    return _result(
-        name,
-        margin,
-        len(ctx.report.records),
-        f"sqrt(2 E0) = {bound:.4f}, final H1 norm {final_norm:.4f}",
-    )
+    detail = f"sqrt(2 E0) = {bound:.4f}, final H1 norm {final_norm:.4f}"
+    return _result(name, margin, len(ctx.report.records), detail)
 
 
-def check_manifold_residence(ctx: CheckContext) -> CheckResult:
-    name = "flows:manifold_residence"
-    if ctx.report is None:
-        return _skip(name, "no run report available")
+@_check("flows:manifold_residence", "report")
+def check_manifold_residence(ctx: CheckContext, name: str) -> CheckResult:
     drift = ctx.report.max_norm_drift
     return _result(name, 1e-12 - drift, len(ctx.report.records), f"max |norm - 1| = {drift:.3e}")
 
 
-def check_residual_summability(ctx: CheckContext) -> CheckResult:
-    name = "thm:residual_summability"
-    if ctx.report is None:
-        return _skip(name, "no run report available")
-    accepted = [r for r in ctx.report.records if r.alpha > 0.0 and r.sufficient_decrease]
+@_check("thm:residual_summability", "report")
+def check_residual_summability(ctx: CheckContext, name: str) -> CheckResult:
+    accepted = _accepted_steps(ctx.report)
     if not accepted:
         return _skip(name, "no accepted steps in the trace")
     alpha_min = min(r.alpha for r in accepted)
     total = sum(r.residual**2 for r in accepted)
     bound = 2.0 * ctx.report.records[0].energy / alpha_min
-    return _result(
-        name,
-        bound - total,
-        len(accepted),
-        f"sum residual^2 = {total:.4e} vs 2 E0 / alpha_min = {bound:.4e}",
-    )
+    detail = f"sum residual^2 = {total:.4e} vs 2 E0 / alpha_min = {bound:.4e}"
+    return _result(name, bound - total, len(accepted), detail)
 
 
-def check_local_exponential(ctx: CheckContext) -> CheckResult:
-    name = "thm:local_exponential"
+@_check("thm:local_exponential", "ustar")
+def check_local_exponential(ctx: CheckContext, name: str) -> CheckResult:
     ustar = ctx.ustar()
-    if ustar is None:
-        return _skip(name, "no converged ground state available")
     rng = _rng_for(ctx.seed, name)
     problem = ctx.problem
     scale = norm(H1, problem, ustar)
@@ -515,26 +530,16 @@ def check_local_exponential(ctx: CheckContext) -> CheckResult:
     if len(deltas) < 5:
         return _skip(name, "local trace too short above the accuracy floor")
     fit = fit_rate(deltas, threshold=0.1 * scale)
-    margin = 1.0 - fit.rho
-    return _result(
-        name,
-        margin,
-        len(deltas),
-        f"fitted contraction rho = {fit.rho:.4f} (r^2 = {fit.r_squared:.4f})",
-    )
+    detail = f"fitted contraction rho = {fit.rho:.4f} (r^2 = {fit.r_squared:.4f})"
+    return _result(name, 1.0 - fit.rho, len(deltas), detail)
 
 
 # --- spectral invariants -----------------------------------------------------
 
 
-def check_eigen_residual(ctx: CheckContext) -> CheckResult:
-    name = "spectral:eigen_residual"
-    if ctx.spectral is None:
-        return _skip(name, "no spectral report available")
-    ustar = ctx.ustar()
-    if ustar is None:
-        return _skip(name, "no converged ground state available")
-    op = spectral_mod.linearized_operator(ctx.problem, ustar)
+@_check("spectral:eigen_residual", "spectral", "ustar")
+def check_eigen_residual(ctx: CheckContext, name: str) -> CheckResult:
+    op = spectral_mod.linearized_operator(ctx.problem, ctx.ustar())
     v0 = ctx.spectral.v0
     resid = GridFunction(
         ctx.problem.grid, op.apply(v0.values) - ctx.spectral.lambda0 * v0.values
@@ -543,69 +548,47 @@ def check_eigen_residual(ctx: CheckContext) -> CheckResult:
     return _result(name, margin, 1, f"eigen-residual {norm_l2(resid):.3e}")
 
 
-def check_ground_state_consistency(ctx: CheckContext) -> CheckResult:
-    name = "spectral:ground_state_consistency"
-    if ctx.spectral is None:
-        return _skip(name, "no spectral report available")
-    ustar = ctx.ustar()
-    if ustar is None:
-        return _skip(name, "no converged ground state available")
+@_check("spectral:ground_state_consistency", "spectral", "ustar")
+def check_ground_state_consistency(ctx: CheckContext, name: str) -> CheckResult:
     v0 = sign_normalize(ctx.spectral.v0)
-    us = sign_normalize(ustar)
+    us = sign_normalize(ctx.ustar())
     dist = norm_l2(GridFunction(ctx.problem.grid, v0.values - us.values))
     return _result(name, 1e-6 - dist, 1, f"L2 distance ground state vs linearized eigvec {dist:.3e}")
 
 
-def check_gamma_equals_lambda0(ctx: CheckContext) -> CheckResult:
-    name = "spectral:gamma_equals_lambda0"
-    if ctx.spectral is None:
-        return _skip(name, "no spectral report available")
-    if ctx.report is None or ctx.report.status != "converged":
-        return _skip(name, "no converged run available")
+@_check("spectral:gamma_equals_lambda0", "spectral", "converged")
+def check_gamma_equals_lambda0(ctx: CheckContext, name: str) -> CheckResult:
     gamma_final = ctx.report.final_record.gamma
     rel = abs(gamma_final - ctx.spectral.lambda0) / abs(ctx.spectral.lambda0)
-    return _result(
-        name, 1e-6 - rel, 1, f"gamma {gamma_final:.10f} vs lambda0 {ctx.spectral.lambda0:.10f}"
-    )
+    detail = f"gamma {gamma_final:.10f} vs lambda0 {ctx.spectral.lambda0:.10f}"
+    return _result(name, 1e-6 - rel, 1, detail)
 
 
-def check_local_convexity(ctx: CheckContext) -> CheckResult:
-    name = "lemma:Elocalconvex"
-    if ctx.spectral is None:
-        return _skip(name, "no spectral report available")
+@_check("lemma:Elocalconvex", "spectral", "ustar", "trials")
+def check_local_convexity(ctx: CheckContext, name: str) -> CheckResult:
     ustar = ctx.ustar()
-    if ustar is None:
-        return _skip(name, "no converged ground state available")
-    if ctx.trials == 0:
-        return _skip(name, "no trials requested")
-    rng = _rng_for(ctx.seed, name)
     gap4 = 0.25 * (ctx.spectral.lambda1 - ctx.spectral.lambda0)
     e_star = energy(ctx.problem, ustar)
-    margin = math.inf
-    for _ in range(ctx.trials):
+
+    def trial(rng):
         eps = 10.0 ** rng.uniform(-3, -1)
         z = smoothed_noise(ctx.problem, rng)
         u = retract(GridFunction(ctx.problem.grid, ustar.values + eps * z.values))
         dist_sq = norm_l2(GridFunction(ctx.problem.grid, u.values - ustar.values)) ** 2
-        if dist_sq > 2.0:
-            continue
-        slack = energy(ctx.problem, u) - e_star - gap4 * dist_sq
-        margin = min(margin, slack + SLACK_TOL)
+        if dist_sq <= 2.0:
+            yield energy(ctx.problem, u) - e_star - gap4 * dist_sq + SLACK_TOL
+
+    margin = _sampled(ctx, name, trial)
     return _result(name, margin, ctx.trials, f"quarter-gap {gap4:.4e}")
 
 
-def check_rate_vs_gap(ctx: CheckContext) -> CheckResult:
-    name = "spectral:rate_vs_gap"
-    if ctx.spectral is None:
-        return _skip(name, "no spectral report available")
+@_check("spectral:rate_vs_gap", "spectral")
+def check_rate_vs_gap(ctx: CheckContext, name: str) -> CheckResult:
     if not ctx.sweep or len(ctx.sweep) < 2:
         return _skip(name, "no stepsize sweep provided")
     sweep = sorted(ctx.sweep)
     gap = ctx.spectral.gap_factor
-    ks = []
-    for alpha, rho in sweep:
-        ks.append((rho - (1.0 - alpha * gap)) / alpha**2)
-    k_fit = max(ks)
+    k_fit = max((rho - (1.0 - alpha * gap)) / alpha**2 for alpha, rho in sweep)
     margin = min(sweep[0][1] - sweep[1][1], min(1.0 - rho for _, rho in sweep))
     detail = (
         "rho per alpha: "
@@ -613,37 +596,6 @@ def check_rate_vs_gap(ctx: CheckContext) -> CheckResult:
         + f"; fitted quadratic coefficient {k_fit:.3f}"
     )
     return _result(name, margin, len(sweep), detail)
-
-
-ALL_CHECKS = {
-    "grid:inner_symmetry": check_inner_symmetry,
-    "grid:positive_definite": check_positive_definite,
-    "grid:summation_by_parts": check_summation_by_parts,
-    "lemma:equiv_a0_H1": check_equiv_a0_h1,
-    "lemma:equiv_au_H1": check_equiv_au_h1,
-    "lemma:stab_au": check_stab_au,
-    "greens:adjoint_identity": check_adjoint_identity,
-    "lemma:Gu": check_gu_bound,
-    "greens:self_adjoint": check_green_self_adjoint,
-    "lemma:Gau": check_gau_lipschitz,
-    "energy:gradient_consistency": check_gradient_consistency,
-    "energy:pythagorean_split": check_pythagorean_split,
-    "lemma:esti_gradEu": check_projected_norm_inequality,
-    "energy:projection_tangency": check_projection_tangency,
-    "lemma:esti_retraction": check_retraction_bound,
-    "lemma:linear_error": check_linear_error_expansion,
-    "thm:energy_decay": check_energy_decay,
-    "flows:sufficient_decrease": check_sufficient_decrease,
-    "thm:iterate_boundedness": check_iterate_boundedness,
-    "flows:manifold_residence": check_manifold_residence,
-    "thm:residual_summability": check_residual_summability,
-    "thm:local_exponential": check_local_exponential,
-    "spectral:eigen_residual": check_eigen_residual,
-    "spectral:ground_state_consistency": check_ground_state_consistency,
-    "spectral:gamma_equals_lambda0": check_gamma_equals_lambda0,
-    "lemma:Elocalconvex": check_local_convexity,
-    "spectral:rate_vs_gap": check_rate_vs_gap,
-}
 
 
 def check_suite(

@@ -198,6 +198,28 @@ def test_sweep_command(tmp_path):
     assert entries[0]["rho"] > entries[1]["rho"]  # larger alpha contracts faster here
 
 
+def test_sweep_keeps_its_entries_past_a_breakdown(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--n", "7", "--beta", "10", "--alphas", "0.1,1e200", "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: h1 run broke down at step 0")
+    converged, broken = json.loads(out.read_text())["sweep"]
+    assert list(converged) == ["alpha", "status", "lambda", "iterations", "rho", "r_squared"]
+    assert converged["alpha"] == 0.1 and converged["status"] == "converged"
+    assert converged["lambda"] > 0.0 and converged["iterations"] > 0
+    assert converged["rho"] is not None and converged["r_squared"] is not None
+    assert broken == {
+        "alpha": 1e200,
+        "status": "breakdown",
+        "lambda": None,
+        "iterations": None,
+        "rho": None,
+        "r_squared": None,
+    }
+    assert list(broken) == list(converged)
+
+
 def test_config_cross_scheme_takes_json_booleans(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"cross_scheme": True}))
@@ -294,6 +316,8 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--n", "7", "--beta", "10", "--mode", "fixed", "--alpha0", "1e200"], 2, False),
         (["run", "--n", "7", "--beta", "10", "--alpha0", "1e200"], 2, False),
         (["run", "--n", "7", "--beta", "1e308"], 2, False),
+        # one alpha of a sweep breaks down
+        (["sweep", "--n", "7", "--beta", "10", "--alphas", "0.1,1e200"], 2, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):

@@ -195,7 +195,7 @@ def test_search_decrease_is_step_decrease_bit_for_bit(case):
     for kind in SCHEMES:
         state = scheme_state(kind, prob, u)
         for policy in (StepPolicy(alpha0=4.0), StepPolicy(mode="fixed", alpha0=0.3)):
-            alpha, u_next, decrease, _ = _search(prob, u, state, policy)
+            alpha, u_next, decrease, _, _ = _search(prob, u, state, policy)
             expected, expected_next = step_decrease(prob, u, state.riemannian_gradient, alpha)
             assert decrease == expected
             np.testing.assert_array_equal(u_next.values, expected_next.values)

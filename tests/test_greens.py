@@ -196,6 +196,7 @@ def test_scheme_state_gradient_is_projected_metric_gradient(case):
     for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
         state = scheme_state(kind, prob, u)
         grad = metric_gradient(kind, prob, u)
+        np.testing.assert_array_equal(state.gradient, grad.values)
         np.testing.assert_array_equal(
             state.riemannian_gradient.values,
             grad.values - state.gamma * state.green_u.values,

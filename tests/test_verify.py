@@ -147,6 +147,54 @@ def test_trials_zero_skips_sampled_checks(nonlinear_setup):
     assert not results["thm:energy_decay"].skipped
 
 
+NO_TRIALS = "no trials requested"
+NO_REPORT = "no run report available"
+NO_USTAR = "no converged ground state available"
+NO_SPECTRAL = "no spectral report available"
+# every check's skip detail with neither report nor trials, without and with
+# a spectral report; a check skips with the first prerequisite it lacks
+SKIP_DETAILS = {
+    "grid:inner_symmetry": (NO_TRIALS, NO_TRIALS),
+    "grid:positive_definite": (NO_TRIALS, NO_TRIALS),
+    "grid:summation_by_parts": (NO_TRIALS, NO_TRIALS),
+    "lemma:equiv_a0_H1": (NO_TRIALS, NO_TRIALS),
+    "lemma:equiv_au_H1": (NO_USTAR, NO_USTAR),
+    "lemma:stab_au": (NO_USTAR, NO_USTAR),
+    "greens:adjoint_identity": (NO_TRIALS, NO_TRIALS),
+    "lemma:Gu": (NO_TRIALS, NO_TRIALS),
+    "greens:self_adjoint": (NO_TRIALS, NO_TRIALS),
+    "lemma:Gau": (NO_USTAR, NO_USTAR),
+    "energy:gradient_consistency": (NO_TRIALS, NO_TRIALS),
+    "energy:pythagorean_split": (NO_TRIALS, NO_TRIALS),
+    "lemma:esti_gradEu": (NO_TRIALS, NO_TRIALS),
+    "energy:projection_tangency": (NO_TRIALS, NO_TRIALS),
+    "lemma:esti_retraction": (NO_TRIALS, NO_TRIALS),
+    "lemma:linear_error": (NO_TRIALS, NO_TRIALS),
+    "thm:energy_decay": (NO_REPORT, NO_REPORT),
+    "flows:sufficient_decrease": (NO_REPORT, NO_REPORT),
+    "thm:iterate_boundedness": (NO_REPORT, NO_REPORT),
+    "flows:manifold_residence": (NO_REPORT, NO_REPORT),
+    "thm:residual_summability": (NO_REPORT, NO_REPORT),
+    "thm:local_exponential": (NO_USTAR, NO_USTAR),
+    "spectral:eigen_residual": (NO_SPECTRAL, NO_USTAR),
+    "spectral:ground_state_consistency": (NO_SPECTRAL, NO_USTAR),
+    "spectral:gamma_equals_lambda0": (NO_SPECTRAL, "no converged run available"),
+    "lemma:Elocalconvex": (NO_SPECTRAL, NO_USTAR),
+    "spectral:rate_vs_gap": (NO_SPECTRAL, "no stepsize sweep provided"),
+}
+
+
+def test_skip_details_follow_the_prerequisite_order(nonlinear_setup):
+    problem, _, spectral = nonlinear_setup
+    for column, spec in enumerate((None, spectral)):
+        results = check_suite(problem, None, spec, trials=0)
+        assert [r.name for r in results] == list(SKIP_DETAILS)
+        for r in results:
+            assert r.skipped and not r.passed and r.trials == 0, r.name
+            assert math.isnan(r.margin), r.name
+            assert r.detail == SKIP_DETAILS[r.name][column], r.name
+
+
 def test_negative_trials_rejected(linear_setup):
     problem, report, spectral = linear_setup
     with pytest.raises(ValueError):

@@ -1,0 +1,86 @@
+"""Run a fixed set of CLI invocations and write what each one produced.
+
+    PYTHONPATH=src python tools/cli_invocations.py OUTDIR
+
+OUTDIR must not exist yet.  For every invocation, OUTDIR/<name>/ receives
+``out`` (the file written through ``-o``, absent if none was written),
+``stdout``, ``stderr`` and ``code`` (the exit code of ``gpflow.cli.main``).
+Every output is byte-deterministic, so ``diff -r`` between the OUTDIRs of
+two checkouts shows exactly the invocations whose behaviour changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+
+# the benchmark's cli-mix session; the seeded commands run at seeds 0 and 1
+CLI_MIX = (
+    ("verify-1d", ["verify", "--n", "255", "--beta", "100", "--trials", "5"], True),
+    ("verify-2d-harmonic",
+     ["verify", "--dim", "2", "--n", "63", "--beta", "10", "--potential", "harmonic:20",
+      "--trials", "5"], True),
+    ("verify-2d-well",
+     ["verify", "--dim", "2", "--n", "63", "--beta", "100", "--potential",
+      "well:1000:0.25:0.75", "--trials", "5"], True),
+    ("spectrum-2d",
+     ["spectrum", "--dim", "2", "--n", "63", "--beta", "100", "--potential", "harmonic:20"],
+     False),
+    ("sweep-2d",
+     ["sweep", "--dim", "2", "--n", "31", "--beta", "10", "--alphas", "0.05,0.1,0.2,0.4"],
+     False),
+    ("run-1d-random",
+     ["run", "--n", "127", "--beta", "10", "--potential", "harmonic:20", "--init", "random",
+      "--format", "csv"], True),
+)
+
+EXTRA = (
+    ("verify-a0-cross-scheme",
+     ["verify", "--n", "63", "--beta", "10", "--scheme", "a0", "--cross-scheme",
+      "--trials", "3"]),
+    ("verify-trials0",
+     ["verify", "--n", "63", "--beta", "20", "--potential", "harmonic:10", "--trials", "0"]),
+    ("verify-3d-9", ["verify", "--dim", "3", "--n", "9", "--beta", "10", "--trials", "2"]),
+    ("run-2d-au",
+     ["run", "--dim", "2", "--n", "31", "--beta", "100", "--scheme", "au", "--potential",
+      "harmonic:20"]),
+    ("sweep-breakdown", ["sweep", "--n", "7", "--beta", "10", "--alphas", "0.1,1e200"]),
+)
+
+
+def invocations():
+    for name, argv, seeded in CLI_MIX:
+        if not seeded:
+            yield name, argv
+            continue
+        for seed in (0, 1):
+            yield f"{name}-seed{seed}", argv + ["--seed", str(seed)]
+    yield from EXTRA
+
+
+def main(argv=None) -> int:
+    from gpflow import cli
+
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or os.path.exists(args[0]):
+        print("usage: python tools/cli_invocations.py OUTDIR (a new directory)", file=sys.stderr)
+        return 1
+    outdir = args[0]
+    for name, call in invocations():
+        target = os.path.join(outdir, name)
+        os.makedirs(target)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(call + ["-o", os.path.join(target, "out")])
+        for part, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()),
+                           ("code", f"{code}\n")):
+            with open(os.path.join(target, part), "w") as fh:
+                fh.write(text)
+        print(f"{name}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
