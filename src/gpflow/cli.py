@@ -453,6 +453,9 @@ def spectral_payload(cfg: CliConfig, report: ConvergenceReport, spectral: Spectr
             "lambda0": spectral.lambda0,
             "lambda1": spectral.lambda1,
             "gap_factor": spectral.gap_factor,
+            "iterations": spectral.iterations,
+            "residuals": spectral.residuals,
+            "tol": spectral.tol,
         },
         "final": {"status": report.status, "lambda": report.final_record.gamma},
     }

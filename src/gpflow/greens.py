@@ -6,8 +6,10 @@ A_X g = w componentwise.  With uniform quadrature weights this is exactly the
 adjoint identity (z, g)_X = (z, w)_L2 for every z.
 
 This module holds only the operators and their solve; the -Laplacian
-matrix and its eigenvalues are the grid's (``grid.sine_basis``).  Every solve
-goes through the discrete sine transform (DST-I), which diagonalizes the
+matrix and its eigenvalues are the grid's (``grid.sine_basis``), and so is
+the transform (``grid.sine_transform``: dense per-axis products on grids of
+at most 128 nodes per axis, ``scipy.fft.dstn`` above).  Every solve goes
+through the discrete sine transform (DST-I), which diagonalizes the
 Dirichlet -Laplacian exactly: the H1 solve is one transform pair divided by
 the Laplacian's eigenvalues, and the a0 and a_u solves run conjugate
 gradients preconditioned by the same transform, shifted by the mean of the
@@ -24,7 +26,7 @@ from collections.abc import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import GridFunction, GridMismatchError, Metric, MetricKind, sine_basis
+from .grid import GridFunction, GridMismatchError, Metric, MetricKind, sine_basis, sine_transform
 from .problem import Problem
 
 # CG stops once its residual ||b - A x||_2 is at most rtol ||b||_2; rtol is
@@ -91,21 +93,10 @@ class LinearOperator:
         return lambda r: self._sine_divide(r, eig)
 
     def _sine_divide(self, r: np.ndarray, eig: np.ndarray) -> np.ndarray:
-        """r divided by ``eig`` (grid-shaped) in the orthonormal DST-I basis.
-
-        ``r`` is one vector (dof,) or a block (dof, k) of k columns, all
-        transformed by one ``dstn`` over the grid axes.
-        """
-        from scipy.fft import dstn  # deferred: importing scipy.fft costs ~0.1 s
-
-        batch = r.shape[1:]
-        # a vector (CG's case) takes the default all-axes transform: naming
-        # the axes costs scipy a few microseconds of argument checks per call
-        axes = tuple(range(self.grid.dim)) if batch else None
-        if batch:
-            eig = eig[..., None]
-        coeffs = dstn(r.reshape(self.grid.n + batch), type=1, norm="ortho", axes=axes)
-        return dstn(coeffs / eig, type=1, norm="ortho", axes=axes).reshape(r.shape)
+        """r divided by ``eig`` (grid-shaped) in the orthonormal DST-I basis;
+        ``r`` is one vector (dof,) or a block (dof, k) of k columns."""
+        coeffs = sine_transform(self.grid, r)
+        return sine_transform(self.grid, coeffs / eig.reshape((-1,) + (1,) * (r.ndim - 1)))
 
     def solve(
         self, rhs: np.ndarray, x0: np.ndarray | None = None, rtol: float | None = None

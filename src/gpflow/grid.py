@@ -9,7 +9,13 @@ portable across implementations.
 This module is the one place that knows the discrete Dirichlet -Laplacian:
 ``sine_basis`` builds its sparse matrix and its closed-form spectrum in the
 sine (DST-I) basis once per grid, and the stencil, the Green's operators and
-solves, and the eigen checks all read those two.
+solves, and the eigen checks all read those two.  ``sine_transform`` applies
+the orthonormal DST-I that diagonalizes it: as one dense product with the
+symmetric, involutory matrix S_n per axis on grids of at most
+``DENSE_SINE_MAX`` nodes per axis, where scipy's per-call overhead, not the
+FFT's arithmetic, dominates ``dstn``; and through ``scipy.fft.dstn`` on grids
+with a longer axis, where the O(n) cost per unknown of a dense product loses
+to the FFT and S_n would take n^2 doubles of memory.
 """
 
 from __future__ import annotations
@@ -21,6 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+# Grids with at most this many nodes on every axis apply the sine transform
+# as dense per-axis products; a longer axis sends the grid through dstn
+DENSE_SINE_MAX = 128
 
 
 class GridMismatchError(ValueError):
@@ -187,6 +197,53 @@ def sine_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
     for array in (eig, lap.data, lap.indices, lap.indptr):
         array.setflags(write=False)
     return lap, eig
+
+
+@functools.cache
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DST-I matrix S_n, read-only.
+
+    S_jk = sqrt(2/(n+1)) sin(pi j k / (n+1)) for j, k = 1..n, with the
+    argument reduced exactly: j k mod 2(n+1) is an integer, so the sine's
+    argument stays in [0, 2 pi) and carries one rounding, not the error of
+    pi j k for large j k.  S_n is exactly symmetric and S_n^2 = I.  Only
+    axes of at most DENSE_SINE_MAX nodes ask for it, which bounds the cache.
+    """
+    j = np.arange(1, n + 1)
+    phase = np.outer(j, j) % (2 * (n + 1))
+    matrix = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * phase / (n + 1))
+    matrix.setflags(write=False)
+    return matrix
+
+
+def sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I of x along every axis of the grid.
+
+    ``x`` is one vector (dof,) or a block (dof, k) of k columns, in the
+    grid's lexicographic order; the result has x's shape.  The transform is
+    its own inverse.  Along each axis x is viewed as (before, n, after),
+    a block's columns counting into ``after``, and multiplied by S_n: as
+    S_n @ x (a matmul broadcast over ``before``), or as x @ S_n when the axis
+    is the last one.  A grid with an axis over ``DENSE_SINE_MAX`` nodes goes
+    through one ``scipy.fft.dstn`` instead.
+    """
+    batch = x.shape[1:]
+    if max(grid.n) > DENSE_SINE_MAX:
+        from scipy.fft import dstn  # deferred: importing scipy.fft costs ~0.1 s
+
+        # a vector takes the default all-axes transform: naming the axes
+        # costs scipy a few microseconds of argument checks per call
+        axes = tuple(range(grid.dim)) if batch else None
+        return dstn(x.reshape(grid.n + batch), type=1, norm="ortho", axes=axes).reshape(x.shape)
+    y = x
+    for axis, n in enumerate(grid.n):
+        before = math.prod(grid.n[:axis])
+        after = math.prod(grid.n[axis + 1:] + batch)
+        if after == 1:
+            y = y.reshape(before, n) @ _sine_matrix(n)
+        else:
+            y = _sine_matrix(n) @ y.reshape(before, n, after)
+    return y.reshape(x.shape)
 
 
 def apply_neg_laplacian(grid: Grid, u: GridFunction) -> GridFunction:

@@ -188,6 +188,21 @@ def test_spectrum_command(tmp_path):
     assert data["final"]["lambda"] == pytest.approx(lam0, rel=1e-8)
 
 
+def test_spectrum_reports_eigensolve_residuals(tmp_path):
+    # LOBPCG's iteration count and both final residuals follow gap_factor,
+    # with the tolerance they were checked against
+    out = tmp_path / "spec.json"
+    args = ["spectrum", "--dim", "2", "--n", "15", "--beta", "10", "--potential", "harmonic:20"]
+    assert main(args + ["-o", str(out)]) == 0
+    spectrum = json.loads(out.read_text())["spectrum"]
+    assert list(spectrum) == [
+        "lambda0", "lambda1", "gap_factor", "iterations", "residuals", "tol"
+    ]
+    assert isinstance(spectrum["iterations"], int) and spectrum["iterations"] > 0
+    assert len(spectrum["residuals"]) == 2
+    assert all(0.0 <= r <= spectrum["tol"] for r in spectrum["residuals"])
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sweep.json"
     code = main(["sweep", "--n", "31", "--beta", "5", "--alphas", "0.1,0.2", "-o", str(out)])

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gpflow.grid import (
     A0,
+    DENSE_SINE_MAX,
     GridFunction,
     GridMismatchError,
     H1,
@@ -21,6 +24,8 @@ from gpflow.grid import (
     norm,
     norm_l2,
     sine_basis,
+    sine_transform,
+    _sine_matrix,
 )
 from gpflow.problem import Problem, zero_potential
 from gpflow.spectral import laplacian_min_eigenvalue
@@ -176,6 +181,33 @@ def test_sine_spectrum_is_the_laplacian_spectrum_property(case):
     np.testing.assert_allclose(closed, dense, rtol=1e-12, atol=0.0)
     assert laplacian_min_eigenvalue(grid) == closed[0]
     assert laplacian_min_eigenvalue(grid) == pytest.approx(dense[0], rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    st.sampled_from([(), (1,), (3,)]),
+    st.integers(0, 2**32 - 1),
+)
+@example([DENSE_SINE_MAX, 2], (), 0)  # the longest dense axis: needs the exact reduction
+@example([DENSE_SINE_MAX + 2, 3], (2,), 0)  # an axis over the cutoff: through dstn
+def test_sine_transform_is_the_orthonormal_dst_property(n, batch, seed):
+    # a vector (dof,) or a block (dof, k) against scipy's DST-I over the grid
+    # axes; the transform is its own inverse, and every S_n is symmetric
+    grid = build_grid(len(n), n, [(0.0, 1.0)] * len(n))
+    x = np.random.default_rng(seed).standard_normal((grid.dof,) + batch)
+    y = sine_transform(grid, x)
+    assert y.shape == x.shape
+    axes = tuple(range(grid.dim))
+    ref = scipy.fft.dstn(x.reshape(grid.n + batch), type=1, norm="ortho", axes=axes)
+    scale = np.max(np.abs(ref))
+    np.testing.assert_allclose(y, ref.reshape(x.shape), rtol=0.0, atol=1e-14 * scale)
+    np.testing.assert_allclose(
+        sine_transform(grid, y), x, rtol=0.0, atol=1e-14 * np.max(np.abs(x))
+    )
+    for k in grid.n:
+        if k <= DENSE_SINE_MAX:
+            assert np.array_equal(_sine_matrix(k), _sine_matrix(k).T)
 
 
 def _padded_difference_form(u, v):
