@@ -4,6 +4,12 @@ The three schemes share one structure: metric gradient, projection onto the
 tangent space of the unit L2 sphere, and normalization back onto it.  The
 scalar coefficient of the Green-solve direction (the multiplier gamma) is the
 running eigenvalue estimate; at a critical point it equals the eigenvalue.
+
+The energy is quadratic plus quartic, so the decrease along a retracted
+step, E(u) - E((u - alpha g) / ||u - alpha g||), is a rational function of
+alpha.  The line search evaluates it from moments of u and g taken once per
+step (``_step_decreases``); ``energy_decrease``, a difference form on two
+grid functions, is the independent reference it is tested against.
 """
 
 from __future__ import annotations
@@ -48,35 +54,6 @@ def _require_unit(u: GridFunction) -> None:
         raise ValueError("function is not unit L2-norm within 1e-10")
 
 
-def _energy_terms(problem: Problem, f: GridFunction) -> tuple[float, float, float]:
-    """Kinetic, potential and quartic parts of the energy of f."""
-    w = problem.grid.cell_volume
-    kinetic = 0.5 * edge_difference_sum(f, f)
-    potential = 0.5 * w * float(np.sum(problem.V.values * f.values**2))
-    quartic = 0.25 * problem.beta * w * float(np.sum(f.values**4))
-    return kinetic, potential, quartic
-
-
-def _energy_difference(
-    problem: Problem, u: GridFunction, v: GridFunction, diff: np.ndarray
-) -> float:
-    """E(u) - E(v) from the exact difference ``diff`` = u - v, term by term.
-
-    Every term factors through diff, so nothing cancels between two O(1)
-    energies.
-    """
-    grid = problem.grid
-    w = grid.cell_volume
-    d = GridFunction(grid, diff)
-    summ = GridFunction(grid, u.values + v.values)
-    kinetic = 0.5 * edge_difference_sum(d, summ)
-    potential = 0.5 * w * float(np.sum(problem.V.values * d.values * summ.values))
-    sq_diff = d.values * summ.values  # u^2 - v^2
-    sq_sum = u.values**2 + v.values**2
-    quartic = 0.25 * problem.beta * w * float(np.sum(sq_diff * sq_sum))
-    return kinetic + potential + quartic
-
-
 def energy(problem: Problem, u: GridFunction) -> float:
     """Discrete Gross-Pitaevskii energy.
 
@@ -86,48 +63,73 @@ def energy(problem: Problem, u: GridFunction) -> float:
     """
     if u.grid != problem.grid:
         raise GridMismatchError("function does not live on the problem grid")
-    kinetic, potential, quartic = _energy_terms(problem, u)
+    w = problem.grid.cell_volume
+    kinetic = 0.5 * edge_difference_sum(u, u)
+    potential = 0.5 * w * float(np.sum(problem.V.values * u.values**2))
+    quartic = 0.25 * problem.beta * w * float(np.sum(u.values**4))
     return kinetic + potential + quartic
 
 
 def energy_decrease(problem: Problem, u: GridFunction, v: GridFunction) -> float:
     """E(u) - E(v) in a cancellation-free difference form.
 
-    Algebraically identical to energy(u) - energy(v), but accurate down to
-    decreases far below the rounding floor of the individual energies; the
-    line search relies on this near convergence.
+    Every term factors through d = u - v, so the result stays accurate far
+    below the rounding floor of the two energies.  It shares no code with
+    the line search's model (``_step_decreases``) and is its reference.
     """
-    return _energy_difference(problem, u, v, u.values - v.values)
-
-
-def _normalization_correction(problem: Problem, f: GridFunction, t: float) -> float:
-    """E(f / sqrt(1 + t)) - E(f), where ||f||^2 = 1 + t."""
-    s2 = 1.0 + t
-    kin, pot, quart = _energy_terms(problem, f)
-    return (kin + pot) * (t / s2) + quart * (t * (t + 2.0) / s2**2)
+    w = problem.grid.cell_volume
+    d = GridFunction(problem.grid, u.values - v.values)
+    summ = GridFunction(problem.grid, u.values + v.values)
+    kinetic = 0.5 * edge_difference_sum(d, summ)
+    potential = 0.5 * w * float(np.sum(problem.V.values * d.values * summ.values))
+    sq_diff = d.values * summ.values  # u^2 - v^2
+    sq_sum = u.values**2 + v.values**2
+    quartic = 0.25 * problem.beta * w * float(np.sum(sq_diff * sq_sum))
+    return kinetic + potential + quartic
 
 
 def _step_decreases(problem: Problem, u: GridFunction, g: GridFunction):
     """The function alpha -> step_decrease(problem, u, g, alpha).
 
-    The terms at u that do not depend on alpha are computed once, so a line
-    search pays for them once per step instead of once per trial.
+    With tau = ||u||^2, y = u - alpha g and s = ||y||^2 = 1 + t_y, the
+    decrease E(u / sqrt(tau)) - E(y / sqrt(s)) is
+
+        alpha (k1 - alpha k2) / (tau s)
+        + alpha (m0 + alpha (m1 + alpha (m2 + alpha m3))) / (tau s)^2,
+
+    with coefficients from (g, u), (g, g), the quadratic and quartic energies
+    at u, a(g, u) + w sum V u g, a(g, g) + w sum V g^2 and beta w sum(u^3 g,
+    u^2 g^2, u g^3, g^4), all taken once per step; a trial costs a few
+    scalar operations and its u_next = y / sqrt(s).  u is normalized too,
+    since its eps-level offset from the sphere would drown small decreases.
+    Every term carries a factor alpha and is divided by (tau s)^k before any
+    is subtracted, so neither a small decrease nor a large alpha cancels.
+    The float64 coefficients make an overflowing trial raise under errstate.
     """
-    # ||y||^2 = 1 + t_y with every term of t_y small; no large cancellation.
-    # The stored u sits eps off the sphere, so compare the energies of the
-    # exactly normalized u and y: subtract the normalization correction at u
-    # as well, or that eps-level offset drowns decreases near convergence.
+    w = problem.grid.cell_volume
+    uv, gv, V = u.values, g.values, problem.V.values
+    ug, u2, g2 = uv * gv, uv * uv, gv * gv
     t_u = inner_l2(u, u) - 1.0
-    correction_u = _normalization_correction(problem, u, t_u)
-    gu, gg = inner_l2(g, u), inner_l2(g, g)
+    tau, p, r = 1.0 + t_u, np.float64(inner_l2(g, u)), np.float64(inner_l2(g, g))
+    kp_u = 0.5 * edge_difference_sum(u, u) + 0.5 * w * np.dot(V, u2)
+    c1 = edge_difference_sum(g, u) + w * np.dot(V, ug)
+    c2 = edge_difference_sum(g, g) + w * np.dot(V, g2)
+    bw = problem.beta * w
+    q_u, q1 = 0.25 * bw * np.dot(u2, u2), bw * np.dot(u2, ug)
+    q2, q3, q4 = bw * np.dot(ug, ug), bw * np.dot(ug, g2), bw * np.dot(g2, g2)
+    k1, k2 = c1 * tau - 2.0 * p * kp_u, 0.5 * c2 * tau - r * kp_u
+    m0 = tau * tau * q1 - 4.0 * tau * p * q_u
+    m1 = 2.0 * tau * r * q_u + 4.0 * p * p * q_u - 1.5 * tau * tau * q2
+    m2 = tau * tau * q3 - 4.0 * p * r * q_u
+    m3 = r * r * q_u - 0.25 * tau * tau * q4
 
     def decrease_at(alpha: float) -> tuple[float, GridFunction]:
-        y = GridFunction(problem.grid, u.values - alpha * g.values)
-        unnormalized = _energy_difference(problem, u, y, alpha * g.values)
-        t_y = t_u - 2.0 * alpha * gu + alpha * alpha * gg
-        decrease = unnormalized + _normalization_correction(problem, y, t_y) - correction_u
-        u_next = GridFunction(problem.grid, y.values / math.sqrt(1.0 + t_y))
-        return decrease, u_next
+        t_y = t_u - 2.0 * alpha * p + alpha * alpha * r
+        ts = tau * (1.0 + t_y)
+        quartic = alpha * (m0 + alpha * (m1 + alpha * (m2 + alpha * m3))) / (ts * ts)
+        decrease = alpha * (k1 - alpha * k2) / ts + quartic
+        u_next = GridFunction(problem.grid, (uv - alpha * gv) / math.sqrt(1.0 + t_y))
+        return float(decrease), u_next
 
     return decrease_at
 
@@ -135,13 +137,11 @@ def _step_decreases(problem: Problem, u: GridFunction, g: GridFunction):
 def step_decrease(
     problem: Problem, u: GridFunction, g: GridFunction, alpha: float
 ) -> tuple[float, GridFunction]:
-    """E(u) - E(retract(u - alpha g)) and the retracted step, computed stably.
+    """E(u) - E(retract(u - alpha g)) and the retracted step.
 
-    The pre-retraction difference is exactly alpha*g (never the rounded
-    difference of two nearby iterates), and the retraction's contribution uses
-    t = ||u - alpha g||^2 - 1 accumulated from its small constituents.  This
-    keeps the decrease accurate at the alpha*residual^2 scale even when that
-    is far below the rounding floor of the energies themselves.
+    The line search's model (``_step_decreases``) at one alpha: accurate at
+    the alpha*residual^2 scale near convergence, far below the rounding floor
+    of the energies, and at any alpha in the float range.
     """
     return _step_decreases(problem, u, g)(alpha)
 

@@ -148,8 +148,8 @@ def sign_normalize(u: GridFunction) -> GridFunction:
 def _search(problem, u, state, policy):
     """Shared candidate loop; returns (alpha, u_next, decrease, accepted, trials).
 
-    Each trial's decrease is step_decrease's, with the terms at u that do
-    not depend on alpha computed once per step.  The returned alpha is the
+    Each trial's decrease is step_decrease's closed-form model, with its
+    moments at u and g computed once per step.  The returned alpha is the
     last one tried, so decrease and u_next belong to it, and ``trials``
     counts the stepsizes tried; a search whose next stepsize would fall
     below the floor returns its last trial unaccepted.

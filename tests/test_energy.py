@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gpflow import greens
 from gpflow.energy import (
@@ -197,3 +198,18 @@ def test_energy_decrease_matches_energy_difference_property(case):
     eu, ev = energy(prob, u), energy(prob, v)
     # both sides carry the roundoff of the O(E) energies, not of their difference
     assert energy_decrease(prob, u, v) == pytest.approx(eu - ev, rel=1e-12, abs=1e-12 * max(eu, ev))
+
+
+@PROPERTY_SETTINGS
+@given(small_problems(), st.floats(-6.0, 12.0))
+def test_step_decrease_matches_energy_decrease_property(case, log_alpha):
+    # the line search's closed-form decrease against the independent
+    # difference form, from stepsizes far below to far above the natural one
+    prob, rng = case
+    alpha = 10.0**log_alpha
+    u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
+    for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
+        g = scheme_state(kind, prob, u).riemannian_gradient
+        decrease, u_next = step_decrease(prob, u, g, alpha)
+        scale = energy(prob, u) + energy(prob, u_next)
+        assert abs(decrease - energy_decrease(prob, u, u_next)) <= 1e-12 * scale

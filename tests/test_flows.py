@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from gpflow.flows import (
+    FlowBreakdownError,
     RunConfig,
     StepPolicy,
     _search,
@@ -335,3 +336,38 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
     assert last.trials == len(trials)
     prob, u, g = searches[-1]
     assert last.decrease == step_decrease(prob, u, g, last.alpha)[0]
+
+
+def repulsive_7():
+    grid = build_grid(1, [7], [(0.0, 1.0)])
+    return Problem(grid, zero_potential(grid), 10.0)
+
+
+@pytest.mark.parametrize("alpha0", [1e10, 1e20])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_backtracking_from_a_huge_alpha0_converges(scheme, alpha0):
+    # a trial at alpha * ||g|| >> 1 must get its decrease right, or a wrongly
+    # accepted trial throws the run out of the basin and it never converges
+    prob = repulsive_7()
+    default = run(prob, RunConfig(scheme=scheme, max_iter=300))
+    policy = StepPolicy(alpha0=alpha0)
+    report = run(prob, RunConfig(scheme=scheme, policy=policy, max_iter=300))
+    assert report.status == "converged"
+    assert report.final_record.gamma == pytest.approx(default.final_record.gamma, rel=1e-8)
+    final_energy = energy(prob, report.final)
+    assert all(r.energy >= final_energy - 1e-12 for r in report.records)
+
+
+@pytest.mark.parametrize("alpha0", [1e100, 1e200])
+@pytest.mark.parametrize("mode", ["fixed", "backtracking"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stepsize_beyond_the_float_range_converges_or_breaks_down(scheme, mode, alpha0):
+    # an overflowing trial is a breakdown, never an OverflowError, ValueError
+    # or ZeroDivisionError, and never a report with a non-finite energy
+    policy = StepPolicy(mode=mode, alpha0=alpha0)
+    try:
+        report = run(repulsive_7(), RunConfig(scheme=scheme, policy=policy, max_iter=300))
+    except FlowBreakdownError:
+        return
+    assert report.status == "converged"
+    assert all(math.isfinite(r.energy) for r in report.records)

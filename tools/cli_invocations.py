@@ -47,6 +47,10 @@ EXTRA = (
      ["run", "--dim", "2", "--n", "31", "--beta", "100", "--scheme", "au", "--potential",
       "harmonic:20"]),
     ("sweep-breakdown", ["sweep", "--n", "7", "--beta", "10", "--alphas", "0.1,1e200"]),
+    ("run-alpha0-1e10",
+     ["run", "--n", "7", "--beta", "10", "--alpha0", "1e10", "--max-iter", "200"]),
+    ("run-alpha0-1e20",
+     ["run", "--n", "7", "--beta", "10", "--alpha0", "1e20", "--max-iter", "200"]),
 )
 
 
