@@ -7,14 +7,16 @@ running eigenvalue estimate; at a critical point it equals the eigenvalue.
 
 The energy is quadratic plus quartic, so the decrease along a retracted
 step, E(u) - E((u - alpha g) / ||u - alpha g||), is a rational function of
-alpha.  The line search evaluates it from moments of u and g taken once per
-step (``_step_decreases``); ``energy_decrease``, a difference form on two
-grid functions, is the independent reference it is tested against.
+alpha.  The scheme state takes the moments of u and g once per step
+(``_step_moments``); the residual reads a(g, g) from them and the line
+search (``_step_decreases``) all of them.  ``energy_decrease``, a
+difference form on two grid functions, is the search's independent reference.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,9 +26,9 @@ from .grid import (
     GridMismatchError,
     Metric,
     MetricKind,
+    dirichlet_moments,
     edge_difference_sum,
     inner_l2,
-    norm,
     norm_l2,
 )
 from . import greens
@@ -88,48 +90,52 @@ def energy_decrease(problem: Problem, u: GridFunction, v: GridFunction) -> float
     return kinetic + potential + quartic
 
 
-def _step_decreases(problem: Problem, u: GridFunction, g: GridFunction):
-    """The function alpha -> step_decrease(problem, u, g, alpha).
+StepMoments = namedtuple("StepMoments", "l2 dirichlet potential quartic")
 
-    With tau = ||u||^2, y = u - alpha g and s = ||y||^2 = 1 + t_y, the
-    decrease E(u / sqrt(tau)) - E(y / sqrt(s)) is
 
-        alpha (k1 - alpha k2) / (tau s)
-        + alpha (m0 + alpha (m1 + alpha (m2 + alpha m3))) / (tau s)^2,
-
-    with coefficients from (g, u), (g, g), the quadratic and quartic energies
-    at u, a(g, u) + w sum V u g, a(g, g) + w sum V g^2 and beta w sum(u^3 g,
-    u^2 g^2, u g^3, g^4), all taken once per step; a trial costs a few
-    scalar operations and its u_next = y / sqrt(s).  u is normalized too,
-    since its eps-level offset from the sphere would drown small decreases.
-    Every term carries a factor alpha and is divided by (tau s)^k before any
-    is subtracted, so neither a small decrease nor a large alpha cancels.
-    The float64 coefficients make an overflowing trial raise under errstate.
-    """
-    w = problem.grid.cell_volume
-    uv, gv, V = u.values, g.values, problem.V.values
-    ug, u2, g2 = uv * gv, uv * uv, gv * gv
-    t_u = inner_l2(u, u) - 1.0
-    tau, p, r = 1.0 + t_u, np.float64(inner_l2(g, u)), np.float64(inner_l2(g, g))
-    kp_u = 0.5 * edge_difference_sum(u, u) + 0.5 * w * np.dot(V, u2)
-    c1 = edge_difference_sum(g, u) + w * np.dot(V, ug)
-    c2 = edge_difference_sum(g, g) + w * np.dot(V, g2)
+def _step_moments(problem: Problem, u: np.ndarray, g: np.ndarray) -> StepMoments:
+    """What one step reads of its iterate u and direction g (value arrays),
+    as float64, w the cell volume: l2 (u, u) (as inner_l2), (g, u), (g, g);
+    dirichlet a(u, u), a(g, u), a(g, g); potential w sum V (u^2, u g, g^2);
+    quartic beta w sum(u^4, u^3 g, u^2 g^2, u g^3, g^4)."""
+    w, V, ug, u2, g2 = problem.grid.cell_volume, problem.V.values, u * g, u * u, g * g
     bw = problem.beta * w
-    q_u, q1 = 0.25 * bw * np.dot(u2, u2), bw * np.dot(u2, ug)
-    q2, q3, q4 = bw * np.dot(ug, ug), bw * np.dot(ug, g2), bw * np.dot(g2, g2)
-    k1, k2 = c1 * tau - 2.0 * p * kp_u, 0.5 * c2 * tau - r * kp_u
+    return StepMoments(
+        (w * np.dot(u, u), w * np.dot(g, u), w * np.dot(g, g)),
+        dirichlet_moments(problem.grid, u, g),
+        (w * np.dot(V, u2), w * np.dot(V, ug), w * np.dot(V, g2)),
+        tuple(bw * np.dot(a, b) for a, b in ((u2, u2), (u2, ug), (ug, ug), (ug, g2), (g2, g2))),
+    )
+
+
+def _step_decreases(problem: Problem, u: GridFunction, g: GridFunction, moments: StepMoments):
+    """The function alpha -> (decrease, values of the retracted step), from
+    the StepMoments of (u, g).  With tau = ||u||^2, y = u - alpha g and
+    s = ||y||^2 = 1 + t_y, E(u / sqrt(tau)) - E(y / sqrt(s)) is
+
+      alpha (k1 - alpha k2) / (tau s) + alpha (m0 + alpha (m1 + alpha (m2 + alpha m3))) / (tau s)^2.
+
+    u is normalized too, since its eps-level offset from the sphere would
+    drown small decreases.  Every term carries a factor alpha and is divided
+    by (tau s)^k before any is subtracted, so neither a small decrease nor a
+    large alpha cancels.  The float64 coefficients make an overflowing trial
+    raise under errstate.
+    """
+    (uu, p, r), (a_uu, a_gu, a_gg), (v_uu, v_gu, v_gg), (q0, q1, q2, q3, q4) = moments
+    t_u = uu - 1.0
+    tau, kp_u, q_u = 1.0 + t_u, 0.5 * a_uu + 0.5 * v_uu, 0.25 * q0
+    k1, k2 = (a_gu + v_gu) * tau - 2.0 * p * kp_u, 0.5 * (a_gg + v_gg) * tau - r * kp_u
     m0 = tau * tau * q1 - 4.0 * tau * p * q_u
     m1 = 2.0 * tau * r * q_u + 4.0 * p * p * q_u - 1.5 * tau * tau * q2
     m2 = tau * tau * q3 - 4.0 * p * r * q_u
     m3 = r * r * q_u - 0.25 * tau * tau * q4
 
-    def decrease_at(alpha: float) -> tuple[float, GridFunction]:
+    def decrease_at(alpha: float) -> tuple[float, np.ndarray]:
         t_y = t_u - 2.0 * alpha * p + alpha * alpha * r
         ts = tau * (1.0 + t_y)
         quartic = alpha * (m0 + alpha * (m1 + alpha * (m2 + alpha * m3))) / (ts * ts)
         decrease = alpha * (k1 - alpha * k2) / ts + quartic
-        u_next = GridFunction(problem.grid, (uv - alpha * gv) / math.sqrt(1.0 + t_y))
-        return float(decrease), u_next
+        return float(decrease), (u.values - alpha * g.values) / math.sqrt(1.0 + t_y)
 
     return decrease_at
 
@@ -137,13 +143,12 @@ def _step_decreases(problem: Problem, u: GridFunction, g: GridFunction):
 def step_decrease(
     problem: Problem, u: GridFunction, g: GridFunction, alpha: float
 ) -> tuple[float, GridFunction]:
-    """E(u) - E(retract(u - alpha g)) and the retracted step.
-
-    The line search's model (``_step_decreases``) at one alpha: accurate at
-    the alpha*residual^2 scale near convergence, far below the rounding floor
-    of the energies, and at any alpha in the float range.
-    """
-    return _step_decreases(problem, u, g)(alpha)
+    """E(u) - E(retract(u - alpha g)) and the retracted step: the line
+    search's model at one alpha, from moments taken as a scheme state takes
+    them, accurate at the alpha*residual^2 scale and at any float alpha."""
+    decrease_at = _step_decreases(problem, u, g, _step_moments(problem, u.values, g.values))
+    decrease, u_next = decrease_at(alpha)
+    return decrease, GridFunction(problem.grid, u_next)
 
 
 def _gradient(
@@ -211,6 +216,7 @@ class SchemeState:
     gradient has none); the next step's solves start from them.  ``rtol`` is
     the relative residual the a0 and a_u solves behind the state stopped at,
     and ``cg_iterations`` the CG iterations it took, every solve counted.
+    ``moments``, of u and riemannian_gradient, give residual and line search.
     """
 
     riemannian_gradient: GridFunction
@@ -221,6 +227,7 @@ class SchemeState:
     green_term: np.ndarray | None
     rtol: float
     cg_iterations: int
+    moments: StepMoments
 
 
 def _solve_state(
@@ -235,17 +242,21 @@ def _solve_state(
     start_u = start_term = None
     if start is not None:
         start_u, start_term = start.green_u.values, start.green_term
-    gu = GridFunction(problem.grid, op.solve(u.values, start_u, rtol))
+    w, uv = problem.grid.cell_volume, u.values
+    gu = op.solve(uv, start_u, rtol)
     iterations = op.iterations
-    denom = inner_l2(gu, u)  # equals ||G u||_X^2
+    denom = w * float(np.dot(gu, uv))  # (G u, u)_L2, equal to ||G u||_X^2
     grad, gv, solution = _gradient(kind, problem, u, op, start_term, rtol)
     if solution is not None:  # op.iterations now counts the gradient's solve
         iterations += op.iterations
-    numer = 1.0 if gv is None else 1.0 + inner_l2(GridFunction(problem.grid, gv), u)
+    numer = 1.0 if gv is None else 1.0 + w * float(np.dot(gv, uv))
     gamma = numer / denom
-    rgrad = GridFunction(problem.grid, grad - gamma * gu.values)
-    residual = norm(metric_for(kind, u), problem, rgrad)
-    return SchemeState(rgrad, grad, gamma, residual, gu, solution, rtol, iterations)
+    g = grad - gamma * gu
+    moments = _step_moments(problem, uv, g)
+    d_term = 0.0 if kind is MetricKind.H1 else w * np.dot(op.diagonal_term, g * g)
+    residual = math.sqrt(moments.dirichlet[2] + d_term)  # ||g||_X^2 = a(g, g) + w sum D g^2
+    return SchemeState(GridFunction(problem.grid, g), grad, gamma, residual,
+                       GridFunction(problem.grid, gu), solution, rtol, iterations, moments)
 
 
 def scheme_state(

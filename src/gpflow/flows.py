@@ -23,7 +23,7 @@ from .energy import (
 )
 from . import greens
 from .greens import LinearOperator
-from .grid import GridFunction, MetricKind, norm_l2
+from .grid import GridFunction, MetricKind
 from .problem import Problem
 
 
@@ -148,13 +148,13 @@ def sign_normalize(u: GridFunction) -> GridFunction:
 def _search(problem, u, state, policy):
     """Shared candidate loop; returns (alpha, u_next, decrease, accepted, trials).
 
-    Each trial's decrease is step_decrease's closed-form model, with its
-    moments at u and g computed once per step.  The returned alpha is the
-    last one tried, so decrease and u_next belong to it, and ``trials``
-    counts the stepsizes tried; a search whose next stepsize would fall
-    below the floor returns its last trial unaccepted.
+    Trials read step_decrease's model on the state's moments, and only the
+    step returned becomes a GridFunction.  The returned alpha is the last
+    one tried, so decrease and u_next belong to it, and ``trials`` counts
+    the stepsizes tried; a search stopped by the floor returns its last
+    trial unaccepted.
     """
-    decrease_at = _step_decreases(problem, u, state.riemannian_gradient)
+    decrease_at = _step_decreases(problem, u, state.riemannian_gradient, state.moments)
     res_sq = state.residual**2
     alpha = policy.alpha0
     trials = 1
@@ -162,7 +162,7 @@ def _search(problem, u, state, policy):
         decrease, u_next = decrease_at(alpha)
         accepted = decrease >= 0.5 * alpha * res_sq
         if accepted or policy.mode == "fixed" or alpha * policy.shrink < policy.alpha_floor:
-            return alpha, u_next, decrease, accepted, trials
+            return alpha, GridFunction(problem.grid, u_next), decrease, accepted, trials
         alpha *= policy.shrink
         trials += 1
 
@@ -238,13 +238,13 @@ def _iterate(problem, cfg, u, reference, records):
     state = None  # the previous step's state warm-starts this step's solves
 
     for n in range(cfg.max_iter + 1):
-        max_drift = max(max_drift, abs(norm_l2(u) - 1.0))
         op = fixed_op
         if cfg.scheme is MetricKind.AU:
             op = LinearOperator(metric_for(cfg.scheme, u), problem)
         # the state of the last step a run may take is always certified
         tol = cfg.tol if n < cfg.max_iter else math.inf
         state = scheme_state(cfg.scheme, problem, u, op=op, prev=state, tol=tol)
+        max_drift = max(max_drift, abs(math.sqrt(state.moments.l2[0]) - 1.0))  # |norm_l2(u) - 1|
         cg_iterations = state.cg_iterations
         delta = _h1_distance(u, reference) if reference is not None else None
 

@@ -6,16 +6,20 @@ encodes the zero-trace condition exactly at the discrete level.  Values are
 kept in lexicographic order (last axis fastest), so serialized functions are
 portable across implementations.
 
-This module is the one place that knows the discrete Dirichlet -Laplacian:
-``sine_basis`` builds its sparse matrix and its closed-form spectrum in the
-sine (DST-I) basis once per grid, and the stencil, the Green's operators and
-solves, and the eigen checks all read those two.  ``sine_transform`` applies
-the orthonormal DST-I that diagonalizes it: as one dense product with the
-symmetric, involutory matrix S_n per axis on grids of at most
-``DENSE_SINE_MAX`` nodes per axis, where scipy's per-call overhead, not the
-FFT's arithmetic, dominates ``dstn``; and through ``scipy.fft.dstn`` on grids
-with a longer axis, where the O(n) cost per unknown of a dense product loses
-to the FFT and S_n would take n^2 doubles of memory.
+This module is the one place that knows the discrete Dirichlet -Laplacian
+and its form.  ``sine_basis`` builds its sparse matrix and its closed-form
+spectrum in the sine (DST-I) basis once per grid, and the stencil, the
+Green's operators and solves, and the eigen checks all read those two.
+``_dirichlet_forms`` is the one kernel of the form a(u, v): per axis it
+takes each function's edge differences once, into one vector, and reduces
+each pair with one dot product; ``edge_difference_sum`` is a(u, v) and
+``dirichlet_moments`` a step's a(u, u), a(g, u) and a(g, g).
+``sine_transform`` applies the orthonormal DST-I that diagonalizes the
+-Laplacian: one dense product with the symmetric, involutory S_n per axis
+on grids of at most ``DENSE_SINE_MAX`` nodes per axis, where scipy's
+per-call overhead dominates ``dstn``, and ``scipy.fft.dstn`` on grids with
+a longer axis, where a dense product's O(n) cost per unknown loses to the
+FFT and S_n would take n^2 doubles.
 """
 
 from __future__ import annotations
@@ -256,29 +260,37 @@ def apply_neg_laplacian(grid: Grid, u: GridFunction) -> GridFunction:
     return GridFunction(grid, sine_basis(grid)[0] @ u.values)
 
 
+def _dirichlet_forms(grid: Grid, xs, pairs) -> list[float]:
+    """a(xs[i], xs[j]) for each (i, j) in ``pairs``.  An axis's n + 1 edges
+    include the boundary slabs, the last unsigned: it meets only last slabs."""
+    totals = [0.0] * len(pairs)
+    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
+        shape = (math.prod(grid.n[:axis]), n, math.prod(grid.n[axis + 1:]))
+        edges = []
+        for x in xs:
+            x3, e = x.reshape(shape), np.empty((shape[0], n + 1, shape[2]))
+            e[:, 0], e[:, -1] = x3[:, 0], x3[:, -1]
+            np.subtract(x3[:, 1:], x3[:, :-1], out=e[:, 1:-1])
+            edges.append(e.ravel())
+        totals = [t + float(np.dot(edges[i], edges[j])) / h**2 for t, (i, j) in zip(totals, pairs)]
+        del edges  # one axis's edges alive at a time, not two while the next are taken
+    return [grid.cell_volume * total for total in totals]
+
+
+def dirichlet_moments(grid: Grid, u: np.ndarray, g: np.ndarray) -> tuple[float, float, float]:
+    """a(u, u), a(g, u) and a(g, g), each edge_difference_sum's bit for bit."""
+    return tuple(_dirichlet_forms(grid, (u, g), ((0, 0), (1, 0), (1, 1))))
+
+
 def edge_difference_sum(u: GridFunction, v: GridFunction) -> float:
     """Discrete Dirichlet form summed over edges, boundary edges included.
 
     Bitwise symmetric in (u, v): every term is a product of one u-difference
     and one v-difference, summed in a fixed order.  Algebraically equal to
-    the L2 pairing of -Laplacian(u) with v (summation by parts).  Per axis,
-    the interior edges are slice differences and the two boundary edges the
-    end slabs themselves (their neighbour is the zero boundary value); the
-    form of u with itself takes one difference per axis.
+    the L2 pairing of -Laplacian(u) with v (summation by parts).
     """
-    grid = _check_same_grid(u, v)
-    uu = u.reshaped()
-    vv = v.reshaped()
-    total = 0.0
-    for axis in range(grid.dim):
-        head = (slice(None),) * axis
-        upper, lower = head + (slice(1, None),), head + (slice(None, -1),)
-        first, last = head + (0,), head + (-1,)
-        du = uu[upper] - uu[lower]
-        dv = du if v is u else vv[upper] - vv[lower]
-        edges = (uu[first] * vv[first]).sum() + (du * dv).sum() + (uu[last] * vv[last]).sum()
-        total += float(edges) / grid.h[axis] ** 2
-    return grid.cell_volume * total
+    xs = (u.values,) if v is u else (u.values, v.values)
+    return _dirichlet_forms(_check_same_grid(u, v), xs, ((0, len(xs) - 1),))[0]
 
 
 def inner(metric: Metric, problem, u: GridFunction, v: GridFunction) -> float:
@@ -294,14 +306,11 @@ def inner(metric: Metric, problem, u: GridFunction, v: GridFunction) -> float:
         return w * float(np.dot(u.values, v.values))
     if metric.kind is MetricKind.H1:
         return edge_difference_sum(u, v)
+    weight = problem.V.values
+    if metric.kind is MetricKind.AU:
+        _check_same_grid(u, metric.base)
+        weight = weight + problem.beta * metric.base.values**2
     # the pointwise product u*v comes first so the form is bitwise symmetric
-    if metric.kind is MetricKind.A0:
-        return edge_difference_sum(u, v) + w * float(
-            np.sum(problem.V.values * (u.values * v.values))
-        )
-    base = metric.base
-    _check_same_grid(u, base)
-    weight = problem.V.values + problem.beta * base.values**2
     return edge_difference_sum(u, v) + w * float(np.sum(weight * (u.values * v.values)))
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gpflow import greens
 from gpflow.energy import (
+    _step_moments,
     energy,
     energy_decrease,
     metric_for,
@@ -23,6 +24,7 @@ from gpflow.grid import (
     build_grid,
     inner,
     inner_l2,
+    norm,
     norm_l2,
 )
 from gpflow.problem import Problem, harmonic_potential, zero_potential
@@ -187,6 +189,21 @@ def test_scheme_state_warm_start_matches_cold():
         assert warm.gamma == pytest.approx(cold.gamma, rel=1e-12)
         assert warm.residual == pytest.approx(cold.residual, rel=1e-9)
         np.testing.assert_allclose(warm.green_u.values, cold.green_u.values, rtol=1e-11)
+
+
+def test_scheme_state_residual_and_moments():
+    # the residual is read from the moments the state carries; it is the
+    # metric norm of the Riemannian gradient, and the moments are those of
+    # (u, riemannian_gradient)
+    rng = np.random.default_rng(7)
+    grid = build_grid(2, [15, 9], [(0.0, 1.0), (0.0, 0.75)])
+    prob = Problem(grid, harmonic_potential(grid, 20.0), 50.0)
+    u = retract(GridFunction(grid, rng.uniform(0.5, 1.0, grid.dof)))
+    for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
+        state = scheme_state(kind, prob, u)
+        g = state.riemannian_gradient
+        assert state.residual == pytest.approx(norm(metric_for(kind, u), prob, g), rel=1e-13)
+        assert state.moments == _step_moments(prob, u.values, g.values)
 
 
 @PROPERTY_SETTINGS

@@ -334,7 +334,7 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
     last = report.final_record
     assert last.alpha == trials[-1]
     assert last.trials == len(trials)
-    prob, u, g = searches[-1]
+    prob, u, g, _ = searches[-1]
     assert last.decrease == step_decrease(prob, u, g, last.alpha)[0]
 
 

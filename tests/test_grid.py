@@ -18,6 +18,7 @@ from gpflow.grid import (
     MetricKind,
     apply_neg_laplacian,
     build_grid,
+    dirichlet_moments,
     edge_difference_sum,
     inner,
     inner_l2,
@@ -234,3 +235,16 @@ def test_edge_difference_sum_matches_padded_differences(case):
             _padded_difference_form(a, b), rel=0.0, abs=1e-14 * scale
         )
     assert edge_difference_sum(u, v) == edge_difference_sum(v, u)
+
+
+@PROPERTY_SETTINGS
+@given(small_problems())
+def test_dirichlet_moments_are_the_pairwise_forms(case):
+    # one set of differences per function serves all three pairings, with
+    # the pairwise form's arithmetic; 1-node axes have no interior edges
+    prob, rng = case
+    u = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
+    g = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
+    assert dirichlet_moments(prob.grid, u.values, g.values) == (
+        edge_difference_sum(u, u), edge_difference_sum(g, u), edge_difference_sum(g, g)
+    )

@@ -51,6 +51,9 @@ EXTRA = (
      ["run", "--n", "7", "--beta", "10", "--alpha0", "1e10", "--max-iter", "200"]),
     ("run-alpha0-1e20",
      ["run", "--n", "7", "--beta", "10", "--alpha0", "1e20", "--max-iter", "200"]),
+    ("run-3d-a0",
+     ["run", "--dim", "3", "--n", "19", "--beta", "100", "--potential", "harmonic:20",
+      "--scheme", "a0"]),
 )
 
 
