@@ -168,6 +168,8 @@ def parse_config(argv: list[str]) -> CliConfig:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {ns.config}: {exc}")
+        if not isinstance(file_values, dict):
+            raise UsageError(f"config file {ns.config} must hold a JSON object")
         unknown = set(file_values) - set(_DEFAULTS)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -366,13 +368,13 @@ def build_problem(cfg: CliConfig) -> Problem:
 
 
 def run_config(cfg: CliConfig, alpha0: float | None = None, mode: str | None = None) -> RunConfig:
-    policy = StepPolicy(
-        mode=mode or cfg.mode,
-        alpha0=alpha0 if alpha0 is not None else cfg.alpha0,
-        shrink=cfg.shrink,
-        alpha_floor=cfg.alpha_floor,
-    )
     try:
+        policy = StepPolicy(
+            mode=mode or cfg.mode,
+            alpha0=alpha0 if alpha0 is not None else cfg.alpha0,
+            shrink=cfg.shrink,
+            alpha_floor=cfg.alpha_floor,
+        )
         return RunConfig(
             scheme=_SCHEMES[cfg.scheme],
             policy=policy,

@@ -51,9 +51,12 @@ def metric_for(kind: SchemeKind, u: GridFunction | None = None) -> Metric:
     return Metric(kind)
 
 
-def _require_unit(u: GridFunction) -> None:
-    if abs(norm_l2(u) - 1.0) > UNIT_NORM_TOL:
+def _require_unit(u: GridFunction) -> float:
+    """(u, u)_L2, as inner_l2 takes it, once u is checked to be unit."""
+    uu = u.grid.cell_volume * float(np.dot(u.values, u.values))
+    if abs(math.sqrt(uu) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("function is not unit L2-norm within 1e-10")
+    return uu
 
 
 def energy(problem: Problem, u: GridFunction) -> float:
@@ -93,15 +96,16 @@ def energy_decrease(problem: Problem, u: GridFunction, v: GridFunction) -> float
 StepMoments = namedtuple("StepMoments", "l2 dirichlet potential quartic")
 
 
-def _step_moments(problem: Problem, u: np.ndarray, g: np.ndarray) -> StepMoments:
+def _step_moments(problem: Problem, u: np.ndarray, g: np.ndarray, uu: float) -> StepMoments:
     """What one step reads of its iterate u and direction g (value arrays),
-    as float64, w the cell volume: l2 (u, u) (as inner_l2), (g, u), (g, g);
-    dirichlet a(u, u), a(g, u), a(g, g); potential w sum V (u^2, u g, g^2);
-    quartic beta w sum(u^4, u^3 g, u^2 g^2, u g^3, g^4)."""
+    as float64, w the cell volume: l2 (u, u) (``uu``, as inner_l2 and
+    _require_unit take it), (g, u), (g, g); dirichlet a(u, u), a(g, u),
+    a(g, g); potential w sum V (u^2, u g, g^2); quartic
+    beta w sum(u^4, u^3 g, u^2 g^2, u g^3, g^4)."""
     w, V, ug, u2, g2 = problem.grid.cell_volume, problem.V.values, u * g, u * u, g * g
     bw = problem.beta * w
     return StepMoments(
-        (w * np.dot(u, u), w * np.dot(g, u), w * np.dot(g, g)),
+        (np.float64(uu), w * np.dot(g, u), w * np.dot(g, g)),
         dirichlet_moments(problem.grid, u, g),
         (w * np.dot(V, u2), w * np.dot(V, ug), w * np.dot(V, g2)),
         tuple(bw * np.dot(a, b) for a, b in ((u2, u2), (u2, ug), (ug, ug), (ug, g2), (g2, g2))),
@@ -146,7 +150,8 @@ def step_decrease(
     """E(u) - E(retract(u - alpha g)) and the retracted step: the line
     search's model at one alpha, from moments taken as a scheme state takes
     them, accurate at the alpha*residual^2 scale and at any float alpha."""
-    decrease_at = _step_decreases(problem, u, g, _step_moments(problem, u.values, g.values))
+    moments = _step_moments(problem, u.values, g.values, inner_l2(u, u))
+    decrease_at = _step_decreases(problem, u, g, moments)
     decrease, u_next = decrease_at(alpha)
     return decrease, GridFunction(problem.grid, u_next)
 
@@ -214,8 +219,9 @@ class SchemeState:
     ``green_u`` is G u and ``green_term`` the unscaled Green solve inside the
     gradient (G_H1(V u + beta u^3) for H1, G_a0(u^3) for a0, None when the
     gradient has none); the next step's solves start from them.  ``rtol`` is
-    the relative residual the a0 and a_u solves behind the state stopped at,
-    and ``cg_iterations`` the CG iterations it took, every solve counted.
+    the relative residual the CG solves behind the state stopped at
+    (greens.CG_RTOL when the operator is exact), and ``cg_iterations`` the
+    CG iterations it took, every solve counted.
     ``moments``, of u and riemannian_gradient, give residual and line search.
     """
 
@@ -234,11 +240,13 @@ def _solve_state(
     kind: SchemeKind,
     problem: Problem,
     u: GridFunction,
+    uu: float,
     op: LinearOperator,
     start: SchemeState | None,
     rtol: float,
 ) -> SchemeState:
-    """The state at u with every solve at ``rtol``, started from ``start``'s."""
+    """The state at u, whose (u, u)_L2 is ``uu``, with every solve at
+    ``rtol``, started from ``start``'s."""
     start_u = start_term = None
     if start is not None:
         start_u, start_term = start.green_u.values, start.green_term
@@ -252,7 +260,7 @@ def _solve_state(
     numer = 1.0 if gv is None else 1.0 + w * float(np.dot(gv, uv))
     gamma = numer / denom
     g = grad - gamma * gu
-    moments = _step_moments(problem, uv, g)
+    moments = _step_moments(problem, uv, g, uu)
     d_term = 0.0 if kind is MetricKind.H1 else w * np.dot(op.diagonal_term, g * g)
     residual = math.sqrt(moments.dirichlet[2] + d_term)  # ||g||_X^2 = a(g, g) + w sum D g^2
     return SchemeState(GridFunction(problem.grid, g), grad, gamma, residual,
@@ -278,26 +286,27 @@ def scheme_state(
 
     Every solve stops at relative residual greens.CG_RTOL, with one
     exception.  When ``tol`` (the flow's residual tolerance) and ``prev``
-    are both given and the scheme is not H1 (whose solve is exact), the
-    solves stop at the forcing term clamp(CG_FORCING * prev.residual,
-    CG_RTOL, CG_RTOL_MAX): an inexact G u still gives a direction exactly
+    are both given and the operator is not ``exact`` (H1, or any metric on
+    a one-axis grid, whose solves are exact), the solves stop at the
+    forcing term clamp(CG_FORCING * prev.residual, CG_RTOL, CG_RTOL_MAX):
+    an inexact G u still gives a direction exactly
     tangent to the sphere (gamma = numer / denom), and the residual is the
     norm of that direction.  Such a state is certified before it can end a
     run: if its residual is at most ``tol``, the solves are rerun at
     CG_RTOL, started from the loose solutions, and the tight state is
     returned, its ``cg_iterations`` counting both passes.
     """
-    _require_unit(u)
+    uu = _require_unit(u)
     if op is None:
         op = LinearOperator(metric_for(kind, u), problem)
-    if tol is None or prev is None or kind is MetricKind.H1:
-        return _solve_state(kind, problem, u, op, prev, greens.CG_RTOL)
+    if tol is None or prev is None or op.exact:
+        return _solve_state(kind, problem, u, uu, op, prev, greens.CG_RTOL)
     forcing = greens.CG_FORCING * prev.residual
     rtol = min(max(forcing, greens.CG_RTOL), greens.CG_RTOL_MAX)
-    state = _solve_state(kind, problem, u, op, prev, rtol)
+    state = _solve_state(kind, problem, u, uu, op, prev, rtol)
     if state.residual > tol or rtol == greens.CG_RTOL:
         return state
-    tight = _solve_state(kind, problem, u, op, state, greens.CG_RTOL)
+    tight = _solve_state(kind, problem, u, uu, op, state, greens.CG_RTOL)
     return replace(tight, cg_iterations=state.cg_iterations + tight.cg_iterations)
 
 

@@ -8,15 +8,18 @@ adjoint identity (z, g)_X = (z, w)_L2 for every z.
 This module holds only the operators and their solve; the -Laplacian
 matrix and its eigenvalues are the grid's (``grid.sine_basis``), and so is
 the transform (``grid.sine_transform``: dense per-axis products on grids of
-at most 128 nodes per axis, ``scipy.fft.dstn`` above).  Every solve goes
-through the discrete sine transform (DST-I), which diagonalizes the
-Dirichlet -Laplacian exactly: the H1 solve is one transform pair divided by
-the Laplacian's eigenvalues, and the a0 and a_u solves run conjugate
-gradients preconditioned by the same transform, shifted by the mean of the
-operator's diagonal term (the kinetic preconditioner of Antoine, Levitt and
-Tang, J. Comput. Phys. 343, 2017).  ``laplacian_inverse`` gives the same
-transform pair at any shift, for the eigensolve's preconditioner.  ``apply``,
-CG and ``matrix`` share the one matrix.
+at most 128 nodes per axis, ``scipy.fft.dstn`` above).  On a one-axis grid
+A_X is a symmetric positive definite tridiagonal matrix, factored once as
+L D L^T (LAPACK ``dpttrf``), and every solve is one ``dpttrs``.  On two or
+three axes the solves go through the discrete sine transform (DST-I), which
+diagonalizes the Dirichlet -Laplacian exactly: the H1 solve is one
+transform pair divided by the Laplacian's eigenvalues, and the a0 and a_u
+solves run conjugate gradients preconditioned by the same transform,
+shifted by the mean of the operator's diagonal term (the kinetic
+preconditioner of Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).
+``laplacian_inverse`` inverts -Laplacian + shift the same way, for the
+eigensolve's preconditioner.  ``apply``, CG and ``matrix`` share the one
+matrix.
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ from collections.abc import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .grid import GridFunction, GridMismatchError, Metric, MetricKind, sine_basis, sine_transform
+from .grid import (
+    Grid, GridFunction, GridMismatchError, Metric, MetricKind, sine_basis, sine_transform,
+)
 from .problem import Problem
 
 # CG stops once its residual ||b - A x||_2 is at most rtol ||b||_2; rtol is
@@ -39,18 +45,38 @@ CG_RTOL_MAX = 1e-3
 
 
 class GreenSolveError(RuntimeError):
-    """Preconditioned CG did not reach its tolerance within its iteration cap."""
+    """Preconditioned CG did not reach its tolerance within its iteration
+    cap, or a tridiagonal operator was not positive definite."""
+
+
+def _tridiagonal_solver(grid: Grid, diagonal_term) -> Callable[[np.ndarray], np.ndarray]:
+    """The exact map r -> (-Laplacian + diagonal_term)^-1 r on a one-axis
+    grid, from one L D L^T factorization; ``diagonal_term`` is a scalar or
+    one value per node, ``r`` one vector (dof,) or a block (dof, k).
+
+    The matrix's entries are those of ``grid.laplacian_matrix``.  LAPACK's
+    wrapper asks for an off-diagonal of at least one entry, which a
+    one-node grid does not read.  Raises GreenSolveError when the matrix is
+    not positive definite.
+    """
+    (n,), (h,) = grid.n, grid.h
+    main = np.full(n, 2.0 / h**2) + diagonal_term
+    d, e, info = dpttrf(main, np.full(max(n - 1, 1), -1.0 / h**2))
+    if info != 0:
+        raise GreenSolveError(f"tridiagonal operator not positive definite (dpttrf info {info})")
+    return lambda r: dpttrs(d, e, r)[0]
 
 
 class LinearOperator:
     """The SPD operator A_X of a metric: the grid's -Laplacian matrix plus a
-    diagonal term, with DST-based solves.
+    diagonal term.
 
-    ``solve`` is the one Green's solve of the package: exact for H1 (one
-    orthonormal DST-I pair), preconditioned conjugate gradients for a0 and
-    a_u with the DST inverse of -Laplacian + mean(diagonal term) as
-    preconditioner, optionally warm-started.  Nothing is factorized, so a new
-    operator per a_u step costs no more than a kept one.
+    ``solve`` is the one Green's solve of the package.  It is exact
+    (``exact`` is true) on a one-axis grid, by tridiagonal factors taken at
+    the first solve, and for H1 on any grid; otherwise it runs
+    preconditioned conjugate gradients, optionally warm-started.  A new
+    operator per a_u step costs one factorization on one axis, about as much
+    as a solve, and nothing on more axes.
     """
 
     def __init__(self, metric: Metric, problem: Problem):
@@ -70,6 +96,8 @@ class LinearOperator:
             self.diagonal_term = problem.V.values + problem.beta * metric.base.values**2
         self._laplacian, self._laplacian_eig = sine_basis(self.grid)
         self._precond_eig = self._laplacian_eig + float(np.mean(self.diagonal_term))
+        self.exact = metric.kind is MetricKind.H1 or self.grid.dim == 1
+        self._exact_solve = None  # built at the first solve of an exact operator
         self.iterations = 0  # CG iterations of the last solve
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -84,11 +112,14 @@ class LinearOperator:
         return self._sine_divide(r, self._precond_eig)
 
     def laplacian_inverse(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The map r -> (-Laplacian + shift)^-1 r, exact by one DST-I pair.
+        """The map r -> (-Laplacian + shift)^-1 r, exact: one tridiagonal
+        factorization on a one-axis grid, one DST-I pair per map otherwise.
 
         ``shift`` must exceed -lambda_min(-Laplacian); ``r`` is one vector
         (dof,) or a block (dof, k).
         """
+        if self.grid.dim == 1:
+            return _tridiagonal_solver(self.grid, shift)
         eig = self._laplacian_eig + shift
         return lambda r: self._sine_divide(r, eig)
 
@@ -103,9 +134,11 @@ class LinearOperator:
     ) -> np.ndarray:
         """Solve A_X x = rhs to relative residual rtol, from x0 if given.
 
-        ``rtol`` None means the module's CG_RTOL, read at call time.  H1 has a
-        zero diagonal term, so the preconditioner is its exact inverse: no CG
-        iteration runs, and x0 and rtol are ignored.  Otherwise CG starts at
+        ``rtol`` None means the module's CG_RTOL, read at call time.  An
+        ``exact`` operator runs no CG iteration and ignores x0 and rtol: on a
+        one-axis grid it solves with its tridiagonal factors, and H1 on more
+        axes, whose diagonal term is zero, with its preconditioner, which is
+        then its exact inverse.  Otherwise CG starts at
         x0 (zero when None) from the explicitly computed residual rhs - A x0,
         and stops once the residual norm is at most rtol times that of rhs,
         whatever the start; a start that already meets the test is returned
@@ -114,11 +147,12 @@ class LinearOperator:
         updated residual the test reads drifts from the true one by about
         eps * ||A x0||, so a start much larger than the solution raises the
         true residual's floor.)  The number of CG iterations run is left in
-        ``self.iterations``: 0 for H1, a zero rhs or a start that meets the
-        test.
+        ``self.iterations``: 0 for an exact operator, a zero rhs or a start
+        that meets the test.
 
         Raises GreenSolveError, naming the rtol it missed, on breakdown or
-        after 2 * grid.dof iterations.
+        after 2 * grid.dof iterations, and when tridiagonal factors cannot
+        be taken.
         In exact arithmetic CG terminates within grid.dof iterations; in
         floating point it loses that finite termination, and on grids of a
         few dozen unknowns, where termination rather than the preconditioned
@@ -129,8 +163,13 @@ class LinearOperator:
         b = np.asarray(rhs, dtype=float)
         if not np.any(b):
             return np.zeros_like(b)
-        if self.metric.kind is MetricKind.H1:
-            return self._precondition(b)
+        if self.exact:
+            if self._exact_solve is None:
+                self._exact_solve = (
+                    _tridiagonal_solver(self.grid, self.diagonal_term)
+                    if self.grid.dim == 1 else self._precondition
+                )
+            return self._exact_solve(b)
         if rtol is None:
             rtol = CG_RTOL
         target = rtol * float(np.linalg.norm(b))

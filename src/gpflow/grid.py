@@ -19,7 +19,11 @@ each pair with one dot product; ``edge_difference_sum`` is a(u, v) and
 on grids of at most ``DENSE_SINE_MAX`` nodes per axis, where scipy's
 per-call overhead dominates ``dstn``, and ``scipy.fft.dstn`` on grids with
 a longer axis, where a dense product's O(n) cost per unknown loses to the
-FFT and S_n would take n^2 doubles.
+FFT and S_n would take n^2 doubles.  The Green's solves and the eigen
+preconditioner transform on grids of two or three axes only (a one-axis
+operator is tridiagonal and factored instead), so the cutoff is the 2D
+crossover, measured at about 128 nodes per axis; in 1D it lies between 255
+and 383 nodes.
 """
 
 from __future__ import annotations

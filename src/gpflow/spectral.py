@@ -9,10 +9,12 @@ Both eigenpairs come from one path at every grid size: LOBPCG (Knyazev, SIAM
 J. Sci. Comput. 23, 2001; ``scipy.sparse.linalg.lobpcg``) on the operator's
 matrix, preconditioned by the combined potential and kinetic preconditioner
 of Antoine, Levitt and Tang (J. Comput. Phys. 343, 2017): a diagonal scaling
-around a DST-I inverse of -Laplacian + shift, with its shifts read off the
-start vector's Rayleigh quotient (``_eigen_preconditioner``).  No inner solve
-runs.  At a converged ground state u* the start block already holds the
-ground eigenvector to the flow's tolerance.  LOBPCG is asked for a tenth of
+around the exact inverse of -Laplacian + shift (``laplacian_inverse``: a
+tridiagonal factorization on one axis, a DST-I pair on more), with its
+shifts read off the start vector's Rayleigh quotient
+(``_eigen_preconditioner``).  No inner solve runs.  At a converged ground
+state u* the start block already holds the ground eigenvector to the flow's
+tolerance.  LOBPCG is asked for a tenth of
 the residual tolerance that every returned pair is then checked against:
 it stops on residuals it updates implicitly, which on steep potentials
 leave the recomputed ones just under the bound it was given, and the

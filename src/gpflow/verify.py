@@ -527,9 +527,10 @@ def check_local_exponential(ctx: CheckContext, name: str) -> CheckResult:
     cfg = replace(ctx.report.config, tol=1e-14, max_iter=60)
     rep = run(problem, cfg, reference=ustar, u0=u0)
     deltas = [r.delta for r in rep.records if r.delta is not None and r.delta > 1e-7]
-    if len(deltas) < 5:
+    threshold = 0.1 * scale
+    if sum(d < threshold for d in deltas) < 5:  # fit_rate's minimum
         return _skip(name, "local trace too short above the accuracy floor")
-    fit = fit_rate(deltas, threshold=0.1 * scale)
+    fit = fit_rate(deltas, threshold=threshold)
     detail = f"fitted contraction rho = {fit.rho:.4f} (r^2 = {fit.r_squared:.4f})"
     return _result(name, 1.0 - fit.rho, len(deltas), detail)
 

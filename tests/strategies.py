@@ -9,11 +9,12 @@ from gpflow.problem import Problem
 
 
 @st.composite
-def small_problems(draw):
-    """A random 1D-3D grid with <= 7 nodes per axis, V >= 0, beta >= 0, and a
-    seeded generator for the grid functions drawn on it."""
-    dim = draw(st.integers(1, 3))
-    n = draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim))
+def small_problems(draw, max_dim=3, max_n=7):
+    """A random grid of 1 to ``max_dim`` axes with <= ``max_n`` nodes per
+    axis, V >= 0, beta >= 0, and a seeded generator for the grid functions
+    drawn on it."""
+    dim = draw(st.integers(1, max_dim))
+    n = draw(st.lists(st.integers(1, max_n), min_size=dim, max_size=dim))
     lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
     grid = build_grid(dim, n, [(0.0, length) for length in lengths])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpflow import cli
 from gpflow.cli import (
@@ -260,8 +264,22 @@ def test_config_string_keys_are_type_checked(tmp_path):
 
 
 def test_import_leaves_scipy_fft_unloaded():
-    # scipy.fft pulls in scipy.special; the first Green's solve imports it
-    code = "import sys, gpflow.cli; sys.exit('scipy.fft' in sys.modules)"
+    # scipy.fft pulls in scipy.special (~0.1 s); only the sine transform on a
+    # grid with an axis over 128 nodes imports it, and a one-axis grid never
+    # transforms: its solves and its eigen preconditioner are tridiagonal
+    code = """if True:
+        import sys, gpflow.cli
+        assert 'scipy.fft' not in sys.modules
+        from gpflow import (MetricKind, Problem, RunConfig, build_grid, harmonic_potential,
+                            linearized_operator, lowest_two_eigen, run)
+        grid = build_grid(1, [255], [(0.0, 1.0)])
+        prob = Problem(grid, harmonic_potential(grid, 20.0), 100.0)
+        for scheme in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
+            report = run(prob, RunConfig(scheme=scheme))
+            assert report.status == 'converged'
+        lowest_two_eigen(linearized_operator(prob, report.final))
+        sys.exit('scipy.fft' in sys.modules)
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # find gpflow as we do
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
@@ -309,7 +327,8 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--config", "{cfg_seed}"], 1, False),
         (["verify", "--n", "7", "--config", "{cfg_trials}"], 1, False),
         # CG stops short of its tolerance (a zero tolerance is unreachable)
-        (["run", "--n", "7", "--scheme", "a0", "--potential", "harmonic:20"], 2, "cg"),
+        (["run", "--dim", "2", "--n", "7", "--scheme", "a0", "--potential", "harmonic:20"],
+         2, "cg"),
         # config-file values of the wrong type for boolean and string keys
         (["verify", "--n", "7", "--config", "{cfg_cross}"], 1, False),
         (["run", "--n", "7", "--config", "{cfg_init_path}"], 1, False),
@@ -333,6 +352,10 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--n", "7", "--beta", "1e308"], 2, False),
         # one alpha of a sweep breaks down
         (["sweep", "--n", "7", "--beta", "10", "--alphas", "0.1,1e200"], 2, False),
+        # a stepsize policy out of range, and a config file that is no object
+        (["run", "--n", "7", "--alpha-floor", "-1"], 1, False),
+        (["run", "--n", "7", "--shrink", "2"], 1, False),
+        (["run", "--n", "7", "--config", "{cfg_null}"], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):
@@ -349,6 +372,7 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
         "cfg_init_path": json.dumps({"init": "file", "init_path": 3}),
         "cfg_output": json.dumps({"output": 3}),  # "-o out" is appended below
         "cfg_alphas": json.dumps({"alphas": 0.1}),
+        "cfg_null": "null",
     }
     files = {key: tmp_path / key for key in contents}
     for key, text in contents.items():
@@ -362,3 +386,137 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# --- a fuzz test of the error contract ----------------------------------------
+
+FUZZ_FILES = {
+    "barrier": "0\n1e16\n0\n",
+    "short": "1\n2\n",
+    "text": "abc\nxyz\n",
+}
+
+
+def _either(valid, invalid):
+    """A flag's (accepted values, rejected values) as two strategies; an
+    accepted value may still fail a run, e.g. by overflowing it."""
+    return st.sampled_from(valid), st.sampled_from(invalid)
+
+
+OPTIONS = {
+    "--dim": _either(["1", "2", "3"], ["0", "4", "x"]),
+    "--bounds": _either(["0,1", "0.5,3", "0,1e-3"], ["1,0", "0,inf", "0,1e-300", "0,1e300", "x"]),
+    "--potential": _either(
+        ["zero", "harmonic:20", "harmonic:1e150", "well:1000:0.25:0.75", "well:1e300:0.25:0.75"],
+        ["harmonic:1e200", "harmonic:-1", "harmonic:nan", "well:-1:0.25:0.75", "well:1:0.75:0.25",
+         "bogus", "harmonic:", "file:{missing}", "file:{barrier}"],
+    ),
+    "--beta": _either(["0", "10", "100", "1e4", "1e200", "1e300", "1e308"],
+                      ["nan", "inf", "-1", "x", ""]),
+    "--scheme": _either(["h1", "a0", "au", "AU"], ["l2", "x"]),
+    "--tol": _either(["1e-9", "1e-3", "1", "1e-300"], ["0", "-1", "nan", "-inf", "x"]),
+    "--seed": _either(["0", "1", "3"], ["-1", "x"]),
+    "--init": _either(["default_bump", "random"], ["file", "x"]),
+    "--init-path": _either(["{short}"], ["{text}", "{missing}"]),
+    "--mode": _either(["backtracking", "fixed"], ["x"]),
+    "--alpha0": _either(["0.5", "0.1", "4", "1e10", "1e200"], ["0", "-1", "nan", "inf"]),
+    "--shrink": _either(["0.5", "0.9", "0.1"], ["0", "1", "2", "nan"]),
+    "--alpha-floor": _either(["1e-8", "1e-3", "0.25"], ["-1", "nan", "inf"]),
+    "--format": _either(["json", "csv"], ["xml"]),
+    "--alphas": _either(["0.1,0.2", "0.5", "0.1,1e200"], ["nan", "", "0.1,x"]),
+}
+CONFIGS = (
+    st.fixed_dictionaries({}, optional={
+        "beta": st.sampled_from([0.0, 10.0, 1e300]),
+        "potential": st.sampled_from(["zero", "harmonic:20"]),
+        "scheme": st.sampled_from(["h1", "a0", "au"]),
+        "mode": st.sampled_from(["backtracking", "fixed"]),
+        "tol": st.sampled_from([1e-9, 1e-4]),
+        "cross_scheme": st.booleans(),
+        "seed": st.integers(0, 3),
+    }).map(json.dumps),
+    st.one_of(
+        st.dictionaries(
+            st.sampled_from(sorted(cli._DEFAULTS) + ["bogus"]),
+            st.one_of(st.none(), st.booleans(), st.integers(-2, 15), st.floats(),
+                      st.text(max_size=4), st.lists(st.integers(-1, 3), max_size=2)),
+            min_size=1, max_size=4,
+        ).map(json.dumps),
+        st.sampled_from(["{", "", "null", "3", "[1, 2]", '["dim"]', '"dim"']),
+    ),
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, config file text): a command on a grid of at most 15 nodes per
+    axis, at most 50 iterations per run and 2 trials per check, with up to
+    six further flags, of which at most one takes a rejected value (or
+    names a config file whose text may be rejected)."""
+    command = draw(st.sampled_from(["run", "verify", "spectrum", "sweep"]))
+    flags = draw(st.lists(st.sampled_from(sorted(set(OPTIONS) - {"--alphas"}) + ["--config"]),
+                          unique=True, max_size=6))
+    if command == "sweep":
+        flags.append("--alphas")
+    broken = draw(st.one_of(st.none(), st.sampled_from(["--n", "--max-iter"] + flags)))
+    argv = [command, "--n", draw(
+        st.sampled_from(["0", "2", "x", "", "7.5", "7,7,7,7"]) if broken == "--n"
+        else st.integers(3, 15).map(str)
+    )]
+    argv += ["--max-iter", draw(
+        st.sampled_from(["0", "-1", "x"]) if broken == "--max-iter"
+        else st.integers(1, 50).map(str)
+    )]
+    if command == "verify":
+        argv += ["--trials", str(draw(st.integers(0, 2)))]
+        if draw(st.booleans()):
+            argv.append("--cross-scheme")
+    config = "{}"
+    for flag in flags:
+        if flag == "--config":
+            argv += [flag, "{config}"]
+            config = draw(CONFIGS[flag == broken])
+        else:
+            argv += [flag, draw(OPTIONS[flag][flag == broken])]
+    return argv, config
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for key, text in FUZZ_FILES.items():
+        (root / key).write_text(text)
+    return root
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(call=cli_calls())
+# one-axis a0 and a_u runs whose operator's diagonal reaches 1e300: an
+# overflow breaks the run down (exit 2), or the run ends at max_iter (exit 2)
+@example(call=(["run", "--n", "7", "--max-iter", "50", "--scheme", "au", "--beta", "1e300"], "{}"))
+@example(call=(["run", "--n", "7", "--max-iter", "50", "--scheme", "a0", "--beta", "1e300"], "{}"))
+@example(call=(["run", "--n", "7", "--max-iter", "50", "--scheme", "a0", "--potential",
+                "well:1e300:0.25:0.75"], "{}"))
+@example(call=(["run", "--n", "7", "--max-iter", "50", "--scheme", "au", "--potential",
+                "well:1e300:0.25:0.75", "--beta", "1e300"], "{}"))
+# a local run that never comes within the rate fit's threshold of u*
+@example(call=(["verify", "--n", "3", "--max-iter", "1", "--trials", "0", "--alpha0", "4",
+                "--mode", "fixed"], "{}"))
+def test_every_invocation_exits_by_the_error_contract(fuzz_dir, call):
+    # exit codes 0, 1 (usage), 2 (no convergence) or 3 (a check failed);
+    # never a traceback, at most one error line, and exactly one for a usage
+    # error
+    argv, config = call
+    (fuzz_dir / "config").write_text(config)
+    files = {key: fuzz_dir / key for key in (*FUZZ_FILES, "config", "missing")}
+    argv = [a.format(**files) for a in argv] + ["-o", str(fuzz_dir / "out")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, argv
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) <= 1, (argv, err)
+    if code == 1:
+        assert len(errors) == 1, (argv, err)

@@ -203,7 +203,9 @@ def test_scheme_state_residual_and_moments():
         state = scheme_state(kind, prob, u)
         g = state.riemannian_gradient
         assert state.residual == pytest.approx(norm(metric_for(kind, u), prob, g), rel=1e-13)
-        assert state.moments == _step_moments(prob, u.values, g.values)
+        assert state.moments == _step_moments(prob, u.values, g.values, inner_l2(u, u))
+        # (u, u) is the one the unit check took, bit for bit as the moment was
+        assert state.moments.l2[0] == grid.cell_volume * np.dot(u.values, u.values)
 
 
 @PROPERTY_SETTINGS

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gpflow import greens
@@ -18,7 +18,7 @@ from gpflow.grid import (
     inner_l2,
     laplacian_matrix,
 )
-from gpflow.problem import Problem, harmonic_potential, well_potential
+from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from strategies import PROPERTY_SETTINGS, small_problems
 
 
@@ -87,15 +87,18 @@ def test_solve_residual_well_potential(dim, n):
 
 
 def test_cg_stopping_short_raises(monkeypatch):
-    # a zero tolerance is unreachable: at n = 31 CG runs into its iteration
-    # cap; at n = 63 its residual first shrinks to ~1e-160, where r.z and
-    # p.Ap underflow to zero (breakdown)
+    # a zero tolerance is unreachable: on 5^2 nodes CG runs into its
+    # iteration cap; on 31^2 its residual first shrinks to ~1e-160, where
+    # r.z and p.Ap underflow to zero (breakdown).  CG runs on two or more
+    # axes only: the one-axis solves are exact.
     monkeypatch.setattr(greens, "CG_RTOL", 0.0)
-    for n in (31, 63):
-        prob = make_problem(n=n)
+    for n in (5, 31):
+        prob = make_problem(n=n, dim=2)
         rhs = np.random.default_rng(4).standard_normal(prob.grid.dof)
+        op = LinearOperator(A0, prob)
         with pytest.raises(GreenSolveError):
-            LinearOperator(A0, prob).solve(rhs)
+            op.solve(rhs)
+        assert op.iterations > 0
     # the H1 solve is one exact transform pair and runs no CG
     LinearOperator(H1, prob).solve(rhs)
 
@@ -245,7 +248,7 @@ def test_solve_meets_the_rtol_it_is_given(case, log_rtol):
 
 
 def test_solve_stops_at_the_rtol_it_is_given():
-    prob = make_problem(n=31)
+    prob = make_problem(n=31, dim=2)
     rhs = np.random.default_rng(4).standard_normal(prob.grid.dof)
     op = LinearOperator(A0, prob)
     op.solve(rhs)
@@ -256,3 +259,40 @@ def test_solve_stops_at_the_rtol_it_is_given():
     # the error names the tolerance the solve missed, not CG_RTOL
     with pytest.raises(GreenSolveError, match=r"relative residual 0 "):
         op.solve(rhs, rtol=0.0)
+
+
+def _one_node_case():
+    grid = build_grid(1, [1], [(0.0, 1.0)])
+    return Problem(grid, zero_potential(grid), 10.0), np.random.default_rng(0)
+
+
+@PROPERTY_SETTINGS
+@given(small_problems(max_dim=1, max_n=31), st.floats(0.0, 1e4))
+@example(_one_node_case(), 0.0)
+def test_one_axis_solves_are_exact(case, shift):
+    # on one axis every metric solves with one tridiagonal factorization:
+    # no CG iteration, the start and the tolerance ignored, the dense solve
+    # to roundoff; so does laplacian_inverse, for any shift >= 0
+    prob, rng = case
+    dof = prob.grid.dof
+    base = GridFunction(prob.grid, rng.uniform(-2.0, 2.0, dof))
+
+    def assert_solves(x, matrix, rhs):
+        expected = np.linalg.solve(matrix, rhs)
+        error = np.linalg.norm(x - expected, axis=0)
+        assert np.all(error <= 1e-12 * np.linalg.norm(expected, axis=0)), error
+
+    for metric in (H1, A0, Metric(MetricKind.AU, base=base)):
+        op = LinearOperator(metric, prob)
+        assert op.exact
+        for rhs in (rng.standard_normal(dof), rng.standard_normal((dof, 3))):
+            x = op.solve(rhs)
+            assert op.iterations == 0
+            for x0, rtol in ((rng.standard_normal(rhs.shape), None), (None, 1e-3), (x, 0.0)):
+                np.testing.assert_array_equal(op.solve(rhs, x0=x0, rtol=rtol), x)
+                assert op.iterations == 0
+            assert_solves(x, op.matrix().toarray(), rhs)
+    inverse = LinearOperator(H1, prob).laplacian_inverse(shift)
+    shifted = laplacian_matrix(prob.grid).toarray() + shift * np.eye(dof)
+    for r in (rng.standard_normal(dof), rng.standard_normal((dof, 3))):
+        assert_solves(inverse(r), shifted, r)

@@ -54,6 +54,11 @@ EXTRA = (
     ("run-3d-a0",
      ["run", "--dim", "3", "--n", "19", "--beta", "100", "--potential", "harmonic:20",
       "--scheme", "a0"]),
+    ("run-1d-a0",
+     ["run", "--n", "255", "--beta", "100", "--potential", "harmonic:20", "--scheme", "a0"]),
+    ("run-1d-au",
+     ["run", "--n", "255", "--beta", "100", "--potential", "well:1000:0.25:0.75",
+      "--scheme", "au"]),
 )
 
 
