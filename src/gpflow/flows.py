@@ -99,7 +99,7 @@ class ConvergenceReport:
 
     records: list[IterationRecord]
     final: GridFunction
-    status: str  # "converged", "max_iter" or "stepsize_floor"
+    status: str  # "converged", "max_iter", "stepsize_floor" or "stalled"
     config: RunConfig
     rate: object | None = None  # spectral.RateFit
     max_norm_drift: float = 0.0
@@ -192,6 +192,13 @@ def run(
     along it, so "stepsize_floor" also ends only at a tight state.  Each
     record carries its step's line-search trials and CG iterations.
 
+    A step whose retracted iterate equals u bit for bit (at a residual so
+    large that alpha * g is lost in u's rounding, say) is not accepted:
+    its record logs a decrease of 0 and no sufficient decrease, and the run
+    ends there with status "stalled" (after the same tight retry as a
+    floor), instead of claiming the model's decrease at every step to
+    ``max_iter``.
+
     A floating-point overflow or invalid operation in any step raises
     FlowBreakdownError naming the step, instead of the input check that
     the broken iterate would fail next.
@@ -249,8 +256,12 @@ def _iterate(problem, cfg, u, reference, records):
         delta = _h1_distance(u, reference) if reference is not None else None
 
         step, trials = None, 0  # step: _search's result, None when none is taken
+        stalled = False
         while state.residual > cfg.tol and n < cfg.max_iter:
             alpha, u_next, decrease, accepted, tried = _search(problem, u, state, cfg.policy)
+            stalled = np.array_equal(u_next.values, u.values)
+            if stalled:  # a step that does not move decreases nothing
+                decrease, accepted = 0.0, False
             step = alpha, u_next, decrease, accepted
             trials += tried
             if accepted or cfg.policy.mode == "fixed" or state.rtol <= greens.CG_RTOL:
@@ -269,6 +280,9 @@ def _iterate(problem, cfg, u, reference, records):
         )
         if step is None:
             status = "converged" if state.residual <= cfg.tol else "max_iter"
+            break
+        if stalled:
+            status = "stalled"
             break
         if not accepted and cfg.policy.mode == "backtracking":
             status = "stepsize_floor"

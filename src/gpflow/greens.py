@@ -6,32 +6,41 @@ A_X g = w componentwise.  With uniform quadrature weights this is exactly the
 adjoint identity (z, g)_X = (z, w)_L2 for every z.
 
 This module holds only the operators and their solve; the -Laplacian
-matrix and its eigenvalues are the grid's (``grid.sine_basis``), and so is
-the transform (``grid.sine_transform``: dense per-axis products on grids of
-at most 128 nodes per axis, ``scipy.fft.dstn`` above).  On a one-axis grid
-A_X is a symmetric positive definite tridiagonal matrix, factored once as
-L D L^T (LAPACK ``dpttrf``), and every solve is one ``dpttrs``.  On two or
-three axes the solves go through the discrete sine transform (DST-I), which
-diagonalizes the Dirichlet -Laplacian exactly: the H1 solve is one
-transform pair divided by the Laplacian's eigenvalues, and the a0 and a_u
-solves run conjugate gradients preconditioned by the same transform,
-shifted by the mean of the operator's diagonal term (the kinetic
-preconditioner of Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).
-``laplacian_inverse`` inverts -Laplacian + shift the same way, for the
-eigensolve's preconditioner.  ``apply``, CG and ``matrix`` share the one
-matrix.
+matrix and its eigenvalues are the grid's (``grid.sine_basis``), and so are
+the transform and the per-axis product kernel (``grid.sine_transform``,
+``grid.axis_products``).  A solve is exact (no iteration) in three cases.
+On a one-axis grid A_X is a symmetric positive definite tridiagonal matrix,
+factored once as L D L^T (LAPACK ``dpttrf``), and every solve is one
+``dpttrs``.  On two or three axes, a constant diagonal term D (H1, and a0
+with V = 0) leaves A_X diagonal in the discrete sine basis (DST-I): a solve
+is one transform pair divided by the shifted Laplacian eigenvalues.  And
+when D is the potential (a0, and a_u at beta = 0), on grids of at most
+``DENSE_SINE_MAX`` nodes per axis, V splits into an additive part
+V_1(x) + V_2(y) (+ V_3(z)) and a remainder R: the additive part's operator
+A' is a Kronecker sum of tridiagonals, diagonalized by their per-axis
+eigenbases (``_potential_basis``, once per problem), and solving with A'
+leaves A_X a relative residual of at most max|R| / lambda_min(A').  When
+that meets CG_RTOL, as it does to roundoff for the harmonic trap, the
+solve is exact.  Every other solve (a_u at beta > 0, a potential such as a
+well that is not additive, a longer axis) runs conjugate gradients
+preconditioned by the sine transform shifted by the mean of D (the kinetic
+preconditioner of Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).  ``laplacian_inverse`` inverts -Laplacian +
+shift by the sine transform, for the eigensolve's preconditioner.
+``apply``, CG and ``matrix`` share the one matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs, dstev
 
 from .grid import (
-    Grid, GridFunction, GridMismatchError, Metric, MetricKind, sine_basis, sine_transform,
+    DENSE_SINE_MAX, Grid, GridFunction, GridMismatchError, Metric, MetricKind, axis_products,
+    sine_basis, sine_transform,
 )
 from .problem import Problem
 
@@ -67,16 +76,70 @@ def _tridiagonal_solver(grid: Grid, diagonal_term) -> Callable[[np.ndarray], np.
     return lambda r: dpttrs(d, e, r)[0]
 
 
+@functools.lru_cache(maxsize=8)
+def _potential_basis(problem: Problem):
+    """Per-axis eigenbases that solve -Laplacian + V exactly, built at most
+    once per problem: ((forward factors, backward factors), eigenvalues), or
+    None.
+
+    V splits into its mean m, its per-axis marginal means d_i(x_i) (the mean
+    over the other axes, less m) and a remainder R.  The additive part's
+    operator A' is the Kronecker sum of the SPD tridiagonals
+    T_i = -Laplacian_i + d_i, plus m; each T_i = Q_i diag(lambda_i) Q_i^T
+    (LAPACK ``dstev``), so the eigenvectors of A' are the tensor products of
+    the Q_i and its eigenvalues the sums m + lambda_1 + ... + lambda_d (the
+    fast diagonalization of Lynch, Rice and Thomas, Numer. Math. 6, 1964).
+    Solving A' x = b leaves b - (A' + R) x = -R x, of relative size at most
+    max|R| / lambda_min(A'); the bases are returned when that meets CG_RTOL
+    (read at the problem's first call).  The forward factors apply the
+    Q_i^T along each axis (``grid.axis_products``), the backward ones the
+    Q_i.  None on a one-axis grid, which factors its tridiagonal instead, on
+    a grid with an axis over DENSE_SINE_MAX nodes, where dense per-axis
+    products lose to CG's transforms, and when R is too large.
+    """
+    grid = problem.grid
+    if grid.dim == 1 or max(grid.n) > DENSE_SINE_MAX:
+        return None
+    v = problem.V.values.reshape(grid.n)
+    mean = float(np.mean(v))
+    eig, remainder, forward, backward = mean, v - mean, [], []
+    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
+        shape = [1] * grid.dim
+        shape[axis] = n
+        # the mean of a contiguous (n, dof / n) copy: numpy sums each row
+        # pairwise, so the split's rounding barely grows with the grid
+        marginal = np.moveaxis(v, axis, 0).reshape(n, -1).mean(axis=1) - mean
+        remainder = remainder - marginal.reshape(shape)
+        lam, q, info = dstev(2.0 / h**2 + marginal, np.full(max(n - 1, 1), -1.0 / h**2),
+                             compute_v=1)
+        if info != 0:
+            return None
+        q, qt = np.ascontiguousarray(q), np.ascontiguousarray(q.T)
+        for array in (q, qt):
+            array.setflags(write=False)
+        forward.append((qt, q))
+        backward.append((q, qt))
+        eig = eig + lam.reshape(shape)
+    if not np.max(np.abs(remainder)) <= CG_RTOL * np.min(eig):
+        return None
+    eig.setflags(write=False)
+    return (tuple(forward), tuple(backward)), eig
+
+
 class LinearOperator:
     """The SPD operator A_X of a metric: the grid's -Laplacian matrix plus a
-    diagonal term.
+    diagonal term D.
 
     ``solve`` is the one Green's solve of the package.  It is exact
     (``exact`` is true) on a one-axis grid, by tridiagonal factors taken at
-    the first solve, and for H1 on any grid; otherwise it runs
-    preconditioned conjugate gradients, optionally warm-started.  A new
-    operator per a_u step costs one factorization on one axis, about as much
-    as a solve, and nothing on more axes.
+    the first solve; on more axes when D is constant, by the sine transform,
+    and when D is a potential additive across the axes (a0, and a_u at
+    beta = 0) up to a remainder that moves the residual by at most CG_RTOL,
+    by its per-axis eigenbases (``_potential_basis``).  Otherwise
+    (a_u at beta > 0, a potential such as a well, an axis over
+    DENSE_SINE_MAX nodes) it runs conjugate gradients, optionally
+    warm-started.  A new operator per a_u step costs one factorization on
+    one axis, about as much as a solve, and one scan of D on more axes.
     """
 
     def __init__(self, metric: Metric, problem: Problem):
@@ -94,10 +157,18 @@ class LinearOperator:
             self.diagonal_term = problem.V.values.copy()
         else:
             self.diagonal_term = problem.V.values + problem.beta * metric.base.values**2
-        self._laplacian, self._laplacian_eig = sine_basis(self.grid)
-        self._precond_eig = self._laplacian_eig + float(np.mean(self.diagonal_term))
-        self.exact = metric.kind is MetricKind.H1 or self.grid.dim == 1
-        self._exact_solve = None  # built at the first solve of an exact operator
+        self._laplacian, laplacian_eig = sine_basis(self.grid)
+        # the basis _precondition divides in: the sine basis (None) or the
+        # forward and backward factors of per-axis eigenbases
+        self._factors = None
+        self._eig = laplacian_eig + float(np.mean(self.diagonal_term))
+        d = self.diagonal_term
+        self.exact = self.grid.dim == 1 or not np.any(d != d[0])
+        if not self.exact and (metric.kind is MetricKind.A0 or problem.beta == 0.0):
+            basis = _potential_basis(problem)
+            if basis is not None:
+                (self._factors, self._eig), self.exact = basis, True
+        self._exact_solve = None  # built at the first solve of a one-axis operator
         self.iterations = 0  # CG iterations of the last solve
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -107,9 +178,16 @@ class LinearOperator:
         return self._laplacian + sp.diags(self.diagonal_term)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
-        """CG's preconditioner: the exact inverse of -Laplacian + mean(diagonal
-        term), via DST-I, of one vector (dof,) or a block (dof, k)."""
-        return self._sine_divide(r, self._precond_eig)
+        """r divided by the operator's eigenvalues in its basis, for one
+        vector (dof,) or a block (dof, k): the exact inverse of an exact
+        operator on two or three axes, and otherwise CG's preconditioner,
+        the exact inverse of -Laplacian + mean(D)."""
+        if self._factors is None:
+            return self._sine_divide(r, self._eig)
+        forward, backward = self._factors
+        coeffs = axis_products(self.grid, r, forward)
+        return axis_products(self.grid, coeffs / self._eig.reshape((-1,) + (1,) * (r.ndim - 1)),
+                             backward)
 
     def laplacian_inverse(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
         """The map r -> (-Laplacian + shift)^-1 r, exact: one tridiagonal
@@ -120,7 +198,7 @@ class LinearOperator:
         """
         if self.grid.dim == 1:
             return _tridiagonal_solver(self.grid, shift)
-        eig = self._laplacian_eig + shift
+        eig = sine_basis(self.grid)[1] + shift
         return lambda r: self._sine_divide(r, eig)
 
     def _sine_divide(self, r: np.ndarray, eig: np.ndarray) -> np.ndarray:
@@ -136,9 +214,11 @@ class LinearOperator:
 
         ``rtol`` None means the module's CG_RTOL, read at call time.  An
         ``exact`` operator runs no CG iteration and ignores x0 and rtol: on a
-        one-axis grid it solves with its tridiagonal factors, and H1 on more
-        axes, whose diagonal term is zero, with its preconditioner, which is
-        then its exact inverse.  Otherwise CG starts at
+        one-axis grid it solves with its tridiagonal factors, and on more
+        axes (a constant D, or an additive potential) it divides
+        by its eigenvalues in its sine or per-axis eigenbasis, the map CG
+        would precondition with, which is then its exact inverse.  Otherwise
+        CG starts at
         x0 (zero when None) from the explicitly computed residual rhs - A x0,
         and stops once the residual norm is at most rtol times that of rhs,
         whatever the start; a start that already meets the test is returned
@@ -164,11 +244,10 @@ class LinearOperator:
         if not np.any(b):
             return np.zeros_like(b)
         if self.exact:
+            if self.grid.dim > 1:
+                return self._precondition(b)
             if self._exact_solve is None:
-                self._exact_solve = (
-                    _tridiagonal_solver(self.grid, self.diagonal_term)
-                    if self.grid.dim == 1 else self._precondition
-                )
+                self._exact_solve = _tridiagonal_solver(self.grid, self.diagonal_term)
             return self._exact_solve(b)
         if rtol is None:
             rtol = CG_RTOL

@@ -16,8 +16,10 @@ each pair with one dot product; ``edge_difference_sum`` is a(u, v) and
 ``dirichlet_moments`` a step's a(u, u), a(g, u) and a(g, g).
 ``sine_transform`` applies the orthonormal DST-I that diagonalizes the
 -Laplacian: one dense product with the symmetric, involutory S_n per axis
-on grids of at most ``DENSE_SINE_MAX`` nodes per axis, where scipy's
-per-call overhead dominates ``dstn``, and ``scipy.fft.dstn`` on grids with
+(``axis_products``, the one per-axis product kernel, which the Green's
+solves also run with per-axis eigenbases) on grids of at most
+``DENSE_SINE_MAX`` nodes per axis, where scipy's per-call overhead
+dominates ``dstn``, and ``scipy.fft.dstn`` on grids with
 a longer axis, where a dense product's O(n) cost per unknown loses to the
 FFT and S_n would take n^2 doubles.  The Green's solves and the eigen
 preconditioner transform on grids of two or three axes only (a one-axis
@@ -224,34 +226,48 @@ def _sine_matrix(n: int) -> np.ndarray:
     return matrix
 
 
+def axis_products(grid: Grid, x: np.ndarray, factors) -> np.ndarray:
+    """x multiplied by one dense matrix along every axis of the grid.
+
+    ``factors`` holds one pair (M, M^T) per axis, both C-contiguous, so no
+    transposed view reaches a matmul.  ``x`` is one vector (dof,) or a
+    block (dof, k) of k columns, in the grid's lexicographic order; the
+    result has x's shape.  Along each axis x is viewed as (before, n, after),
+    a block's columns counting into ``after``, and multiplied by M: as
+    M @ x (a matmul broadcast over ``before``), or as x @ M^T when the axis
+    is the last one.  This is the one kernel of the sine transform and of
+    the per-axis eigenbases of the Green's solves (``greens``).
+    """
+    batch = x.shape[1:]
+    y = x
+    for axis, (n, (matrix, transposed)) in enumerate(zip(grid.n, factors)):
+        before = math.prod(grid.n[:axis])
+        after = math.prod(grid.n[axis + 1:] + batch)
+        if after == 1:
+            y = y.reshape(before, n) @ transposed
+        else:
+            y = matrix @ y.reshape(before, n, after)
+    return y.reshape(x.shape)
+
+
 def sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
     """The orthonormal DST-I of x along every axis of the grid.
 
-    ``x`` is one vector (dof,) or a block (dof, k) of k columns, in the
-    grid's lexicographic order; the result has x's shape.  The transform is
-    its own inverse.  Along each axis x is viewed as (before, n, after),
-    a block's columns counting into ``after``, and multiplied by S_n: as
-    S_n @ x (a matmul broadcast over ``before``), or as x @ S_n when the axis
-    is the last one.  A grid with an axis over ``DENSE_SINE_MAX`` nodes goes
-    through one ``scipy.fft.dstn`` instead.
+    ``x`` is one vector (dof,) or a block (dof, k) of k columns; the result
+    has x's shape.  The transform is its own inverse.  On grids of at most
+    ``DENSE_SINE_MAX`` nodes per axis it is ``axis_products`` with the
+    symmetric S_n, its own transpose, on every axis; a grid with a longer
+    axis goes through one ``scipy.fft.dstn`` instead.
     """
-    batch = x.shape[1:]
     if max(grid.n) > DENSE_SINE_MAX:
         from scipy.fft import dstn  # deferred: importing scipy.fft costs ~0.1 s
 
         # a vector takes the default all-axes transform: naming the axes
         # costs scipy a few microseconds of argument checks per call
+        batch = x.shape[1:]
         axes = tuple(range(grid.dim)) if batch else None
         return dstn(x.reshape(grid.n + batch), type=1, norm="ortho", axes=axes).reshape(x.shape)
-    y = x
-    for axis, n in enumerate(grid.n):
-        before = math.prod(grid.n[:axis])
-        after = math.prod(grid.n[axis + 1:] + batch)
-        if after == 1:
-            y = y.reshape(before, n) @ _sine_matrix(n)
-        else:
-            y = _sine_matrix(n) @ y.reshape(before, n, after)
-    return y.reshape(x.shape)
+    return axis_products(grid, x, [(_sine_matrix(n),) * 2 for n in grid.n])
 
 
 def apply_neg_laplacian(grid: Grid, u: GridFunction) -> GridFunction:

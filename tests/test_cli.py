@@ -158,6 +158,18 @@ def test_exit_code_nonconvergence(tmp_path):
     assert json.loads(out.read_text())["final"]["status"] == "max_iter"
 
 
+def test_run_that_stops_moving_ends_at_once(tmp_path):
+    # at beta = 1e300 the residual sits at ~eps sqrt(beta): from some step
+    # on, alpha g is lost in u's rounding and the step returns u itself
+    out = tmp_path / "r.json"
+    code = main(["run", "--n", "7", "--beta", "1e300", "--scheme", "au", "-o", str(out)])
+    assert code == 2
+    payload = json.loads(out.read_text())
+    assert payload["final"]["status"] == "stalled"
+    assert len(payload["iterations"]) <= 50
+    assert payload["iterations"][-1]["decrease"] == 0.0
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["run", "--scheme", "bogus"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -326,8 +338,9 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--config", "{cfg_max_iter}"], 1, False),
         (["run", "--config", "{cfg_seed}"], 1, False),
         (["verify", "--n", "7", "--config", "{cfg_trials}"], 1, False),
-        # CG stops short of its tolerance (a zero tolerance is unreachable)
-        (["run", "--dim", "2", "--n", "7", "--scheme", "a0", "--potential", "harmonic:20"],
+        # CG stops short of its tolerance (a zero tolerance is unreachable);
+        # a well is not additive, so its a0 operator runs CG
+        (["run", "--dim", "2", "--n", "7", "--scheme", "a0", "--potential", "well:1000:0.25:0.75"],
          2, "cg"),
         # config-file values of the wrong type for boolean and string keys
         (["verify", "--n", "7", "--config", "{cfg_cross}"], 1, False),

@@ -17,7 +17,7 @@ from gpflow.flows import (
 from gpflow import flows, greens
 from gpflow.energy import energy, retract, scheme_state, step_decrease
 from gpflow.grid import GridFunction, MetricKind, build_grid, inner_l2, norm_l2
-from gpflow.problem import Problem, harmonic_potential, zero_potential
+from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from strategies import PROPERTY_SETTINGS, small_problems
 
 SCHEMES = (MetricKind.H1, MetricKind.A0, MetricKind.AU)
@@ -212,9 +212,8 @@ def test_run_warm_starts_every_solve_after_the_first_step(scheme, monkeypatch):
         return original(self, rhs, x0, rtol)
 
     monkeypatch.setattr(greens.LinearOperator, "solve", recording_solve)
-    # two axes: the one-axis solves are exact, and exact states need no
-    # certification
-    report = run(harmonic_2d(), RunConfig(scheme=scheme))
+    # operators that run CG: exact states need no certification
+    report = run(cg_problem(scheme), RunConfig(scheme=scheme))
     assert report.status == "converged"
     per_step = 2 if scheme is MetricKind.A0 else 1  # a0 also solves for G u^3
     # the converged state is certified by one more set of (warm) solves
@@ -225,6 +224,15 @@ def test_run_warm_starts_every_solve_after_the_first_step(scheme, monkeypatch):
 def harmonic_2d(n=31, beta=100.0):
     grid = build_grid(2, [n, n], [(0.0, 1.0)] * 2)
     return Problem(grid, harmonic_potential(grid, 20.0), beta)
+
+
+def cg_problem(scheme, n=31, beta=100.0):
+    """A 2D problem on which the scheme's solves run CG: a0 on a harmonic
+    potential, which is additive, solves exactly, so a0 takes a well."""
+    if scheme is MetricKind.A0:
+        grid = build_grid(2, [n, n], [(0.0, 1.0)] * 2)
+        return Problem(grid, well_potential(grid, 1000.0, 0.25, 0.75), beta)
+    return harmonic_2d(n, beta)
 
 
 def track_states(monkeypatch):
@@ -245,7 +253,7 @@ def track_states(monkeypatch):
 @pytest.mark.parametrize("scheme", [MetricKind.A0, MetricKind.AU])
 def test_reported_state_is_certified(scheme, max_iter, monkeypatch):
     calls = track_states(monkeypatch)
-    prob = harmonic_2d()
+    prob = cg_problem(scheme)
     cfg = RunConfig(scheme=scheme, max_iter=max_iter)
     report = run(prob, cfg)
     assert report.status == ("converged" if max_iter > 10 else "max_iter")
@@ -269,7 +277,7 @@ def test_floor_reached_along_a_loose_direction_is_retried(scheme, monkeypatch):
     # floor; each is retried along the tight direction at the same iterate
     monkeypatch.setattr(greens, "CG_FORCING", 1.0)
     calls = track_states(monkeypatch)
-    report = run(harmonic_2d(), RunConfig(scheme=scheme))
+    report = run(cg_problem(scheme), RunConfig(scheme=scheme))
     retries = [state for tol, state in calls if tol is None]
     assert retries
     assert all(state.rtol == greens.CG_RTOL for state in retries)
@@ -308,7 +316,7 @@ def test_records_count_trials_and_cg_iterations(scheme, policy, forcing, monkeyp
 
     monkeypatch.setattr(greens.LinearOperator, "solve", counting_solve)
     monkeypatch.setattr(flows, "_step_decreases", counting_decreases)
-    report = run(harmonic_2d(), RunConfig(scheme=scheme, policy=policy, max_iter=200))
+    report = run(cg_problem(scheme), RunConfig(scheme=scheme, policy=policy, max_iter=200))
     assert sum(r.cg_iterations for r in report.records) == sum(iterations) > 0
     assert sum(r.trials for r in report.records) == len(trials) > 0
 
@@ -338,6 +346,43 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
     assert last.trials == len(trials)
     prob, u, g, _ = searches[-1]
     assert last.decrease == step_decrease(prob, u, g, last.alpha)[0]
+
+
+@pytest.mark.parametrize("mode", ["backtracking", "fixed"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_huge_beta_run_ends_without_claiming_null_decreases(scheme, dim, mode, monkeypatch):
+    # at beta = 1e300 h1 and a0 overflow at the first step; a_u reaches
+    # steps whose retracted iterate is u itself, which end the run
+    moved, logged = [], []  # per search: whether its step moves u; per record: its last one
+    search, record = flows._search, flows.IterationRecord
+
+    def recording_search(problem, u, state, policy):
+        result = search(problem, u, state, policy)
+        moved.append(not np.array_equal(result[1].values, u.values))
+        return result
+
+    def recording_record(*args):
+        logged.append((record(*args), moved[-1]))
+        return logged[-1][0]
+
+    monkeypatch.setattr(flows, "_search", recording_search)
+    monkeypatch.setattr(flows, "IterationRecord", recording_record)
+    grid = build_grid(dim, [7] * dim, [(0.0, 1.0)] * dim)
+    prob = Problem(grid, zero_potential(grid), 1e300)
+    cfg = RunConfig(scheme=scheme, policy=StepPolicy(mode=mode))
+    if scheme is not MetricKind.AU:
+        with pytest.raises(FlowBreakdownError, match="step 0"):
+            run(prob, cfg)
+        return
+    report = run(prob, cfg)
+    assert report.status == "stalled"
+    assert len(report.records) <= 50
+    # no record claims a decrease for a step that did not move, and the
+    # first such step ends the run
+    assert [r.n for r, step_moved in logged if not step_moved] == [report.final_record.n]
+    last = report.final_record
+    assert last.decrease == 0.0 and not last.sufficient_decrease and last.alpha > 0.0
 
 
 def repulsive_7():

@@ -30,6 +30,13 @@ def make_problem(n=15, beta=5.0, dim=1, omega=10.0):
     return Problem(grid, harmonic_potential(grid, omega), beta)
 
 
+def well_problem(n=15, beta=5.0, dim=2):
+    """A problem whose a0 operator runs CG: a well is not additive across
+    the axes, so -Laplacian + V has no per-axis eigenbasis."""
+    grid = build_grid(dim, [n] * dim, [(0.0, 1.0)] * dim)
+    return Problem(grid, well_potential(grid, 1000.0, 0.25, 0.75), beta)
+
+
 def test_laplacian_matrix_1d_oracle():
     grid = build_grid(1, [3], [(0.0, 1.0)])
     dense = laplacian_matrix(grid).toarray()
@@ -90,10 +97,10 @@ def test_cg_stopping_short_raises(monkeypatch):
     # a zero tolerance is unreachable: on 5^2 nodes CG runs into its
     # iteration cap; on 31^2 its residual first shrinks to ~1e-160, where
     # r.z and p.Ap underflow to zero (breakdown).  CG runs on two or more
-    # axes only: the one-axis solves are exact.
+    # axes only, and there only where the potential is not additive.
     monkeypatch.setattr(greens, "CG_RTOL", 0.0)
     for n in (5, 31):
-        prob = make_problem(n=n, dim=2)
+        prob = well_problem(n=n)
         rhs = np.random.default_rng(4).standard_normal(prob.grid.dof)
         op = LinearOperator(A0, prob)
         with pytest.raises(GreenSolveError):
@@ -117,7 +124,7 @@ def test_zero_rhs_short_circuit():
 
 def test_warm_solve_from_exact_solution_takes_no_iterations():
     rng = np.random.default_rng(5)
-    prob = make_problem(n=15, dim=2)
+    prob = well_problem(n=15)
     base = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
     x = rng.standard_normal(prob.grid.dof)
     for metric in (H1, A0, Metric(MetricKind.AU, base=base)):
@@ -133,9 +140,9 @@ def test_warm_solve_from_exact_solution_takes_no_iterations():
 
 
 def test_warm_start_at_converged_a0_state_saves_iterations():
-    # two consecutive iterates near convergence of the 2D-63 a0 flow: the
+    # two consecutive iterates near convergence of the 2D-63 well a0 flow: the
     # solve at the later one, started from the earlier one's solution
-    prob = make_problem(n=63, beta=100.0, dim=2, omega=20.0)
+    prob = well_problem(n=63, beta=100.0)
     cfg = RunConfig(scheme=MetricKind.A0)
     steps = len(run(prob, cfg).records) - 1
     u_prev = run(prob, RunConfig(scheme=MetricKind.A0, max_iter=steps - 1)).final
@@ -248,7 +255,7 @@ def test_solve_meets_the_rtol_it_is_given(case, log_rtol):
 
 
 def test_solve_stops_at_the_rtol_it_is_given():
-    prob = make_problem(n=31, dim=2)
+    prob = well_problem(n=31)
     rhs = np.random.default_rng(4).standard_normal(prob.grid.dof)
     op = LinearOperator(A0, prob)
     op.solve(rhs)
@@ -296,3 +303,107 @@ def test_one_axis_solves_are_exact(case, shift):
     shifted = laplacian_matrix(prob.grid).toarray() + shift * np.eye(dof)
     for r in (rng.standard_normal(dof), rng.standard_normal((dof, 3))):
         assert_solves(inverse(r), shifted, r)
+
+
+# --- exact solves on additive potentials --------------------------------------
+
+
+@st.composite
+def additive_problems(draw, max_n=15):
+    """A 2D or 3D grid of at most ``max_n`` nodes per axis whose potential
+    is a sum of random per-axis terms d_i(x_i) >= 0, and a seeded generator."""
+    dim = draw(st.integers(2, 3))
+    n = draw(st.lists(st.integers(1, max_n), min_size=dim, max_size=dim))
+    lengths = draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+    grid = build_grid(dim, n, [(0.0, length) for length in lengths])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = np.zeros(grid.n)
+    for axis, k in enumerate(grid.n):
+        shape = [1] * dim
+        shape[axis] = k
+        scale = draw(st.sampled_from([0.0, 1.0, 100.0]))
+        V = V + scale * rng.uniform(0.0, 1.0, k).reshape(shape)
+    beta = draw(st.sampled_from([0.0, 10.0]))
+    return Problem(grid, GridFunction(grid, V.ravel()), beta), rng
+
+
+@PROPERTY_SETTINGS
+@given(additive_problems())
+def test_additive_potential_solves_are_exact(case):
+    # -Laplacian + sum_i d_i(x_i) is a Kronecker sum: the a0 operator, and
+    # the a_u operator at beta = 0, solve it exactly, with no CG iteration,
+    # the start and the tolerance ignored
+    prob, rng = case
+    dof = prob.grid.dof
+    metrics = [A0]
+    if prob.beta == 0.0:
+        metrics.append(Metric(MetricKind.AU, base=GridFunction(prob.grid, rng.uniform(-2, 2, dof))))
+    for metric in metrics:
+        op = LinearOperator(metric, prob)
+        assert op.exact
+        matrix = op.matrix().toarray()
+        for rhs in (rng.standard_normal(dof), rng.standard_normal((dof, 2))):
+            x = op.solve(rhs, x0=rng.standard_normal(rhs.shape), rtol=1e-3)
+            assert op.iterations == 0
+            expected = np.linalg.solve(matrix, rhs)
+            assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 15), (2, 63), (3, 19)])
+def test_exact_exactly_where_the_diagonal_term_is_additive(dim, n):
+    grid = build_grid(dim, [n] * dim, [(0.0, 1.0)] * dim)
+    rng = np.random.default_rng(6)
+    base = GridFunction(grid, rng.uniform(0.5, 1.0, grid.dof))
+    per_axis = sum(np.cos(3.0 * x + axis) ** 2 for axis, x in enumerate(grid.meshgrid()))
+    additive = {
+        "zero": zero_potential(grid),
+        "harmonic": harmonic_potential(grid, 20.0),
+        "per-axis sum": GridFunction(grid, per_axis.ravel()),
+    }
+    for V in additive.values():
+        for metric in (A0, Metric(MetricKind.AU, base=base)):
+            assert LinearOperator(metric, Problem(grid, V, 0.0)).exact
+        assert LinearOperator(A0, Problem(grid, V, 100.0)).exact
+    rhs = rng.standard_normal(grid.dof)
+    well = Problem(grid, well_potential(grid, 1000.0, 0.25, 0.75), 100.0)
+    au = Problem(grid, harmonic_potential(grid, 20.0), 100.0)
+    for metric, prob in ((A0, well), (Metric(MetricKind.AU, base=base), au)):
+        op = LinearOperator(metric, prob)
+        assert not op.exact
+        for rtol in (1e-3, CG_RTOL):
+            x = op.solve(rhs, rtol=rtol)
+            assert op.iterations > 0
+            assert np.linalg.norm(rhs - op.matrix() @ x) <= rtol * np.linalg.norm(rhs)
+
+
+def test_exact_where_the_remainder_meets_the_solve_tolerance():
+    # a bump of size b at one node leaves a remainder R of about 0.87 b
+    # after the split (15^2 nodes), and the solve of the additive part then
+    # a relative residual of up to max|R| / lambda_min: below CG_RTOL the
+    # operator is exact, above it CG runs
+    grid = build_grid(2, [15, 15], [(0.0, 1.0)] * 2)
+    V = harmonic_potential(grid, 20.0).values
+    lam_min = np.linalg.eigvalsh(LinearOperator(A0, Problem(grid, GridFunction(grid, V), 0.0))
+                                 .matrix().toarray())[0]
+    for factor, exact in ((0.25, True), (4.0, False)):
+        bumped = V.copy()
+        bumped[grid.dof // 3] += factor * CG_RTOL * lam_min
+        op = LinearOperator(A0, Problem(grid, GridFunction(grid, bumped), 0.0))
+        assert op.exact is exact
+    # a potential too deep for its grid: a0 on harmonic:1e100 is additive,
+    # but its split's rounding (~eps max V ~ 1e184) swamps lambda_min, so
+    # its solves run CG, which reports that it cannot meet CG_RTOL
+    grid = build_grid(2, [7, 7], [(0.0, 1.0)] * 2)
+    op = LinearOperator(A0, Problem(grid, harmonic_potential(grid, 1e100), 1e100))
+    assert not op.exact
+    with pytest.raises(GreenSolveError):
+        op.solve(np.ones(grid.dof))
+
+
+def test_potential_bases_are_built_once_per_problem():
+    prob = make_problem(n=15, beta=0.0, dim=2)
+    base = GridFunction(prob.grid, np.ones(prob.grid.dof))
+    ops = [LinearOperator(A0, prob), LinearOperator(Metric(MetricKind.AU, base=base), prob)]
+    assert all(op.exact for op in ops)
+    assert ops[0]._factors[0] is ops[1]._factors[0]
+    assert ops[0]._eig is ops[1]._eig

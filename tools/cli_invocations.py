@@ -59,6 +59,12 @@ EXTRA = (
     ("run-1d-au",
      ["run", "--n", "255", "--beta", "100", "--potential", "well:1000:0.25:0.75",
       "--scheme", "au"]),
+    # steps that stop moving end the run ("stalled", exit 2)
+    ("run-au-beta-1e300", ["run", "--n", "7", "--beta", "1e300", "--scheme", "au"]),
+    # a well is not additive across the axes, so its a0 solves run CG
+    ("run-2d-well-a0",
+     ["run", "--dim", "2", "--n", "31", "--beta", "100", "--potential", "well:1000:0.25:0.75",
+      "--scheme", "a0"]),
 )
 
 
