@@ -222,8 +222,10 @@ class SchemeState:
     the relative residual the CG solves behind the state stopped at, and
     greens.CG_RTOL when the operator is ``exact`` (every one-axis operator,
     a constant diagonal term such as H1's, and a0 or a_u at beta = 0 on a
-    potential additive across the axes), whose solves run no CG;
-    ``cg_iterations`` counts the CG iterations it took, every solve counted.
+    potential additive across the axes), whose solves run no CG; on a
+    potential that is not additive those solves run CG, preconditioned by
+    the additive part's exact solve.  ``cg_iterations`` counts the CG
+    iterations it took, every solve counted.
     ``moments``, of u and riemannian_gradient, give residual and line search.
     """
 
@@ -291,7 +293,8 @@ def scheme_state(
     are both given and the operator is not ``exact`` (``LinearOperator``:
     any metric on a one-axis grid, H1, and a0, or a_u at beta = 0, on a
     potential that is constant or additive across the axes, whose solves
-    are exact), the solves stop at the forcing term
+    are exact; a0 on a potential that is not additive runs CG preconditioned
+    by its additive part), the solves stop at the forcing term
     clamp(CG_FORCING * prev.residual, CG_RTOL, CG_RTOL_MAX): an inexact
     G u still gives a direction exactly
     tangent to the sphere (gamma = numer / denom), and the residual is the

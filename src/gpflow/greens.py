@@ -13,19 +13,22 @@ On a one-axis grid A_X is a symmetric positive definite tridiagonal matrix,
 factored once as L D L^T (LAPACK ``dpttrf``), and every solve is one
 ``dpttrs``.  On two or three axes, a constant diagonal term D (H1, and a0
 with V = 0) leaves A_X diagonal in the discrete sine basis (DST-I): a solve
-is one transform pair divided by the shifted Laplacian eigenvalues.  And
-when D is the potential (a0, and a_u at beta = 0), on grids of at most
+is one transform pair divided by the shifted Laplacian eigenvalues.  When D
+is the potential (a0, and a_u at beta = 0), on grids of at most
 ``DENSE_SINE_MAX`` nodes per axis, V splits into an additive part
 V_1(x) + V_2(y) (+ V_3(z)) and a remainder R: the additive part's operator
 A' is a Kronecker sum of tridiagonals, diagonalized by their per-axis
 eigenbases (``_potential_basis``, once per problem), and solving with A'
 leaves A_X a relative residual of at most max|R| / lambda_min(A').  When
 that meets CG_RTOL, as it does to roundoff for the harmonic trap, the
-solve is exact.  Every other solve (a_u at beta > 0, a potential such as a
-well that is not additive, a longer axis) runs conjugate gradients
-preconditioned by the sine transform shifted by the mean of D (the kinetic
-preconditioner of Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).  ``laplacian_inverse`` inverts -Laplacian +
-shift by the sine transform, for the eigensolve's preconditioner.
+solve with A' is exact; otherwise (a potential such as a well that is not
+additive) the same solve is CG's preconditioner (fast diagonalization as a
+preconditioner).  The remaining solves (a_u at beta > 0, a longer axis, an
+A' that is not positive definite) run conjugate gradients preconditioned
+by the sine transform shifted by the mean of D (the kinetic
+preconditioner of Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).
+``laplacian_inverse`` inverts -Laplacian + shift by the sine transform,
+for the eigensolve's preconditioner.
 ``apply``, CG and ``matrix`` share the one matrix.
 """
 
@@ -78,9 +81,9 @@ def _tridiagonal_solver(grid: Grid, diagonal_term) -> Callable[[np.ndarray], np.
 
 @functools.lru_cache(maxsize=8)
 def _potential_basis(problem: Problem):
-    """Per-axis eigenbases that solve -Laplacian + V exactly, built at most
-    once per problem: ((forward factors, backward factors), eigenvalues), or
-    None.
+    """Per-axis eigenbases of -Laplacian + V's additive part, built at most
+    once per problem: ((forward factors, backward factors), eigenvalues,
+    exact), or None.
 
     V splits into its mean m, its per-axis marginal means d_i(x_i) (the mean
     over the other axes, less m) and a remainder R.  The additive part's
@@ -90,12 +93,14 @@ def _potential_basis(problem: Problem):
     the Q_i and its eigenvalues the sums m + lambda_1 + ... + lambda_d (the
     fast diagonalization of Lynch, Rice and Thomas, Numer. Math. 6, 1964).
     Solving A' x = b leaves b - (A' + R) x = -R x, of relative size at most
-    max|R| / lambda_min(A'); the bases are returned when that meets CG_RTOL
-    (read at the problem's first call).  The forward factors apply the
-    Q_i^T along each axis (``grid.axis_products``), the backward ones the
-    Q_i.  None on a one-axis grid, which factors its tridiagonal instead, on
-    a grid with an axis over DENSE_SINE_MAX nodes, where dense per-axis
-    products lose to CG's transforms, and when R is too large.
+    max|R| / lambda_min(A'); ``exact`` is whether that meets CG_RTOL (read
+    at the problem's first call), and when it does not, A' preconditions
+    CG.  The forward factors apply the Q_i^T along each axis
+    (``grid.axis_products``), the backward ones the Q_i.  None on a one-axis
+    grid, which factors its tridiagonal instead, on a grid with an axis over
+    DENSE_SINE_MAX nodes, where dense per-axis products lose to CG's
+    transforms, and when A' is not positive definite (a negative marginal
+    mean can outweigh the Laplacian), which no SPD preconditioner may be.
     """
     grid = problem.grid
     if grid.dim == 1 or max(grid.n) > DENSE_SINE_MAX:
@@ -120,10 +125,12 @@ def _potential_basis(problem: Problem):
         forward.append((qt, q))
         backward.append((q, qt))
         eig = eig + lam.reshape(shape)
-    if not np.max(np.abs(remainder)) <= CG_RTOL * np.min(eig):
+    lam_min = float(np.min(eig))
+    if not lam_min > 0.0:
         return None
     eig.setflags(write=False)
-    return (tuple(forward), tuple(backward)), eig
+    exact = bool(np.max(np.abs(remainder)) <= CG_RTOL * lam_min)
+    return (tuple(forward), tuple(backward)), eig, exact
 
 
 class LinearOperator:
@@ -135,11 +142,13 @@ class LinearOperator:
     the first solve; on more axes when D is constant, by the sine transform,
     and when D is a potential additive across the axes (a0, and a_u at
     beta = 0) up to a remainder that moves the residual by at most CG_RTOL,
-    by its per-axis eigenbases (``_potential_basis``).  Otherwise
-    (a_u at beta > 0, a potential such as a well, an axis over
-    DENSE_SINE_MAX nodes) it runs conjugate gradients, optionally
-    warm-started.  A new operator per a_u step costs one factorization on
-    one axis, about as much as a solve, and one scan of D on more axes.
+    by its per-axis eigenbases (``_potential_basis``).  Otherwise it runs
+    conjugate gradients, optionally warm-started, preconditioned in the
+    same eigenbases when D is a potential (such as a well) and by the sine
+    transform shifted by mean(D) for a_u at beta > 0 or an axis over
+    DENSE_SINE_MAX nodes.  A new operator per a_u step costs one
+    factorization on one axis, about as much as a solve, and one scan of D
+    on more axes.
     """
 
     def __init__(self, metric: Metric, problem: Problem):
@@ -167,7 +176,7 @@ class LinearOperator:
         if not self.exact and (metric.kind is MetricKind.A0 or problem.beta == 0.0):
             basis = _potential_basis(problem)
             if basis is not None:
-                (self._factors, self._eig), self.exact = basis, True
+                self._factors, self._eig, self.exact = basis
         self._exact_solve = None  # built at the first solve of a one-axis operator
         self.iterations = 0  # CG iterations of the last solve
 
@@ -181,7 +190,8 @@ class LinearOperator:
         """r divided by the operator's eigenvalues in its basis, for one
         vector (dof,) or a block (dof, k): the exact inverse of an exact
         operator on two or three axes, and otherwise CG's preconditioner,
-        the exact inverse of -Laplacian + mean(D)."""
+        the exact inverse of the additive part's operator A' of a potential
+        or of -Laplacian + mean(D)."""
         if self._factors is None:
             return self._sine_divide(r, self._eig)
         forward, backward = self._factors

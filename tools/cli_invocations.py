@@ -61,9 +61,15 @@ EXTRA = (
       "--scheme", "au"]),
     # steps that stop moving end the run ("stalled", exit 2)
     ("run-au-beta-1e300", ["run", "--n", "7", "--beta", "1e300", "--scheme", "au"]),
-    # a well is not additive across the axes, so its a0 solves run CG
+    # a well is not additive across the axes, so its a0 solves run CG,
+    # preconditioned by the exact solve of the potential's additive part
     ("run-2d-well-a0",
      ["run", "--dim", "2", "--n", "31", "--beta", "100", "--potential", "well:1000:0.25:0.75",
+      "--scheme", "a0"]),
+    # a trap too deep for its grid: the split's rounding swamps lambda_min,
+    # so a0 runs preconditioned CG, and the search ends at its stepsize floor
+    ("run-2d-harmonic-1e100-a0",
+     ["run", "--dim", "2", "--n", "7", "--potential", "harmonic:1e100", "--beta", "1e100",
       "--scheme", "a0"]),
 )
 
