@@ -64,7 +64,7 @@ class GreenSolveError(RuntimeError):
 def _tridiagonal_solver(grid: Grid, diagonal_term) -> Callable[[np.ndarray], np.ndarray]:
     """The exact map r -> (-Laplacian + diagonal_term)^-1 r on a one-axis
     grid, from one L D L^T factorization; ``diagonal_term`` is a scalar or
-    one value per node, ``r`` one vector (dof,) or a block (dof, k).
+    one value per node, ``r`` one vector (dof,).
 
     The matrix's entries are those of ``grid.laplacian_matrix``.  LAPACK's
     wrapper asks for an off-diagonal of at least one entry, which a
@@ -82,8 +82,8 @@ def _tridiagonal_solver(grid: Grid, diagonal_term) -> Callable[[np.ndarray], np.
 @functools.lru_cache(maxsize=8)
 def _potential_basis(problem: Problem):
     """Per-axis eigenbases of -Laplacian + V's additive part, built at most
-    once per problem: ((forward factors, backward factors), eigenvalues,
-    exact), or None.
+    once per problem: ((forward factors, backward factors), eigenvalues
+    (dof,), exact), or None.
 
     V splits into its mean m, its per-axis marginal means d_i(x_i) (the mean
     over the other axes, less m) and a remainder R.  The additive part's
@@ -128,6 +128,7 @@ def _potential_basis(problem: Problem):
     lam_min = float(np.min(eig))
     if not lam_min > 0.0:
         return None
+    eig = eig.ravel()
     eig.setflags(write=False)
     exact = bool(np.max(np.abs(remainder)) <= CG_RTOL * lam_min)
     return (tuple(forward), tuple(backward)), eig, exact
@@ -170,7 +171,7 @@ class LinearOperator:
         # the basis _precondition divides in: the sine basis (None) or the
         # forward and backward factors of per-axis eigenbases
         self._factors = None
-        self._eig = laplacian_eig + float(np.mean(self.diagonal_term))
+        self._eig = laplacian_eig.ravel() + float(np.mean(self.diagonal_term))
         d = self.diagonal_term
         self.exact = self.grid.dim == 1 or not np.any(d != d[0])
         if not self.exact and (metric.kind is MetricKind.A0 or problem.beta == 0.0):
@@ -187,35 +188,30 @@ class LinearOperator:
         return self._laplacian + sp.diags(self.diagonal_term)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
-        """r divided by the operator's eigenvalues in its basis, for one
-        vector (dof,) or a block (dof, k): the exact inverse of an exact
-        operator on two or three axes, and otherwise CG's preconditioner,
-        the exact inverse of the additive part's operator A' of a potential
-        or of -Laplacian + mean(D)."""
+        """r (dof,) divided by the operator's eigenvalues in its basis: the
+        exact inverse of an exact operator on two or three axes, and
+        otherwise CG's preconditioner, the exact inverse of the additive
+        part's operator A' of a potential or of -Laplacian + mean(D)."""
         if self._factors is None:
             return self._sine_divide(r, self._eig)
         forward, backward = self._factors
-        coeffs = axis_products(self.grid, r, forward)
-        return axis_products(self.grid, coeffs / self._eig.reshape((-1,) + (1,) * (r.ndim - 1)),
-                             backward)
+        return axis_products(self.grid, axis_products(self.grid, r, forward) / self._eig, backward)
 
     def laplacian_inverse(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
         """The map r -> (-Laplacian + shift)^-1 r, exact: one tridiagonal
         factorization on a one-axis grid, one DST-I pair per map otherwise.
 
         ``shift`` must exceed -lambda_min(-Laplacian); ``r`` is one vector
-        (dof,) or a block (dof, k).
+        (dof,).
         """
         if self.grid.dim == 1:
             return _tridiagonal_solver(self.grid, shift)
-        eig = sine_basis(self.grid)[1] + shift
+        eig = sine_basis(self.grid)[1].ravel() + shift
         return lambda r: self._sine_divide(r, eig)
 
     def _sine_divide(self, r: np.ndarray, eig: np.ndarray) -> np.ndarray:
-        """r divided by ``eig`` (grid-shaped) in the orthonormal DST-I basis;
-        ``r`` is one vector (dof,) or a block (dof, k) of k columns."""
-        coeffs = sine_transform(self.grid, r)
-        return sine_transform(self.grid, coeffs / eig.reshape((-1,) + (1,) * (r.ndim - 1)))
+        """r (dof,) divided by ``eig`` (dof,) in the orthonormal DST-I basis."""
+        return sine_transform(self.grid, sine_transform(self.grid, r) / eig)
 
     def solve(
         self, rhs: np.ndarray, x0: np.ndarray | None = None, rtol: float | None = None

@@ -227,22 +227,20 @@ def _sine_matrix(n: int) -> np.ndarray:
 
 
 def axis_products(grid: Grid, x: np.ndarray, factors) -> np.ndarray:
-    """x multiplied by one dense matrix along every axis of the grid.
+    """x (dof,), in the grid's lexicographic order, multiplied by one dense
+    matrix along every axis of the grid.
 
     ``factors`` holds one pair (M, M^T) per axis, both C-contiguous, so no
-    transposed view reaches a matmul.  ``x`` is one vector (dof,) or a
-    block (dof, k) of k columns, in the grid's lexicographic order; the
-    result has x's shape.  Along each axis x is viewed as (before, n, after),
-    a block's columns counting into ``after``, and multiplied by M: as
-    M @ x (a matmul broadcast over ``before``), or as x @ M^T when the axis
-    is the last one.  This is the one kernel of the sine transform and of
-    the per-axis eigenbases of the Green's solves (``greens``).
+    transposed view reaches a matmul.  Along each axis x is viewed as
+    (before, n, after) and multiplied by M: as M @ x (a matmul broadcast
+    over ``before``), or as x @ M^T when nothing comes after the axis.
+    This is the one kernel of the sine transform and of the per-axis
+    eigenbases of the Green's solves (``greens``).
     """
-    batch = x.shape[1:]
     y = x
     for axis, (n, (matrix, transposed)) in enumerate(zip(grid.n, factors)):
         before = math.prod(grid.n[:axis])
-        after = math.prod(grid.n[axis + 1:] + batch)
+        after = math.prod(grid.n[axis + 1:])
         if after == 1:
             y = y.reshape(before, n) @ transposed
         else:
@@ -251,10 +249,9 @@ def axis_products(grid: Grid, x: np.ndarray, factors) -> np.ndarray:
 
 
 def sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """The orthonormal DST-I of x along every axis of the grid.
+    """The orthonormal DST-I of x (dof,) along every axis of the grid.
 
-    ``x`` is one vector (dof,) or a block (dof, k) of k columns; the result
-    has x's shape.  The transform is its own inverse.  On grids of at most
+    The transform is its own inverse.  On grids of at most
     ``DENSE_SINE_MAX`` nodes per axis it is ``axis_products`` with the
     symmetric S_n, its own transpose, on every axis; a grid with a longer
     axis goes through one ``scipy.fft.dstn`` instead.
@@ -262,11 +259,7 @@ def sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
     if max(grid.n) > DENSE_SINE_MAX:
         from scipy.fft import dstn  # deferred: importing scipy.fft costs ~0.1 s
 
-        # a vector takes the default all-axes transform: naming the axes
-        # costs scipy a few microseconds of argument checks per call
-        batch = x.shape[1:]
-        axes = tuple(range(grid.dim)) if batch else None
-        return dstn(x.reshape(grid.n + batch), type=1, norm="ortho", axes=axes).reshape(x.shape)
+        return dstn(x.reshape(grid.n), type=1, norm="ortho").reshape(x.shape)
     return axis_products(grid, x, [(_sine_matrix(n),) * 2 for n in grid.n])
 
 

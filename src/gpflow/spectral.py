@@ -5,23 +5,27 @@ metric operator based at u*.  Its two smallest eigenvalues give the gap
 factor min{1, (lambda1 - lambda0) / (4 lambda0)} that controls the local
 contraction of all three schemes.
 
-Both eigenpairs come from one path at every grid size: LOBPCG (Knyazev, SIAM
-J. Sci. Comput. 23, 2001; ``scipy.sparse.linalg.lobpcg``) on the operator's
-matrix, preconditioned by the combined potential and kinetic preconditioner
-of Antoine, Levitt and Tang (J. Comput. Phys. 343, 2017): a diagonal scaling
-around the exact inverse of -Laplacian + shift (``laplacian_inverse``: a
-tridiagonal factorization on one axis, a DST-I pair on more), with its
-shifts read off the start vector's Rayleigh quotient
-(``_eigen_preconditioner``).  No inner solve runs.  At a converged ground
-state u* the start block already holds the ground eigenvector to the flow's
-tolerance.  LOBPCG is asked for a tenth of
-the residual tolerance that every returned pair is then checked against:
-it stops on residuals it updates implicitly, which on steep potentials
-leave the recomputed ones just under the bound it was given, and the
-margin keeps roundoff-level changes of the preconditioner from pushing a
-pair over.  The report carries
-both residuals, the tolerance and LOBPCG's iteration count.  LOBPCG's own
-non-convergence only warns.
+Both eigenpairs come from one path at every grid size: the package's own
+two-vector LOBPCG (``_lobpcg``; Knyazev, SIAM J. Sci. Comput. 23, 2001) on
+the operator's matrix, with the basis handling of Duersch, Shao, Yang and Gu
+(SIAM J. Sci. Comput. 40, 2018) and Hetmaniuk and Lehoucq (J. Comput. Phys.
+218, 2006).  It holds each block as contiguous rows, one per vector, because
+the sparse product and the preconditioner cost less applied to two vectors
+in turn than to one (n, 2) block.  It is preconditioned by the combined
+potential and kinetic preconditioner of Antoine, Levitt and Tang (J. Comput.
+Phys. 343, 2017): a diagonal scaling around the exact inverse of
+-Laplacian + shift (``laplacian_inverse``: a tridiagonal factorization on
+one axis, a DST-I pair on more), with its shifts read off the start
+vector's Rayleigh quotient (``_eigen_preconditioner``).  No inner solve
+runs.  At a converged ground state u* the start block already holds the
+ground eigenvector to the flow's tolerance.  Every residual the solver's
+stopping test reads is explicit (A x is recomputed, not updated), and a
+pair that meets the test is soft-locked: it gets no new search directions,
+so it is not pulled off while the other pair converges.  The solver is
+asked for a tenth of the residual tolerance that every returned pair is
+then checked against, so that roundoff-level changes of the preconditioner
+cannot push a pair over.  The report carries both residuals, the tolerance
+and the solver's iteration count.
 The pure -Laplacian's spectrum needs no solver: it is the grid's closed-form
 sine spectrum (``grid.sine_basis``).
 """
@@ -29,15 +33,17 @@ sine spectrum (``grid.sine_basis``).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .grid import Grid, GridFunction, GridMismatchError, Metric, MetricKind, sine_basis
 from .greens import LinearOperator
 from .problem import Problem
+
+# Rayleigh-Ritz drops the directions of its scaled Gram matrix whose
+# eigenvalues fall below this fraction of the largest (_ritz_coefficients)
+RITZ_DROP = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +51,9 @@ class SpectralReport:
     """Two smallest eigenpairs of the linearized operator.
 
     ``residuals`` are ||A v - lambda v|| / ||v|| of both pairs, ``tol`` the
-    bound they were checked against and ``iterations`` LOBPCG's iteration
-    count; None when the report did not come from ``lowest_two_eigen``.
+    bound they were checked against and ``iterations`` the LOBPCG
+    iterations run, each one Rayleigh-Ritz step on new search directions;
+    None when the report did not come from ``lowest_two_eigen``.
     """
 
     lambda0: float
@@ -84,30 +91,32 @@ def linearized_operator(problem: Problem, ustar: GridFunction) -> LinearOperator
 def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     """Two smallest eigenvalues and the ground eigenvector (unit L2).
 
-    One LOBPCG call on ``op.matrix()`` with ``_eigen_preconditioner``, from a
-    fixed start block, so repeated calls agree bit for bit.  The block is
-    [base, r] for an a_u operator (at u* the base is the ground eigenvector
-    to the flow's tolerance) and [r1, r2] otherwise, r drawn uniform(0.5, 1.5)
-    from ``default_rng(0)``.  The random column has no symmetry on purpose:
-    on a symmetric grid and potential the all-ones vector has no component
-    along an antisymmetric second eigenvector, and an iterative eigensolver,
-    which only sees the eigenvectors its start touches, would then report
-    the third eigenvalue as lambda1 unless roundoff happened to supply the
-    missing component.
+    One two-vector LOBPCG run (``_lobpcg``) on ``op.matrix()`` with
+    ``_eigen_preconditioner``, from a fixed start block, so repeated calls
+    agree bit for bit.  The block is [base, r] for an a_u operator (at u*
+    the base is the ground eigenvector to the flow's tolerance) and
+    [r1, r2] otherwise, r drawn uniform(0.5, 1.5) from ``default_rng(0)``.
+    The random vector has no symmetry on purpose: on a symmetric grid and
+    potential the all-ones vector has no component along an antisymmetric
+    second eigenvector, and an iterative eigensolver, which only sees the
+    eigenvectors its start touches, would then report the third eigenvalue
+    as lambda1 unless roundoff happened to supply the missing component.
 
     Every pair must end with ||A v - lambda v|| <= tol for unit v, with
     tol = max(1e-10 * (lambda_min(-Laplacian) + min D), 16 eps ||A||_inf)
-    for A = -Laplacian + D.  LOBPCG itself is asked for tol / 10: it stops
-    on residuals it updates implicitly, and on steep potentials the
-    recomputed ones ended within a few percent of the bound it was given.
-    The first term of tol bounds the relative residual by
+    for A = -Laplacian + D.  The solver is asked for tol / 10 on its
+    explicit residuals, and soft-locks each pair that meets it; the margin
+    keeps a preconditioner changed at roundoff level from pushing a pair
+    over tol.  The first term of tol bounds the relative residual by
     1e-10 * lambda0, since lambda0 >= lambda_min(-Laplacian) + min D (Weyl).
     The second keeps tol above the roundoff floor of the residual itself,
-    about eps ||A||_inf, which the first term falls below on fine grids;
-    below that floor LOBPCG only warns and returns a pair that is no
-    eigenpair.  Its warnings (also the one that it switched to a dense
-    ``eigh`` below 10 unknowns) are silenced; instead both residuals are
-    recomputed, and a pair above tol raises RuntimeError naming them.
+    about eps ||A||_inf, which the first term falls below on fine grids.
+    After the solver stops (converged, or after 500 iterations) both
+    residuals are recomputed from the returned vectors and their Rayleigh
+    quotients, and a pair above tol raises RuntimeError naming them.
+    ``iterations`` in the report counts the solver's loop iterations, each
+    one Rayleigh-Ritz step on new search directions; 0 when the start block
+    already met the request.
 
     Grids with fewer than 3 interior unknowns raise ValueError; a gap
     lambda1 - lambda0 below 1e-12 raises EigengapDegenerateError.
@@ -125,19 +134,13 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     if op.metric.base is not None:
         vecs[:, 0] = op.metric.base.values
     precondition = _eigen_preconditioner(op, vecs[:, 0])
-    iterations = 0
-
-    def counted(r: np.ndarray) -> np.ndarray:  # LOBPCG preconditions once per iteration
-        nonlocal iterations
-        iterations += 1
-        return precondition(r)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vals, vecs = spla.lobpcg(A, vecs, M=counted, tol=tol / 10, maxiter=500, largest=False)
+    rows, iterations = _lobpcg(A, np.ascontiguousarray(vecs.T), precondition, tol / 10)
+    products = np.array([A @ x for x in rows])
+    vals = np.sum(rows * products, axis=1) / np.sum(rows * rows, axis=1)
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    residuals = np.linalg.norm(A @ vecs - vecs * vals, axis=0) / np.linalg.norm(vecs, axis=0)
+    vals, rows, products = vals[order], rows[order], products[order]
+    residuals = np.linalg.norm(products - vals[:, None] * rows, axis=1)
+    residuals /= np.linalg.norm(rows, axis=1)
     if np.any(residuals > tol):
         raise RuntimeError(
             f"LOBPCG stopped at eigen-residuals {residuals[0]:.3e}, {residuals[1]:.3e} "
@@ -148,8 +151,7 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
         raise EigengapDegenerateError(
             f"gap {lam1 - lam0:.3e} below 1e-12: linearized eigengap degenerate"
         )
-    v0 = vecs[:, 0]
-    v0 = v0 / (math.sqrt(grid.cell_volume) * np.linalg.norm(v0))
+    v0 = rows[0] / (math.sqrt(grid.cell_volume) * np.linalg.norm(rows[0]))
     return SpectralReport(
         lam0, lam1, GridFunction(grid, v0),
         residuals=(float(residuals[0]), float(residuals[1])), tol=tol, iterations=iterations,
@@ -174,7 +176,8 @@ def _eigen_preconditioner(op: LinearOperator, x: np.ndarray):
     potentials).  alpha = sqrt(K Q) minimizes the product
     (K + alpha)(1 + Q/alpha).  It is kept at least lambda_min(-Laplacian):
     for a constant D (Q = 0), as in H1, M is then the exact
-    (A - sigma + alpha)^-1 up to a scale, which LOBPCG ignores.
+    (A - sigma + alpha)^-1 up to a scale, which LOBPCG ignores.  ``r`` is
+    one vector (dof,).
     """
     laplacian, eig = sine_basis(op.grid)
     weight = x * x / float(x @ x)
@@ -186,11 +189,76 @@ def _eigen_preconditioner(op: LinearOperator, x: np.ndarray):
     inverse = op.laplacian_inverse(alpha)
     scale = 1.0 / np.sqrt(alpha + excess)
 
-    def precondition(r: np.ndarray) -> np.ndarray:
-        s = scale.reshape((-1,) + (1,) * (r.ndim - 1))
-        return s * inverse(s * r)
+    return lambda r: scale * inverse(scale * r)
 
-    return precondition
+
+def _lobpcg(A, X: np.ndarray, precondition, tol: float, maxiter: int = 500):
+    """Rows spanning the two lowest eigenvectors of the symmetric A, by
+    LOBPCG from the start rows X (2, n), and the iterations it ran.
+
+    Blocks are contiguous rows, one per vector, and A and ``precondition``
+    apply to one row at a time.  Each iteration runs Rayleigh-Ritz on the
+    rows S = [X; W; P] (``_ritz_coefficients``), W being the preconditioned
+    residuals of the active pairs and P their previous steps; X and P then
+    come from the Ritz coefficients.  W and P are made orthogonal to X,
+    which leaves span(S) as it is, and every product with A is explicit: an
+    A P updated from the coefficients drifts from the true product by a
+    factor that grows in each iteration whose update cancels, and on a
+    nearly degenerate pair (two pockets of a potential) it grew from
+    roundoff to overflow within 350 iterations.  A pair whose residual
+    ||A x - lambda x|| (x unit, lambda its Rayleigh quotient) is at most
+    ``tol`` is soft-locked: it stays in the Rayleigh-Ritz but gets no W or
+    P row.  Stops when both pairs meet ``tol`` or after ``maxiter``
+    iterations, converged or not.
+    """
+    n = X.shape[1]
+    S, AS = np.zeros((6, n)), np.zeros((6, n))  # rows [X; W; P] and their products
+    P = np.zeros((2, n))
+    S[:2] = X
+    AS[:2] = [A @ x for x in X]
+    m = 2  # rows of S in use
+    for iteration in range(maxiter + 1):
+        C = _ritz_coefficients(S[:m], AS[:m])
+        if m > 2:
+            np.matmul(C[2:].T, S[2:m], out=P)
+        S[:2] = C[:2].T @ S[:2] + P
+        S[:2] /= np.linalg.norm(S[:2], axis=1)[:, None]
+        AS[:2] = [A @ x for x in S[:2]]
+        X, AX = S[:2], AS[:2]
+        R = AX - np.sum(X * AX, axis=1)[:, None] * X
+        active = np.flatnonzero(np.linalg.norm(R, axis=1) > tol)
+        if active.size == 0 or iteration == maxiter:
+            return X, iteration
+        directions = [precondition(R[i]) for i in active]
+        if iteration > 0:  # P exists from the second iteration on
+            directions += [P[i] for i in active]
+        m = 2 + len(directions)
+        D = S[2:m]
+        D[:] = directions
+        D -= (D @ X.T) @ X
+        AS[2:m] = [A @ d for d in D]
+
+
+def _ritz_coefficients(S: np.ndarray, AS: np.ndarray) -> np.ndarray:
+    """Coefficients C (m, 2) of the two lowest Ritz vectors C^T S of A on
+    the span of the rows S (m, n), with AS their products with A.
+
+    The Gram matrices S S^T and S (A S)^T are scaled by diag(S S^T)^(-1/2),
+    and the scaled S S^T is diagonalized; its eigenvectors whose eigenvalues
+    fall below RITZ_DROP times the largest are dropped, and the others,
+    scaled by their eigenvalues^(-1/2), give an orthonormal basis of the
+    span's well-conditioned part (SVQB: Duersch, Shao, Yang and Gu, SIAM J.
+    Sci. Comput. 40, 2018).  Rayleigh-Ritz runs in that basis.
+    """
+    gram, stiffness = S @ S.T, S @ AS.T
+    d = np.diag(gram)
+    scale = np.divide(1.0, np.sqrt(d), out=np.zeros_like(d), where=d > 0.0)
+    theta, U = np.linalg.eigh(gram * np.outer(scale, scale))
+    keep = theta > RITZ_DROP * theta[-1]
+    basis = (scale[:, None] * U[:, keep]) / np.sqrt(theta[keep])
+    reduced = basis.T @ stiffness @ basis
+    _, Y = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    return basis @ Y[:, :2]
 
 
 def laplacian_min_eigenvalue(grid: Grid) -> float:

@@ -296,9 +296,28 @@ def test_import_leaves_scipy_fft_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_eigensolve_leaves_scipy_sparse_linalg_unloaded():
+    # the eigensolve is gpflow's own LOBPCG: neither a 2D run nor the
+    # spectrum imports scipy.sparse.linalg (~15 ms)
+    code = """if True:
+        import sys, gpflow.cli
+        from gpflow import (MetricKind, Problem, RunConfig, build_grid, harmonic_potential,
+                            linearized_operator, lowest_two_eigen, run)
+        grid = build_grid(2, [31, 31], [(0.0, 1.0)] * 2)
+        prob = Problem(grid, harmonic_potential(grid, 20.0), 100.0)
+        for scheme in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
+            report = run(prob, RunConfig(scheme=scheme))
+            assert report.status == 'converged'
+        lowest_two_eigen(linearized_operator(prob, report.final))
+        sys.exit('scipy.sparse.linalg' in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # find gpflow as we do
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def _stall_lobpcg(A, X, *args, **kwargs):
-    # the start block back, with its Rayleigh quotients: no eigenpairs
-    return np.sort(np.sum(X * (A @ X), axis=0) / np.sum(X * X, axis=0)), X
+    # the start rows back, after no iteration: no eigenpairs
+    return X, 0
 
 
 def test_spectrum_byte_identical(tmp_path):
@@ -391,7 +410,7 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
     for key, text in contents.items():
         files[key].write_text(text)
     if stall is True:
-        monkeypatch.setattr("gpflow.spectral.spla.lobpcg", _stall_lobpcg)
+        monkeypatch.setattr("gpflow.spectral._lobpcg", _stall_lobpcg)
     elif stall == "cg":
         monkeypatch.setattr("gpflow.greens.CG_RTOL", 0.0)
     argv = [a.format(**files) for a in argv]

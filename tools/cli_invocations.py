@@ -54,6 +54,10 @@ EXTRA = (
     ("run-3d-a0",
      ["run", "--dim", "3", "--n", "19", "--beta", "100", "--potential", "harmonic:20",
       "--scheme", "a0"]),
+    # the spectrum on a 3D grid, where the eigensolve's preconditioner runs
+    # the sine transform on three axes
+    ("spectrum-3d",
+     ["spectrum", "--dim", "3", "--n", "19", "--beta", "100", "--potential", "harmonic:20"]),
     ("run-1d-a0",
      ["run", "--n", "255", "--beta", "100", "--potential", "harmonic:20", "--scheme", "a0"]),
     ("run-1d-au",
