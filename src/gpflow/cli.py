@@ -6,6 +6,13 @@ invariant suite), ``spectrum`` (linearized eigenpair at the computed state),
 for a ``run`` trace, rendered deterministically so identical seeds give
 byte-identical files.
 
+Each setting is one row of ``_OPTIONS``: its default, the converter that
+checks a value, its help text and the commands that take it as a flag.  The
+flags, the keys of a ``--config`` JSON file, ``_DEFAULTS`` and ``CliConfig``
+derive from that table, and the run settings' defaults are ``RunConfig``'s
+and ``StepPolicy``'s own.  A flag wins over the file, the file over the
+default.
+
 Exit codes: 0 success, 1 usage error, 2 non-convergence, 3 check failure.
 """
 
@@ -15,7 +22,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import make_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,57 +52,159 @@ class SolveError(RuntimeError):
     """A solver stopped short of its goal; maps to exit code 2."""
 
 
-_SCHEMES = {"h1": MetricKind.H1, "a0": MetricKind.A0, "au": MetricKind.AU}
+# --- converters: (value, flag) -> value, for flag strings and JSON values alike
 
-_DEFAULTS = {
-    "dim": 1,
-    "n": "127",
-    "bounds": "0,1",
-    "potential": "zero",
-    "beta": 0.0,
-    "scheme": "h1",
-    "tol": 1e-9,
-    "max_iter": 50000,
-    "seed": 0,
-    "init": "default_bump",
-    "init_path": None,
-    "mode": "backtracking",
-    "alpha0": 0.5,
-    "shrink": 0.5,
-    "alpha_floor": 1e-8,
-    "output": None,
-    "format": "json",
-    "trials": 20,
-    "alphas": None,
-    "cross_scheme": False,
+
+def _finite(value, flag):
+    if isinstance(value, bool):  # float(True) is 1.0
+        raise UsageError(f"{flag} expects a number, got {value!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{flag} expects a number, got {value!r}")
+    if not math.isfinite(number):
+        raise UsageError(f"{flag} must be finite, got {value!r}")
+    return number
+
+
+def _int(value, flag):
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{flag} expects an integer, got {value!r}")
+    # 2.5 would truncate, and int(True) is 1
+    if isinstance(value, bool) or (not isinstance(value, str) and number != value):
+        raise UsageError(f"{flag} expects an integer, got {value!r}")
+    return number
+
+
+def _natural(value, flag):
+    number = _int(value, flag)
+    if number < 0:
+        raise UsageError(f"{flag} must be >= 0, got {number}")
+    return number
+
+
+def _bool(value, flag):
+    if not isinstance(value, bool):  # "false" would be truthy
+        raise UsageError(f"{flag} expects true or false, got {value!r}")
+    return value
+
+
+def _str(value, flag):
+    if not isinstance(value, str):
+        raise UsageError(f"{flag} expects a string, got {value!r}")
+    return value
+
+
+def _maybe_str(value, flag):
+    return None if value is None else _str(value, flag)
+
+
+def _lower(value, flag):
+    return _str(value, flag).lower()
+
+
+def _one_of(*choices, convert=_str):
+    """A converter that accepts ``convert``'s result when it is one of ``choices``."""
+    *head, last = choices
+    wording = f"{', '.join(map(str, head))} or {last}"
+
+    def one_of(value, flag):
+        value = convert(value, flag)
+        if value not in choices:
+            raise UsageError(f"{flag} must be {wording}, got {value!r}")
+        return value
+
+    return one_of
+
+
+def _alphas(value, flag):
+    if value is None:
+        return None
+    if isinstance(value, str):
+        return _parse_float_list(value, flag)
+    if not isinstance(value, list):
+        raise UsageError(f"{flag} expects a list of numbers, got {value!r}")
+    return tuple(_finite(a, flag) for a in value)
+
+
+def _parse_int_list(value, flag):
+    text = str(value)
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
+
+
+def _parse_float_list(value, flag):
+    values = tuple(_finite(part, flag) for part in str(value).split(",") if part.strip())
+    if not values:
+        raise UsageError(f"{flag} expects at least one value")
+    return values
+
+
+# --- the settings ------------------------------------------------------------
+
+_SUBCOMMANDS = {
+    "run": "one gradient-flow run",
+    "verify": "run a scheme, then the invariant suite",
+    "spectrum": "linearized eigenpair at the computed state",
+    "sweep": "fixed-stepsize runs over an alpha list",
 }
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Fully resolved invocation: command plus every knob with its default."""
+class _Option(NamedTuple):
+    """One setting: its default, the converter that checks a flag or file
+    value, its ``--help`` text, and the commands that take it as a flag."""
 
-    command: str
-    dim: int
-    n: tuple[int, ...]
-    bounds: tuple[tuple[float, float], ...]
-    potential: str
-    beta: float
-    scheme: str
-    tol: float
-    max_iter: int
-    seed: int
-    init: str
-    init_path: str | None
-    mode: str
-    alpha0: float
-    shrink: float
-    alpha_floor: float
-    output: str | None
-    format: str
-    trials: int
-    alphas: tuple[float, ...] | None
-    cross_scheme: bool
+    default: object
+    convert: Callable[[object, str], object]
+    help: str | None
+    commands: tuple[str, ...] = tuple(_SUBCOMMANDS)
+
+
+_RUN = RunConfig()
+
+# one row per setting, in --help order; the name is the config-file key, and
+# with dashes for underscores the flag
+_OPTIONS = {
+    "dim": _Option(1, _one_of(1, 2, 3, convert=_int), "spatial dimension (1-3)"),
+    "n": _Option("127", _parse_int_list, "interior nodes per axis, e.g. 127 or 63,63"),
+    "bounds": _Option("0,1", _parse_float_list, "box interval per axis, e.g. 0,1"),
+    "potential": _Option("zero", _str,
+                         "zero | harmonic:<omega> | well:<depth>:<lo>:<hi> | file:<path>"),
+    "beta": _Option(0.0, _finite, "interaction strength (>= 0)"),
+    "scheme": _Option(_RUN.scheme.value, _one_of("h1", "a0", "au", convert=_lower), "h1 | a0 | au"),
+    "tol": _Option(_RUN.tol, _finite, "residual stopping tolerance"),
+    "max_iter": _Option(_RUN.max_iter, _int, None),
+    "seed": _Option(_RUN.seed, _natural, "single seed for all randomness"),
+    "init": _Option(_RUN.init, _str, "default_bump | random | file"),
+    "init_path": _Option(_RUN.init_path, _maybe_str, None),
+    "mode": _Option(_RUN.policy.mode, _one_of("backtracking", "fixed"),
+                    "backtracking | fixed stepsize policy"),
+    "alpha0": _Option(_RUN.policy.alpha0, _finite, "initial / fixed stepsize"),
+    "shrink": _Option(_RUN.policy.shrink, _finite, "backtracking shrink factor"),
+    "alpha_floor": _Option(_RUN.policy.alpha_floor, _finite, None),
+    "output": _Option(None, _maybe_str, "output path (default: stdout)"),
+    "format": _Option("json", _one_of("json", "csv", convert=_lower), "json | csv (csv: run only)"),
+    "trials": _Option(20, _natural, "random trials per sampled check", ("verify",)),
+    "cross_scheme": _Option(False, _bool, "also run all three schemes and check they agree",
+                            ("verify",)),
+    "alphas": _Option(None, _alphas, "comma-separated stepsizes, e.g. 0.05,0.1,0.2",
+                      ("sweep",)),
+}
+
+_DEFAULTS = {name: option.default for name, option in _OPTIONS.items()}
+
+CliConfig = make_dataclass("CliConfig", ["command", *_OPTIONS], frozen=True, namespace={
+    "__doc__": "Fully resolved invocation: command plus every knob with its default.",
+    "__module__": __name__,
+})
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,59 +221,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"gpflow {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    def add_common(p):
+    for command, summary in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON file with default option values")
-        p.add_argument("--dim", type=int, help="spatial dimension (1-3)")
-        p.add_argument("--n", help="interior nodes per axis, e.g. 127 or 63,63")
-        p.add_argument("--bounds", help="box interval per axis, e.g. 0,1")
-        p.add_argument(
-            "--potential",
-            help="zero | harmonic:<omega> | well:<depth>:<lo>:<hi> | file:<path>",
-        )
-        p.add_argument("--beta", type=float, help="interaction strength (>= 0)")
-        p.add_argument("--scheme", help="h1 | a0 | au")
-        p.add_argument("--tol", type=float, help="residual stopping tolerance")
-        p.add_argument("--max-iter", dest="max_iter", type=int)
-        p.add_argument("--seed", type=int, help="single seed for all randomness")
-        p.add_argument("--init", help="default_bump | random | file")
-        p.add_argument("--init-path", dest="init_path")
-        p.add_argument("--mode", help="backtracking | fixed stepsize policy")
-        p.add_argument("--alpha0", type=float, help="initial / fixed stepsize")
-        p.add_argument("--shrink", type=float, help="backtracking shrink factor")
-        p.add_argument("--alpha-floor", dest="alpha_floor", type=float)
-        p.add_argument("--output", "-o", help="output path (default: stdout)")
-        p.add_argument("--format", help="json | csv (csv: run only)")
-
-    p_run = sub.add_parser("run", help="one gradient-flow run")
-    add_common(p_run)
-    p_verify = sub.add_parser("verify", help="run a scheme, then the invariant suite")
-    add_common(p_verify)
-    p_verify.add_argument("--trials", type=int, help="random trials per sampled check")
-    p_verify.add_argument(
-        "--cross-scheme",
-        dest="cross_scheme",
-        action="store_const",
-        const=True,
-        help="also run all three schemes and check they agree",
-    )
-    p_spectrum = sub.add_parser("spectrum", help="linearized eigenpair at the computed state")
-    add_common(p_spectrum)
-    p_sweep = sub.add_parser("sweep", help="fixed-stepsize runs over an alpha list")
-    add_common(p_sweep)
-    p_sweep.add_argument("--alphas", help="comma-separated stepsizes, e.g. 0.05,0.1,0.2")
+        for name, option in _OPTIONS.items():
+            if command not in option.commands:
+                continue
+            flags = [_flag(name), "-o"] if name == "output" else [_flag(name)]
+            # a boolean flag takes no value and sets its setting
+            action = {"action": "store_const", "const": True} if option.convert is _bool else {}
+            p.add_argument(*flags, help=option.help, **action)
     return parser
 
 
-def parse_config(argv: list[str]) -> CliConfig:
-    """Resolve flags over optional config-file values over built-in defaults."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+def parse_config(argv: list[str] | None) -> CliConfig:
+    """Resolve flags over optional config-file values over built-in defaults.
+
+    A file value is converted, and so type-checked, even when a flag
+    overrides it: a bad value in the file is an error either way.
+    """
+    ns = _build_parser().parse_args(argv)
     if ns.command is None:
         raise UsageError("a command is required: run, verify, spectrum or sweep")
 
     file_values = {}
-    if getattr(ns, "config", None):
+    if ns.config:
         try:
             with open(ns.config) as fh:
                 file_values = json.load(fh)
@@ -170,32 +253,22 @@ def parse_config(argv: list[str]) -> CliConfig:
             raise UsageError(f"cannot read config file {ns.config}: {exc}")
         if not isinstance(file_values, dict):
             raise UsageError(f"config file {ns.config} must hold a JSON object")
-        unknown = set(file_values) - set(_DEFAULTS)
+        unknown = set(file_values) - set(_OPTIONS)
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
-    def pick(key, convert, **options):
-        """The flag's value, else the file's, else the default, converted.
+    values = {}
+    for name, option in _OPTIONS.items():
+        flag = _flag(name)
+        values[name] = option.convert(file_values.get(name, option.default), flag)
+        given = getattr(ns, name, None)  # None: not given, or not a flag of this command
+        if given is not None:
+            values[name] = option.convert(given, flag)
 
-        A file value is converted, and so type-checked, even when a flag
-        overrides it: a bad value in the file is an error either way.
-        """
-        flag = "--" + key.replace("_", "-")
-        if key in file_values:
-            from_file = convert(file_values[key], flag, **options)
-        value = getattr(ns, key, None)
-        if value is not None:
-            return convert(value, flag, **options)
-        if key in file_values:
-            return from_file
-        return convert(_DEFAULTS[key], flag, **options)
-
-    dim = pick("dim", _int)
-    if dim not in (1, 2, 3):
-        raise UsageError(f"--dim must be 1, 2 or 3, got {dim}")
-    n = pick("n", _parse_int_list)
+    # the rules that span settings; one n or one interval serves every axis
+    dim, n, bounds = values["dim"], values["n"], values["bounds"]
     if len(n) == 1:
-        n = n * dim
+        n = values["n"] = n * dim
     if len(n) != dim:
         raise UsageError(f"--n gives {len(n)} axes but --dim is {dim}")
     if ns.command in ("verify", "spectrum") and math.prod(n) < 3:
@@ -203,121 +276,18 @@ def parse_config(argv: list[str]) -> CliConfig:
             f"{ns.command} needs at least 3 interior unknowns for its eigensolve, "
             f"got {math.prod(n)}"
         )
-    bounds = _parse_bounds(pick("bounds", _parse_float_list), dim)
-    scheme = pick("scheme", _str).lower()
-    if scheme not in _SCHEMES:
-        raise UsageError(f"--scheme must be one of h1, a0, au, got {scheme!r}")
-    fmt = pick("format", _str).lower()
-    if fmt not in ("json", "csv"):
-        raise UsageError(f"--format must be json or csv, got {fmt!r}")
-    if fmt == "csv" and ns.command != "run":
+    if len(bounds) == 2:
+        bounds = bounds * dim
+    if len(bounds) != 2 * dim:
+        raise UsageError(
+            f"--bounds expects 'a,b' (shared) or one pair per axis, got {len(bounds)} values"
+        )
+    values["bounds"] = tuple(zip(bounds[::2], bounds[1::2]))
+    if values["format"] == "csv" and ns.command != "run":
         raise UsageError(f"--format csv is only available for run, not {ns.command}")
-    mode = pick("mode", _str)
-    if mode not in ("backtracking", "fixed"):
-        raise UsageError(f"--mode must be backtracking or fixed, got {mode!r}")
-    alphas = pick("alphas", _alphas)
-    if ns.command == "sweep" and not alphas:
+    if ns.command == "sweep" and not values["alphas"]:
         raise UsageError("sweep requires --alphas, e.g. --alphas 0.05,0.1,0.2")
-    trials = pick("trials", _int)
-    if trials < 0:
-        raise UsageError(f"--trials must be >= 0, got {trials}")
-    seed = pick("seed", _int)
-    if seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
-
-    return CliConfig(
-        command=ns.command,
-        dim=dim,
-        n=tuple(n),
-        bounds=bounds,
-        potential=pick("potential", _str),
-        beta=pick("beta", _finite),
-        scheme=scheme,
-        tol=pick("tol", _finite),
-        max_iter=pick("max_iter", _int),
-        seed=seed,
-        init=pick("init", _str),
-        init_path=pick("init_path", _str, optional=True),
-        mode=mode,
-        alpha0=pick("alpha0", _finite),
-        shrink=pick("shrink", _finite),
-        alpha_floor=pick("alpha_floor", _finite),
-        output=pick("output", _str, optional=True),
-        format=fmt,
-        trials=trials,
-        alphas=alphas,
-        cross_scheme=pick("cross_scheme", _bool),
-    )
-
-
-def _finite(value, flag):
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{flag} expects a number, got {value!r}")
-    if not math.isfinite(number):
-        raise UsageError(f"{flag} must be finite, got {value!r}")
-    return number
-
-
-def _int(value, flag):
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{flag} expects an integer, got {value!r}")
-    if not isinstance(value, str) and number != value:  # 2.5 would truncate
-        raise UsageError(f"{flag} expects an integer, got {value!r}")
-    return number
-
-
-def _bool(value, flag):
-    if not isinstance(value, bool):  # "false" would be truthy
-        raise UsageError(f"{flag} expects true or false, got {value!r}")
-    return value
-
-
-def _str(value, flag, optional=False):
-    if value is None and optional:
-        return None
-    if not isinstance(value, str):
-        raise UsageError(f"{flag} expects a string, got {value!r}")
-    return value
-
-
-def _alphas(value, flag):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return tuple(_parse_float_list(value, flag))
-    if not isinstance(value, list):
-        raise UsageError(f"{flag} expects a list of numbers, got {value!r}")
-    return tuple(_finite(a, flag) for a in value)
-
-
-def _parse_int_list(value, flag):
-    text = str(value)
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
-
-
-def _parse_float_list(value, flag):
-    values = [_finite(part, flag) for part in str(value).split(",") if part.strip()]
-    if not values:
-        raise UsageError(f"{flag} expects at least one value")
-    return values
-
-
-def _parse_bounds(parts, dim):
-    if len(parts) == 2:
-        interval = (parts[0], parts[1])
-        return tuple(interval for _ in range(dim))
-    if len(parts) == 2 * dim:
-        return tuple((parts[2 * k], parts[2 * k + 1]) for k in range(dim))
-    raise UsageError(
-        f"--bounds expects 'a,b' (shared) or one pair per axis, got {len(parts)} values"
-    )
+    return CliConfig(command=ns.command, **values)
 
 
 def build_potential(cfg: CliConfig, grid) -> GridFunction:
@@ -367,28 +337,21 @@ def build_problem(cfg: CliConfig) -> Problem:
     return problem
 
 
-def run_config(cfg: CliConfig, alpha0: float | None = None, mode: str | None = None) -> RunConfig:
+def run_config(cfg: CliConfig) -> RunConfig:
     try:
-        policy = StepPolicy(
-            mode=mode or cfg.mode,
-            alpha0=alpha0 if alpha0 is not None else cfg.alpha0,
-            shrink=cfg.shrink,
-            alpha_floor=cfg.alpha_floor,
-        )
-        return RunConfig(
-            scheme=_SCHEMES[cfg.scheme],
-            policy=policy,
-            tol=cfg.tol,
-            max_iter=cfg.max_iter,
-            seed=cfg.seed,
-            init=cfg.init,
-            init_path=cfg.init_path,
-        )
+        policy = StepPolicy(mode=cfg.mode, alpha0=cfg.alpha0, shrink=cfg.shrink,
+                            alpha_floor=cfg.alpha_floor)
+        return RunConfig(scheme=MetricKind(cfg.scheme), policy=policy, tol=cfg.tol,
+                         max_iter=cfg.max_iter, seed=cfg.seed, init=cfg.init,
+                         init_path=cfg.init_path)
     except ValueError as exc:
         raise UsageError(str(exc))
 
 
 # --- serialization -----------------------------------------------------------
+
+# the IterationRecord fields of run's JSON iterations and CSV trace, in order
+_COLUMNS = ("n", "energy", "residual", "gamma", "alpha", "decrease")
 
 
 def _meta(cfg: CliConfig) -> dict:
@@ -409,17 +372,7 @@ def report_payload(cfg: CliConfig, report: ConvergenceReport) -> dict:
         rate = {"rho": report.rate.rho, "r_squared": report.rate.r_squared}
     return {
         "meta": _meta(cfg),
-        "iterations": [
-            {
-                "n": r.n,
-                "energy": r.energy,
-                "residual": r.residual,
-                "gamma": r.gamma,
-                "alpha": r.alpha,
-                "decrease": r.decrease,
-            }
-            for r in report.records
-        ],
+        "iterations": [{c: getattr(r, c) for c in _COLUMNS} for r in report.records],
         "final": {
             "status": report.status,
             "lambda": report.final_record.gamma,
@@ -468,12 +421,10 @@ def render_json(payload: dict) -> str:
 
 
 def render_csv(report: ConvergenceReport) -> str:
-    lines = ["n,energy,residual,gamma,alpha,decrease"]
-    for r in report.records:
-        lines.append(
-            "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
-            % (r.n, r.energy, r.residual, r.gamma, r.alpha, r.decrease)
-        )
+    # 17 significant digits keep every float's bits, and print the step
+    # number n as %d would
+    lines = [",".join(_COLUMNS)]
+    lines += [",".join("%.17g" % getattr(r, c) for c in _COLUMNS) for r in report.records]
     return "\n".join(lines) + "\n"
 
 
@@ -542,7 +493,7 @@ def cmd_sweep(cfg: CliConfig) -> int:
         entry = {"alpha": alpha, "status": "breakdown", "lambda": None, "iterations": None,
                  "rho": None, "r_squared": None}
         try:
-            report = run(problem, run_config(cfg, alpha0=alpha, mode="fixed"))
+            report = run(problem, run_config(replace(cfg, mode="fixed", alpha0=alpha)))
         except FlowBreakdownError as exc:
             breakdown = breakdown or exc
         else:
@@ -568,8 +519,6 @@ def _print_error(exc: Exception) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         cfg = parse_config(argv)
         return _COMMANDS[cfg.command](cfg)

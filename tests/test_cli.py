@@ -19,6 +19,7 @@ from gpflow.cli import (
     main,
     parse_config,
 )
+from gpflow.flows import RunConfig
 from gpflow.grid import build_grid
 from gpflow.verify import CheckResult
 
@@ -275,6 +276,86 @@ def test_config_string_keys_are_type_checked(tmp_path):
     assert cfg.output is None and cfg.init_path is None
 
 
+def test_cli_defaults_are_the_library_defaults(tmp_path):
+    assert cli.run_config(parse_config(["run"])) == RunConfig()
+    # a config file that spells out every default changes nothing
+    path = tmp_path / "cfg.json"
+    for command in ("run", "verify", "spectrum", "sweep"):
+        alphas = [0.1] if command == "sweep" else None
+        path.write_text(json.dumps({**cli._DEFAULTS, "alphas": alphas}))
+        flags = ["--alphas", "0.1"] if alphas else []
+        assert parse_config([command, "--config", str(path)]) == parse_config([command] + flags)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--trials", "1"], "--trials"),
+        (["run", "--alphas", "0.1"], "--alphas"),
+        (["run", "--cross-scheme"], "--cross-scheme"),
+        (["spectrum", "--cross-scheme"], "--cross-scheme"),
+        (["verify", "--alphas", "0.1"], "--alphas"),
+        (["sweep", "--alphas", "0.1", "--trials", "1"], "--trials"),
+    ],
+)
+def test_flags_belong_to_their_commands(argv, flag, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: unrecognized arguments: {flag}")
+
+
+def test_every_config_key_is_valid_for_every_command(tmp_path):
+    path = tmp_path / "cfg.json"
+    for command in ("run", "verify", "spectrum", "sweep"):
+        flags = ["--alphas", "0.1"] if command == "sweep" else []
+        for key, default in cli._DEFAULTS.items():
+            path.write_text(json.dumps({key: default}))
+            assert parse_config([command, "--config", str(path)] + flags).command == command
+
+
+# one valid value per setting, none of them the default: as the flag's
+# argument (None: a flag without one), as a config-file value, and parsed
+SETTINGS = {
+    "dim": ("2", 2, 2),
+    "n": ("31", 31, (31,)),
+    "bounds": ("0,2", "0,2", ((0.0, 2.0),)),
+    "potential": ("harmonic:20", "harmonic:20", "harmonic:20"),
+    "beta": ("10", 10, 10.0),
+    "scheme": ("AU", "Au", "au"),
+    "tol": ("1e-6", 1e-6, 1e-6),
+    "max_iter": ("7", 7, 7),
+    "seed": ("3", 3, 3),
+    "init": ("random", "random", "random"),
+    "init_path": ("start.csv", "start.csv", "start.csv"),
+    "mode": ("fixed", "fixed", "fixed"),
+    "alpha0": ("0.25", 0.25, 0.25),
+    "shrink": ("0.9", 0.9, 0.9),
+    "alpha_floor": ("1e-6", 1e-6, 1e-6),
+    "output": ("out.json", "out.json", "out.json"),
+    "format": ("CSV", "csv", "csv"),
+    "trials": ("5", 5, 5),
+    "cross_scheme": (None, True, True),
+    "alphas": ("0.1,0.2", [0.1, 0.2], (0.1, 0.2)),
+}
+
+
+def test_settings_cover_the_option_table():
+    assert set(SETTINGS) == set(cli._DEFAULTS)
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_flag_and_file_value_parse_alike(name, tmp_path):
+    flag_value, file_value, parsed = SETTINGS[name]
+    command = {"trials": "verify", "cross_scheme": "verify", "alphas": "sweep"}.get(name, "run")
+    flag = "--" + name.replace("_", "-")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: file_value}))
+    from_flag = parse_config([command, flag] + ([] if flag_value is None else [flag_value]))
+    from_file = parse_config([command, "--config", str(path)])
+    assert from_flag == from_file
+    assert getattr(from_flag, name) == parsed
+
+
 def test_import_leaves_scipy_fft_unloaded():
     # scipy.fft pulls in scipy.special (~0.1 s); only the sine transform on a
     # grid with an axis over 128 nodes imports it, and a one-axis grid never
@@ -357,6 +438,9 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--config", "{cfg_max_iter}"], 1, False),
         (["run", "--config", "{cfg_seed}"], 1, False),
         (["verify", "--n", "7", "--config", "{cfg_trials}"], 1, False),
+        # a JSON boolean is no number: true would read as 1
+        (["run", "--n", "7", "--config", "{cfg_max_iter_bool}"], 1, False),
+        (["run", "--n", "7", "--config", "{cfg_beta_bool}"], 1, False),
         # CG stops short of its tolerance (a zero tolerance is unreachable);
         # a well is not additive, so its a0 operator runs CG
         (["run", "--dim", "2", "--n", "7", "--scheme", "a0", "--potential", "well:1000:0.25:0.75"],
@@ -400,6 +484,8 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
         "cfg_max_iter": json.dumps({"max_iter": 2.5}),
         "cfg_seed": json.dumps({"seed": "s"}),
         "cfg_trials": json.dumps({"trials": [1]}),
+        "cfg_max_iter_bool": json.dumps({"max_iter": True}),
+        "cfg_beta_bool": json.dumps({"beta": True}),
         "cfg_cross": json.dumps({"cross_scheme": "false"}),
         "cfg_init_path": json.dumps({"init": "file", "init_path": 3}),
         "cfg_output": json.dumps({"output": 3}),  # "-o out" is appended below

@@ -50,3 +50,28 @@ def test_compare_invocations_by_value(tmp_path, capsys):
     assert lines["csv"].startswith("MOVED beyond rtol 1e-10: out[*]#3 (1x, up to 4e-07)")
     assert lines["exit"] == "MOVED code '0' -> '2'; stderr '' -> 'error: x'"
     assert compare.main([str(a), str(a)]) == 0
+
+
+def test_cli_invocations_records_the_parser(tmp_path, monkeypatch, capsys):
+    # only the parser's invocations: usage errors, --help and --version
+    invocations = _load("cli_invocations")
+    monkeypatch.setenv("COLUMNS", "80")  # the tool sets it; restored after the test
+    monkeypatch.setattr(invocations, "invocations", lambda: iter(invocations.PARSER))
+    out = tmp_path / "out"
+    assert invocations.main([str(out)]) == 0
+    capsys.readouterr()
+
+    def read(name, part):
+        return (out / name / part).read_text()
+
+    for name, _ in invocations.PARSER:
+        usage_error = name.startswith("usage-")
+        assert read(name, "code") == ("1\n" if usage_error else "0\n")
+        if usage_error:
+            err = read(name, "stderr")
+            assert err.count("\n") == 1 and err.startswith("error: ")
+    assert read("usage-config-unknown-key", "stderr") == "error: unknown config keys: betta\n"
+    assert read("help", "stdout").startswith("usage: gpflow [-h] [--version]")
+    assert read("help-verify", "stdout").startswith("usage: gpflow verify [-h]")
+    assert "--cross-scheme" in read("help-verify", "stdout")
+    assert read("version", "stdout").startswith("gpflow ")

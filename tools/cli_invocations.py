@@ -4,9 +4,12 @@
 
 OUTDIR must not exist yet.  For every invocation, OUTDIR/<name>/ receives
 ``out`` (the file written through ``-o``, absent if none was written),
-``stdout``, ``stderr`` and ``code`` (the exit code of ``gpflow.cli.main``).
-Every output is byte-deterministic, so ``diff -r`` between the OUTDIRs of
-two checkouts shows exactly the invocations whose behaviour changed.
+``stdout``, ``stderr`` and ``code`` (the exit code of ``gpflow.cli.main``, or
+of the ``SystemExit`` that argparse raises after ``--help`` and
+``--version``).  An invocation that reads a config file finds it there as
+``config.json``.  Every output is byte-deterministic, so ``diff -r`` between
+the OUTDIRs of two checkouts shows exactly the invocations whose behaviour
+changed.
 """
 
 from __future__ import annotations
@@ -77,6 +80,35 @@ EXTRA = (
       "--scheme", "a0"]),
 )
 
+# the parser: usage errors (exit 1, one error line), whose stderr is compared,
+# and the help and version texts; "{config}" names OUTDIR/<name>/config.json,
+# which holds CONFIG
+CONFIG = '{"betta": 1.0}'
+PARSER = (
+    ("usage-dim-x", ["run", "--dim", "x"]),
+    ("usage-dim-4", ["run", "--dim", "4"]),
+    ("usage-scheme", ["run", "--scheme", "l2"]),
+    ("usage-format", ["run", "--format", "xml"]),
+    ("usage-format-csv-verify", ["verify", "--format", "csv"]),
+    ("usage-mode", ["run", "--mode", "x"]),
+    ("usage-max-iter", ["run", "--max-iter", "2.5"]),
+    ("usage-trials-x", ["verify", "--trials", "x"]),
+    ("usage-seed-x", ["run", "--seed", "x"]),
+    ("usage-seed-negative", ["run", "--seed", "-1"]),
+    ("usage-beta-x", ["run", "--beta", "x"]),
+    ("usage-beta-nan", ["run", "--beta", "nan"]),
+    ("usage-trials-on-run", ["run", "--trials", "1"]),
+    ("usage-alphas-on-run", ["run", "--alphas", "0.1"]),
+    ("usage-sweep-no-alphas", ["sweep"]),
+    ("usage-config-unknown-key", ["run", "--config", "{config}"]),
+    ("help", ["--help"]),
+    ("help-run", ["run", "--help"]),
+    ("help-verify", ["verify", "--help"]),
+    ("help-spectrum", ["spectrum", "--help"]),
+    ("help-sweep", ["sweep", "--help"]),
+    ("version", ["--version"]),
+)
+
 
 def invocations():
     for name, argv, seeded in CLI_MIX:
@@ -86,6 +118,7 @@ def invocations():
         for seed in (0, 1):
             yield f"{name}-seed{seed}", argv + ["--seed", str(seed)]
     yield from EXTRA
+    yield from PARSER
 
 
 def main(argv=None) -> int:
@@ -96,12 +129,22 @@ def main(argv=None) -> int:
         print("usage: python tools/cli_invocations.py OUTDIR (a new directory)", file=sys.stderr)
         return 1
     outdir = args[0]
+    # argparse wraps its help text to the terminal's width
+    os.environ["COLUMNS"] = "80"
     for name, call in invocations():
         target = os.path.join(outdir, name)
         os.makedirs(target)
+        if "{config}" in call:
+            config = os.path.join(target, "config.json")
+            with open(config, "w") as fh:
+                fh.write(CONFIG)
+            call = [config if arg == "{config}" else arg for arg in call]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(call + ["-o", os.path.join(target, "out")])
+            try:
+                code = cli.main(call + ["-o", os.path.join(target, "out")])
+            except SystemExit as exc:
+                code = exc.code
         for part, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()),
                            ("code", f"{code}\n")):
             with open(os.path.join(target, part), "w") as fh:
