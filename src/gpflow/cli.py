@@ -41,7 +41,7 @@ from .greens import GreenSolveError
 from .grid import GridFunction, MetricKind, build_grid
 from .problem import Problem, harmonic_potential, well_potential, zero_potential
 from .spectral import SpectralReport, linearized_operator, lowest_two_eigen
-from .verify import CheckResult, check_suite, failures
+from .verify import CheckResult, check_suite, cross_scheme_agreement, failures
 
 
 class UsageError(ValueError):
@@ -81,7 +81,7 @@ def _int(value, flag):
 def _natural(value, flag):
     number = _int(value, flag)
     if number < 0:
-        raise UsageError(f"{flag} must be >= 0, got {number}")
+        raise UsageError(f"{flag} must be >= 0, got {value}")
     return number
 
 
@@ -111,10 +111,12 @@ def _one_of(*choices, convert=_str):
     wording = f"{', '.join(map(str, head))} or {last}"
 
     def one_of(value, flag):
-        value = convert(value, flag)
-        if value not in choices:
-            raise UsageError(f"{flag} must be {wording}, got {value!r}")
-        return value
+        converted = convert(value, flag)
+        if converted not in choices:
+            # a file's number as written: int(1e300) has 301 digits
+            shown = converted if isinstance(value, str) else value
+            raise UsageError(f"{flag} must be {wording}, got {shown!r}")
+        return converted
 
     return one_of
 
@@ -449,37 +451,38 @@ def cmd_run(cfg: CliConfig) -> int:
     return 0 if report.status == "converged" else 2
 
 
-def _spectral_at_final(problem, report):
+def _solve_to_spectrum(cfg: CliConfig):
+    """The problem, its converged run and the spectrum at the run's final
+    state; None once the report of a run that did not converge is written."""
+    problem = build_problem(cfg)
+    report = run(problem, run_config(cfg))
+    if report.status != "converged":
+        write_output(render_json(report_payload(cfg, report)), cfg.output)
+        return None
     op = linearized_operator(problem, report.final)
     try:
-        return lowest_two_eigen(op)
+        return problem, report, lowest_two_eigen(op)
     except RuntimeError as exc:  # degenerate eigengap, or an unconverged eigenpair
         raise SolveError(str(exc)) from exc
 
 
 def cmd_verify(cfg: CliConfig) -> int:
-    problem = build_problem(cfg)
-    report = run(problem, run_config(cfg))
-    if report.status != "converged":
-        write_output(render_json(report_payload(cfg, report)), cfg.output)
+    solved = _solve_to_spectrum(cfg)
+    if solved is None:
         return 2
-    spectral = _spectral_at_final(problem, report)
+    problem, report, spectral = solved
     results = check_suite(problem, report, spectral, trials=cfg.trials, seed=cfg.seed)
     if cfg.cross_scheme:
-        from .verify import cross_scheme_agreement
-
         results = results + [cross_scheme_agreement(problem, run_config(cfg))]
     write_output(render_json(checks_payload(cfg, results)), cfg.output)
     return 3 if failures(results) else 0
 
 
 def cmd_spectrum(cfg: CliConfig) -> int:
-    problem = build_problem(cfg)
-    report = run(problem, run_config(cfg))
-    if report.status != "converged":
-        write_output(render_json(report_payload(cfg, report)), cfg.output)
+    solved = _solve_to_spectrum(cfg)
+    if solved is None:
         return 2
-    spectral = _spectral_at_final(problem, report)
+    _, report, spectral = solved
     write_output(render_json(spectral_payload(cfg, report, spectral)), cfg.output)
     return 0
 

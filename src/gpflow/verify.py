@@ -14,10 +14,12 @@ turns a body ``body(ctx, name)`` into the module-level ``check_*(ctx)``.
 of the run rather than the state), ``spectral`` (a spectral report) and
 ``trials`` (at least one trial requested); the check skips with the first
 missing one, in the order given, before its body runs.  A sampled check
-gives only its per-draw body to ``_sampled``, which draws ``ctx.trials``
-times from the check's one generator, seeded from (seed, check name), and
-takes the smallest margin; identical inputs therefore yield identical
-results.
+registers only its draw, ``draw(ctx, rng)``, which yields margins, with
+``@_sampled(name, *needs, detail=...)``: the decorator adds ``trials`` to
+the needs, draws ``ctx.trials`` times from the check's one generator, seeded
+from (seed, check name), and reports the smallest margin.  No check reads
+another's generator, so identical inputs yield identical results, alone or
+in the suite.
 """
 
 from __future__ import annotations
@@ -168,101 +170,112 @@ def _check(name: str, *needs: str):
     return register
 
 
-def _sampled(
-    ctx: CheckContext, name: str, trial: Callable[[np.random.Generator], Iterable[float]]
-) -> float:
+def _fold(ctx: CheckContext, name: str, draw: Callable[..., Iterable[float]]) -> float:
     """The smallest margin over ctx.trials draws, from inf.
 
-    ``trial(rng)`` runs one draw and yields the margins it observes; every
-    draw reads the check's one generator, seeded from (ctx.seed, name), in
-    turn.
+    ``draw(ctx, rng)`` runs one draw and yields the margins it observes;
+    every draw reads the check's one generator, seeded from (ctx.seed,
+    name), in turn.
     """
     rng = _rng_for(ctx.seed, name)
     margin = math.inf
     for _ in range(ctx.trials):
-        for observed in trial(rng):
+        for observed in draw(ctx, rng):
             margin = min(margin, observed)
     return margin
+
+
+def _sampled(name: str, *needs: str, detail: str | Callable[[CheckContext, float], str]):
+    """Register the draw ``draw(ctx, rng)`` in ALL_CHECKS as the sampled check ``name``.
+
+    The check needs ``needs``, then ``trials``; its margin is ``_fold``'s
+    over ctx.trials draws, and its detail is ``detail``, or
+    ``detail(ctx, margin)`` when that is a function.
+    """
+
+    def register(draw):
+        @_check(name, *needs, "trials")
+        @functools.wraps(draw)
+        def check(ctx: CheckContext, name: str) -> CheckResult:
+            margin = _fold(ctx, name, draw)
+            text = detail(ctx, margin) if callable(detail) else detail
+            return _result(name, margin, ctx.trials, text)
+
+        return check
+
+    return register
+
+
+def _toward_ground_state(ctx: CheckContext, direction: GridFunction) -> list[GridFunction]:
+    """retract(u* + eps direction) for eps = 1e-2, 1e-3, 1e-4, 1e-5."""
+    ustar = ctx.ustar()
+    return [
+        retract(GridFunction(ctx.problem.grid, ustar.values + eps * direction.values))
+        for eps in (1e-2, 1e-3, 1e-4, 1e-5)
+    ]
 
 
 # --- grid invariants ---------------------------------------------------------
 
 
-@_check("grid:inner_symmetry", "trials")
-def check_inner_symmetry(ctx: CheckContext, name: str) -> CheckResult:
-    def trial(rng):
-        u = smoothed_noise(ctx.problem, rng)
-        v = smoothed_noise(ctx.problem, rng)
-        for metric in (L2, H1, A0, Metric(MetricKind.AU, base=ctx.au_base(rng))):
-            yield -abs(inner(metric, ctx.problem, u, v) - inner(metric, ctx.problem, v, u))
-
-    margin = _sampled(ctx, name, trial)
-    detail = f"max symmetry defect {-margin:.3e} (must be exactly 0)"
-    return _result(name, margin, ctx.trials, detail)
+@_sampled("grid:inner_symmetry",
+          detail=lambda ctx, margin: f"max symmetry defect {-margin:.3e} (must be exactly 0)")
+def check_inner_symmetry(ctx: CheckContext, rng) -> Iterable[float]:
+    u = smoothed_noise(ctx.problem, rng)
+    v = smoothed_noise(ctx.problem, rng)
+    base = ctx.au_base(rng)
+    for metric in (L2, *(metric_for(kind, base) for kind in SCHEMES)):
+        yield -abs(inner(metric, ctx.problem, u, v) - inner(metric, ctx.problem, v, u))
 
 
-@_check("grid:positive_definite", "trials")
-def check_positive_definite(ctx: CheckContext, name: str) -> CheckResult:
-    def trial(rng):
-        u = smoothed_noise(ctx.problem, rng)
-        for metric in (L2, H1, A0, Metric(MetricKind.AU, base=ctx.au_base(rng))):
-            yield inner(metric, ctx.problem, u, u)
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, f"min quadratic form value {margin:.3e}")
+@_sampled("grid:positive_definite",
+          detail=lambda ctx, margin: f"min quadratic form value {margin:.3e}")
+def check_positive_definite(ctx: CheckContext, rng) -> Iterable[float]:
+    u = smoothed_noise(ctx.problem, rng)
+    base = ctx.au_base(rng)
+    for metric in (L2, *(metric_for(kind, base) for kind in SCHEMES)):
+        yield inner(metric, ctx.problem, u, u)
 
 
-@_check("grid:summation_by_parts", "trials")
-def check_summation_by_parts(ctx: CheckContext, name: str) -> CheckResult:
-    def trial(rng):
-        u = smoothed_noise(ctx.problem, rng)
-        v = smoothed_noise(ctx.problem, rng)
-        edge = inner(H1, ctx.problem, u, v)
-        lap = inner_l2(apply_neg_laplacian(ctx.problem.grid, u), v)
-        yield 1e-12 * (1.0 + abs(edge)) - abs(edge - lap)
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, "edge form vs Laplacian pairing")
+@_sampled("grid:summation_by_parts", detail="edge form vs Laplacian pairing")
+def check_summation_by_parts(ctx: CheckContext, rng) -> Iterable[float]:
+    u = smoothed_noise(ctx.problem, rng)
+    v = smoothed_noise(ctx.problem, rng)
+    edge = inner(H1, ctx.problem, u, v)
+    lap = inner_l2(apply_neg_laplacian(ctx.problem.grid, u), v)
+    yield 1e-12 * (1.0 + abs(edge)) - abs(edge - lap)
 
 
-@_check("lemma:equiv_a0_H1", "trials")
-def check_equiv_a0_h1(ctx: CheckContext, name: str) -> CheckResult:
-    c3 = estimate_poincare(ctx.problem.grid)
-    upper = math.sqrt(1.0 + c3**2 * ctx.problem.v_max)
-
-    def trial(rng):
-        u = smoothed_noise(ctx.problem, rng)
-        nh1 = norm(H1, ctx.problem, u)
-        na0 = norm(A0, ctx.problem, u)
-        yield na0 - nh1 + SLACK_TOL
-        yield upper * nh1 - na0 + SLACK_TOL
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, f"equivalence constant {upper:.6f}")
+def _a0_h1_constant(ctx: CheckContext) -> float:
+    """The a0 norm's bound in H1 norms, sqrt(1 + C_P^2 max V)."""
+    return math.sqrt(1.0 + estimate_poincare(ctx.problem.grid) ** 2 * ctx.problem.v_max)
 
 
-@_check("lemma:equiv_au_H1", "ustar", "trials")
-def check_equiv_au_h1(ctx: CheckContext, name: str) -> CheckResult:
+@_sampled("lemma:equiv_a0_H1",
+          detail=lambda ctx, margin: f"equivalence constant {_a0_h1_constant(ctx):.6f}")
+def check_equiv_a0_h1(ctx: CheckContext, rng) -> Iterable[float]:
+    upper = _a0_h1_constant(ctx)
+    u = smoothed_noise(ctx.problem, rng)
+    nh1 = norm(H1, ctx.problem, u)
+    na0 = norm(A0, ctx.problem, u)
+    yield na0 - nh1 + SLACK_TOL
+    yield upper * nh1 - na0 + SLACK_TOL
+
+
+@_sampled("lemma:equiv_au_H1", "ustar", detail="a_u norm at the ground state dominates H1")
+def check_equiv_au_h1(ctx: CheckContext, rng) -> Iterable[float]:
     metric = Metric(MetricKind.AU, base=ctx.ustar())
-
-    def trial(rng):
-        u = smoothed_noise(ctx.problem, rng)
-        yield norm(metric, ctx.problem, u) - norm(H1, ctx.problem, u) + SLACK_TOL
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, "a_u norm at the ground state dominates H1")
+    u = smoothed_noise(ctx.problem, rng)
+    yield norm(metric, ctx.problem, u) - norm(H1, ctx.problem, u) + SLACK_TOL
 
 
 @_check("lemma:stab_au", "ustar", "trials")
 def check_stab_au(ctx: CheckContext, name: str) -> CheckResult:
-    ustar = ctx.ustar()
     rng = _rng_for(ctx.seed, name)
     probes = [smoothed_noise(ctx.problem, rng) for _ in range(max(3, ctx.trials // 2))]
-    ref = Metric(MetricKind.AU, base=ustar)
-    direction = smoothed_noise(ctx.problem, rng)
+    ref = Metric(MetricKind.AU, base=ctx.ustar())
     devs = []
-    for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-        u = retract(GridFunction(ctx.problem.grid, ustar.values + eps * direction.values))
+    for u in _toward_ground_state(ctx, smoothed_noise(ctx.problem, rng)):
         metric = Metric(MetricKind.AU, base=u)
         dev = max(
             abs(norm(metric, ctx.problem, z) / norm(ref, ctx.problem, z) - 1.0) for z in probes
@@ -276,45 +289,35 @@ def check_stab_au(ctx: CheckContext, name: str) -> CheckResult:
 # --- Green's operator invariants --------------------------------------------
 
 
-@_check("greens:adjoint_identity", "trials")
-def check_adjoint_identity(ctx: CheckContext, name: str) -> CheckResult:
-    def trial(rng):
-        z = smoothed_noise(ctx.problem, rng)
-        w = smoothed_noise(ctx.problem, rng)
-        rhs = inner_l2(z, w)
-        for metric in (H1, A0, Metric(MetricKind.AU, base=ctx.au_base(rng))):
-            lhs = inner(metric, ctx.problem, z, solve_green(metric, ctx.problem, w))
-            yield SLACK_TOL * (1.0 + abs(rhs)) - abs(lhs - rhs)
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, "(z, G w)_X vs (z, w)_L2")
+@_sampled("greens:adjoint_identity", detail="(z, G w)_X vs (z, w)_L2")
+def check_adjoint_identity(ctx: CheckContext, rng) -> Iterable[float]:
+    z = smoothed_noise(ctx.problem, rng)
+    w = smoothed_noise(ctx.problem, rng)
+    rhs = inner_l2(z, w)
+    base = ctx.au_base(rng)
+    for metric in (metric_for(kind, base) for kind in SCHEMES):
+        lhs = inner(metric, ctx.problem, z, solve_green(metric, ctx.problem, w))
+        yield SLACK_TOL * (1.0 + abs(rhs)) - abs(lhs - rhs)
 
 
-@_check("lemma:Gu", "trials")
-def check_gu_bound(ctx: CheckContext, name: str) -> CheckResult:
+@_sampled("lemma:Gu",
+          detail=lambda ctx, margin: f"Poincare constant {estimate_poincare(ctx.problem.grid):.6f}")
+def check_gu_bound(ctx: CheckContext, rng) -> Iterable[float]:
     c3 = estimate_poincare(ctx.problem.grid)
-
-    def trial(rng):
-        u = smoothed_noise(ctx.problem, rng)
-        g = solve_green(H1, ctx.problem, u)
-        yield c3 * norm_l2(u) - norm(H1, ctx.problem, g) + SLACK_TOL
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, f"Poincare constant {c3:.6f}")
+    u = smoothed_noise(ctx.problem, rng)
+    g = solve_green(H1, ctx.problem, u)
+    yield c3 * norm_l2(u) - norm(H1, ctx.problem, g) + SLACK_TOL
 
 
-@_check("greens:self_adjoint", "trials")
-def check_green_self_adjoint(ctx: CheckContext, name: str) -> CheckResult:
-    def trial(rng):
-        z = smoothed_noise(ctx.problem, rng)
-        w = smoothed_noise(ctx.problem, rng)
-        for metric in (H1, A0, Metric(MetricKind.AU, base=ctx.au_base(rng))):
-            a = inner_l2(z, solve_green(metric, ctx.problem, w))
-            b = inner_l2(w, solve_green(metric, ctx.problem, z))
-            yield SLACK_TOL * (1.0 + abs(a)) - abs(a - b)
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, "(z, G w)_L2 vs (w, G z)_L2")
+@_sampled("greens:self_adjoint", detail="(z, G w)_L2 vs (w, G z)_L2")
+def check_green_self_adjoint(ctx: CheckContext, rng) -> Iterable[float]:
+    z = smoothed_noise(ctx.problem, rng)
+    w = smoothed_noise(ctx.problem, rng)
+    base = ctx.au_base(rng)
+    for metric in (metric_for(kind, base) for kind in SCHEMES):
+        a = inner_l2(z, solve_green(metric, ctx.problem, w))
+        b = inner_l2(w, solve_green(metric, ctx.problem, z))
+        yield SLACK_TOL * (1.0 + abs(a)) - abs(a - b)
 
 
 @_check("lemma:Gau", "ustar", "trials")
@@ -323,10 +326,8 @@ def check_gau_lipschitz(ctx: CheckContext, name: str) -> CheckResult:
     rng = _rng_for(ctx.seed, name)
     ref = Metric(MetricKind.AU, base=ustar)
     gstar = solve_green(ref, ctx.problem, ustar)
-    direction = smoothed_noise(ctx.problem, rng)
     ratios = []
-    for eps in (1e-2, 1e-3, 1e-4, 1e-5):
-        u = retract(GridFunction(ctx.problem.grid, ustar.values + eps * direction.values))
+    for u in _toward_ground_state(ctx, smoothed_noise(ctx.problem, rng)):
         g = solve_green(Metric(MetricKind.AU, base=u), ctx.problem, u)
         diff_g = GridFunction(ctx.problem.grid, g.values - gstar.values)
         diff_u = GridFunction(ctx.problem.grid, u.values - ustar.values)
@@ -345,7 +346,7 @@ def check_gau_lipschitz(ctx: CheckContext, name: str) -> CheckResult:
 def check_gradient_consistency(ctx: CheckContext, name: str) -> CheckResult:
     t = 1e-5
 
-    def trial(rng):  # yields minus each relative mismatch
+    def draw(ctx, rng):  # yields minus each relative mismatch
         u = retract(smoothed_noise(ctx.problem, rng))
         h = _tangent_probe(ctx.problem, u, rng)
         up = GridFunction(ctx.problem.grid, u.values + t * h.values)
@@ -359,107 +360,85 @@ def check_gradient_consistency(ctx: CheckContext, name: str) -> CheckResult:
             rel = abs(ip - fd) / max(abs(fd), abs(ip), 1e-30)
             yield -rel
 
-    worst = -_sampled(ctx, name, trial)
+    # not _sampled: 1e-6 - margin need not give the worst mismatch back exactly
+    worst = -_fold(ctx, name, draw)
     # rounding is monotone, so 1e-6 - worst is the least 1e-6 - mismatch
     return _result(name, 1e-6 - worst, ctx.trials, f"max relative FD mismatch {worst:.3e}")
 
 
-@_check("energy:pythagorean_split", "trials")
-def check_pythagorean_split(ctx: CheckContext, name: str) -> CheckResult:
-    def trial(rng):
-        u = retract(smoothed_noise(ctx.problem, rng))
-        for kind in SCHEMES:
-            metric = metric_for(kind, u)
-            state = scheme_state(kind, ctx.problem, u)
-            grad = GridFunction(ctx.problem.grid, state.gradient)
-            rgrad = state.riemannian_gradient
-            full = inner(metric, ctx.problem, grad, grad)
-            proj = inner(metric, ctx.problem, rgrad, rgrad)
-            tail = state.gamma**2 * inner(metric, ctx.problem, state.green_u, state.green_u)
-            yield 1e-8 - abs(full - (proj + tail)) / max(abs(full), 1e-30)
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, "||grad||^2 = ||proj||^2 + gamma^2 ||G u||^2")
+@_sampled("energy:pythagorean_split", detail="||grad||^2 = ||proj||^2 + gamma^2 ||G u||^2")
+def check_pythagorean_split(ctx: CheckContext, rng) -> Iterable[float]:
+    u = retract(smoothed_noise(ctx.problem, rng))
+    for kind in SCHEMES:
+        metric = metric_for(kind, u)
+        state = scheme_state(kind, ctx.problem, u)
+        grad = GridFunction(ctx.problem.grid, state.gradient)
+        rgrad = state.riemannian_gradient
+        full = inner(metric, ctx.problem, grad, grad)
+        proj = inner(metric, ctx.problem, rgrad, rgrad)
+        tail = state.gamma**2 * inner(metric, ctx.problem, state.green_u, state.green_u)
+        yield 1e-8 - abs(full - (proj + tail)) / max(abs(full), 1e-30)
 
 
-@_check("lemma:esti_gradEu", "trials")
-def check_projected_norm_inequality(ctx: CheckContext, name: str) -> CheckResult:
-    def trial(rng):
-        u = retract(smoothed_noise(ctx.problem, rng))
-        for kind in SCHEMES:
-            metric = metric_for(kind, u)
-            state = scheme_state(kind, ctx.problem, u)
-            grad = GridFunction(ctx.problem.grid, state.gradient)
-            yield (
-                norm(metric, ctx.problem, grad)
-                - norm(metric, ctx.problem, state.riemannian_gradient)
-                + SLACK_TOL
-            )
-
-    margin = _sampled(ctx, name, trial)
-    detail = "projected gradient never exceeds the full gradient"
-    return _result(name, margin, ctx.trials, detail)
+@_sampled("lemma:esti_gradEu", detail="projected gradient never exceeds the full gradient")
+def check_projected_norm_inequality(ctx: CheckContext, rng) -> Iterable[float]:
+    u = retract(smoothed_noise(ctx.problem, rng))
+    for kind in SCHEMES:
+        metric = metric_for(kind, u)
+        state = scheme_state(kind, ctx.problem, u)
+        grad = GridFunction(ctx.problem.grid, state.gradient)
+        yield (
+            norm(metric, ctx.problem, grad)
+            - norm(metric, ctx.problem, state.riemannian_gradient)
+            + SLACK_TOL
+        )
 
 
-@_check("energy:projection_tangency", "trials")
-def check_projection_tangency(ctx: CheckContext, name: str) -> CheckResult:
-    def trial(rng):
-        u = retract(smoothed_noise(ctx.problem, rng))
-        xi = smoothed_noise(ctx.problem, rng)
-        for metric in (H1, A0, Metric(MetricKind.AU, base=u)):
-            r = project_tangent(metric, ctx.problem, u, xi)
-            yield 1e-10 - abs(inner_l2(r, u))
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, "projected vector is L2-orthogonal to the base")
+@_sampled("energy:projection_tangency", detail="projected vector is L2-orthogonal to the base")
+def check_projection_tangency(ctx: CheckContext, rng) -> Iterable[float]:
+    u = retract(smoothed_noise(ctx.problem, rng))
+    xi = smoothed_noise(ctx.problem, rng)
+    for metric in (metric_for(kind, u) for kind in SCHEMES):
+        r = project_tangent(metric, ctx.problem, u, xi)
+        yield 1e-10 - abs(inner_l2(r, u))
 
 
-@_check("lemma:esti_retraction", "trials")
-def check_retraction_bound(ctx: CheckContext, name: str) -> CheckResult:
-    def trial(rng):
-        u = retract(smoothed_noise(ctx.problem, rng))
-        t = _tangent_probe(ctx.problem, u, rng)
-        for scale in (1e-3, 1e-2, 1e-1, 0.5):
-            xi = GridFunction(ctx.problem.grid, scale * t.values)
-            upxi = GridFunction(ctx.problem.grid, u.values + xi.values)
-            drift = GridFunction(ctx.problem.grid, retract(upxi).values - upxi.values)
-            bound = 0.5 * norm_l2(xi) ** 2 * norm(H1, ctx.problem, upxi)
-            yield bound - norm(H1, ctx.problem, drift) + SLACK_TOL
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, "retraction drift within the quadratic bound")
+@_sampled("lemma:esti_retraction", detail="retraction drift within the quadratic bound")
+def check_retraction_bound(ctx: CheckContext, rng) -> Iterable[float]:
+    u = retract(smoothed_noise(ctx.problem, rng))
+    t = _tangent_probe(ctx.problem, u, rng)
+    for scale in (1e-3, 1e-2, 1e-1, 0.5):
+        xi = GridFunction(ctx.problem.grid, scale * t.values)
+        upxi = GridFunction(ctx.problem.grid, u.values + xi.values)
+        drift = GridFunction(ctx.problem.grid, retract(upxi).values - upxi.values)
+        bound = 0.5 * norm_l2(xi) ** 2 * norm(H1, ctx.problem, upxi)
+        yield bound - norm(H1, ctx.problem, drift) + SLACK_TOL
 
 
-@_check("lemma:linear_error", "trials")
-def check_linear_error_expansion(ctx: CheckContext, name: str) -> CheckResult:
+@_sampled("lemma:linear_error", detail="second-order remainder matches the exact expansion")
+def check_linear_error_expansion(ctx: CheckContext, rng) -> Iterable[float]:
     problem = ctx.problem
     w = problem.grid.cell_volume
     beta = problem.beta
-
-    def trial(rng):
-        u = retract(smoothed_noise(problem, rng))
-        v0 = smoothed_noise(problem, rng)
-        v = GridFunction(problem.grid, 0.5 * v0.values)
-        grad = metric_gradient(MetricKind.H1, problem, u)
-        upv = GridFunction(problem.grid, u.values + v.values)
-        lhs = energy(problem, upv) - energy(problem, u) - inner(H1, problem, grad, v)
-        rhs = (
-            0.5 * inner(H1, problem, v, v)
-            + 0.5 * w * float(np.sum(problem.V.values * v.values**2))
-            + w
-            * float(
-                np.sum(
-                    1.5 * beta * u.values**2 * v.values**2
-                    + beta * u.values * v.values**3
-                    + 0.25 * beta * v.values**4
-                )
+    u = retract(smoothed_noise(problem, rng))
+    v0 = smoothed_noise(problem, rng)
+    v = GridFunction(problem.grid, 0.5 * v0.values)
+    grad = metric_gradient(MetricKind.H1, problem, u)
+    upv = GridFunction(problem.grid, u.values + v.values)
+    lhs = energy(problem, upv) - energy(problem, u) - inner(H1, problem, grad, v)
+    rhs = (
+        0.5 * inner(H1, problem, v, v)
+        + 0.5 * w * float(np.sum(problem.V.values * v.values**2))
+        + w
+        * float(
+            np.sum(
+                1.5 * beta * u.values**2 * v.values**2
+                + beta * u.values * v.values**3
+                + 0.25 * beta * v.values**4
             )
         )
-        yield 1e-9 - abs(lhs - rhs) / max(abs(lhs), 1e-30)
-
-    margin = _sampled(ctx, name, trial)
-    detail = "second-order remainder matches the exact expansion"
-    return _result(name, margin, ctx.trials, detail)
+    )
+    yield 1e-9 - abs(lhs - rhs) / max(abs(lhs), 1e-30)
 
 
 # --- flow (run trace) invariants --------------------------------------------
@@ -565,22 +544,21 @@ def check_gamma_equals_lambda0(ctx: CheckContext, name: str) -> CheckResult:
     return _result(name, 1e-6 - rel, 1, detail)
 
 
-@_check("lemma:Elocalconvex", "spectral", "ustar", "trials")
-def check_local_convexity(ctx: CheckContext, name: str) -> CheckResult:
+def _quarter_gap(ctx: CheckContext) -> float:
+    return 0.25 * (ctx.spectral.lambda1 - ctx.spectral.lambda0)
+
+
+@_sampled("lemma:Elocalconvex", "spectral", "ustar",
+          detail=lambda ctx, margin: f"quarter-gap {_quarter_gap(ctx):.4e}")
+def check_local_convexity(ctx: CheckContext, rng) -> Iterable[float]:
     ustar = ctx.ustar()
-    gap4 = 0.25 * (ctx.spectral.lambda1 - ctx.spectral.lambda0)
-    e_star = energy(ctx.problem, ustar)
-
-    def trial(rng):
-        eps = 10.0 ** rng.uniform(-3, -1)
-        z = smoothed_noise(ctx.problem, rng)
-        u = retract(GridFunction(ctx.problem.grid, ustar.values + eps * z.values))
-        dist_sq = norm_l2(GridFunction(ctx.problem.grid, u.values - ustar.values)) ** 2
-        if dist_sq <= 2.0:
-            yield energy(ctx.problem, u) - e_star - gap4 * dist_sq + SLACK_TOL
-
-    margin = _sampled(ctx, name, trial)
-    return _result(name, margin, ctx.trials, f"quarter-gap {gap4:.4e}")
+    eps = 10.0 ** rng.uniform(-3, -1)
+    z = smoothed_noise(ctx.problem, rng)
+    u = retract(GridFunction(ctx.problem.grid, ustar.values + eps * z.values))
+    dist_sq = norm_l2(GridFunction(ctx.problem.grid, u.values - ustar.values)) ** 2
+    if dist_sq <= 2.0:
+        e_star = energy(ctx.problem, ustar)
+        yield energy(ctx.problem, u) - e_star - _quarter_gap(ctx) * dist_sq + SLACK_TOL
 
 
 @_check("spectral:rate_vs_gap", "spectral")

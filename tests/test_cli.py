@@ -472,6 +472,9 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--n", "7", "--alpha-floor", "-1"], 1, False),
         (["run", "--n", "7", "--shrink", "2"], 1, False),
         (["run", "--n", "7", "--config", "{cfg_null}"], 1, False),
+        # a file's number far out of range is named as written, not in 301 digits
+        (["run", "--config", "{cfg_dim_huge}"], 1, False),
+        (["run", "--config", "{cfg_seed_huge}"], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):
@@ -491,6 +494,8 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
         "cfg_output": json.dumps({"output": 3}),  # "-o out" is appended below
         "cfg_alphas": json.dumps({"alphas": 0.1}),
         "cfg_null": "null",
+        "cfg_dim_huge": json.dumps({"dim": 1e300}),
+        "cfg_seed_huge": json.dumps({"seed": -1e300}),
     }
     files = {key: tmp_path / key for key in contents}
     for key, text in contents.items():
@@ -503,6 +508,7 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
     assert main(argv + ["-o", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+    assert len(err) <= 200
     assert "Traceback" not in err
 
 

@@ -9,6 +9,7 @@ from gpflow.problem import Problem, harmonic_potential, zero_potential
 from gpflow.spectral import linearized_operator, lowest_two_eigen
 from gpflow.verify import (
     ALL_CHECKS,
+    CheckContext,
     check_suite,
     cross_scheme_agreement,
     failures,
@@ -117,6 +118,25 @@ def test_determinism(nonlinear_setup):
             rb.detail,
         )
         assert ra.margin == rb.margin or (math.isnan(ra.margin) and math.isnan(rb.margin))
+
+
+def test_check_alone_gives_its_suite_result():
+    # each check reads only its own (seed, name) generator, so running the
+    # checks one at a time, in reverse order, changes no result
+    grid = build_grid(2, [15, 15], [(0.0, 1.0)] * 2)
+    problem = Problem(grid, harmonic_potential(grid, 20.0), 10.0)
+    report = run(problem, RunConfig(scheme=MetricKind.AU))
+    assert report.status == "converged"
+    spectral = lowest_two_eigen(linearized_operator(problem, report.final))
+    suite = {r.name: r for r in check_suite(problem, report, spectral, trials=3, seed=4)}
+    ctx = CheckContext(problem, report, spectral, trials=3, seed=4)
+    for name in reversed(list(ALL_CHECKS)):
+        alone = ALL_CHECKS[name](ctx)
+        if alone.skipped:
+            assert (alone.name, alone.skipped, alone.detail) == (name, True, suite[name].detail)
+            assert suite[name].skipped
+        else:
+            assert alone == suite[name]
 
 
 def test_trials_zero_skips_sampled_checks(nonlinear_setup):

@@ -78,6 +78,13 @@ EXTRA = (
     ("run-2d-harmonic-1e100-a0",
      ["run", "--dim", "2", "--n", "7", "--potential", "harmonic:1e100", "--beta", "1e100",
       "--scheme", "a0"]),
+    # a run cut short: verify and spectrum write the run report and exit 2
+    ("verify-unconverged", ["verify", "--n", "63", "--beta", "50", "--max-iter", "2"]),
+    ("spectrum-unconverged", ["spectrum", "--n", "63", "--beta", "50", "--max-iter", "2"]),
+    # the suite after an a_u run, on a potential that is not additive
+    ("verify-2d-well-au",
+     ["verify", "--dim", "2", "--n", "15", "--beta", "10", "--scheme", "au", "--potential",
+      "well:1000:0.25:0.75", "--trials", "2"]),
 )
 
 # the parser: usage errors (exit 1, one error line), whose stderr is compared,
