@@ -1,5 +1,7 @@
 """Ground states of the Gross-Pitaevskii equation by projected Sobolev
-gradient flows, with a verification suite for the solver's invariants."""
+gradient flows, with a verification suite for the solver's invariants.
+
+The names imported below are the package's public API."""
 
 __version__ = "0.1.0"
 
@@ -48,50 +50,3 @@ from .spectral import (
     lowest_two_eigen,
 )
 from .verify import CheckResult, check_suite, cross_scheme_agreement, failures
-
-__all__ = [
-    "A0",
-    "CheckResult",
-    "ConvergenceReport",
-    "EigengapDegenerateError",
-    "FlowBreakdownError",
-    "Grid",
-    "GridFunction",
-    "GridMismatchError",
-    "H1",
-    "IterationRecord",
-    "L2",
-    "LinearOperator",
-    "Metric",
-    "MetricKind",
-    "Problem",
-    "RateFit",
-    "RunConfig",
-    "SpectralReport",
-    "StepPolicy",
-    "build_grid",
-    "check_suite",
-    "cross_scheme_agreement",
-    "energy",
-    "energy_decrease",
-    "estimate_poincare",
-    "failures",
-    "fit_rate",
-    "harmonic_potential",
-    "initial_guess",
-    "inner",
-    "inner_l2",
-    "linearized_operator",
-    "lowest_two_eigen",
-    "metric_gradient",
-    "norm",
-    "norm_l2",
-    "project_tangent",
-    "retract",
-    "run",
-    "scheme_state",
-    "sign_normalize",
-    "solve_green",
-    "well_potential",
-    "zero_potential",
-]

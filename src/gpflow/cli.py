@@ -52,6 +52,13 @@ class SolveError(RuntimeError):
     """A solver stopped short of its goal; maps to exit code 2."""
 
 
+# caps that keep a call bounded: draws per sampled check (a 1,000-trial
+# verify of a 63 x 63 well takes 71 s), and interior unknowns, prod(n),
+# checked before anything is allocated (32 MiB per vector)
+MAX_TRIALS = 1000
+MAX_UNKNOWNS = 2**22
+
+
 # --- converters: (value, flag) -> value, for flag strings and JSON values alike
 
 
@@ -82,6 +89,14 @@ def _natural(value, flag):
     number = _int(value, flag)
     if number < 0:
         raise UsageError(f"{flag} must be >= 0, got {value}")
+    return number
+
+
+def _trials(value, flag):
+    # the value is not echoed: a flag's huge count runs to hundreds of digits
+    number = _natural(value, flag)
+    if number > MAX_TRIALS:
+        raise UsageError(f"{flag} must be at most {MAX_TRIALS}")
     return number
 
 
@@ -190,7 +205,7 @@ _OPTIONS = {
     "alpha_floor": _Option(_RUN.policy.alpha_floor, _finite, None),
     "output": _Option(None, _maybe_str, "output path (default: stdout)"),
     "format": _Option("json", _one_of("json", "csv", convert=_lower), "json | csv (csv: run only)"),
-    "trials": _Option(20, _natural, "random trials per sampled check", ("verify",)),
+    "trials": _Option(20, _trials, "random trials per sampled check", ("verify",)),
     "cross_scheme": _Option(False, _bool, "also run all three schemes and check they agree",
                             ("verify",)),
     "alphas": _Option(None, _alphas, "comma-separated stepsizes, e.g. 0.05,0.1,0.2",
@@ -273,6 +288,8 @@ def parse_config(argv: list[str] | None) -> CliConfig:
         n = values["n"] = n * dim
     if len(n) != dim:
         raise UsageError(f"--n gives {len(n)} axes but --dim is {dim}")
+    if min(n) >= 1 and math.prod(n) > MAX_UNKNOWNS:  # a count below 1 is build_grid's error
+        raise UsageError(f"--n gives more than {MAX_UNKNOWNS} interior unknowns")
     if ns.command in ("verify", "spectrum") and math.prod(n) < 3:
         raise UsageError(
             f"{ns.command} needs at least 3 interior unknowns for its eigensolve, "

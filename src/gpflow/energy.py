@@ -112,10 +112,10 @@ def _step_moments(problem: Problem, u: np.ndarray, g: np.ndarray, uu: float) -> 
     )
 
 
-def _step_decreases(problem: Problem, u: GridFunction, g: GridFunction, moments: StepMoments):
+def _step_decreases(problem: Problem, u: np.ndarray, g: np.ndarray, moments: StepMoments):
     """The function alpha -> (decrease, values of the retracted step), from
-    the StepMoments of (u, g).  With tau = ||u||^2, y = u - alpha g and
-    s = ||y||^2 = 1 + t_y, E(u / sqrt(tau)) - E(y / sqrt(s)) is
+    the StepMoments of (u, g), value arrays.  With tau = ||u||^2,
+    y = u - alpha g and s = ||y||^2 = 1 + t_y, E(u / sqrt(tau)) - E(y / sqrt(s)) is
 
       alpha (k1 - alpha k2) / (tau s) + alpha (m0 + alpha (m1 + alpha (m2 + alpha m3))) / (tau s)^2.
 
@@ -139,7 +139,7 @@ def _step_decreases(problem: Problem, u: GridFunction, g: GridFunction, moments:
         ts = tau * (1.0 + t_y)
         quartic = alpha * (m0 + alpha * (m1 + alpha * (m2 + alpha * m3))) / (ts * ts)
         decrease = alpha * (k1 - alpha * k2) / ts + quartic
-        return float(decrease), (u.values - alpha * g.values) / math.sqrt(1.0 + t_y)
+        return float(decrease), (u - alpha * g) / math.sqrt(1.0 + t_y)
 
     return decrease_at
 
@@ -151,21 +151,20 @@ def step_decrease(
     search's model at one alpha, from moments taken as a scheme state takes
     them, accurate at the alpha*residual^2 scale and at any float alpha."""
     moments = _step_moments(problem, u.values, g.values, inner_l2(u, u))
-    decrease_at = _step_decreases(problem, u, g, moments)
-    decrease, u_next = decrease_at(alpha)
+    decrease, u_next = _step_decreases(problem, u.values, g.values, moments)(alpha)
     return decrease, GridFunction(problem.grid, u_next)
 
 
 def _gradient(
     kind: SchemeKind,
     problem: Problem,
-    u: GridFunction,
+    u: np.ndarray,
     op: LinearOperator,
     x0: np.ndarray | None = None,
     rtol: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Metric gradient values at u, the Green-solve term added to u, and
-    that term's unscaled Green solve.
+    """Metric gradient values at u (values), the Green-solve term added to
+    u, and that term's unscaled Green solve.
 
     H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u, and a0 at
     beta = 0: u itself, with no Green-solve term (None, None).  ``op`` is the
@@ -173,13 +172,13 @@ def _gradient(
     ``rtol``.
     """
     if kind is MetricKind.H1:
-        gv = solution = op.solve(problem.V.values * u.values + problem.beta * u.values**3)
+        gv = solution = op.solve(problem.V.values * u + problem.beta * u**3)
     elif kind is MetricKind.A0 and problem.beta != 0.0:
-        solution = op.solve(u.values**3, x0, rtol)
+        solution = op.solve(u**3, x0, rtol)
         gv = problem.beta * solution
     else:
-        return u.values, None, None
-    return u.values + gv, gv, solution
+        return u, None, None
+    return u + gv, gv, solution
 
 
 def metric_gradient(kind: SchemeKind, problem: Problem, u: GridFunction) -> GridFunction:
@@ -189,7 +188,7 @@ def metric_gradient(kind: SchemeKind, problem: Problem, u: GridFunction) -> Grid
     """
     if u.grid != problem.grid:
         raise GridMismatchError("function does not live on the problem grid")
-    grad, _, _ = _gradient(kind, problem, u, LinearOperator(metric_for(kind, u), problem))
+    grad, _, _ = _gradient(kind, problem, u.values, LinearOperator(metric_for(kind, u), problem))
     return GridFunction(problem.grid, grad)
 
 
@@ -211,6 +210,7 @@ def project_tangent(
 class SchemeState:
     """Everything one iteration needs: direction, multiplier, residual.
 
+    Its four vectors are value arrays (dof,) on ``problem.grid``.
     ``gradient`` holds the values of the metric gradient at u, from the
     state's own solve (a state solved at greens.CG_RTOL without a start, as
     ``scheme_state`` returns it without ``prev``, has exactly
@@ -229,11 +229,11 @@ class SchemeState:
     ``moments``, of u and riemannian_gradient, give residual and line search.
     """
 
-    riemannian_gradient: GridFunction
+    riemannian_gradient: np.ndarray
     gradient: np.ndarray
     gamma: float
     residual: float
-    green_u: GridFunction
+    green_u: np.ndarray
     green_term: np.ndarray | None
     rtol: float
     cg_iterations: int
@@ -243,32 +243,31 @@ class SchemeState:
 def _solve_state(
     kind: SchemeKind,
     problem: Problem,
-    u: GridFunction,
+    u: np.ndarray,
     uu: float,
     op: LinearOperator,
     start: SchemeState | None,
     rtol: float,
 ) -> SchemeState:
-    """The state at u, whose (u, u)_L2 is ``uu``, with every solve at
-    ``rtol``, started from ``start``'s."""
+    """The state at u (values), whose (u, u)_L2 is ``uu``, with every solve
+    at ``rtol``, started from ``start``'s."""
     start_u = start_term = None
     if start is not None:
-        start_u, start_term = start.green_u.values, start.green_term
-    w, uv = problem.grid.cell_volume, u.values
-    gu = op.solve(uv, start_u, rtol)
+        start_u, start_term = start.green_u, start.green_term
+    w = problem.grid.cell_volume
+    gu = op.solve(u, start_u, rtol)
     iterations = op.iterations
-    denom = w * float(np.dot(gu, uv))  # (G u, u)_L2, equal to ||G u||_X^2
+    denom = w * float(np.dot(gu, u))  # (G u, u)_L2, equal to ||G u||_X^2
     grad, gv, solution = _gradient(kind, problem, u, op, start_term, rtol)
     if solution is not None:  # op.iterations now counts the gradient's solve
         iterations += op.iterations
-    numer = 1.0 if gv is None else 1.0 + w * float(np.dot(gv, uv))
+    numer = 1.0 if gv is None else 1.0 + w * float(np.dot(gv, u))
     gamma = numer / denom
     g = grad - gamma * gu
-    moments = _step_moments(problem, uv, g, uu)
+    moments = _step_moments(problem, u, g, uu)
     d_term = 0.0 if kind is MetricKind.H1 else w * np.dot(op.diagonal_term, g * g)
     residual = math.sqrt(moments.dirichlet[2] + d_term)  # ||g||_X^2 = a(g, g) + w sum D g^2
-    return SchemeState(GridFunction(problem.grid, g), grad, gamma, residual,
-                       GridFunction(problem.grid, gu), solution, rtol, iterations, moments)
+    return SchemeState(g, grad, gamma, residual, gu, solution, rtol, iterations, moments)
 
 
 def scheme_state(
@@ -307,13 +306,13 @@ def scheme_state(
     if op is None:
         op = LinearOperator(metric_for(kind, u), problem)
     if tol is None or prev is None or op.exact:
-        return _solve_state(kind, problem, u, uu, op, prev, greens.CG_RTOL)
+        return _solve_state(kind, problem, u.values, uu, op, prev, greens.CG_RTOL)
     forcing = greens.CG_FORCING * prev.residual
     rtol = min(max(forcing, greens.CG_RTOL), greens.CG_RTOL_MAX)
-    state = _solve_state(kind, problem, u, uu, op, prev, rtol)
+    state = _solve_state(kind, problem, u.values, uu, op, prev, rtol)
     if state.residual > tol or rtol == greens.CG_RTOL:
         return state
-    tight = _solve_state(kind, problem, u, uu, op, state, greens.CG_RTOL)
+    tight = _solve_state(kind, problem, u.values, uu, op, state, greens.CG_RTOL)
     return replace(tight, cg_iterations=state.cg_iterations + tight.cg_iterations)
 
 

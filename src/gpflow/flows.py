@@ -9,6 +9,7 @@ every accepted step without knowing the admissible-stepsize constant.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,7 +155,7 @@ def _search(problem, u, state, policy):
     the stepsizes tried; a search stopped by the floor returns its last
     trial unaccepted.
     """
-    decrease_at = _step_decreases(problem, u, state.riemannian_gradient, state.moments)
+    decrease_at = _step_decreases(problem, u.values, state.riemannian_gradient, state.moments)
     res_sq = state.residual**2
     alpha = policy.alpha0
     trials = 1
@@ -192,9 +193,10 @@ def run(
     along it, so "stepsize_floor" also ends only at a tight state.  Each
     record carries its step's line-search trials and CG iterations.
 
-    A step whose retracted iterate equals u bit for bit (at a residual so
-    large that alpha * g is lost in u's rounding, say) is not accepted:
-    its record logs a decrease of 0 and no sufficient decrease, and the run
+    A step whose retracted iterate equals u or one of the 7 iterates before
+    it bit for bit (at a residual so large that alpha * g is lost in u's
+    rounding, say, or along a cycle of fixed steps) is not accepted: its
+    record logs a decrease of 0 and no sufficient decrease, and the run
     ends there with status "stalled" (after the same tight retry as a
     floor), instead of claiming the model's decrease at every step to
     ``max_iter``.
@@ -243,6 +245,7 @@ def _iterate(problem, cfg, u, reference, records):
     max_drift = 0.0
     current_energy = energy(problem, u)
     state = None  # the previous step's state warm-starts this step's solves
+    recent = deque([u], maxlen=8)  # u and the 7 iterates before it, held by reference
 
     for n in range(cfg.max_iter + 1):
         op = fixed_op
@@ -259,8 +262,11 @@ def _iterate(problem, cfg, u, reference, records):
         stalled = False
         while state.residual > cfg.tol and n < cfg.max_iter:
             alpha, u_next, decrease, accepted, tried = _search(problem, u, state, cfg.policy)
-            stalled = np.array_equal(u_next.values, u.values)
-            if stalled:  # a step that does not move decreases nothing
+            # a step back to a recent iterate (or to u) decreases nothing; one
+            # entry is compared first, so a miss costs one scalar test
+            x, k = u_next.values, u.values.size // 2
+            stalled = any(x[k] == v.values[k] and np.array_equal(x, v.values) for v in recent)
+            if stalled:
                 decrease, accepted = 0.0, False
             step = alpha, u_next, decrease, accepted
             trials += tried
@@ -289,6 +295,7 @@ def _iterate(problem, cfg, u, reference, records):
             break
         current_energy -= decrease
         u = u_next
+        recent.append(u)
     return u, status, max_drift
 
 

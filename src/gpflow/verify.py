@@ -99,9 +99,8 @@ def smoothed_noise(problem: Problem, rng: np.random.Generator) -> GridFunction:
     """
     grid = problem.grid
     x = rng.uniform(-1.0, 1.0, grid.dof)
-    diag = sine_basis(grid)[0].diagonal()
-    lx = apply_neg_laplacian(grid, GridFunction(grid, x)).values
-    x = x - lx / diag
+    laplacian = sine_basis(grid)[0]
+    x = x - (laplacian @ x) / laplacian.diagonal()
     return retract(GridFunction(grid, x))
 
 
@@ -372,11 +371,11 @@ def check_pythagorean_split(ctx: CheckContext, rng) -> Iterable[float]:
     for kind in SCHEMES:
         metric = metric_for(kind, u)
         state = scheme_state(kind, ctx.problem, u)
-        grad = GridFunction(ctx.problem.grid, state.gradient)
-        rgrad = state.riemannian_gradient
+        grad, rgrad, gu = (GridFunction(ctx.problem.grid, x) for x in
+                           (state.gradient, state.riemannian_gradient, state.green_u))
         full = inner(metric, ctx.problem, grad, grad)
         proj = inner(metric, ctx.problem, rgrad, rgrad)
-        tail = state.gamma**2 * inner(metric, ctx.problem, state.green_u, state.green_u)
+        tail = state.gamma**2 * inner(metric, ctx.problem, gu, gu)
         yield 1e-8 - abs(full - (proj + tail)) / max(abs(full), 1e-30)
 
 
@@ -386,12 +385,9 @@ def check_projected_norm_inequality(ctx: CheckContext, rng) -> Iterable[float]:
     for kind in SCHEMES:
         metric = metric_for(kind, u)
         state = scheme_state(kind, ctx.problem, u)
-        grad = GridFunction(ctx.problem.grid, state.gradient)
-        yield (
-            norm(metric, ctx.problem, grad)
-            - norm(metric, ctx.problem, state.riemannian_gradient)
-            + SLACK_TOL
-        )
+        grad, rgrad = (GridFunction(ctx.problem.grid, x) for x in
+                       (state.gradient, state.riemannian_gradient))
+        yield norm(metric, ctx.problem, grad) - norm(metric, ctx.problem, rgrad) + SLACK_TOL
 
 
 @_sampled("energy:projection_tangency", detail="projected vector is L2-orthogonal to the base")

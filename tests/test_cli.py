@@ -475,6 +475,11 @@ def test_spectrum_byte_identical(tmp_path):
         # a file's number far out of range is named as written, not in 301 digits
         (["run", "--config", "{cfg_dim_huge}"], 1, False),
         (["run", "--config", "{cfg_seed_huge}"], 1, False),
+        # counts beyond their caps: trials, and interior unknowns before
+        # anything is allocated for them
+        (["verify", "--n", "7", "--trials", "1" + "0" * 300], 1, False),
+        (["verify", "--n", "7", "--config", "{cfg_trials_huge}"], 1, False),
+        (["run", "--dim", "3", "--n", "100000"], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):
@@ -496,6 +501,7 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
         "cfg_null": "null",
         "cfg_dim_huge": json.dumps({"dim": 1e300}),
         "cfg_seed_huge": json.dumps({"seed": -1e300}),
+        "cfg_trials_huge": json.dumps({"trials": 1e300}),
     }
     files = {key: tmp_path / key for key in contents}
     for key, text in contents.items():

@@ -118,7 +118,7 @@ def test_sign_normalize():
 def test_step_moves_downhill():
     prob = nonlinear_problem(beta=20.0)
     u = initial_guess(prob, "random", seed=1)
-    g = scheme_state(MetricKind.H1, prob, u).riemannian_gradient
+    g = GridFunction(prob.grid, scheme_state(MetricKind.H1, prob, u).riemannian_gradient)
     _, v = step_decrease(prob, u, g, 0.2)
     assert norm_l2(v) == pytest.approx(1.0)
     assert energy(prob, v) < energy(prob, u)
@@ -197,7 +197,8 @@ def test_search_decrease_is_step_decrease_bit_for_bit(case):
         state = scheme_state(kind, prob, u)
         for policy in (StepPolicy(alpha0=4.0), StepPolicy(mode="fixed", alpha0=0.3)):
             alpha, u_next, decrease, _, _ = _search(prob, u, state, policy)
-            expected, expected_next = step_decrease(prob, u, state.riemannian_gradient, alpha)
+            g = GridFunction(prob.grid, state.riemannian_gradient)
+            expected, expected_next = step_decrease(prob, u, g, alpha)
             assert decrease == expected
             np.testing.assert_array_equal(u_next.values, expected_next.values)
 
@@ -265,7 +266,7 @@ def test_reported_state_is_certified(scheme, max_iter, monkeypatch):
     assert last.gamma == pytest.approx(fresh.gamma, rel=1e-12)
     # the residual is a difference of terms of size gamma ||G u||_X, so two
     # tight states agree on it to the solves' tolerance on that scale
-    scale = fresh.gamma * math.sqrt(inner_l2(fresh.green_u, report.final))
+    scale = fresh.gamma * math.sqrt(inner_l2(GridFunction(prob.grid, fresh.green_u), report.final))
     assert abs(last.residual - fresh.residual) <= 1e-12 * scale
     if report.status == "converged":
         assert max(last.residual, fresh.residual) <= cfg.tol
@@ -345,6 +346,7 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
     assert last.alpha == trials[-1]
     assert last.trials == len(trials)
     prob, u, g, _ = searches[-1]
+    u, g = (GridFunction(prob.grid, x) for x in (u, g))
     assert last.decrease == step_decrease(prob, u, g, last.alpha)[0]
 
 
@@ -383,6 +385,50 @@ def test_huge_beta_run_ends_without_claiming_null_decreases(scheme, dim, mode, m
     assert [r.n for r, step_moved in logged if not step_moved] == [report.final_record.n]
     last = report.final_record
     assert last.decrease == 0.0 and not last.sufficient_decrease and last.alpha > 0.0
+
+
+def test_fixed_steps_that_cycle_end_the_run(monkeypatch):
+    # at beta = 1e200 fixed a_u steps fall into a cycle of iterates: a step
+    # back to one of the last 8 is a null step, which ends the run
+    steps = []  # per search: (u, its retracted step)
+    search = flows._search
+
+    def recording_search(problem, u, state, policy):
+        result = search(problem, u, state, policy)
+        steps.append((u, result[1]))
+        return result
+
+    monkeypatch.setattr(flows, "_search", recording_search)
+    grid = build_grid(2, [7, 7], [(0.0, 1.0)] * 2)
+    prob = Problem(grid, zero_potential(grid), 1e200)
+    report = run(prob, RunConfig(scheme=MetricKind.AU, policy=StepPolicy(mode="fixed")))
+    assert report.status == "stalled"
+    assert len(report.records) <= 100
+    last = report.final_record
+    assert last.decrease == 0.0 and not last.sufficient_decrease and last.alpha > 0.0
+    u, u_next = steps[-1]
+    assert not np.array_equal(u_next.values, u.values)  # a cycle, not a step that stays
+    assert any(np.array_equal(u_next.values, earlier.values) for earlier, _ in steps[-8:-1])
+
+
+@pytest.mark.parametrize("scheme, beta", [(MetricKind.H1, 100.0), (MetricKind.A0, 100.0),
+                                          (MetricKind.AU, 0.0)])
+def test_run_builds_one_grid_function_per_step(scheme, beta, monkeypatch):
+    # inside the flow vectors are arrays: a run wraps its start (the draw
+    # and its retraction) and each step it takes, and nothing else; these
+    # solves are exact, so no search is retried
+    prob = harmonic_2d(beta=beta)
+    built = []
+    post_init = GridFunction.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.grid)
+        post_init(self)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counting_post_init)
+    report = run(prob, RunConfig(scheme=scheme))
+    assert report.status == "converged"
+    assert len(built) <= len(report.records) + 2
 
 
 def repulsive_7():

@@ -195,8 +195,8 @@ def test_scheme_state_gradient_is_projected_metric_gradient(case):
         grad = metric_gradient(kind, prob, u)
         np.testing.assert_array_equal(state.gradient, grad.values)
         np.testing.assert_array_equal(
-            state.riemannian_gradient.values,
-            grad.values - state.gamma * state.green_u.values,
+            state.riemannian_gradient,
+            grad.values - state.gamma * state.green_u,
         )
 
 

@@ -68,6 +68,9 @@ EXTRA = (
       "--scheme", "au"]),
     # steps that stop moving end the run ("stalled", exit 2)
     ("run-au-beta-1e300", ["run", "--n", "7", "--beta", "1e300", "--scheme", "au"]),
+    # fixed steps that return to an earlier iterate end the run too
+    ("run-au-fixed-beta-1e200",
+     ["run", "--dim", "2", "--n", "7", "--beta", "1e200", "--scheme", "au", "--mode", "fixed"]),
     # a well is not additive across the axes, so its a0 solves run CG,
     # preconditioned by the exact solve of the potential's additive part
     ("run-2d-well-a0",
@@ -100,6 +103,8 @@ PARSER = (
     ("usage-mode", ["run", "--mode", "x"]),
     ("usage-max-iter", ["run", "--max-iter", "2.5"]),
     ("usage-trials-x", ["verify", "--trials", "x"]),
+    ("usage-trials-huge", ["verify", "--trials", "1" + "0" * 300]),
+    ("usage-n-huge", ["run", "--dim", "3", "--n", "100000"]),
     ("usage-seed-x", ["run", "--seed", "x"]),
     ("usage-seed-negative", ["run", "--seed", "-1"]),
     ("usage-beta-x", ["run", "--beta", "x"]),
