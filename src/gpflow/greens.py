@@ -6,15 +6,16 @@ A_X g = w componentwise.  With uniform quadrature weights this is exactly the
 adjoint identity (z, g)_X = (z, w)_L2 for every z.
 
 This module holds only the operators and their solve; the -Laplacian
-matrix and its eigenvalues are the grid's (``grid.sine_basis``), and so are
-the transform and the per-axis product kernel (``grid.sine_transform``,
-``grid.axis_products``).  A solve is exact (no iteration) in three cases.
-On a one-axis grid A_X is a symmetric positive definite tridiagonal matrix,
-factored once as L D L^T (LAPACK ``dpttrf``), and every solve is one
-``dpttrs``.  On two or three axes, a constant diagonal term D (H1, and a0
-with V = 0) leaves A_X diagonal in the discrete sine basis (DST-I): a solve
-is one transform pair divided by the shifted Laplacian eigenvalues.  When D
-is the potential (a0, and a_u at beta = 0), on grids of at most
+stencil and its eigenvalues are the grid's (``grid.neg_laplacian``,
+``grid.sine_basis``), and so are the transform and the per-axis product
+kernel (``grid.sine_transform``, ``grid.axis_products``).  A solve is exact
+(no iteration) in three cases.  On a one-axis grid A_X is a symmetric
+positive definite tridiagonal matrix, factored once as L D L^T (LAPACK
+``dpttrf``, imported at the first one-axis factorization), and every solve
+is one ``dpttrs``.  On two or three axes, a constant diagonal term D (H1,
+and a0 with V = 0) leaves A_X diagonal in the discrete sine basis (DST-I):
+a solve is one transform pair divided by the shifted Laplacian eigenvalues.
+When D is the potential (a0, and a_u at beta = 0), on grids of at most
 ``DENSE_SINE_MAX`` nodes per axis, V splits into an additive part
 V_1(x) + V_2(y) (+ V_3(z)) and a remainder R: the additive part's operator
 A' is a Kronecker sum of tridiagonals, diagonalized by their per-axis
@@ -29,7 +30,8 @@ by the sine transform shifted by the mean of D (the kinetic
 preconditioner of Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).
 ``laplacian_inverse`` inverts -Laplacian + shift by the sine transform,
 for the eigensolve's preconditioner.
-``apply``, CG and ``matrix`` share the one matrix.
+``apply``, which CG and the eigensolve read, is the stencil plus D x;
+``matrix`` assembles the same operator as a sparse matrix, for tests.
 """
 
 from __future__ import annotations
@@ -38,12 +40,10 @@ import functools
 from collections.abc import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpttrf, dpttrs, dstev
 
 from .grid import (
     DENSE_SINE_MAX, Grid, GridFunction, GridMismatchError, Metric, MetricKind, axis_products,
-    sine_basis, sine_transform,
+    laplacian_matrix, neg_laplacian, sine_basis, sine_transform,
 )
 from .problem import Problem
 
@@ -66,11 +66,15 @@ def _tridiagonal_solver(grid: Grid, diagonal_term) -> Callable[[np.ndarray], np.
     grid, from one L D L^T factorization; ``diagonal_term`` is a scalar or
     one value per node, ``r`` one vector (dof,).
 
-    The matrix's entries are those of ``grid.laplacian_matrix``.  LAPACK's
-    wrapper asks for an off-diagonal of at least one entry, which a
-    one-node grid does not read.  Raises GreenSolveError when the matrix is
-    not positive definite.
+    The matrix's entries are those of ``grid.laplacian_matrix``.  LAPACK is
+    imported here, at the first one-axis factorization, as ``scipy.fft`` is
+    at the first long-axis transform, so that grids of more axes never load
+    scipy.  LAPACK's wrapper asks for an off-diagonal of at least one entry,
+    which a one-node grid does not read.  Raises GreenSolveError when the
+    matrix is not positive definite.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
     (n,), (h,) = grid.n, grid.h
     main = np.full(n, 2.0 / h**2) + diagonal_term
     d, e, info = dpttrf(main, np.full(max(n - 1, 1), -1.0 / h**2))
@@ -89,9 +93,10 @@ def _potential_basis(problem: Problem):
     over the other axes, less m) and a remainder R.  The additive part's
     operator A' is the Kronecker sum of the SPD tridiagonals
     T_i = -Laplacian_i + d_i, plus m; each T_i = Q_i diag(lambda_i) Q_i^T
-    (LAPACK ``dstev``), so the eigenvectors of A' are the tensor products of
-    the Q_i and its eigenvalues the sums m + lambda_1 + ... + lambda_d (the
-    fast diagonalization of Lynch, Rice and Thomas, Numer. Math. 6, 1964).
+    (``numpy.linalg.eigh`` of the dense T_i), so the eigenvectors of A' are
+    the tensor products of the Q_i and its eigenvalues the sums
+    m + lambda_1 + ... + lambda_d (the fast diagonalization of Lynch, Rice
+    and Thomas, Numer. Math. 6, 1964).
     Solving A' x = b leaves b - (A' + R) x = -R x, of relative size at most
     max|R| / lambda_min(A'); ``exact`` is whether that meets CG_RTOL (read
     at the problem's first call), and when it does not, A' preconditions
@@ -115,10 +120,8 @@ def _potential_basis(problem: Problem):
         # pairwise, so the split's rounding barely grows with the grid
         marginal = np.moveaxis(v, axis, 0).reshape(n, -1).mean(axis=1) - mean
         remainder = remainder - marginal.reshape(shape)
-        lam, q, info = dstev(2.0 / h**2 + marginal, np.full(max(n - 1, 1), -1.0 / h**2),
-                             compute_v=1)
-        if info != 0:
-            return None
+        off = np.diag(np.full(n - 1, -1.0 / h**2), 1)
+        lam, q = np.linalg.eigh(np.diag(2.0 / h**2 + marginal) + off + off.T)
         q, qt = np.ascontiguousarray(q), np.ascontiguousarray(q.T)
         for array in (q, qt):
             array.setflags(write=False)
@@ -135,7 +138,7 @@ def _potential_basis(problem: Problem):
 
 
 class LinearOperator:
-    """The SPD operator A_X of a metric: the grid's -Laplacian matrix plus a
+    """The SPD operator A_X of a metric: the grid's -Laplacian plus a
     diagonal term D.
 
     ``solve`` is the one Green's solve of the package.  It is exact
@@ -167,11 +170,10 @@ class LinearOperator:
             self.diagonal_term = problem.V.values.copy()
         else:
             self.diagonal_term = problem.V.values + problem.beta * metric.base.values**2
-        self._laplacian, laplacian_eig = sine_basis(self.grid)
         # the basis _precondition divides in: the sine basis (None) or the
         # forward and backward factors of per-axis eigenbases
         self._factors = None
-        self._eig = laplacian_eig.ravel() + float(np.mean(self.diagonal_term))
+        self._eig = sine_basis(self.grid).ravel() + float(np.mean(self.diagonal_term))
         d = self.diagonal_term
         self.exact = self.grid.dim == 1 or not np.any(d != d[0])
         if not self.exact and (metric.kind is MetricKind.A0 or problem.beta == 0.0):
@@ -182,10 +184,15 @@ class LinearOperator:
         self.iterations = 0  # CG iterations of the last solve
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self._laplacian @ values + self.diagonal_term * values
+        """A_X values: the grid's stencil plus D values."""
+        return neg_laplacian(self.grid, values) + self.diagonal_term * values
 
-    def matrix(self) -> sp.csr_matrix:
-        return self._laplacian + sp.diags(self.diagonal_term)
+    def matrix(self):
+        """A_X as a scipy.sparse CSR matrix, an oracle for tests of ``apply``
+        and ``solve``; no solver path builds it."""
+        import scipy.sparse as sp
+
+        return laplacian_matrix(self.grid) + sp.diags(self.diagonal_term)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         """r (dof,) divided by the operator's eigenvalues in its basis: the
@@ -206,7 +213,7 @@ class LinearOperator:
         """
         if self.grid.dim == 1:
             return _tridiagonal_solver(self.grid, shift)
-        eig = sine_basis(self.grid)[1].ravel() + shift
+        eig = sine_basis(self.grid).ravel() + shift
         return lambda r: self._sine_divide(r, eig)
 
     def _sine_divide(self, r: np.ndarray, eig: np.ndarray) -> np.ndarray:

@@ -7,9 +7,15 @@ kept in lexicographic order (last axis fastest), so serialized functions are
 portable across implementations.
 
 This module is the one place that knows the discrete Dirichlet -Laplacian
-and its form.  ``sine_basis`` builds its sparse matrix and its closed-form
-spectrum in the sine (DST-I) basis once per grid, and the stencil, the
-Green's operators and solves, and the eigen checks all read those two.
+and its form.  ``neg_laplacian`` is its one product kernel, a (2 dim + 1)-
+point stencil on a zero-padded copy of the values, which the Green's
+operators, the eigensolve and the checks all apply, and
+``neg_laplacian_norm`` reads the infinity norm of -Laplacian + D off its
+entries; ``sine_basis`` holds its closed-form spectrum in the sine (DST-I)
+basis, built once per grid.
+``laplacian_matrix`` assembles the same operator as a sparse matrix for
+tests to compare against; no solver path builds it, so scipy.sparse is
+imported only there.
 ``_dirichlet_forms`` is the one kernel of the form a(u, v): per axis it
 takes each function's edge differences once, into one vector, and reduces
 each pair with one dot product; ``edge_difference_sum`` is a(u, v) and
@@ -36,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 # Grids with at most this many nodes on every axis apply the sine transform
 # as dense per-axis products; a longer axis sends the grid through dstn
@@ -167,35 +172,93 @@ def _check_same_grid(*funcs: GridFunction) -> Grid:
     return grid
 
 
-def _laplacian_matrix_1d(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+def laplacian_matrix(grid: Grid):
+    """The discrete -Laplacian as a scipy.sparse CSR matrix: the Kronecker
+    sum over axes of the 1D second differences.  An oracle for tests of
+    ``neg_laplacian``; no solver path builds it."""
+    import scipy.sparse as sp
 
-
-def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """Sparse matrix of the discrete -Laplacian (Kronecker sum over axes)."""
-    mats = [_laplacian_matrix_1d(n, h) for n, h in zip(grid.n, grid.h)]
-    eyes = [sp.identity(n, format="csr") for n in grid.n]
     total = sp.csr_matrix((grid.dof, grid.dof))
-    for axis, m in enumerate(mats):
-        factors = [eyes[k] if k != axis else m for k in range(grid.dim)]
-        term = factors[0]
-        for f in factors[1:]:
-            term = sp.kron(term, f, format="csr")
-        total = total + term
+    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
+        off = np.full(n - 1, -1.0 / h**2)
+        factors = [sp.identity(m, format="csr") for m in grid.n]
+        factors[axis] = sp.diags([off, np.full(n, 2.0 / h**2), off], [-1, 0, 1], format="csr")
+        total = total + functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
     return total.tocsr()
 
 
 @functools.lru_cache(maxsize=8)
-def sine_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The grid's -Laplacian matrix and its DST-I eigenvalues, built once.
+def _stencil_plan(grid: Grid):
+    """What ``neg_laplacian`` needs of a grid, as immutable numbers: the
+    padded shape and size, the flat range [lo, hi) from the first interior
+    node to the last, the interior's index, the diagonal sum_k 2/h_k^2, and
+    one (1/h^2, strides) per group of axes with equal spacing h."""
+    padded = tuple(n + 2 for n in grid.n)
+    size = math.prod(padded)
+    strides = [math.prod(padded[axis + 1:]) for axis in range(grid.dim)]
+    groups: dict[float, list[int]] = {}
+    for stride, h in zip(strides, grid.h):
+        groups.setdefault(h, []).append(stride)
+    lo = sum(strides)
+    return (padded, size, lo, size - lo, (slice(1, -1),) * grid.dim,
+            sum(2.0 / h**2 for h in grid.h),
+            tuple((1.0 / h**2, tuple(group)) for h, group in groups.items()))
+
+
+def neg_laplacian(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """-Laplacian x, for x (dof,) in the grid's order: the central second
+    difference along every axis, with zero Dirichlet boundary values.
+
+    x is copied into a zero-padded array (one boundary layer per side), so
+    along an axis of padded stride s both neighbours of flat node i sit at
+    i - s and i + s, whether interior or boundary.  Every term is then one
+    contiguous slice over the flat range from the first interior node to
+    the last, the boundary nodes inside it computed and dropped: the
+    diagonal sum_k 2/h_k^2 times x, less the neighbours of each group of
+    axes with equal spacing h, summed and then scaled by 1/h^2.  Returns a
+    new array.
+    """
+    padded, size, lo, hi, interior, diagonal, groups = _stencil_plan(grid)
+    xp = np.zeros(size)
+    xp.reshape(padded)[interior] = x.reshape(grid.n)
+    y = np.empty(size)
+    out = np.multiply(xp[lo:hi], diagonal, out=y[lo:hi])
+    for scale, strides in groups:
+        neighbours = xp[lo - strides[0]:hi - strides[0]] + xp[lo + strides[0]:hi + strides[0]]
+        for s in strides[1:]:
+            neighbours += xp[lo - s:hi - s]
+            neighbours += xp[lo + s:hi + s]
+        neighbours *= scale
+        out -= neighbours
+    return y.reshape(padded)[interior].ravel()
+
+
+def neg_laplacian_norm(grid: Grid, diagonal_term: np.ndarray) -> float:
+    """||A||_inf of A = -Laplacian + diag(D), from the stencil's entries:
+    row i holds |sum_k 2/h_k^2 + D_i| on its diagonal and -1/h_k^2 for each
+    interior neighbour along axis k (two, one next to the boundary, none on
+    a one-node axis)."""
+    off = np.zeros(grid.n)
+    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
+        neighbours = np.full(n, 2.0)
+        neighbours[0] -= 1.0
+        neighbours[-1] -= 1.0
+        shape = [1] * grid.dim
+        shape[axis] = n
+        off = off + (neighbours / h**2).reshape(shape)
+    diagonal = sum(2.0 / h**2 for h in grid.h)
+    return float(np.max(np.abs(diagonal + diagonal_term) + off.ravel()))
+
+
+@functools.lru_cache(maxsize=8)
+def sine_basis(grid: Grid) -> np.ndarray:
+    """The DST-I eigenvalues of the grid's -Laplacian, shaped like the grid,
+    built once and read-only.
 
     Along an axis with n nodes and spacing h the eigenvalue of the k-th sine
     mode is (4/h^2) sin^2(pi k / (2(n + 1))); the box operator is the
     Kronecker sum, so its eigenvalues broadcast to the grid's shape; the
-    first entry (k = 1 on every axis) is the smallest.  Both are shared by
-    every reader on the grid, so both are read-only.
+    first entry (k = 1 on every axis) is the smallest.
     """
     eig = np.zeros(grid.n)
     for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
@@ -203,10 +266,8 @@ def sine_basis(grid: Grid) -> tuple[sp.csr_matrix, np.ndarray]:
         shape = [1] * grid.dim
         shape[axis] = n
         eig = eig + ((4.0 / h**2) * np.sin(np.pi * k / (2 * (n + 1))) ** 2).reshape(shape)
-    lap = laplacian_matrix(grid)
-    for array in (eig, lap.data, lap.indices, lap.indptr):
-        array.setflags(write=False)
-    return lap, eig
+    eig.setflags(write=False)
+    return eig
 
 
 @functools.cache
@@ -264,13 +325,11 @@ def sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
 
 
 def apply_neg_laplacian(grid: Grid, u: GridFunction) -> GridFunction:
-    """Second-order central-difference -Laplacian with zero Dirichlet boundary.
-
-    The grid's one -Laplacian matrix (``sine_basis``) times u's values.
-    """
+    """Second-order central-difference -Laplacian with zero Dirichlet boundary:
+    ``neg_laplacian`` of u's values."""
     if u.grid != grid:
         raise GridMismatchError("function does not live on the given grid")
-    return GridFunction(grid, sine_basis(grid)[0] @ u.values)
+    return GridFunction(grid, neg_laplacian(grid, u.values))
 
 
 def _dirichlet_forms(grid: Grid, xs, pairs) -> list[float]:

@@ -7,25 +7,26 @@ contraction of all three schemes.
 
 Both eigenpairs come from one path at every grid size: the package's own
 two-vector LOBPCG (``_lobpcg``; Knyazev, SIAM J. Sci. Comput. 23, 2001) on
-the operator's matrix, with the basis handling of Duersch, Shao, Yang and Gu
-(SIAM J. Sci. Comput. 40, 2018) and Hetmaniuk and Lehoucq (J. Comput. Phys.
-218, 2006).  It holds each block as contiguous rows, one per vector, because
-the sparse product and the preconditioner cost less applied to two vectors
-in turn than to one (n, 2) block.  It is preconditioned by the combined
-potential and kinetic preconditioner of Antoine, Levitt and Tang (J. Comput.
-Phys. 343, 2017): a diagonal scaling around the exact inverse of
--Laplacian + shift (``laplacian_inverse``: a tridiagonal factorization on
-one axis, a DST-I pair on more), with its shifts read off the start
-vector's Rayleigh quotient (``_eigen_preconditioner``).  No inner solve
-runs.  At a converged ground state u* the start block already holds the
-ground eigenvector to the flow's tolerance.  Every residual the solver's
-stopping test reads is explicit (A x is recomputed, not updated), and a
-pair that meets the test is soft-locked: it gets no new search directions,
-so it is not pulled off while the other pair converges.  The solver is
-asked for a tenth of the residual tolerance that every returned pair is
-then checked against, so that roundoff-level changes of the preconditioner
-cannot push a pair over.  The report carries both residuals, the tolerance
-and the solver's iteration count.
+the operator's products (``LinearOperator.apply``: the grid's stencil plus
+D x), with the basis handling of Duersch, Shao, Yang and Gu (SIAM J. Sci.
+Comput. 40, 2018) and Hetmaniuk and Lehoucq (J. Comput. Phys. 218, 2006).
+It holds each block as contiguous rows, one per vector, because the product
+and the preconditioner apply to one vector at a time.  It is
+preconditioned by the combined potential and kinetic preconditioner of
+Antoine, Levitt and Tang (J. Comput. Phys. 343, 2017): a diagonal scaling
+around the exact inverse of -Laplacian + shift (``laplacian_inverse``: a
+tridiagonal factorization on one axis, a DST-I pair on more), with its
+shifts read off the start vector's Rayleigh quotient
+(``_eigen_preconditioner``).  No inner solve runs.  At a converged ground
+state u* the start block already holds the ground eigenvector to the flow's
+tolerance.  Every residual the solver's stopping test reads is explicit
+(A x is recomputed, not updated), and a pair that meets the test is
+soft-locked: it gets no new search directions, so it is not pulled off
+while the other pair converges.  The solver is asked for a tenth of the
+residual tolerance that every returned pair is then checked against, so
+that roundoff-level changes of the preconditioner cannot push a pair over.
+The report carries both residuals, the tolerance and the solver's
+iteration count.
 The pure -Laplacian's spectrum needs no solver: it is the grid's closed-form
 sine spectrum (``grid.sine_basis``).
 """
@@ -37,7 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, GridMismatchError, Metric, MetricKind, sine_basis
+from .grid import (
+    Grid, GridFunction, GridMismatchError, Metric, MetricKind, neg_laplacian, neg_laplacian_norm,
+    sine_basis,
+)
 from .greens import LinearOperator
 from .problem import Problem
 
@@ -91,7 +95,7 @@ def linearized_operator(problem: Problem, ustar: GridFunction) -> LinearOperator
 def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     """Two smallest eigenvalues and the ground eigenvector (unit L2).
 
-    One two-vector LOBPCG run (``_lobpcg``) on ``op.matrix()`` with
+    One two-vector LOBPCG run (``_lobpcg``) on ``op.apply`` with
     ``_eigen_preconditioner``, from a fixed start block, so repeated calls
     agree bit for bit.  The block is [base, r] for an a_u operator (at u*
     the base is the ground eigenvector to the flow's tolerance) and
@@ -104,7 +108,8 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
 
     Every pair must end with ||A v - lambda v|| <= tol for unit v, with
     tol = max(1e-10 * (lambda_min(-Laplacian) + min D), 16 eps ||A||_inf)
-    for A = -Laplacian + D.  The solver is asked for tol / 10 on its
+    for A = -Laplacian + D, ||A||_inf from the stencil's exact row sums
+    (``grid.neg_laplacian_norm``).  The solver is asked for tol / 10 on its
     explicit residuals, and soft-locks each pair that meets it; the margin
     keeps a preconditioner changed at roundoff level from pushing a pair
     over tol.  The first term of tol bounds the relative residual by
@@ -125,17 +130,16 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     n = grid.dof
     if n < 3:
         raise ValueError(f"the eigensolve needs at least 3 interior unknowns, got {n}")
-    A = op.matrix()
     tol = max(
         1e-10 * (laplacian_min_eigenvalue(grid) + float(op.diagonal_term.min())),
-        16.0 * np.finfo(float).eps * float(abs(A).sum(axis=1).max()),
+        16.0 * np.finfo(float).eps * neg_laplacian_norm(grid, op.diagonal_term),
     )
     vecs = np.random.default_rng(0).uniform(0.5, 1.5, (n, 2))  # the start block
     if op.metric.base is not None:
         vecs[:, 0] = op.metric.base.values
     precondition = _eigen_preconditioner(op, vecs[:, 0])
-    rows, iterations = _lobpcg(A, np.ascontiguousarray(vecs.T), precondition, tol / 10)
-    products = np.array([A @ x for x in rows])
+    rows, iterations = _lobpcg(op.apply, np.ascontiguousarray(vecs.T), precondition, tol / 10)
+    products = np.array([op.apply(x) for x in rows])
     vals = np.sum(rows * products, axis=1) / np.sum(rows * rows, axis=1)
     order = np.argsort(vals)
     vals, rows, products = vals[order], rows[order], products[order]
@@ -179,10 +183,10 @@ def _eigen_preconditioner(op: LinearOperator, x: np.ndarray):
     (A - sigma + alpha)^-1 up to a scale, which LOBPCG ignores.  ``r`` is
     one vector (dof,).
     """
-    laplacian, eig = sine_basis(op.grid)
+    eig = sine_basis(op.grid)
     weight = x * x / float(x @ x)
     sigma = float(op.diagonal_term @ weight)
-    kinetic = max(float(x @ (laplacian @ x)) / float(x @ x), 0.0)
+    kinetic = max(float(x @ neg_laplacian(op.grid, x)) / float(x @ x), 0.0)
     excess = np.maximum(op.diagonal_term - sigma, 0.0)
     spread = min(float(excess.max()), float(eig.max()))
     alpha = max(math.sqrt(kinetic * spread), float(eig.flat[0]))
@@ -192,12 +196,12 @@ def _eigen_preconditioner(op: LinearOperator, x: np.ndarray):
     return lambda r: scale * inverse(scale * r)
 
 
-def _lobpcg(A, X: np.ndarray, precondition, tol: float, maxiter: int = 500):
+def _lobpcg(apply, X: np.ndarray, precondition, tol: float, maxiter: int = 500):
     """Rows spanning the two lowest eigenvectors of the symmetric A, by
     LOBPCG from the start rows X (2, n), and the iterations it ran.
 
-    Blocks are contiguous rows, one per vector, and A and ``precondition``
-    apply to one row at a time.  Each iteration runs Rayleigh-Ritz on the
+    Blocks are contiguous rows, one per vector; ``apply`` (x -> A x) and
+    ``precondition`` take one row at a time.  Each iteration runs Rayleigh-Ritz on the
     rows S = [X; W; P] (``_ritz_coefficients``), W being the preconditioned
     residuals of the active pairs and P their previous steps; X and P then
     come from the Ritz coefficients.  W and P are made orthogonal to X,
@@ -215,7 +219,7 @@ def _lobpcg(A, X: np.ndarray, precondition, tol: float, maxiter: int = 500):
     S, AS = np.zeros((6, n)), np.zeros((6, n))  # rows [X; W; P] and their products
     P = np.zeros((2, n))
     S[:2] = X
-    AS[:2] = [A @ x for x in X]
+    AS[:2] = [apply(x) for x in X]
     m = 2  # rows of S in use
     for iteration in range(maxiter + 1):
         C = _ritz_coefficients(S[:m], AS[:m])
@@ -223,7 +227,7 @@ def _lobpcg(A, X: np.ndarray, precondition, tol: float, maxiter: int = 500):
             np.matmul(C[2:].T, S[2:m], out=P)
         S[:2] = C[:2].T @ S[:2] + P
         S[:2] /= np.linalg.norm(S[:2], axis=1)[:, None]
-        AS[:2] = [A @ x for x in S[:2]]
+        AS[:2] = [apply(x) for x in S[:2]]
         X, AX = S[:2], AS[:2]
         R = AX - np.sum(X * AX, axis=1)[:, None] * X
         active = np.flatnonzero(np.linalg.norm(R, axis=1) > tol)
@@ -236,7 +240,7 @@ def _lobpcg(A, X: np.ndarray, precondition, tol: float, maxiter: int = 500):
         D = S[2:m]
         D[:] = directions
         D -= (D @ X.T) @ X
-        AS[2:m] = [A @ d for d in D]
+        AS[2:m] = [apply(d) for d in D]
 
 
 def _ritz_coefficients(S: np.ndarray, AS: np.ndarray) -> np.ndarray:
@@ -264,7 +268,7 @@ def _ritz_coefficients(S: np.ndarray, AS: np.ndarray) -> np.ndarray:
 def laplacian_min_eigenvalue(grid: Grid) -> float:
     """Smallest eigenvalue of the discrete Dirichlet -Laplacian: the first
     entry of the grid's sine spectrum (the k = 1 mode on every axis)."""
-    return float(sine_basis(grid)[1].flat[0])
+    return float(sine_basis(grid).flat[0])
 
 
 def estimate_poincare(grid: Grid) -> float:

@@ -55,8 +55,8 @@ from .grid import (
     inner,
     inner_l2,
     norm,
+    neg_laplacian,
     norm_l2,
-    sine_basis,
 )
 from .problem import Problem
 from .spectral import SpectralReport, estimate_poincare, fit_rate
@@ -99,8 +99,7 @@ def smoothed_noise(problem: Problem, rng: np.random.Generator) -> GridFunction:
     """
     grid = problem.grid
     x = rng.uniform(-1.0, 1.0, grid.dof)
-    laplacian = sine_basis(grid)[0]
-    x = x - (laplacian @ x) / laplacian.diagonal()
+    x = x - neg_laplacian(grid, x) / sum(2.0 / h**2 for h in grid.h)
     return retract(GridFunction(grid, x))
 
 

@@ -377,23 +377,34 @@ def test_import_leaves_scipy_fft_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_eigensolve_leaves_scipy_sparse_linalg_unloaded():
-    # the eigensolve is gpflow's own LOBPCG: neither a 2D run nor the
-    # spectrum imports scipy.sparse.linalg (~15 ms)
+def test_solves_on_two_and_three_axes_leave_scipy_unloaded():
+    # the stencil, the sine transform and the per-axis eigenbases are numpy:
+    # importing the CLI, the three flows on 2D-31 (harmonic and well, so
+    # CG runs) and 3D-9, the spectrum and a 2D verify import no scipy module
     code = """if True:
         import sys, gpflow.cli
+
+        def scipy_modules():
+            return [m for m in sys.modules if m.split('.')[0] == 'scipy']
+
+        assert not scipy_modules(), scipy_modules()
         from gpflow import (MetricKind, Problem, RunConfig, build_grid, harmonic_potential,
-                            linearized_operator, lowest_two_eigen, run)
-        grid = build_grid(2, [31, 31], [(0.0, 1.0)] * 2)
-        prob = Problem(grid, harmonic_potential(grid, 20.0), 100.0)
-        for scheme in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
-            report = run(prob, RunConfig(scheme=scheme))
-            assert report.status == 'converged'
-        lowest_two_eigen(linearized_operator(prob, report.final))
-        sys.exit('scipy.sparse.linalg' in sys.modules)
+                            linearized_operator, lowest_two_eigen, run, well_potential)
+        for dim, n in ((2, 31), (3, 9)):
+            grid = build_grid(dim, [n] * dim, [(0.0, 1.0)] * dim)
+            for V in (harmonic_potential(grid, 20.0), well_potential(grid, 1000.0, 0.25, 0.75)):
+                prob = Problem(grid, V, 100.0)
+                for scheme in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
+                    report = run(prob, RunConfig(scheme=scheme))
+                    assert report.status == 'converged'
+                lowest_two_eigen(linearized_operator(prob, report.final))
+        assert gpflow.cli.main(['verify', '--dim', '2', '--n', '15', '--beta', '10',
+                                '--potential', 'well:1000:0.25:0.75', '--trials', '2']) == 0
+        assert not scipy_modules(), scipy_modules()
     """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # find gpflow as we do
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
 
 
 def _stall_lobpcg(A, X, *args, **kwargs):

@@ -22,6 +22,8 @@ from gpflow.grid import (
     edge_difference_sum,
     inner,
     inner_l2,
+    laplacian_matrix,
+    neg_laplacian,
     norm,
     norm_l2,
     sine_basis,
@@ -171,13 +173,37 @@ def test_summation_by_parts_property(case):
 
 
 @PROPERTY_SETTINGS
+@given(
+    st.lists(st.tuples(st.integers(1, 12), st.sampled_from([1.0, 2.0, 1.5])),
+             min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+@example([(5, 1.0)] * 3, 0)  # one group of three equally spaced axes
+@example([(3, 1.0), (7, 2.0), (4, 1.0)], 0)  # h = 1/4, 1/4, 1/5: a group and a single
+@example([(1, 1.0), (2, 2.0), (12, 1.5)], 0)  # three groups, one- and two-node axes
+def test_stencil_is_the_laplacian_matrix_property(axes, seed):
+    # the padded-slice stencil against the CSR oracle, on boxes whose axes
+    # share a spacing or not; the result is a fresh array
+    n, lengths = zip(*axes)
+    grid = build_grid(len(n), n, [(0.0, length) for length in lengths])
+    x = np.random.default_rng(seed).standard_normal(grid.dof)
+    y = neg_laplacian(grid, x)
+    ref = laplacian_matrix(grid) @ x
+    assert y.shape == x.shape
+    np.testing.assert_allclose(y, ref, rtol=0.0, atol=1e-14 * np.max(np.abs(ref)))
+    first = y.copy()
+    y[:] = 7.0
+    np.testing.assert_array_equal(neg_laplacian(grid, x), first)
+
+
+@PROPERTY_SETTINGS
 @given(small_problems())
 def test_sine_spectrum_is_the_laplacian_spectrum_property(case):
     # the closed-form sine spectrum against a dense eigensolve of the one
     # -Laplacian matrix, on boxes with unequal sides
     grid = case[0].grid
-    lap, eig = sine_basis(grid)
-    dense = scipy.linalg.eigvalsh(lap.toarray())  # ascending
+    eig = sine_basis(grid)
+    dense = scipy.linalg.eigvalsh(laplacian_matrix(grid).toarray())  # ascending
     closed = np.sort(eig.ravel())
     np.testing.assert_allclose(closed, dense, rtol=1e-12, atol=0.0)
     assert laplacian_min_eigenvalue(grid) == closed[0]

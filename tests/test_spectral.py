@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from gpflow import spectral
 from gpflow.flows import RunConfig, run
 from gpflow.greens import LinearOperator
-from gpflow.grid import A0, GridFunction, H1, Metric, MetricKind, build_grid, norm_l2
+from gpflow.grid import (
+    A0, GridFunction, H1, Metric, MetricKind, build_grid, neg_laplacian_norm, norm_l2,
+)
 from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from gpflow.spectral import (
     EigengapDegenerateError,
@@ -156,6 +158,33 @@ def test_lowest_two_eigen_at_roundoff_floor():
     assert spec.lambda0 == pytest.approx(vals[0], rel=1e-10)
     assert spec.lambda0 == pytest.approx(144.6880, rel=1e-6)
     assert spec.lambda1 == pytest.approx(vals[1], rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "n, lengths",
+    [
+        ([1], [1.0]),
+        ([2], [1.0]),
+        ([9], [1.0]),
+        ([1, 4], [1.0, 2.0]),
+        ([2, 2], [1.0, 1.0]),
+        ([6, 3], [1.0, 1.5]),
+        ([1, 2, 5], [1.0, 1.0, 2.0]),
+        ([3, 3, 3], [1.0, 1.2, 0.7]),
+    ],
+)
+def test_neg_laplacian_norm_is_the_matrix_row_sum(n, lengths):
+    # the eigen tolerance's ||A||_inf from the stencil's row sums against the
+    # CSR oracle, to 4 ulp, for a random D, a zero D, and a D whose maximum
+    # sits on the first row, a corner, whose neighbours are fewest
+    grid = build_grid(len(n), n, [(0.0, length) for length in lengths])
+    oracle = LinearOperator(H1, Problem(grid, zero_potential(grid), 0.0))
+    corner = np.zeros(grid.dof)
+    corner[0] = 3.0 / min(grid.h) ** 2
+    for D in (np.random.default_rng(0).uniform(0.0, 100.0, grid.dof), np.zeros(grid.dof), corner):
+        oracle.diagonal_term = D
+        expected = float(abs(oracle.matrix()).sum(axis=1).max())
+        assert abs(neg_laplacian_norm(grid, D) - expected) <= 4 * np.spacing(expected)
 
 
 HIGH_CONTRAST = pytest.mark.parametrize(

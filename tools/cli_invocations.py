@@ -88,6 +88,12 @@ EXTRA = (
     ("verify-2d-well-au",
      ["verify", "--dim", "2", "--n", "15", "--beta", "10", "--scheme", "au", "--potential",
       "well:1000:0.25:0.75", "--trials", "2"]),
+    # an axis over DENSE_SINE_MAX nodes: CG's sine transforms go through
+    # scipy.fft.dstn, the one 2D path that imports scipy, with the stencil
+    # under CG at a size the set has nowhere else
+    ("run-2d-long-axis",
+     ["run", "--dim", "2", "--n", "130", "--beta", "10", "--potential", "harmonic:20",
+      "--scheme", "au"]),
 )
 
 # the parser: usage errors (exit 1, one error line), whose stderr is compared,
