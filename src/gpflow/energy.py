@@ -220,12 +220,9 @@ class SchemeState:
     gradient (G_H1(V u + beta u^3) for H1, G_a0(u^3) for a0, None when the
     gradient has none); the next step's solves start from them.  ``rtol`` is
     the relative residual the CG solves behind the state stopped at, and
-    greens.CG_RTOL when the operator is ``exact`` (every one-axis operator,
-    a constant diagonal term such as H1's, and a0 or a_u at beta = 0 on a
-    potential additive across the axes), whose solves run no CG; on a
-    potential that is not additive those solves run CG, preconditioned by
-    the additive part's exact solve.  ``cg_iterations`` counts the CG
-    iterations it took, every solve counted.
+    greens.CG_RTOL when the operator is ``exact`` (``LinearOperator.exact``
+    says which are), whose solves run no CG.  ``cg_iterations`` counts the
+    CG iterations it took, every solve counted.
     ``moments``, of u and riemannian_gradient, give residual and line search.
     """
 
@@ -289,11 +286,8 @@ def scheme_state(
 
     Every solve stops at relative residual greens.CG_RTOL, with one
     exception.  When ``tol`` (the flow's residual tolerance) and ``prev``
-    are both given and the operator is not ``exact`` (``LinearOperator``:
-    any metric on a one-axis grid, H1, and a0, or a_u at beta = 0, on a
-    potential that is constant or additive across the axes, whose solves
-    are exact; a0 on a potential that is not additive runs CG preconditioned
-    by its additive part), the solves stop at the forcing term
+    are both given and the operator is not ``exact``
+    (``LinearOperator.exact``), the solves stop at the forcing term
     clamp(CG_FORCING * prev.residual, CG_RTOL, CG_RTOL_MAX): an inexact
     G u still gives a direction exactly
     tangent to the sphere (gamma = numer / denom), and the residual is the

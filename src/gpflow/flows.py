@@ -26,6 +26,7 @@ from . import greens
 from .greens import LinearOperator
 from .grid import GridFunction, MetricKind
 from .problem import Problem
+from .spectral import fit_rate
 
 
 class FlowBreakdownError(RuntimeError):
@@ -205,8 +206,6 @@ def run(
     FlowBreakdownError naming the step, instead of the input check that
     the broken iterate would fail next.
     """
-    from . import spectral  # local import to avoid a cycle
-
     if u0 is not None:
         u = retract(u0)
     elif cfg.init == "file":
@@ -224,7 +223,7 @@ def run(
         ) from exc
 
     u = sign_normalize(u)
-    rate = _fit_tail_rate(records, spectral)
+    rate = _fit_tail_rate(records)
     return ConvergenceReport(
         records=records,
         final=u,
@@ -305,13 +304,13 @@ def _h1_distance(u: GridFunction, ref: GridFunction) -> float:
     return grid_norm(H1_METRIC, None, GridFunction(u.grid, u.values - ref.values))
 
 
-def _fit_tail_rate(records, spectral):
+def _fit_tail_rate(records):
     """Geometric fit of the residual tail (latter half of the trace)."""
     residuals = [r.residual for r in records if r.residual > 0.0]
     if len(residuals) < 10:
         return None
     tail = residuals[len(residuals) // 2 :]
     try:
-        return spectral.fit_rate(tail, threshold=math.inf)
+        return fit_rate(tail, threshold=math.inf)
     except ValueError:
         return None

@@ -8,28 +8,31 @@ adjoint identity (z, g)_X = (z, w)_L2 for every z.
 This module holds only the operators and their solve; the -Laplacian
 stencil and its eigenvalues are the grid's (``grid.neg_laplacian``,
 ``grid.sine_basis``), and so are the transform and the per-axis product
-kernel (``grid.sine_transform``, ``grid.axis_products``).  A solve is exact
-(no iteration) in three cases.  On a one-axis grid A_X is a symmetric
-positive definite tridiagonal matrix, factored once as L D L^T (LAPACK
-``dpttrf``, imported at the first one-axis factorization), and every solve
-is one ``dpttrs``.  On two or three axes, a constant diagonal term D (H1,
-and a0 with V = 0) leaves A_X diagonal in the discrete sine basis (DST-I):
-a solve is one transform pair divided by the shifted Laplacian eigenvalues.
-When D is the potential (a0, and a_u at beta = 0), on grids of at most
-``DENSE_SINE_MAX`` nodes per axis, V splits into an additive part
-V_1(x) + V_2(y) (+ V_3(z)) and a remainder R: the additive part's operator
-A' is a Kronecker sum of tridiagonals, diagonalized by their per-axis
-eigenbases (``_potential_basis``, once per problem), and solving with A'
-leaves A_X a relative residual of at most max|R| / lambda_min(A').  When
-that meets CG_RTOL, as it does to roundoff for the harmonic trap, the
-solve with A' is exact; otherwise (a potential such as a well that is not
-additive) the same solve is CG's preconditioner (fast diagonalization as a
-preconditioner).  The remaining solves (a_u at beta > 0, a longer axis, an
-A' that is not positive definite) run conjugate gradients preconditioned
-by the sine transform shifted by the mean of D (the kinetic
-preconditioner of Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).
-``laplacian_inverse`` inverts -Laplacian + shift by the sine transform,
-for the eigensolve's preconditioner.
+kernel (``grid.sine_transform``, ``grid.axis_products``).  Each operator
+holds one map r -> M^-1 r, chosen at construction: M^-1 is A_X^-1 itself
+when the operator is ``exact`` (a solve is then the map alone, no
+iteration), and otherwise the preconditioner of conjugate gradients.  Every
+such map is a fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 6,
+1964), or its tridiagonal form on one axis, and comes from one of two
+places.  ``laplacian_inverse(grid, shift)`` inverts -Laplacian + shift: on a
+one-axis grid by one L D L^T factorization (LAPACK ``dpttrf``, imported at
+the first one-axis factorization) with the shift per node, every apply one
+``dpttrs``, so every one-axis operator is exact; on two or three axes by one
+DST-I pair divided by the Laplacian's sine eigenvalues plus the mean shift,
+exact when D is constant (H1, and a0 with V = 0) and otherwise CG's
+preconditioner shifted by mean(D) (the kinetic preconditioner of Antoine,
+Levitt and Tang, J. Comput. Phys. 343, 2017).  The eigensolve's
+preconditioner calls it too.  When D is the potential (a0, and a_u at
+beta = 0), on grids of at most ``DENSE_SINE_MAX`` nodes per axis, V splits
+into an additive part V_1(x) + V_2(y) (+ V_3(z)) and a remainder R: the
+additive part's operator A' is a Kronecker sum of tridiagonals, inverted in
+their per-axis eigenbases (``_potential_basis``, once per problem), and
+solving with A' leaves A_X a relative residual of at most
+max|R| / lambda_min(A').  When that meets CG_RTOL, as it does to roundoff
+for the harmonic trap, the solve with A' is exact; otherwise (a potential
+such as a well that is not additive) it is CG's preconditioner.  a_u at
+beta > 0, a longer axis and an A' that is not positive definite keep the
+mean-shifted sine transform.
 ``apply``, which CG and the eigensolve read, is the stencil plus D x;
 ``matrix`` assembles the same operator as a sparse matrix, for tests.
 """
@@ -61,22 +64,29 @@ class GreenSolveError(RuntimeError):
     cap, or a tridiagonal operator was not positive definite."""
 
 
-def _tridiagonal_solver(grid: Grid, diagonal_term) -> Callable[[np.ndarray], np.ndarray]:
-    """The exact map r -> (-Laplacian + diagonal_term)^-1 r on a one-axis
-    grid, from one L D L^T factorization; ``diagonal_term`` is a scalar or
-    one value per node, ``r`` one vector (dof,).
+def laplacian_inverse(grid: Grid, shift) -> Callable[[np.ndarray], np.ndarray]:
+    """The map r -> (-Laplacian + shift)^-1 r for one vector r (dof,);
+    ``shift`` is a scalar or one value per node.
 
-    The matrix's entries are those of ``grid.laplacian_matrix``.  LAPACK is
-    imported here, at the first one-axis factorization, as ``scipy.fft`` is
-    at the first long-axis transform, so that grids of more axes never load
-    scipy.  LAPACK's wrapper asks for an off-diagonal of at least one entry,
-    which a one-node grid does not read.  Raises GreenSolveError when the
-    matrix is not positive definite.
+    On a one-axis grid it is exact for every shift: one L D L^T
+    factorization, taken here, of the matrix whose entries are those of
+    ``grid.laplacian_matrix`` plus the shift, and one ``dpttrs`` per apply.
+    LAPACK is imported here, at the first one-axis factorization, as
+    ``scipy.fft`` is at the first long-axis transform, so that grids of more
+    axes never load scipy.  LAPACK's wrapper asks for an off-diagonal of at
+    least one entry, which a one-node grid does not read.  Raises
+    GreenSolveError when the matrix is not positive definite.  On two or
+    three axes it is one DST-I pair with the sine eigenvalues shifted by
+    mean(shift): exact when the shift is constant, and otherwise the
+    inverse of -Laplacian + mean(shift).
     """
+    if grid.dim > 1:
+        eig = sine_basis(grid).ravel() + float(np.mean(shift))
+        return lambda r: sine_transform(grid, sine_transform(grid, r) / eig)
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     (n,), (h,) = grid.n, grid.h
-    main = np.full(n, 2.0 / h**2) + diagonal_term
+    main = np.full(n, 2.0 / h**2) + shift
     d, e, info = dpttrf(main, np.full(max(n - 1, 1), -1.0 / h**2))
     if info != 0:
         raise GreenSolveError(f"tridiagonal operator not positive definite (dpttrf info {info})")
@@ -85,27 +95,26 @@ def _tridiagonal_solver(grid: Grid, diagonal_term) -> Callable[[np.ndarray], np.
 
 @functools.lru_cache(maxsize=8)
 def _potential_basis(problem: Problem):
-    """Per-axis eigenbases of -Laplacian + V's additive part, built at most
-    once per problem: ((forward factors, backward factors), eigenvalues
-    (dof,), exact), or None.
+    """The map r -> A'^-1 r for -Laplacian + V's additive part A', built at
+    most once per problem, and whether it is exact for -Laplacian + V:
+    (inverse, exact), or None.
 
     V splits into its mean m, its per-axis marginal means d_i(x_i) (the mean
-    over the other axes, less m) and a remainder R.  The additive part's
-    operator A' is the Kronecker sum of the SPD tridiagonals
-    T_i = -Laplacian_i + d_i, plus m; each T_i = Q_i diag(lambda_i) Q_i^T
-    (``numpy.linalg.eigh`` of the dense T_i), so the eigenvectors of A' are
-    the tensor products of the Q_i and its eigenvalues the sums
-    m + lambda_1 + ... + lambda_d (the fast diagonalization of Lynch, Rice
-    and Thomas, Numer. Math. 6, 1964).
-    Solving A' x = b leaves b - (A' + R) x = -R x, of relative size at most
-    max|R| / lambda_min(A'); ``exact`` is whether that meets CG_RTOL (read
-    at the problem's first call), and when it does not, A' preconditions
-    CG.  The forward factors apply the Q_i^T along each axis
-    (``grid.axis_products``), the backward ones the Q_i.  None on a one-axis
-    grid, which factors its tridiagonal instead, on a grid with an axis over
-    DENSE_SINE_MAX nodes, where dense per-axis products lose to CG's
-    transforms, and when A' is not positive definite (a negative marginal
-    mean can outweigh the Laplacian), which no SPD preconditioner may be.
+    over the other axes, less m) and a remainder R.  A' is the Kronecker sum
+    of the SPD tridiagonals T_i = -Laplacian_i + d_i, plus m; each
+    T_i = Q_i diag(lambda_i) Q_i^T (``numpy.linalg.eigh`` of the dense T_i),
+    so the eigenvectors of A' are the tensor products of the Q_i and its
+    eigenvalues the sums m + lambda_1 + ... + lambda_d (the fast
+    diagonalization of Lynch, Rice and Thomas).  The inverse applies the
+    Q_i^T along each axis (``grid.axis_products``), divides by those sums
+    and applies the Q_i.  Solving A' x = b leaves b - (A' + R) x = -R x, of
+    relative size at most max|R| / lambda_min(A'); ``exact`` is whether that
+    meets CG_RTOL (read at the problem's first call), and when it does not,
+    A' preconditions CG.  None on a one-axis grid, which factors its
+    tridiagonal instead, on a grid with an axis over DENSE_SINE_MAX nodes,
+    where dense per-axis products lose to CG's transforms, and when A' is
+    not positive definite (a negative marginal mean can outweigh the
+    Laplacian), which no SPD preconditioner may be.
     """
     grid = problem.grid
     if grid.dim == 1 or max(grid.n) > DENSE_SINE_MAX:
@@ -123,8 +132,6 @@ def _potential_basis(problem: Problem):
         off = np.diag(np.full(n - 1, -1.0 / h**2), 1)
         lam, q = np.linalg.eigh(np.diag(2.0 / h**2 + marginal) + off + off.T)
         q, qt = np.ascontiguousarray(q), np.ascontiguousarray(q.T)
-        for array in (q, qt):
-            array.setflags(write=False)
         forward.append((qt, q))
         backward.append((q, qt))
         eig = eig + lam.reshape(shape)
@@ -132,27 +139,29 @@ def _potential_basis(problem: Problem):
     if not lam_min > 0.0:
         return None
     eig = eig.ravel()
-    eig.setflags(write=False)
     exact = bool(np.max(np.abs(remainder)) <= CG_RTOL * lam_min)
-    return (tuple(forward), tuple(backward)), eig, exact
+    return lambda r: axis_products(grid, axis_products(grid, r, forward) / eig, backward), exact
 
 
 class LinearOperator:
     """The SPD operator A_X of a metric: the grid's -Laplacian plus a
     diagonal term D.
 
-    ``solve`` is the one Green's solve of the package.  It is exact
-    (``exact`` is true) on a one-axis grid, by tridiagonal factors taken at
-    the first solve; on more axes when D is constant, by the sine transform,
-    and when D is a potential additive across the axes (a0, and a_u at
+    ``solve`` is the one Green's solve of the package.  The operator holds
+    one map r -> M^-1 r, chosen at construction, and ``exact`` says whether
+    it is A_X^-1 itself.  It is on a one-axis grid, by tridiagonal factors
+    taken at construction (``laplacian_inverse`` with shift D); on more axes
+    when D is constant, by the sine transform (``laplacian_inverse``), and
+    when D is a potential additive across the axes (a0, and a_u at
     beta = 0) up to a remainder that moves the residual by at most CG_RTOL,
-    by its per-axis eigenbases (``_potential_basis``).  Otherwise it runs
-    conjugate gradients, optionally warm-started, preconditioned in the
-    same eigenbases when D is a potential (such as a well) and by the sine
+    by its per-axis eigenbases (``_potential_basis``).  Otherwise the map
+    is the preconditioner of conjugate gradients, optionally warm-started:
+    the same eigenbases when D is a potential (such as a well), and the sine
     transform shifted by mean(D) for a_u at beta > 0 or an axis over
     DENSE_SINE_MAX nodes.  A new operator per a_u step costs one
     factorization on one axis, about as much as a solve, and one scan of D
-    on more axes.
+    on more axes.  A one-axis operator that is not positive definite raises
+    GreenSolveError at construction.
     """
 
     def __init__(self, metric: Metric, problem: Problem):
@@ -170,17 +179,14 @@ class LinearOperator:
             self.diagonal_term = problem.V.values.copy()
         else:
             self.diagonal_term = problem.V.values + problem.beta * metric.base.values**2
-        # the basis _precondition divides in: the sine basis (None) or the
-        # forward and backward factors of per-axis eigenbases
-        self._factors = None
-        self._eig = sine_basis(self.grid).ravel() + float(np.mean(self.diagonal_term))
         d = self.diagonal_term
         self.exact = self.grid.dim == 1 or not np.any(d != d[0])
+        basis = None
         if not self.exact and (metric.kind is MetricKind.A0 or problem.beta == 0.0):
             basis = _potential_basis(problem)
-            if basis is not None:
-                self._factors, self._eig, self.exact = basis
-        self._exact_solve = None  # built at the first solve of a one-axis operator
+        if basis is None:
+            basis = laplacian_inverse(self.grid, d), self.exact
+        self._inverse, self.exact = basis  # r -> M^-1 r: A_X^-1 or CG's preconditioner
         self.iterations = 0  # CG iterations of the last solve
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -194,44 +200,14 @@ class LinearOperator:
 
         return laplacian_matrix(self.grid) + sp.diags(self.diagonal_term)
 
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        """r (dof,) divided by the operator's eigenvalues in its basis: the
-        exact inverse of an exact operator on two or three axes, and
-        otherwise CG's preconditioner, the exact inverse of the additive
-        part's operator A' of a potential or of -Laplacian + mean(D)."""
-        if self._factors is None:
-            return self._sine_divide(r, self._eig)
-        forward, backward = self._factors
-        return axis_products(self.grid, axis_products(self.grid, r, forward) / self._eig, backward)
-
-    def laplacian_inverse(self, shift: float) -> Callable[[np.ndarray], np.ndarray]:
-        """The map r -> (-Laplacian + shift)^-1 r, exact: one tridiagonal
-        factorization on a one-axis grid, one DST-I pair per map otherwise.
-
-        ``shift`` must exceed -lambda_min(-Laplacian); ``r`` is one vector
-        (dof,).
-        """
-        if self.grid.dim == 1:
-            return _tridiagonal_solver(self.grid, shift)
-        eig = sine_basis(self.grid).ravel() + shift
-        return lambda r: self._sine_divide(r, eig)
-
-    def _sine_divide(self, r: np.ndarray, eig: np.ndarray) -> np.ndarray:
-        """r (dof,) divided by ``eig`` (dof,) in the orthonormal DST-I basis."""
-        return sine_transform(self.grid, sine_transform(self.grid, r) / eig)
-
     def solve(
         self, rhs: np.ndarray, x0: np.ndarray | None = None, rtol: float | None = None
     ) -> np.ndarray:
         """Solve A_X x = rhs to relative residual rtol, from x0 if given.
 
         ``rtol`` None means the module's CG_RTOL, read at call time.  An
-        ``exact`` operator runs no CG iteration and ignores x0 and rtol: on a
-        one-axis grid it solves with its tridiagonal factors, and on more
-        axes (a constant D, or an additive potential) it divides
-        by its eigenvalues in its sine or per-axis eigenbasis, the map CG
-        would precondition with, which is then its exact inverse.  Otherwise
-        CG starts at
+        ``exact`` operator runs no CG iteration and ignores x0 and rtol: it
+        applies its map, which is then A_X^-1, once.  Otherwise CG starts at
         x0 (zero when None) from the explicitly computed residual rhs - A x0,
         and stops once the residual norm is at most rtol times that of rhs,
         whatever the start; a start that already meets the test is returned
@@ -244,8 +220,7 @@ class LinearOperator:
         that meets the test.
 
         Raises GreenSolveError, naming the rtol it missed, on breakdown or
-        after 2 * grid.dof iterations, and when tridiagonal factors cannot
-        be taken.
+        after 2 * grid.dof iterations.
         In exact arithmetic CG terminates within grid.dof iterations; in
         floating point it loses that finite termination, and on grids of a
         few dozen unknowns, where termination rather than the preconditioned
@@ -257,11 +232,7 @@ class LinearOperator:
         if not np.any(b):
             return np.zeros_like(b)
         if self.exact:
-            if self.grid.dim > 1:
-                return self._precondition(b)
-            if self._exact_solve is None:
-                self._exact_solve = _tridiagonal_solver(self.grid, self.diagonal_term)
-            return self._exact_solve(b)
+            return self._inverse(b)
         if rtol is None:
             rtol = CG_RTOL
         target = rtol * float(np.linalg.norm(b))
@@ -273,7 +244,7 @@ class LinearOperator:
             r = b - self.apply(x)
             if np.linalg.norm(r) <= target:
                 return x
-        z = self._precondition(r)
+        z = self._inverse(r)
         p = z
         rz = float(r @ z)
         for self.iterations in range(1, 2 * self.grid.dof + 1):
@@ -286,7 +257,7 @@ class LinearOperator:
             r -= step * ap
             if np.linalg.norm(r) <= target:
                 return x
-            z = self._precondition(r)
+            z = self._inverse(r)
             rz_next = float(r @ z)
             p = z + (rz_next / rz) * p
             rz = rz_next

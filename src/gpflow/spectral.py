@@ -14,8 +14,8 @@ It holds each block as contiguous rows, one per vector, because the product
 and the preconditioner apply to one vector at a time.  It is
 preconditioned by the combined potential and kinetic preconditioner of
 Antoine, Levitt and Tang (J. Comput. Phys. 343, 2017): a diagonal scaling
-around the exact inverse of -Laplacian + shift (``laplacian_inverse``: a
-tridiagonal factorization on one axis, a DST-I pair on more), with its
+around the exact inverse of -Laplacian + shift (``greens.laplacian_inverse``:
+a tridiagonal factorization on one axis, a DST-I pair on more), with its
 shifts read off the start vector's Rayleigh quotient
 (``_eigen_preconditioner``).  No inner solve runs.  At a converged ground
 state u* the start block already holds the ground eigenvector to the flow's
@@ -42,7 +42,7 @@ from .grid import (
     Grid, GridFunction, GridMismatchError, Metric, MetricKind, neg_laplacian, neg_laplacian_norm,
     sine_basis,
 )
-from .greens import LinearOperator
+from .greens import LinearOperator, laplacian_inverse
 from .problem import Problem
 
 # Rayleigh-Ritz drops the directions of its scaled Gram matrix whose
@@ -190,7 +190,7 @@ def _eigen_preconditioner(op: LinearOperator, x: np.ndarray):
     excess = np.maximum(op.diagonal_term - sigma, 0.0)
     spread = min(float(excess.max()), float(eig.max()))
     alpha = max(math.sqrt(kinetic * spread), float(eig.flat[0]))
-    inverse = op.laplacian_inverse(alpha)
+    inverse = laplacian_inverse(op.grid, alpha)
     scale = 1.0 / np.sqrt(alpha + excess)
 
     return lambda r: scale * inverse(scale * r)

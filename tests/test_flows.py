@@ -217,9 +217,13 @@ def test_run_warm_starts_every_solve_after_the_first_step(scheme, monkeypatch):
     report = run(cg_problem(scheme), RunConfig(scheme=scheme))
     assert report.status == "converged"
     per_step = 2 if scheme is MetricKind.A0 else 1  # a0 also solves for G u^3
-    # the converged state is certified by one more set of (warm) solves
-    assert len(starts) == per_step * (len(report.records) + 1)
+    # the first step's solves are cold, every later one warm, and the
+    # converged state is certified by at least one more set of (warm)
+    # solves; a certification whose tight state misses tol lets the run go
+    # on, so how many there are is left to roundoff
     assert starts == [False] * per_step + [True] * (len(starts) - per_step)
+    assert len(starts) % per_step == 0
+    assert len(starts) >= per_step * (len(report.records) + 1)
 
 
 def harmonic_2d(n=31, beta=100.0):

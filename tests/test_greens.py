@@ -9,6 +9,7 @@ from gpflow.flows import RunConfig, run
 from gpflow.greens import CG_RTOL, GreenSolveError, LinearOperator, solve_green
 from gpflow.grid import (
     A0,
+    DENSE_SINE_MAX,
     GridFunction,
     H1,
     Metric,
@@ -266,7 +267,7 @@ def _one_node_case():
 def test_one_axis_solves_are_exact(case, shift):
     # on one axis every metric solves with one tridiagonal factorization:
     # no CG iteration, the start and the tolerance ignored, the dense solve
-    # to roundoff; so does laplacian_inverse, for any shift >= 0
+    # to roundoff; so does greens.laplacian_inverse, for any shift >= 0
     prob, rng = case
     dof = prob.grid.dof
     base = GridFunction(prob.grid, rng.uniform(-2.0, 2.0, dof))
@@ -286,10 +287,29 @@ def test_one_axis_solves_are_exact(case, shift):
             np.testing.assert_array_equal(op.solve(rhs, x0=x0, rtol=rtol), x)
             assert op.iterations == 0
         assert_solves(x, op.matrix().toarray(), rhs)
-    inverse = LinearOperator(H1, prob).laplacian_inverse(shift)
+    inverse = greens.laplacian_inverse(prob.grid, shift)
     shifted = laplacian_matrix(prob.grid).toarray() + shift * np.eye(dof)
     r = rng.standard_normal(dof)
     assert_solves(inverse(r), shifted, r)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.integers(1, 10), min_size=2, max_size=3),
+    st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+    st.floats(0.0, 1e4),
+)
+@example([DENSE_SINE_MAX, 2], [1.0, 1.5, 2.0], 0.0)
+@example([DENSE_SINE_MAX + 2, 3], [2.0, 0.5, 1.0], 1e4)
+def test_laplacian_inverse_is_exact_on_two_and_three_axes(n, lengths, shift):
+    # one DST-I pair, through the dense sine matrices or, past
+    # DENSE_SINE_MAX nodes on an axis, scipy.fft.dstn, inverts
+    # -Laplacian + shift to roundoff
+    grid = build_grid(len(n), n, [(0.0, length) for length in lengths[: len(n)]])
+    r = np.random.default_rng(grid.dof).standard_normal(grid.dof)
+    expected = np.linalg.solve(laplacian_matrix(grid).toarray() + shift * np.eye(grid.dof), r)
+    error = np.linalg.norm(greens.laplacian_inverse(grid, shift)(r) - expected)
+    assert error <= 1e-11 * np.linalg.norm(expected), error
 
 
 # --- exact solves on additive potentials --------------------------------------
@@ -472,8 +492,10 @@ def test_indefinite_additive_part_keeps_the_sine_preconditioner():
     V[7, :] = V[:, 7] = 0.0
     op = LinearOperator(A0, Problem(grid, GridFunction(grid, V.ravel()), 0.0))
     assert greens._potential_basis(op.problem) is None
-    assert not op.exact and op._factors is None
+    assert not op.exact
     rhs = np.random.default_rng(8).standard_normal(grid.dof)
+    sine = greens.laplacian_inverse(grid, op.diagonal_term)
+    np.testing.assert_array_equal(op._inverse(rhs), sine(rhs))
     x = op.solve(rhs)
     assert op.iterations > 0
     assert np.linalg.norm(rhs - op.matrix() @ x) <= CG_RTOL * np.linalg.norm(rhs)
@@ -486,7 +508,7 @@ def test_well_a0_solve_is_preconditioned_by_the_additive_part(dim, n, most):
     # iterations, against 32 and 33 with the sine basis shifted by mean(V)
     prob = well_problem(n=n, dim=dim)
     op = LinearOperator(A0, prob)
-    assert not op.exact and op._factors is not None
+    assert not op.exact and op._inverse is greens._potential_basis(prob)[0]
     rhs = np.random.default_rng(1).standard_normal(prob.grid.dof)
     x = op.solve(rhs)
     assert 0 < op.iterations <= most
@@ -498,5 +520,4 @@ def test_potential_bases_are_built_once_per_problem():
     base = GridFunction(prob.grid, np.ones(prob.grid.dof))
     ops = [LinearOperator(A0, prob), LinearOperator(Metric(MetricKind.AU, base=base), prob)]
     assert all(op.exact for op in ops)
-    assert ops[0]._factors[0] is ops[1]._factors[0]
-    assert ops[0]._eig is ops[1]._eig
+    assert ops[0]._inverse is ops[1]._inverse

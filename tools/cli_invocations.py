@@ -94,6 +94,11 @@ EXTRA = (
     ("run-2d-long-axis",
      ["run", "--dim", "2", "--n", "130", "--beta", "10", "--potential", "harmonic:20",
       "--scheme", "au"]),
+    # the same long axis under the eigensolve: the exact H1 solves and the
+    # preconditioner's shifted inverse (greens.laplacian_inverse) both go
+    # through scipy.fft.dstn
+    ("spectrum-2d-long-axis",
+     ["spectrum", "--dim", "2", "--n", "130,7", "--beta", "10", "--potential", "harmonic:20"]),
 )
 
 # the parser: usage errors (exit 1, one error line), whose stderr is compared,
