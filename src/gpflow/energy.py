@@ -113,8 +113,8 @@ def _step_moments(problem: Problem, u: np.ndarray, g: np.ndarray, uu: float) -> 
 
 
 def _step_decreases(problem: Problem, u: np.ndarray, g: np.ndarray, moments: StepMoments):
-    """The function alpha -> (decrease, values of the retracted step), from
-    the StepMoments of (u, g), value arrays.  With tau = ||u||^2,
+    """The function alpha -> decrease, read off the StepMoments of (u, g),
+    value arrays.  With tau = ||u||^2,
     y = u - alpha g and s = ||y||^2 = 1 + t_y, E(u / sqrt(tau)) - E(y / sqrt(s)) is
 
       alpha (k1 - alpha k2) / (tau s) + alpha (m0 + alpha (m1 + alpha (m2 + alpha m3))) / (tau s)^2.
@@ -123,7 +123,7 @@ def _step_decreases(problem: Problem, u: np.ndarray, g: np.ndarray, moments: Ste
     drown small decreases.  Every term carries a factor alpha and is divided
     by (tau s)^k before any is subtracted, so neither a small decrease nor a
     large alpha cancels.  The float64 coefficients make an overflowing trial
-    raise under errstate.
+    raise under errstate.  A trial forms no step (``_retracted`` does).
     """
     (uu, p, r), (a_uu, a_gu, a_gg), (v_uu, v_gu, v_gg), (q0, q1, q2, q3, q4) = moments
     t_u = uu - 1.0
@@ -134,14 +134,21 @@ def _step_decreases(problem: Problem, u: np.ndarray, g: np.ndarray, moments: Ste
     m2 = tau * tau * q3 - 4.0 * p * r * q_u
     m3 = r * r * q_u - 0.25 * tau * tau * q4
 
-    def decrease_at(alpha: float) -> tuple[float, np.ndarray]:
+    def decrease_at(alpha: float) -> float:
         t_y = t_u - 2.0 * alpha * p + alpha * alpha * r
         ts = tau * (1.0 + t_y)
         quartic = alpha * (m0 + alpha * (m1 + alpha * (m2 + alpha * m3))) / (ts * ts)
-        decrease = alpha * (k1 - alpha * k2) / ts + quartic
-        return float(decrease), (u - alpha * g) / math.sqrt(1.0 + t_y)
+        return float(alpha * (k1 - alpha * k2) / ts + quartic)
 
     return decrease_at
+
+
+def _retracted(u: np.ndarray, g: np.ndarray, moments: StepMoments, alpha: float) -> np.ndarray:
+    """(u - alpha g) / ||u - alpha g|| (value arrays), with the squared norm
+    1 + t_y read off the moments as in ``_step_decreases``."""
+    uu, p, r = moments.l2
+    t_y = (uu - 1.0) - 2.0 * alpha * p + alpha * alpha * r
+    return (u - alpha * g) / math.sqrt(1.0 + t_y)
 
 
 def step_decrease(
@@ -151,8 +158,8 @@ def step_decrease(
     search's model at one alpha, from moments taken as a scheme state takes
     them, accurate at the alpha*residual^2 scale and at any float alpha."""
     moments = _step_moments(problem, u.values, g.values, inner_l2(u, u))
-    decrease, u_next = _step_decreases(problem, u.values, g.values, moments)(alpha)
-    return decrease, GridFunction(problem.grid, u_next)
+    decrease = _step_decreases(problem, u.values, g.values, moments)(alpha)
+    return decrease, GridFunction(problem.grid, _retracted(u.values, g.values, moments, alpha))
 
 
 def _gradient(
@@ -172,7 +179,10 @@ def _gradient(
     ``rtol``.
     """
     if kind is MetricKind.H1:
-        gv = solution = op.solve(problem.V.values * u + problem.beta * u**3)
+        rhs = problem.V.values * u
+        if problem.beta != 0.0:
+            rhs += problem.beta * u**3
+        gv = solution = op.solve(rhs)
     elif kind is MetricKind.A0 and problem.beta != 0.0:
         solution = op.solve(u**3, x0, rtol)
         gv = problem.beta * solution

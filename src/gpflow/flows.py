@@ -16,6 +16,7 @@ import numpy as np
 
 from .energy import (
     SchemeKind,
+    _retracted,
     _step_decreases,
     energy,
     metric_for,
@@ -151,19 +152,21 @@ def _search(problem, u, state, policy):
     """Shared candidate loop; returns (alpha, u_next, decrease, accepted, trials).
 
     Trials read step_decrease's model on the state's moments, and only the
-    step returned becomes a GridFunction.  The returned alpha is the last
-    one tried, so decrease and u_next belong to it, and ``trials`` counts
-    the stepsizes tried; a search stopped by the floor returns its last
-    trial unaccepted.
+    step returned is retracted, once, into a GridFunction.  The returned
+    alpha is the last one tried, so decrease and u_next belong to it, and
+    ``trials`` counts the stepsizes tried; a search stopped by the floor
+    returns its last trial unaccepted.
     """
-    decrease_at = _step_decreases(problem, u.values, state.riemannian_gradient, state.moments)
+    g = state.riemannian_gradient
+    decrease_at = _step_decreases(problem, u.values, g, state.moments)
     res_sq = state.residual**2
     alpha = policy.alpha0
     trials = 1
     while True:
-        decrease, u_next = decrease_at(alpha)
+        decrease = decrease_at(alpha)
         accepted = decrease >= 0.5 * alpha * res_sq
         if accepted or policy.mode == "fixed" or alpha * policy.shrink < policy.alpha_floor:
+            u_next = _retracted(u.values, g, state.moments, alpha)
             return alpha, GridFunction(problem.grid, u_next), decrease, accepted, trials
         alpha *= policy.shrink
         trials += 1

@@ -259,7 +259,9 @@ class LinearOperator:
                 return x
             z = self._inverse(r)
             rz_next = float(r @ z)
-            p = z + (rz_next / rz) * p
+            # in place, bit for bit: p is the first z, a fresh array no cache holds
+            p *= rz_next / rz
+            p += z
             rz = rz_next
         raise GreenSolveError(
             f"preconditioned CG stopped short of relative residual {rtol:g} "

@@ -17,9 +17,12 @@ basis, built once per grid.
 tests to compare against; no solver path builds it, so scipy.sparse is
 imported only there.
 ``_dirichlet_forms`` is the one kernel of the form a(u, v): per axis it
-takes each function's edge differences once, into one vector, and reduces
-each pair with one dot product; ``edge_difference_sum`` is a(u, v) and
-``dirichlet_moments`` a step's a(u, u), a(g, u) and a(g, g).
+takes each function's edge differences once, as one contiguous difference
+of a zero-padded flat copy, and reduces each pair with one dot product;
+``edge_difference_sum`` is a(u, v) and ``dirichlet_moments`` a step's
+a(u, u), a(g, u) and a(g, g).  Each axis's (before, n, after) view is
+planned once per grid (``Grid._axis_plan``), for the forms and for
+``axis_products``.
 ``sine_transform`` applies the orthonormal DST-I that diagonalizes the
 -Laplacian: one dense product with the symmetric, involutory S_n per axis
 (``axis_products``, the one per-axis product kernel, which the Green's
@@ -77,14 +80,28 @@ class Grid:
     n: tuple[int, ...]
     h: tuple[float, ...]
 
-    @property
+    # derived once per instance: kernels read them with no arithmetic and no
+    # cache lookup, which would hash the grid on every call
+    @functools.cached_property
     def dof(self) -> int:
         return math.prod(self.n)
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         """Quadrature weight of one interior node."""
         return math.prod(self.h)
+
+    @functools.cached_property
+    def _axis_plan(self) -> tuple[tuple[int, int, int], ...]:
+        """Per axis, the (before, n, after) view of the values: the nodes on
+        the axes before it, on it and after it."""
+        return tuple((math.prod(self.n[:axis]), n, math.prod(self.n[axis + 1:]))
+                     for axis, n in enumerate(self.n))
+
+    @functools.cached_property
+    def _sine_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``axis_products``' factors of the sine transform: (S_n, S_n) per axis."""
+        return tuple((_sine_matrix(n),) * 2 for n in self.n)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         """Interior node coordinates along one axis."""
@@ -299,9 +316,7 @@ def axis_products(grid: Grid, x: np.ndarray, factors) -> np.ndarray:
     eigenbases of the Green's solves (``greens``).
     """
     y = x
-    for axis, (n, (matrix, transposed)) in enumerate(zip(grid.n, factors)):
-        before = math.prod(grid.n[:axis])
-        after = math.prod(grid.n[axis + 1:])
+    for (before, n, after), (matrix, transposed) in zip(grid._axis_plan, factors):
         if after == 1:
             y = y.reshape(before, n) @ transposed
         else:
@@ -321,7 +336,7 @@ def sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
         from scipy.fft import dstn  # deferred: importing scipy.fft costs ~0.1 s
 
         return dstn(x.reshape(grid.n), type=1, norm="ortho").reshape(x.shape)
-    return axis_products(grid, x, [(_sine_matrix(n),) * 2 for n in grid.n])
+    return axis_products(grid, x, grid._sine_factors)
 
 
 def apply_neg_laplacian(grid: Grid, u: GridFunction) -> GridFunction:
@@ -333,19 +348,27 @@ def apply_neg_laplacian(grid: Grid, u: GridFunction) -> GridFunction:
 
 
 def _dirichlet_forms(grid: Grid, xs, pairs) -> list[float]:
-    """a(xs[i], xs[j]) for each (i, j) in ``pairs``.  An axis's n + 1 edges
-    include the boundary slabs, the last unsigned: it meets only last slabs."""
+    """a(xs[i], xs[j]) for each (i, j) in ``pairs``: per axis the dot of
+    two edge vectors over h^2, the axes summed in order, times cell_volume.
+
+    On an axis viewed as (before, n, after) a line has n + 1 edges, both
+    boundary ones included.  A function's edges are the one contiguous
+    difference q[after:] - q[:m] of a flat copy q: ``after`` zeros, then the
+    values as (before, n + 1, after) with a zero slab at index n, the outer
+    neighbour of the next line's first node.  Each line's last edge comes
+    out negated; it meets only last edges, and (-a)(-b) = ab exactly, so
+    every dot keeps its bits.
+    """
     totals = [0.0] * len(pairs)
-    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
-        shape = (math.prod(grid.n[:axis]), n, math.prod(grid.n[axis + 1:]))
+    for (before, n, after), h in zip(grid._axis_plan, grid.h):
+        m = before * (n + 1) * after
         edges = []
         for x in xs:
-            x3, e = x.reshape(shape), np.empty((shape[0], n + 1, shape[2]))
-            e[:, 0], e[:, -1] = x3[:, 0], x3[:, -1]
-            np.subtract(x3[:, 1:], x3[:, :-1], out=e[:, 1:-1])
-            edges.append(e.ravel())
+            q = np.zeros(after + m)
+            q[after:].reshape(before, n + 1, after)[:, :n] = x.reshape(before, n, after)
+            edges.append(q[after:] - q[:m])
         totals = [t + float(np.dot(edges[i], edges[j])) / h**2 for t, (i, j) in zip(totals, pairs)]
-        del edges  # one axis's edges alive at a time, not two while the next are taken
+        del edges, q  # one axis's edges alive at a time, not two while the next are taken
     return [grid.cell_volume * total for total in totals]
 
 

@@ -17,6 +17,7 @@ from gpflow.energy import (
     scheme_state,
     step_decrease,
 )
+from gpflow.greens import solve_green
 from gpflow.grid import (
     GridFunction,
     H1,
@@ -173,6 +174,18 @@ def test_a0_at_beta_zero_skips_the_cubic_solve(monkeypatch):
         solves.clear()
         metric_gradient(MetricKind.A0, prob, u)
         assert len(solves) == expected - 1
+
+
+@pytest.mark.parametrize("dim, n", [(1, 31), (2, 15)])
+def test_h1_gradient_at_beta_zero_is_u_plus_the_potential_solve(dim, n):
+    # at beta = 0 the H1 gradient adds no cube term: u + G_H1(V u) bit for bit
+    grid = build_grid(dim, [n] * dim, [(0.0, 1.0)] * dim)
+    prob = Problem(grid, harmonic_potential(grid, 10.0), 0.0)
+    u = retract(GridFunction(grid, np.random.default_rng(dim).uniform(-1.0, 1.0, grid.dof)))
+    assert np.any(u.values < 0.0) and np.any(u.values > 0.0)
+    green = solve_green(H1, prob, GridFunction(grid, prob.V.values * u.values))
+    grad = metric_gradient(MetricKind.H1, prob, u)
+    assert np.array_equal(grad.values, u.values + green.values)
 
 
 def test_scheme_state_warm_start_matches_cold():

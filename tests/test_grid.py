@@ -269,3 +269,46 @@ def test_dirichlet_moments_are_the_pairwise_forms(case):
     assert dirichlet_moments(prob.grid, u.values, g.values) == (
         edge_difference_sum(u, u), edge_difference_sum(g, u), edge_difference_sum(g, g)
     )
+
+
+def _slab_edge_forms(grid, xs, pairs):
+    """The Dirichlet forms a(xs[i], xs[j]) built slab by slab: per axis, each
+    function's n + 1 edges per line in a fresh array, the first and last
+    slab copied and the interior differences taken between them, then one
+    np.dot per pair, the axes summed in order, each over h^2, and the sum
+    scaled by the cell volume.  The bitwise reference for the flat padded
+    edge vectors of edge_difference_sum and dirichlet_moments."""
+    totals = [0.0] * len(pairs)
+    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
+        shape = (math.prod(grid.n[:axis]), n, math.prod(grid.n[axis + 1:]))
+        edges = []
+        for x in xs:
+            x3, e = x.reshape(shape), np.empty((shape[0], n + 1, shape[2]))
+            e[:, 0], e[:, -1] = x3[:, 0], x3[:, -1]
+            np.subtract(x3[:, 1:], x3[:, :-1], out=e[:, 1:-1])
+            edges.append(e.ravel())
+        totals = [t + float(np.dot(edges[i], edges[j])) / h**2 for t, (i, j) in zip(totals, pairs)]
+    return [grid.cell_volume * total for total in totals]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.lists(st.tuples(st.integers(1, 19), st.floats(0.5, 2.0)), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+@example([(1, 1.0), (1, 0.7), (1, 1.9)], 0)  # one-node axes: no interior edge anywhere
+@example([(19, 0.5), (1, 2.0), (13, 1.3)], 0)  # a one-node middle axis
+@example([(9, 1.0), (11, 0.6), (7, 1.7)], 0)  # three unequal axes and spacings
+def test_dirichlet_forms_are_the_slab_edge_forms_bitwise(axes, seed):
+    # the flat padded edge vector negates each line's last edge; the
+    # products, and so every dot, keep their bits
+    n, lengths = zip(*axes)
+    grid = build_grid(len(n), n, [(0.0, length) for length in lengths])
+    rng = np.random.default_rng(seed)
+    u, g = (GridFunction(grid, rng.uniform(-1.0, 1.0, grid.dof)) for _ in range(2))
+    pairs = ((0, 0), (1, 0), (1, 1))
+    assert dirichlet_moments(grid, u.values, g.values) == tuple(
+        _slab_edge_forms(grid, (u.values, g.values), pairs)
+    )
+    assert edge_difference_sum(u, g) == _slab_edge_forms(grid, (u.values, g.values), ((0, 1),))[0]
+    assert edge_difference_sum(u, u) == _slab_edge_forms(grid, (u.values,), ((0, 0),))[0]

@@ -57,6 +57,14 @@ EXTRA = (
     ("run-3d-a0",
      ["run", "--dim", "3", "--n", "19", "--beta", "100", "--potential", "harmonic:20",
       "--scheme", "a0"]),
+    # solve-3d's a_u run: CG and the stencil on three axes
+    ("run-3d-au",
+     ["run", "--dim", "3", "--n", "19", "--beta", "100", "--potential", "harmonic:20",
+      "--scheme", "au"]),
+    # h1 on three axes of different lengths
+    ("run-3d-uneven-h1",
+     ["run", "--dim", "3", "--n", "9,11,7", "--beta", "10", "--potential",
+      "well:1000:0.25:0.75"]),
     # the spectrum on a 3D grid, where the eigensolve's preconditioner runs
     # the sine transform on three axes
     ("spectrum-3d",
