@@ -34,7 +34,7 @@ from .flows import (
     FlowBreakdownError,
     RunConfig,
     StepPolicy,
-    load_function,
+    retract,
     run,
 )
 from .greens import GreenSolveError
@@ -341,19 +341,22 @@ def build_potential(cfg: CliConfig, grid) -> GridFunction:
     )
 
 
-def build_problem(cfg: CliConfig) -> Problem:
+def build_problem(cfg: CliConfig) -> tuple[Problem, GridFunction | None]:
+    """The problem, and the start file's values, read once (a malformed file is
+    a usage error) and unretracted: ``run`` retracts its ``u0`` itself."""
     try:
         grid = build_grid(cfg.dim, cfg.n, cfg.bounds)
         problem = Problem(grid, build_potential(cfg, grid), cfg.beta)
     except ValueError as exc:
         raise UsageError(str(exc))
+    u0 = None
     if cfg.init == "file" and cfg.init_path:
-        # read once up front so a malformed start file is a usage error
         try:
-            load_function(problem, cfg.init_path)
+            u0 = GridFunction(grid, np.loadtxt(cfg.init_path, delimiter=",").ravel())
+            retract(u0)  # a zero start has no direction
         except ValueError as exc:
             raise UsageError(f"cannot use start file {cfg.init_path}: {exc}")
-    return problem
+    return problem, u0
 
 
 def run_config(cfg: CliConfig) -> RunConfig:
@@ -460,7 +463,8 @@ def write_output(text: str, path: str | None) -> None:
 
 
 def cmd_run(cfg: CliConfig) -> int:
-    report = run(build_problem(cfg), run_config(cfg))
+    problem, u0 = build_problem(cfg)
+    report = run(problem, run_config(cfg), u0=u0)
     if cfg.format == "csv":
         write_output(render_csv(report), cfg.output)
     else:
@@ -468,38 +472,38 @@ def cmd_run(cfg: CliConfig) -> int:
     return 0 if report.status == "converged" else 2
 
 
-def _solve_to_spectrum(cfg: CliConfig):
-    """The problem, its converged run and the spectrum at the run's final
-    state; None once the report of a run that did not converge is written."""
-    problem = build_problem(cfg)
-    report = run(problem, run_config(cfg))
+def _solve_to_spectrum(cfg: CliConfig, problem: Problem, u0: GridFunction | None):
+    """The converged run from u0 and the spectrum at its final state; None
+    once the report of a run that did not converge is written."""
+    report = run(problem, run_config(cfg), u0=u0)
     if report.status != "converged":
         write_output(render_json(report_payload(cfg, report)), cfg.output)
         return None
     op = linearized_operator(problem, report.final)
     try:
-        return problem, report, lowest_two_eigen(op)
+        return report, lowest_two_eigen(op)
     except RuntimeError as exc:  # degenerate eigengap, or an unconverged eigenpair
         raise SolveError(str(exc)) from exc
 
 
 def cmd_verify(cfg: CliConfig) -> int:
-    solved = _solve_to_spectrum(cfg)
+    problem, u0 = build_problem(cfg)
+    solved = _solve_to_spectrum(cfg, problem, u0)
     if solved is None:
         return 2
-    problem, report, spectral = solved
+    report, spectral = solved
     results = check_suite(problem, report, spectral, trials=cfg.trials, seed=cfg.seed)
     if cfg.cross_scheme:
-        results = results + [cross_scheme_agreement(problem, run_config(cfg))]
+        results = results + [cross_scheme_agreement(problem, run_config(cfg), u0)]
     write_output(render_json(checks_payload(cfg, results)), cfg.output)
     return 3 if failures(results) else 0
 
 
 def cmd_spectrum(cfg: CliConfig) -> int:
-    solved = _solve_to_spectrum(cfg)
+    solved = _solve_to_spectrum(cfg, *build_problem(cfg))
     if solved is None:
         return 2
-    _, report, spectral = solved
+    report, spectral = solved
     write_output(render_json(spectral_payload(cfg, report, spectral)), cfg.output)
     return 0
 
@@ -507,13 +511,13 @@ def cmd_spectrum(cfg: CliConfig) -> int:
 def cmd_sweep(cfg: CliConfig) -> int:
     """One entry per alpha; a run that breaks down keeps its entry, with status
     "breakdown" and null results, and the first breakdown is reported."""
-    problem = build_problem(cfg)
+    problem, u0 = build_problem(cfg)
     entries, breakdown = [], None
     for alpha in cfg.alphas:
         entry = {"alpha": alpha, "status": "breakdown", "lambda": None, "iterations": None,
                  "rho": None, "r_squared": None}
         try:
-            report = run(problem, run_config(replace(cfg, mode="fixed", alpha0=alpha)))
+            report = run(problem, run_config(replace(cfg, mode="fixed", alpha0=alpha)), u0=u0)
         except FlowBreakdownError as exc:
             breakdown = breakdown or exc
         else:

@@ -22,12 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (
+    H1,
     GridFunction,
     GridMismatchError,
     Metric,
     MetricKind,
     dirichlet_moments,
-    edge_difference_sum,
+    inner,
     inner_l2,
     norm_l2,
 )
@@ -35,12 +36,10 @@ from . import greens
 from .greens import LinearOperator, solve_green
 from .problem import Problem
 
-SchemeKind = MetricKind  # schemes are named after their metrics; L2 is not a scheme
-
 UNIT_NORM_TOL = 1e-10
 
 
-def metric_for(kind: SchemeKind, u: GridFunction | None = None) -> Metric:
+def metric_for(kind: MetricKind, u: GridFunction | None = None) -> Metric:
     """The metric a scheme measures itself in; AU is based at the iterate."""
     if kind is MetricKind.AU:
         if u is None:
@@ -69,7 +68,7 @@ def energy(problem: Problem, u: GridFunction) -> float:
     if u.grid != problem.grid:
         raise GridMismatchError("function does not live on the problem grid")
     w = problem.grid.cell_volume
-    kinetic = 0.5 * edge_difference_sum(u, u)
+    kinetic = 0.5 * inner(H1, None, u, u)
     potential = 0.5 * w * float(np.sum(problem.V.values * u.values**2))
     quartic = 0.25 * problem.beta * w * float(np.sum(u.values**4))
     return kinetic + potential + quartic
@@ -85,7 +84,7 @@ def energy_decrease(problem: Problem, u: GridFunction, v: GridFunction) -> float
     w = problem.grid.cell_volume
     d = GridFunction(problem.grid, u.values - v.values)
     summ = GridFunction(problem.grid, u.values + v.values)
-    kinetic = 0.5 * edge_difference_sum(d, summ)
+    kinetic = 0.5 * inner(H1, None, d, summ)
     potential = 0.5 * w * float(np.sum(problem.V.values * d.values * summ.values))
     sq_diff = d.values * summ.values  # u^2 - v^2
     sq_sum = u.values**2 + v.values**2
@@ -112,9 +111,9 @@ def _step_moments(problem: Problem, u: np.ndarray, g: np.ndarray, uu: float) -> 
     )
 
 
-def _step_decreases(problem: Problem, u: np.ndarray, g: np.ndarray, moments: StepMoments):
-    """The function alpha -> decrease, read off the StepMoments of (u, g),
-    value arrays.  With tau = ||u||^2,
+def _step_decreases(moments: StepMoments):
+    """The function alpha -> decrease, read off the StepMoments of a step's
+    iterate u and direction g.  With tau = ||u||^2,
     y = u - alpha g and s = ||y||^2 = 1 + t_y, E(u / sqrt(tau)) - E(y / sqrt(s)) is
 
       alpha (k1 - alpha k2) / (tau s) + alpha (m0 + alpha (m1 + alpha (m2 + alpha m3))) / (tau s)^2.
@@ -158,12 +157,12 @@ def step_decrease(
     search's model at one alpha, from moments taken as a scheme state takes
     them, accurate at the alpha*residual^2 scale and at any float alpha."""
     moments = _step_moments(problem, u.values, g.values, inner_l2(u, u))
-    decrease = _step_decreases(problem, u.values, g.values, moments)(alpha)
+    decrease = _step_decreases(moments)(alpha)
     return decrease, GridFunction(problem.grid, _retracted(u.values, g.values, moments, alpha))
 
 
 def _gradient(
-    kind: SchemeKind,
+    kind: MetricKind,
     problem: Problem,
     u: np.ndarray,
     op: LinearOperator,
@@ -191,7 +190,7 @@ def _gradient(
     return u + gv, gv, solution
 
 
-def metric_gradient(kind: SchemeKind, problem: Problem, u: GridFunction) -> GridFunction:
+def metric_gradient(kind: MetricKind, problem: Problem, u: GridFunction) -> GridFunction:
     """Gradient of the energy in the scheme's metric.
 
     H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u: u itself.
@@ -248,7 +247,7 @@ class SchemeState:
 
 
 def _solve_state(
-    kind: SchemeKind,
+    kind: MetricKind,
     problem: Problem,
     u: np.ndarray,
     uu: float,
@@ -278,7 +277,7 @@ def _solve_state(
 
 
 def scheme_state(
-    kind: SchemeKind,
+    kind: MetricKind,
     problem: Problem,
     u: GridFunction,
     op: LinearOperator | None = None,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (
-    SchemeKind,
     _retracted,
     _step_decreases,
     energy,
@@ -57,7 +56,7 @@ class StepPolicy:
 class RunConfig:
     """Configuration of one gradient-flow run."""
 
-    scheme: SchemeKind = MetricKind.H1
+    scheme: MetricKind = MetricKind.H1
     policy: StepPolicy = field(default_factory=StepPolicy)
     tol: float = 1e-9
     max_iter: int = 50000
@@ -158,7 +157,7 @@ def _search(problem, u, state, policy):
     returns its last trial unaccepted.
     """
     g = state.riemannian_gradient
-    decrease_at = _step_decreases(problem, u.values, g, state.moments)
+    decrease_at = _step_decreases(state.moments)
     res_sq = state.residual**2
     alpha = policy.alpha0
     trials = 1

@@ -6,23 +6,22 @@ encodes the zero-trace condition exactly at the discrete level.  Values are
 kept in lexicographic order (last axis fastest), so serialized functions are
 portable across implementations.
 
-This module is the one place that knows the discrete Dirichlet -Laplacian
-and its form.  ``neg_laplacian`` is its one product kernel, a (2 dim + 1)-
-point stencil on a zero-padded copy of the values, which the Green's
-operators, the eigensolve and the checks all apply, and
-``neg_laplacian_norm`` reads the infinity norm of -Laplacian + D off its
-entries; ``sine_basis`` holds its closed-form spectrum in the sine (DST-I)
-basis, built once per grid.
-``laplacian_matrix`` assembles the same operator as a sparse matrix for
-tests to compare against; no solver path builds it, so scipy.sparse is
-imported only there.
-``_dirichlet_forms`` is the one kernel of the form a(u, v): per axis it
-takes each function's edge differences once, as one contiguous difference
-of a zero-padded flat copy, and reduces each pair with one dot product;
-``edge_difference_sum`` is a(u, v) and ``dirichlet_moments`` a step's
-a(u, u), a(g, u) and a(g, g).  Each axis's (before, n, after) view is
-planned once per grid (``Grid._axis_plan``), for the forms and for
-``axis_products``.
+Every product with the discrete Dirichlet -Laplacian and every evaluation
+of its form a(u, v) runs here.  ``neg_laplacian`` is the one product
+kernel, a (2 dim + 1)-point stencil on a zero-padded copy of the values,
+and ``neg_laplacian_norm`` reads ||-Laplacian + D||_inf off its entries;
+``sine_basis`` holds its closed-form spectrum in the sine (DST-I) basis.
+``greens`` factors per-axis tridiagonals of the same entries (the one-axis
+L D L^T, the potential's per-axis eigenbases), and tests pin those solves
+against ``laplacian_matrix``, the sparse assembly that no solver path
+builds, so scipy.sparse is imported only there.  ``_dirichlet_forms`` is
+the one kernel of the form: per axis it takes each function's edges once,
+as one contiguous difference of a zero-padded flat copy, and reduces each
+pair with one dot product.  ``inner`` in the H1 metric is a(u, v), and
+``dirichlet_moments`` a step's a(u, u), a(g, u) and a(g, g).  What a kernel
+reads of its grid is a cached property of the ``Grid`` (the per-axis
+(before, n, after) views ``_axis_plan``, the stencil's ``_stencil_plan``),
+so no kernel call hashes the grid.
 ``sine_transform`` applies the orthonormal DST-I that diagonalizes the
 -Laplacian: one dense product with the symmetric, involutory S_n per axis
 (``axis_products``, the one per-axis product kernel, which the Green's
@@ -99,6 +98,23 @@ class Grid:
                      for axis, n in enumerate(self.n))
 
     @functools.cached_property
+    def _stencil_plan(self):
+        """What ``neg_laplacian`` needs of the grid, as immutable numbers: the
+        padded shape and size, the flat range [lo, hi) from the first interior
+        node to the last, the interior's index, the diagonal sum_k 2/h_k^2, and
+        one (1/h^2, strides) per group of axes with equal spacing h."""
+        padded = tuple(n + 2 for n in self.n)
+        size = math.prod(padded)
+        strides = [math.prod(padded[axis + 1:]) for axis in range(self.dim)]
+        groups: dict[float, list[int]] = {}
+        for stride, h in zip(strides, self.h):
+            groups.setdefault(h, []).append(stride)
+        lo = sum(strides)
+        return (padded, size, lo, size - lo, (slice(1, -1),) * self.dim,
+                sum(2.0 / h**2 for h in self.h),
+                tuple((1.0 / h**2, tuple(group)) for h, group in groups.items()))
+
+    @functools.cached_property
     def _sine_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """``axis_products``' factors of the sine transform: (S_n, S_n) per axis."""
         return tuple((_sine_matrix(n),) * 2 for n in self.n)
@@ -155,10 +171,6 @@ class GridFunction:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def reshaped(self) -> np.ndarray:
-        """Values as a dim-dimensional array (read-only view)."""
-        return self.values.reshape(self.grid.n)
-
 
 @dataclass(frozen=True, eq=False)
 class Metric:
@@ -204,24 +216,6 @@ def laplacian_matrix(grid: Grid):
     return total.tocsr()
 
 
-@functools.lru_cache(maxsize=8)
-def _stencil_plan(grid: Grid):
-    """What ``neg_laplacian`` needs of a grid, as immutable numbers: the
-    padded shape and size, the flat range [lo, hi) from the first interior
-    node to the last, the interior's index, the diagonal sum_k 2/h_k^2, and
-    one (1/h^2, strides) per group of axes with equal spacing h."""
-    padded = tuple(n + 2 for n in grid.n)
-    size = math.prod(padded)
-    strides = [math.prod(padded[axis + 1:]) for axis in range(grid.dim)]
-    groups: dict[float, list[int]] = {}
-    for stride, h in zip(strides, grid.h):
-        groups.setdefault(h, []).append(stride)
-    lo = sum(strides)
-    return (padded, size, lo, size - lo, (slice(1, -1),) * grid.dim,
-            sum(2.0 / h**2 for h in grid.h),
-            tuple((1.0 / h**2, tuple(group)) for h, group in groups.items()))
-
-
 def neg_laplacian(grid: Grid, x: np.ndarray) -> np.ndarray:
     """-Laplacian x, for x (dof,) in the grid's order: the central second
     difference along every axis, with zero Dirichlet boundary values.
@@ -235,7 +229,7 @@ def neg_laplacian(grid: Grid, x: np.ndarray) -> np.ndarray:
     axes with equal spacing h, summed and then scaled by 1/h^2.  Returns a
     new array.
     """
-    padded, size, lo, hi, interior, diagonal, groups = _stencil_plan(grid)
+    padded, size, lo, hi, interior, diagonal, groups = grid._stencil_plan
     xp = np.zeros(size)
     xp.reshape(padded)[interior] = x.reshape(grid.n)
     y = np.empty(size)
@@ -339,14 +333,6 @@ def sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
     return axis_products(grid, x, grid._sine_factors)
 
 
-def apply_neg_laplacian(grid: Grid, u: GridFunction) -> GridFunction:
-    """Second-order central-difference -Laplacian with zero Dirichlet boundary:
-    ``neg_laplacian`` of u's values."""
-    if u.grid != grid:
-        raise GridMismatchError("function does not live on the given grid")
-    return GridFunction(grid, neg_laplacian(grid, u.values))
-
-
 def _dirichlet_forms(grid: Grid, xs, pairs) -> list[float]:
     """a(xs[i], xs[j]) for each (i, j) in ``pairs``: per axis the dot of
     two edge vectors over h^2, the axes summed in order, times cell_volume.
@@ -373,40 +359,35 @@ def _dirichlet_forms(grid: Grid, xs, pairs) -> list[float]:
 
 
 def dirichlet_moments(grid: Grid, u: np.ndarray, g: np.ndarray) -> tuple[float, float, float]:
-    """a(u, u), a(g, u) and a(g, g), each edge_difference_sum's bit for bit."""
+    """a(u, u), a(g, u) and a(g, g), each inner(H1)'s bit for bit."""
     return tuple(_dirichlet_forms(grid, (u, g), ((0, 0), (1, 0), (1, 1))))
-
-
-def edge_difference_sum(u: GridFunction, v: GridFunction) -> float:
-    """Discrete Dirichlet form summed over edges, boundary edges included.
-
-    Bitwise symmetric in (u, v): every term is a product of one u-difference
-    and one v-difference, summed in a fixed order.  Algebraically equal to
-    the L2 pairing of -Laplacian(u) with v (summation by parts).
-    """
-    xs = (u.values,) if v is u else (u.values, v.values)
-    return _dirichlet_forms(_check_same_grid(u, v), xs, ((0, len(xs) - 1),))[0]
 
 
 def inner(metric: Metric, problem, u: GridFunction, v: GridFunction) -> float:
     """Discrete inner product in the given metric.
 
-    L2 is the uniform-weight quadrature sum; H1 is the Dirichlet edge form;
-    a0 adds the potential term and a_u additionally the interaction term with
-    the metric's base function.  ``problem`` may be None for L2 and H1.
+    L2 is the uniform-weight quadrature sum.  H1 is the Dirichlet form
+    a(u, v), summed over edges, boundary edges included: bitwise symmetric
+    in (u, v), since every term is a product of one u-difference and one
+    v-difference, summed in a fixed order, and algebraically equal to the L2
+    pairing of -Laplacian(u) with v (summation by parts).  a0 adds the
+    potential term to it and a_u additionally the interaction term with the
+    metric's base function.  ``problem`` may be None for L2 and H1.
     """
     grid = _check_same_grid(u, v)
     w = grid.cell_volume
     if metric.kind is MetricKind.L2:
         return w * float(np.dot(u.values, v.values))
+    xs = (u.values,) if v is u else (u.values, v.values)
+    form = _dirichlet_forms(grid, xs, ((0, len(xs) - 1),))[0]
     if metric.kind is MetricKind.H1:
-        return edge_difference_sum(u, v)
+        return form
     weight = problem.V.values
     if metric.kind is MetricKind.AU:
         _check_same_grid(u, metric.base)
         weight = weight + problem.beta * metric.base.values**2
     # the pointwise product u*v comes first so the form is bitwise symmetric
-    return edge_difference_sum(u, v) + w * float(np.sum(weight * (u.values * v.values)))
+    return form + w * float(np.sum(weight * (u.values * v.values)))
 
 
 def norm(metric: Metric, problem, u: GridFunction) -> float:

@@ -51,7 +51,6 @@ from .grid import (
     L2,
     Metric,
     MetricKind,
-    apply_neg_laplacian,
     inner,
     inner_l2,
     norm,
@@ -240,7 +239,7 @@ def check_summation_by_parts(ctx: CheckContext, rng) -> Iterable[float]:
     u = smoothed_noise(ctx.problem, rng)
     v = smoothed_noise(ctx.problem, rng)
     edge = inner(H1, ctx.problem, u, v)
-    lap = inner_l2(apply_neg_laplacian(ctx.problem.grid, u), v)
+    lap = inner_l2(GridFunction(u.grid, neg_laplacian(u.grid, u.values)), v)
     yield 1e-12 * (1.0 + abs(edge)) - abs(edge - lap)
 
 
@@ -591,13 +590,15 @@ def failures(results: list[CheckResult]) -> list[CheckResult]:
     return [r for r in results if not r.passed and not r.skipped]
 
 
-def cross_scheme_agreement(problem: Problem, cfg_base: RunConfig) -> CheckResult:
-    """Run all three schemes from one config; they must meet at the same state."""
+def cross_scheme_agreement(
+    problem: Problem, cfg_base: RunConfig, u0: GridFunction | None = None
+) -> CheckResult:
+    """Run all three schemes from one config and u0; they must meet at the same state."""
     name = "verify:cross_scheme_agreement"
     finals = {}
     gammas = {}
     for scheme in SCHEMES:
-        rep = run(problem, replace(cfg_base, scheme=scheme))
+        rep = run(problem, replace(cfg_base, scheme=scheme), u0=u0)
         if rep.status != "converged":
             return _skip(name, f"{scheme.value} run ended with status {rep.status}")
         finals[scheme] = sign_normalize(rep.final)

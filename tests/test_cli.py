@@ -19,8 +19,8 @@ from gpflow.cli import (
     main,
     parse_config,
 )
-from gpflow.flows import RunConfig
-from gpflow.grid import build_grid
+from gpflow.flows import RunConfig, run
+from gpflow.grid import GridFunction, build_grid
 from gpflow.verify import CheckResult
 
 
@@ -250,6 +250,37 @@ def test_sweep_keeps_its_entries_past_a_breakdown(tmp_path, capsys):
         "r_squared": None,
     }
     assert list(broken) == list(converged)
+
+
+def test_a_call_reads_its_start_file_once(tmp_path, monkeypatch, capsys):
+    # build_problem reads the start file, and its values reach every run of
+    # the call unretracted, as run's u0, which each run retracts once
+    start, out = tmp_path / "start.csv", tmp_path / "out"
+    x = np.linspace(0.0, 1.0, 33)[1:-1]
+    np.savetxt(start, x * (1.0 - x) * (1.0 + 3.0 * x))
+    reads, loadtxt = [], np.loadtxt
+
+    def counting_loadtxt(fname, *args, **kwargs):
+        reads.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    problem_args = ["--n", "31", "--beta", "10", "--potential", "harmonic:20", "--init", "file",
+                    "--init-path", str(start)]
+    for command in (["verify", "--cross-scheme", "--trials", "1"],
+                    ["sweep", "--alphas", "0.1,0.2,0.4"], ["run", "--scheme", "a0"]):
+        reads.clear()
+        assert main(command + problem_args + ["-o", str(out)]) == 0
+        assert reads == [str(start)], command
+    cfg = parse_config(["run", "--scheme", "a0"] + problem_args)
+    problem, u0 = build_problem(cfg)
+    expected = run(problem, cli.run_config(cfg), u0=GridFunction(problem.grid, loadtxt(start)))
+    assert json.loads(out.read_text()) == cli.report_payload(cfg, expected)
+    # a zero start has no direction: still a usage error
+    np.savetxt(start, np.zeros(31))
+    assert main(["run"] + problem_args) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot use start file {start}: retraction undefined at zero\n"
 
 
 def test_config_cross_scheme_takes_json_booleans(tmp_path):

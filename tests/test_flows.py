@@ -330,11 +330,14 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
     # a search stopped by the floor reports the last stepsize it tried, next
     # to that trial's decrease
     searches, trials = [], []
-    step_decreases = flows._step_decreases
+    search, step_decreases = flows._search, flows._step_decreases
 
-    def recording_decreases(*args):
-        searches.append(args)
-        decrease_at = step_decreases(*args)
+    def recording_search(problem, u, state, policy):
+        searches.append((problem, u, state))
+        return search(problem, u, state, policy)
+
+    def recording_decreases(moments):
+        decrease_at = step_decreases(moments)
 
         def trial(alpha):
             trials.append(alpha)
@@ -342,6 +345,7 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
 
         return trial
 
+    monkeypatch.setattr(flows, "_search", recording_search)
     monkeypatch.setattr(flows, "_step_decreases", recording_decreases)
     policy = StepPolicy(alpha0=4.0, alpha_floor=1.0)
     report = run(harmonic_2d(), RunConfig(scheme=MetricKind.A0, policy=policy))
@@ -349,8 +353,8 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
     last = report.final_record
     assert last.alpha == trials[-1]
     assert last.trials == len(trials)
-    prob, u, g, _ = searches[-1]
-    u, g = (GridFunction(prob.grid, x) for x in (u, g))
+    prob, u, state = searches[-1]
+    g = GridFunction(prob.grid, state.riemannian_gradient)
     assert last.decrease == step_decrease(prob, u, g, last.alpha)[0]
 
 

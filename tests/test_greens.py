@@ -10,14 +10,18 @@ from gpflow.greens import CG_RTOL, GreenSolveError, LinearOperator, solve_green
 from gpflow.grid import (
     A0,
     DENSE_SINE_MAX,
+    Grid,
     GridFunction,
     H1,
     Metric,
     MetricKind,
     build_grid,
+    dirichlet_moments,
     inner,
     inner_l2,
     laplacian_matrix,
+    neg_laplacian,
+    sine_transform,
 )
 from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from strategies import PROPERTY_SETTINGS, small_problems
@@ -94,6 +98,29 @@ def test_solve_residual_well_potential(dim, n):
         x = op.solve(rhs)
         resid = np.linalg.norm(op.matrix() @ x - rhs)
         assert resid <= 1e-12 * np.linalg.norm(rhs), (metric.kind, resid)
+
+
+def test_no_kernel_hashes_the_grid(monkeypatch):
+    # what a kernel reads of its grid is planned once, on the Grid, so a cold
+    # CG solve (one stencil per iteration) and the other kernels never hash it
+    prob = well_problem(n=31, beta=100.0)
+    grid = prob.grid
+    op = LinearOperator(A0, prob)
+    rhs = np.random.default_rng(5).standard_normal(grid.dof)
+    hashes, grid_hash = [], Grid.__hash__
+
+    def counting_hash(self):
+        hashes.append(self)
+        return grid_hash(self)
+
+    monkeypatch.setattr(Grid, "__hash__", counting_hash)
+    op.solve(rhs)
+    assert op.iterations > 0
+    op.apply(rhs)
+    neg_laplacian(grid, rhs)
+    dirichlet_moments(grid, rhs, rhs)
+    sine_transform(grid, rhs)
+    assert len(hashes) == 0
 
 
 def test_cg_stopping_short_raises(monkeypatch):

@@ -16,10 +16,8 @@ from gpflow.grid import (
     L2,
     Metric,
     MetricKind,
-    apply_neg_laplacian,
     build_grid,
     dirichlet_moments,
-    edge_difference_sum,
     inner,
     inner_l2,
     laplacian_matrix,
@@ -84,7 +82,7 @@ def test_neg_laplacian_hand_oracle():
     # n=3, h=1/4: L u for u = (1,1,1) is (16, 0, 16)
     g = grid_1d(3)
     u = GridFunction(g, [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(apply_neg_laplacian(g, u).values, [16.0, 0.0, 16.0])
+    np.testing.assert_allclose(neg_laplacian(g, u.values), [16.0, 0.0, 16.0])
 
 
 def test_neg_laplacian_2d_cross_stencil():
@@ -93,7 +91,7 @@ def test_neg_laplacian_2d_cross_stencil():
     v = np.zeros((3, 3))
     v[1, 1] = 1.0
     u = GridFunction(g, v.ravel())
-    out = apply_neg_laplacian(g, u).reshaped()
+    out = neg_laplacian(g, u.values).reshape(g.n)
     # center: 4/h^2 per axis summed; neighbors: -1/h^2
     assert out[1, 1] == pytest.approx(2 * 2.0 / 0.25**2)
     assert out[0, 1] == pytest.approx(-16.0)
@@ -120,8 +118,8 @@ def test_summation_by_parts():
     g = build_grid(2, [5, 4], [(0.0, 1.0), (0.0, 2.0)])
     u = GridFunction(g, rng.standard_normal(g.dof))
     v = GridFunction(g, rng.standard_normal(g.dof))
-    edge = edge_difference_sum(u, v)
-    pairing = inner_l2(apply_neg_laplacian(g, u), v)
+    edge = inner(H1, None, u, v)
+    pairing = inner_l2(GridFunction(g, neg_laplacian(g, u.values)), v)
     assert edge == pytest.approx(pairing, rel=1e-12)
 
 
@@ -165,11 +163,11 @@ def test_summation_by_parts_property(case):
     grid = prob.grid
     u = GridFunction(grid, rng.standard_normal(grid.dof))
     v = GridFunction(grid, rng.standard_normal(grid.dof))
-    lap_u = apply_neg_laplacian(grid, u)
+    lap_u = GridFunction(grid, neg_laplacian(grid, u.values))
     # the edge form against w (-Laplacian u, v), to roundoff of the summed terms
     scale = grid.cell_volume * float(np.sum(np.abs(lap_u.values * v.values)))
-    assert edge_difference_sum(u, v) == pytest.approx(inner_l2(lap_u, v), rel=0.0, abs=1e-13 * scale)
-    assert edge_difference_sum(u, u) == edge_difference_sum(u, GridFunction(grid, u.values))
+    assert inner(H1, None, u, v) == pytest.approx(inner_l2(lap_u, v), rel=0.0, abs=1e-13 * scale)
+    assert inner(H1, None, u, u) == inner(H1, None, u, GridFunction(grid, u.values))
 
 
 @PROPERTY_SETTINGS
@@ -234,12 +232,12 @@ def test_sine_transform_is_the_orthonormal_dst_property(n, seed):
 
 def _padded_difference_form(u, v):
     """The Dirichlet edge form from zero-padded differences, the reference
-    for edge_difference_sum's slice differences."""
+    for the H1 inner product's edge differences."""
     grid = u.grid
     total = 0.0
     for axis in range(grid.dim):
-        du = np.diff(u.reshaped(), axis=axis, prepend=0.0, append=0.0)
-        dv = np.diff(v.reshaped(), axis=axis, prepend=0.0, append=0.0)
+        du = np.diff(u.values.reshape(grid.n), axis=axis, prepend=0.0, append=0.0)
+        dv = np.diff(v.values.reshape(grid.n), axis=axis, prepend=0.0, append=0.0)
         total += float(np.sum(du * dv)) / grid.h[axis] ** 2
     return grid.cell_volume * total
 
@@ -252,10 +250,10 @@ def test_edge_difference_sum_matches_padded_differences(case):
     v = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
     for a, b in ((u, v), (u, u)):
         scale = abs(_padded_difference_form(a, a)) + abs(_padded_difference_form(b, b))
-        assert edge_difference_sum(a, b) == pytest.approx(
+        assert inner(H1, None, a, b) == pytest.approx(
             _padded_difference_form(a, b), rel=0.0, abs=1e-14 * scale
         )
-    assert edge_difference_sum(u, v) == edge_difference_sum(v, u)
+    assert inner(H1, None, u, v) == inner(H1, None, v, u)
 
 
 @PROPERTY_SETTINGS
@@ -267,7 +265,7 @@ def test_dirichlet_moments_are_the_pairwise_forms(case):
     u = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
     g = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
     assert dirichlet_moments(prob.grid, u.values, g.values) == (
-        edge_difference_sum(u, u), edge_difference_sum(g, u), edge_difference_sum(g, g)
+        inner(H1, None, u, u), inner(H1, None, g, u), inner(H1, None, g, g)
     )
 
 
@@ -277,7 +275,7 @@ def _slab_edge_forms(grid, xs, pairs):
     slab copied and the interior differences taken between them, then one
     np.dot per pair, the axes summed in order, each over h^2, and the sum
     scaled by the cell volume.  The bitwise reference for the flat padded
-    edge vectors of edge_difference_sum and dirichlet_moments."""
+    edge vectors of inner(H1) and dirichlet_moments."""
     totals = [0.0] * len(pairs)
     for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
         shape = (math.prod(grid.n[:axis]), n, math.prod(grid.n[axis + 1:]))
@@ -310,5 +308,5 @@ def test_dirichlet_forms_are_the_slab_edge_forms_bitwise(axes, seed):
     assert dirichlet_moments(grid, u.values, g.values) == tuple(
         _slab_edge_forms(grid, (u.values, g.values), pairs)
     )
-    assert edge_difference_sum(u, g) == _slab_edge_forms(grid, (u.values, g.values), ((0, 1),))[0]
-    assert edge_difference_sum(u, u) == _slab_edge_forms(grid, (u.values,), ((0, 0),))[0]
+    assert inner(H1, None, u, g) == _slab_edge_forms(grid, (u.values, g.values), ((0, 1),))[0]
+    assert inner(H1, None, u, u) == _slab_edge_forms(grid, (u.values,), ((0, 0),))[0]

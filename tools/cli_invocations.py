@@ -6,10 +6,12 @@ OUTDIR must not exist yet.  For every invocation, OUTDIR/<name>/ receives
 ``out`` (the file written through ``-o``, absent if none was written),
 ``stdout``, ``stderr`` and ``code`` (the exit code of ``gpflow.cli.main``, or
 of the ``SystemExit`` that argparse raises after ``--help`` and
-``--version``).  An invocation that reads a config file finds it there as
-``config.json``.  Every output is byte-deterministic, so ``diff -r`` between
-the OUTDIRs of two checkouts shows exactly the invocations whose behaviour
-changed.
+``--version``).  Each invocation runs in OUTDIR/<name>/, and the input files
+it reads (a config file, a start file, a potential file; ``INPUTS``) are
+written there first, with fixed contents, and named by their bare file
+names, since some outputs print them (``meta.potential``).  Every output is
+byte-deterministic, so ``diff -r`` between the OUTDIRs of two checkouts
+shows exactly the invocations whose behaviour changed.
 """
 
 from __future__ import annotations
@@ -109,10 +111,35 @@ EXTRA = (
      ["spectrum", "--dim", "2", "--n", "130,7", "--beta", "10", "--potential", "harmonic:20"]),
 )
 
+# "{file}" in an argument names the input file ``file`` of INPUTS; its
+# contents are integers, so that they do not depend on the host's libm
+INPUTS = {
+    "config.json": '{"betta": 1.0}',
+    # a lopsided start on the 2D-31^2 grid, and one on the 1D 63-node grid
+    "start-2d.csv": "".join(
+        f"{(i + 1) * (31 - i) * (j + 1) * (31 - j) + 300 * ((3 * i + 5 * j) % 7)}\n"
+        for i in range(31) for j in range(31)),
+    "start-1d.csv": "".join(f"{(i + 1) * (63 - i) + 50 * (i % 4)}\n" for i in range(63)),
+    # a potential on the 2D-15^2 grid that is not additive across the axes
+    "potential.csv": "".join(f"{10 * ((i - 4) ** 2 + (j - 9) ** 2) + 500 * (i > 7 and j < 5)}\n"
+                             for i in range(15) for j in range(15)),
+}
+
+# the CLI's file inputs: a start file under run and under verify's three
+# cross-scheme runs, and a potential file, whose path meta.potential prints
+FILES = (
+    ("run-init-file",
+     ["run", "--dim", "2", "--n", "31", "--beta", "10", "--potential", "harmonic:20",
+      "--scheme", "a0", "--init", "file", "--init-path", "{start-2d.csv}"]),
+    ("verify-init-file-cross-scheme",
+     ["verify", "--n", "63", "--beta", "10", "--potential", "harmonic:20", "--scheme", "a0",
+      "--init", "file", "--init-path", "{start-1d.csv}", "--cross-scheme", "--trials", "3"]),
+    ("run-potential-file",
+     ["run", "--dim", "2", "--n", "15", "--beta", "10", "--potential", "file:{potential.csv}"]),
+)
+
 # the parser: usage errors (exit 1, one error line), whose stderr is compared,
-# and the help and version texts; "{config}" names OUTDIR/<name>/config.json,
-# which holds CONFIG
-CONFIG = '{"betta": 1.0}'
+# and the help and version texts
 PARSER = (
     ("usage-dim-x", ["run", "--dim", "x"]),
     ("usage-dim-4", ["run", "--dim", "4"]),
@@ -131,7 +158,7 @@ PARSER = (
     ("usage-trials-on-run", ["run", "--trials", "1"]),
     ("usage-alphas-on-run", ["run", "--alphas", "0.1"]),
     ("usage-sweep-no-alphas", ["sweep"]),
-    ("usage-config-unknown-key", ["run", "--config", "{config}"]),
+    ("usage-config-unknown-key", ["run", "--config", "{config.json}"]),
     ("help", ["--help"]),
     ("help-run", ["run", "--help"]),
     ("help-verify", ["verify", "--help"]),
@@ -149,7 +176,26 @@ def invocations():
         for seed in (0, 1):
             yield f"{name}-seed{seed}", argv + ["--seed", str(seed)]
     yield from EXTRA
+    yield from FILES
     yield from PARSER
+
+
+def _invoke(cli, call):
+    """Run one call in the current directory, after writing the input files
+    it names there: (exit code, stdout, stderr)."""
+    for file, text in INPUTS.items():
+        placeholder = "{" + file + "}"
+        if any(placeholder in arg for arg in call):
+            with open(file, "w") as fh:
+                fh.write(text)
+            call = [arg.replace(placeholder, file) for arg in call]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(call + ["-o", "out"])
+        except SystemExit as exc:
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def main(argv=None) -> int:
@@ -162,22 +208,16 @@ def main(argv=None) -> int:
     outdir = args[0]
     # argparse wraps its help text to the terminal's width
     os.environ["COLUMNS"] = "80"
+    home = os.getcwd()
     for name, call in invocations():
         target = os.path.join(outdir, name)
         os.makedirs(target)
-        if "{config}" in call:
-            config = os.path.join(target, "config.json")
-            with open(config, "w") as fh:
-                fh.write(CONFIG)
-            call = [config if arg == "{config}" else arg for arg in call]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = cli.main(call + ["-o", os.path.join(target, "out")])
-            except SystemExit as exc:
-                code = exc.code
-        for part, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()),
-                           ("code", f"{code}\n")):
+        os.chdir(target)
+        try:
+            code, stdout, stderr = _invoke(cli, call)
+        finally:
+            os.chdir(home)
+        for part, text in (("stdout", stdout), ("stderr", stderr), ("code", f"{code}\n")):
             with open(os.path.join(target, part), "w") as fh:
                 fh.write(text)
         print(f"{name}: exit {code}")
