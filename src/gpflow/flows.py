@@ -24,7 +24,7 @@ from .energy import (
 )
 from . import greens
 from .greens import LinearOperator
-from .grid import GridFunction, MetricKind
+from .grid import H1, GridFunction, MetricKind, norm
 from .problem import Problem
 from .spectral import fit_rate
 
@@ -301,9 +301,7 @@ def _iterate(problem, cfg, u, reference, records):
 
 
 def _h1_distance(u: GridFunction, ref: GridFunction) -> float:
-    from .grid import H1 as H1_METRIC, norm as grid_norm
-
-    return grid_norm(H1_METRIC, None, GridFunction(u.grid, u.values - ref.values))
+    return norm(H1, None, GridFunction(u.grid, u.values - ref.values))
 
 
 def _fit_tail_rate(records):

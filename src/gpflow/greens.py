@@ -1,40 +1,11 @@
-"""Green's operators for the three metrics, realized as SPD linear solves.
+"""Green's operators of the H1, a0 and a_u metrics, as SPD solves
+A_X g = w with A_X = -Laplacian + D and D = 0, V or V + beta*base^2.
 
-For a metric X with operator A_X (A_H1 = -Laplacian, A_a0 = -Laplacian + V,
-A_au = -Laplacian + V + beta*base^2), the Green's operator returns g with
-A_X g = w componentwise.  With uniform quadrature weights this is exactly the
-adjoint identity (z, g)_X = (z, w)_L2 for every z.
-
-This module holds only the operators and their solve; the -Laplacian
-stencil and its eigenvalues are the grid's (``grid.neg_laplacian``,
-``grid.sine_basis``), and so are the transform and the per-axis product
-kernel (``grid.sine_transform``, ``grid.axis_products``).  Each operator
-holds one map r -> M^-1 r, chosen at construction: M^-1 is A_X^-1 itself
-when the operator is ``exact`` (a solve is then the map alone, no
-iteration), and otherwise the preconditioner of conjugate gradients.  Every
-such map is a fast diagonalization (Lynch, Rice and Thomas, Numer. Math. 6,
-1964), or its tridiagonal form on one axis, and comes from one of two
-places.  ``laplacian_inverse(grid, shift)`` inverts -Laplacian + shift: on a
-one-axis grid by one L D L^T factorization (LAPACK ``dpttrf``, imported at
-the first one-axis factorization) with the shift per node, every apply one
-``dpttrs``, so every one-axis operator is exact; on two or three axes by one
-DST-I pair divided by the Laplacian's sine eigenvalues plus the mean shift,
-exact when D is constant (H1, and a0 with V = 0) and otherwise CG's
-preconditioner shifted by mean(D) (the kinetic preconditioner of Antoine,
-Levitt and Tang, J. Comput. Phys. 343, 2017).  The eigensolve's
-preconditioner calls it too.  When D is the potential (a0, and a_u at
-beta = 0), on grids of at most ``DENSE_SINE_MAX`` nodes per axis, V splits
-into an additive part V_1(x) + V_2(y) (+ V_3(z)) and a remainder R: the
-additive part's operator A' is a Kronecker sum of tridiagonals, inverted in
-their per-axis eigenbases (``_potential_basis``, once per problem), and
-solving with A' leaves A_X a relative residual of at most
-max|R| / lambda_min(A').  When that meets CG_RTOL, as it does to roundoff
-for the harmonic trap, the solve with A' is exact; otherwise (a potential
-such as a well that is not additive) it is CG's preconditioner.  a_u at
-beta > 0, a longer axis and an A' that is not positive definite keep the
-mean-shifted sine transform.
-``apply``, which CG and the eigensolve read, is the stencil plus D x;
-``matrix`` assembles the same operator as a sparse matrix, for tests.
+``LinearOperator`` holds one operator and one map r -> M^-1 r, its exact
+inverse or the preconditioner of its CG, and says which metric and grid
+take which map.  The maps are ``laplacian_inverse`` (tridiagonal factors on
+one axis, a shifted DST-I pair on more) and ``_potential_basis`` (the
+potential's per-axis eigenbases).  ``solve_green`` is one solve.
 """
 
 from __future__ import annotations
@@ -46,7 +17,7 @@ import numpy as np
 
 from .grid import (
     DENSE_SINE_MAX, Grid, GridFunction, GridMismatchError, Metric, MetricKind, axis_products,
-    laplacian_matrix, neg_laplacian, sine_basis, sine_transform,
+    neg_laplacian, sine_basis, sine_transform,
 )
 from .problem import Problem
 
@@ -69,8 +40,8 @@ def laplacian_inverse(grid: Grid, shift) -> Callable[[np.ndarray], np.ndarray]:
     ``shift`` is a scalar or one value per node.
 
     On a one-axis grid it is exact for every shift: one L D L^T
-    factorization, taken here, of the matrix whose entries are those of
-    ``grid.laplacian_matrix`` plus the shift, and one ``dpttrs`` per apply.
+    factorization, taken here, of the stencil's tridiagonal (2/h^2 on the
+    diagonal, -1/h^2 off it) plus the shift, and one ``dpttrs`` per apply.
     LAPACK is imported here, at the first one-axis factorization, as
     ``scipy.fft`` is at the first long-axis transform, so that grids of more
     axes never load scipy.  LAPACK's wrapper asks for an off-diagonal of at
@@ -78,7 +49,9 @@ def laplacian_inverse(grid: Grid, shift) -> Callable[[np.ndarray], np.ndarray]:
     GreenSolveError when the matrix is not positive definite.  On two or
     three axes it is one DST-I pair with the sine eigenvalues shifted by
     mean(shift): exact when the shift is constant, and otherwise the
-    inverse of -Laplacian + mean(shift).
+    inverse of -Laplacian + mean(shift).  The operators' maps and the
+    eigensolve's preconditioner (``spectral._eigen_preconditioner``) both
+    call it.
     """
     if grid.dim > 1:
         eig = sine_basis(grid).ravel() + float(np.mean(shift))
@@ -105,19 +78,20 @@ def _potential_basis(problem: Problem):
     T_i = Q_i diag(lambda_i) Q_i^T (``numpy.linalg.eigh`` of the dense T_i),
     so the eigenvectors of A' are the tensor products of the Q_i and its
     eigenvalues the sums m + lambda_1 + ... + lambda_d (the fast
-    diagonalization of Lynch, Rice and Thomas).  The inverse applies the
-    Q_i^T along each axis (``grid.axis_products``), divides by those sums
-    and applies the Q_i.  Solving A' x = b leaves b - (A' + R) x = -R x, of
+    diagonalization of Lynch, Rice and Thomas, Numer. Math. 6, 1964, whose
+    constant-D case is the DST-I pair of ``laplacian_inverse``).  The
+    inverse applies the Q_i^T along each axis (``grid.axis_products``),
+    divides by those sums and applies the Q_i.  Solving A' x = b leaves b - (A' + R) x = -R x, of
     relative size at most max|R| / lambda_min(A'); ``exact`` is whether that
-    meets CG_RTOL (read at the problem's first call), and when it does not,
-    A' preconditions CG.  None on a one-axis grid, which factors its
-    tridiagonal instead, on a grid with an axis over DENSE_SINE_MAX nodes,
-    where dense per-axis products lose to CG's transforms, and when A' is
-    not positive definite (a negative marginal mean can outweigh the
-    Laplacian), which no SPD preconditioner may be.
+    meets CG_RTOL (read at the problem's first call), as it does to roundoff
+    for the harmonic trap, and when it does not, A' preconditions CG.  Only
+    grids of two or three axes ask for it.  None on a grid with an axis over
+    DENSE_SINE_MAX nodes, where dense per-axis products lose to CG's
+    transforms, and when A' is not positive definite (a negative marginal
+    mean can outweigh the Laplacian), which no SPD preconditioner may be.
     """
     grid = problem.grid
-    if grid.dim == 1 or max(grid.n) > DENSE_SINE_MAX:
+    if max(grid.n) > DENSE_SINE_MAX:
         return None
     v = problem.V.values.reshape(grid.n)
     mean = float(np.mean(v))
@@ -157,10 +131,11 @@ class LinearOperator:
     by its per-axis eigenbases (``_potential_basis``).  Otherwise the map
     is the preconditioner of conjugate gradients, optionally warm-started:
     the same eigenbases when D is a potential (such as a well), and the sine
-    transform shifted by mean(D) for a_u at beta > 0 or an axis over
-    DENSE_SINE_MAX nodes.  A new operator per a_u step costs one
-    factorization on one axis, about as much as a solve, and one scan of D
-    on more axes.  A one-axis operator that is not positive definite raises
+    transform shifted by mean(D) (the kinetic preconditioner of Antoine,
+    Levitt and Tang) for a_u at beta > 0, an axis over DENSE_SINE_MAX nodes
+    or a potential whose additive part is not positive definite.  A new
+    operator per a_u step costs one factorization on one axis, about as much
+    as a solve, and one scan of D on more axes.  A one-axis operator that is not positive definite raises
     GreenSolveError at construction.
     """
 
@@ -192,13 +167,6 @@ class LinearOperator:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """A_X values: the grid's stencil plus D values."""
         return neg_laplacian(self.grid, values) + self.diagonal_term * values
-
-    def matrix(self):
-        """A_X as a scipy.sparse CSR matrix, an oracle for tests of ``apply``
-        and ``solve``; no solver path builds it."""
-        import scipy.sparse as sp
-
-        return laplacian_matrix(self.grid) + sp.diags(self.diagonal_term)
 
     def solve(
         self, rhs: np.ndarray, x0: np.ndarray | None = None, rtol: float | None = None
@@ -272,8 +240,9 @@ class LinearOperator:
 def solve_green(metric: Metric, problem: Problem, w: GridFunction) -> GridFunction:
     """Apply the Green's operator of the metric: solve A_X g = w.
 
-    One solve through a fresh LinearOperator; a zero right-hand side
-    short-circuits to zero output.
+    With uniform quadrature weights g satisfies the adjoint identity
+    (z, g)_X = (z, w)_L2 for every z.  One solve through a fresh
+    LinearOperator; a zero right-hand side short-circuits to zero output.
     """
     if w.grid != problem.grid:
         raise GridMismatchError("right-hand side does not live on the problem grid")

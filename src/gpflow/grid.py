@@ -1,39 +1,10 @@
-"""Tensor-product box grids with Dirichlet boundaries, the discrete -Laplacian
-and discrete inner products.
-
-Only the interior nodes are stored; boundary values are implicitly zero, which
-encodes the zero-trace condition exactly at the discrete level.  Values are
-kept in lexicographic order (last axis fastest), so serialized functions are
-portable across implementations.
-
-Every product with the discrete Dirichlet -Laplacian and every evaluation
-of its form a(u, v) runs here.  ``neg_laplacian`` is the one product
-kernel, a (2 dim + 1)-point stencil on a zero-padded copy of the values,
-and ``neg_laplacian_norm`` reads ||-Laplacian + D||_inf off its entries;
-``sine_basis`` holds its closed-form spectrum in the sine (DST-I) basis.
-``greens`` factors per-axis tridiagonals of the same entries (the one-axis
-L D L^T, the potential's per-axis eigenbases), and tests pin those solves
-against ``laplacian_matrix``, the sparse assembly that no solver path
-builds, so scipy.sparse is imported only there.  ``_dirichlet_forms`` is
-the one kernel of the form: per axis it takes each function's edges once,
-as one contiguous difference of a zero-padded flat copy, and reduces each
-pair with one dot product.  ``inner`` in the H1 metric is a(u, v), and
-``dirichlet_moments`` a step's a(u, u), a(g, u) and a(g, g).  What a kernel
-reads of its grid is a cached property of the ``Grid`` (the per-axis
-(before, n, after) views ``_axis_plan``, the stencil's ``_stencil_plan``),
-so no kernel call hashes the grid.
-``sine_transform`` applies the orthonormal DST-I that diagonalizes the
--Laplacian: one dense product with the symmetric, involutory S_n per axis
-(``axis_products``, the one per-axis product kernel, which the Green's
-solves also run with per-axis eigenbases) on grids of at most
-``DENSE_SINE_MAX`` nodes per axis, where scipy's per-call overhead
-dominates ``dstn``, and ``scipy.fft.dstn`` on grids with
-a longer axis, where a dense product's O(n) cost per unknown loses to the
-FFT and S_n would take n^2 doubles.  The Green's solves and the eigen
-preconditioner transform on grids of two or three axes only (a one-axis
-operator is tridiagonal and factored instead), so the cutoff is the 2D
-crossover, measured at about 128 nodes per axis; in 1D it lies between 255
-and 383 nodes.
+"""Tensor-product box grids with zero Dirichlet boundaries, functions on
+their interior nodes, and the kernels of the discrete -Laplacian and its
+form: ``neg_laplacian`` (the stencil product), ``neg_laplacian_norm`` (its
+inf-norm), ``sine_basis`` (its DST-I spectrum), ``sine_transform`` and
+``axis_products`` (the per-axis transforms the solves run) and
+``_dirichlet_forms`` (the form a(u, v), which ``inner`` and
+``dirichlet_moments`` read).  Each kernel's docstring says how it computes.
 """
 
 from __future__ import annotations
@@ -45,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Grids with at most this many nodes on every axis apply the sine transform
-# as dense per-axis products; a longer axis sends the grid through dstn
+# the longest axis on which the sine transform is a dense product
+# (``sine_transform`` says why)
 DENSE_SINE_MAX = 128
 
 
@@ -155,7 +126,10 @@ def build_grid(
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Real values at the interior nodes of a grid, lexicographic order."""
+    """Real values at the interior nodes of a grid, in lexicographic order
+    (last axis fastest), so serialized functions are portable.  Boundary
+    values are implicitly zero, which encodes the zero-trace condition
+    exactly."""
 
     grid: Grid
     values: np.ndarray
@@ -201,24 +175,9 @@ def _check_same_grid(*funcs: GridFunction) -> Grid:
     return grid
 
 
-def laplacian_matrix(grid: Grid):
-    """The discrete -Laplacian as a scipy.sparse CSR matrix: the Kronecker
-    sum over axes of the 1D second differences.  An oracle for tests of
-    ``neg_laplacian``; no solver path builds it."""
-    import scipy.sparse as sp
-
-    total = sp.csr_matrix((grid.dof, grid.dof))
-    for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
-        off = np.full(n - 1, -1.0 / h**2)
-        factors = [sp.identity(m, format="csr") for m in grid.n]
-        factors[axis] = sp.diags([off, np.full(n, 2.0 / h**2), off], [-1, 0, 1], format="csr")
-        total = total + functools.reduce(lambda a, b: sp.kron(a, b, format="csr"), factors)
-    return total.tocsr()
-
-
 def neg_laplacian(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """-Laplacian x, for x (dof,) in the grid's order: the central second
-    difference along every axis, with zero Dirichlet boundary values.
+    """-Laplacian x, for x (dof,) in the grid's order: the (2 dim + 1)-point
+    central second difference, with zero Dirichlet boundary values.
 
     x is copied into a zero-padded array (one boundary layer per side), so
     along an axis of padded stride s both neighbours of flat node i sit at
@@ -319,12 +278,18 @@ def axis_products(grid: Grid, x: np.ndarray, factors) -> np.ndarray:
 
 
 def sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """The orthonormal DST-I of x (dof,) along every axis of the grid.
+    """The orthonormal DST-I of x (dof,) along every axis of the grid: it
+    diagonalizes the -Laplacian and is its own inverse.
 
-    The transform is its own inverse.  On grids of at most
-    ``DENSE_SINE_MAX`` nodes per axis it is ``axis_products`` with the
-    symmetric S_n, its own transpose, on every axis; a grid with a longer
-    axis goes through one ``scipy.fft.dstn`` instead.
+    On grids of at most ``DENSE_SINE_MAX`` nodes per axis it is
+    ``axis_products`` with the symmetric S_n, its own transpose, on every
+    axis, since scipy's per-call overhead dominates ``dstn`` there.  A grid
+    with a longer axis goes through one ``scipy.fft.dstn``, where a dense
+    product's O(n) cost per unknown loses to the FFT and S_n would take n^2
+    doubles.  The solves transform on grids of two or three axes only (a
+    one-axis operator is tridiagonal and factored instead), so the cutoff is
+    the 2D crossover, measured at about 128 nodes per axis; in 1D it lies
+    between 255 and 383 nodes.
     """
     if max(grid.n) > DENSE_SINE_MAX:
         from scipy.fft import dstn  # deferred: importing scipy.fft costs ~0.1 s

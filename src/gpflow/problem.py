@@ -60,8 +60,10 @@ def harmonic_potential(grid: Grid, omega: float) -> GridFunction:
 
 def well_potential(grid: Grid, depth: float, lo: float, hi: float) -> GridFunction:
     """V = depth outside [lo, hi] on every axis, 0 inside."""
-    if depth < 0.0:
+    if not depth >= 0.0:  # also rejects NaN
         raise ValueError("well depth must be non-negative")
+    if not lo <= hi:
+        raise ValueError(f"well bounds must satisfy lo <= hi, got {lo}, {hi}")
     coords = grid.meshgrid()
     inside = np.ones(grid.n, dtype=bool)
     for x in coords:

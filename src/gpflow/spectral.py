@@ -1,34 +1,12 @@
-"""Linearized spectrum at a candidate ground state, and rate fitting.
+"""The linearized spectrum at a candidate ground state, and rate fitting.
 
-The linearized operator at u* is -Laplacian + V + beta*u*^2, i.e. the AU
-metric operator based at u*.  Its two smallest eigenvalues give the gap
-factor min{1, (lambda1 - lambda0) / (4 lambda0)} that controls the local
-contraction of all three schemes.
-
-Both eigenpairs come from one path at every grid size: the package's own
-two-vector LOBPCG (``_lobpcg``; Knyazev, SIAM J. Sci. Comput. 23, 2001) on
-the operator's products (``LinearOperator.apply``: the grid's stencil plus
-D x), with the basis handling of Duersch, Shao, Yang and Gu (SIAM J. Sci.
-Comput. 40, 2018) and Hetmaniuk and Lehoucq (J. Comput. Phys. 218, 2006).
-It holds each block as contiguous rows, one per vector, because the product
-and the preconditioner apply to one vector at a time.  It is
-preconditioned by the combined potential and kinetic preconditioner of
-Antoine, Levitt and Tang (J. Comput. Phys. 343, 2017): a diagonal scaling
-around the exact inverse of -Laplacian + shift (``greens.laplacian_inverse``:
-a tridiagonal factorization on one axis, a DST-I pair on more), with its
-shifts read off the start vector's Rayleigh quotient
-(``_eigen_preconditioner``).  No inner solve runs.  At a converged ground
-state u* the start block already holds the ground eigenvector to the flow's
-tolerance.  Every residual the solver's stopping test reads is explicit
-(A x is recomputed, not updated), and a pair that meets the test is
-soft-locked: it gets no new search directions, so it is not pulled off
-while the other pair converges.  The solver is asked for a tenth of the
-residual tolerance that every returned pair is then checked against, so
-that roundoff-level changes of the preconditioner cannot push a pair over.
-The report carries both residuals, the tolerance and the solver's
-iteration count.
-The pure -Laplacian's spectrum needs no solver: it is the grid's closed-form
-sine spectrum (``grid.sine_basis``).
+The linearized operator at u* is the a_u operator based at u*,
+-Laplacian + V + beta*u*^2 (``linearized_operator``).  Its two smallest
+eigenvalues give the gap factor min{1, (lambda1 - lambda0) / (4 lambda0)}
+that controls the local contraction of all three schemes.
+``lowest_two_eigen`` computes both pairs with the package's two-vector
+LOBPCG (``_lobpcg``) and its preconditioner (``_eigen_preconditioner``) at
+every grid size; the pure -Laplacian's spectrum is the grid's closed form.
 """
 
 from __future__ import annotations
@@ -97,7 +75,7 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
 
     One two-vector LOBPCG run (``_lobpcg``) on ``op.apply`` with
     ``_eigen_preconditioner``, from a fixed start block, so repeated calls
-    agree bit for bit.  The block is [base, r] for an a_u operator (at u*
+    agree bit for bit; no inner solve runs.  The block is [base, r] for an a_u operator (at u*
     the base is the ground eigenvector to the flow's tolerance) and
     [r1, r2] otherwise, r drawn uniform(0.5, 1.5) from ``default_rng(0)``.
     The random vector has no symmetry on purpose: on a symmetric grid and
@@ -109,19 +87,17 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     Every pair must end with ||A v - lambda v|| <= tol for unit v, with
     tol = max(1e-10 * (lambda_min(-Laplacian) + min D), 16 eps ||A||_inf)
     for A = -Laplacian + D, ||A||_inf from the stencil's exact row sums
-    (``grid.neg_laplacian_norm``).  The solver is asked for tol / 10 on its
-    explicit residuals, and soft-locks each pair that meets it; the margin
-    keeps a preconditioner changed at roundoff level from pushing a pair
-    over tol.  The first term of tol bounds the relative residual by
+    (``grid.neg_laplacian_norm``).  The solver is asked for tol / 10; the
+    margin keeps a preconditioner changed at roundoff level from pushing a
+    pair over tol.  The first term of tol bounds the relative residual by
     1e-10 * lambda0, since lambda0 >= lambda_min(-Laplacian) + min D (Weyl).
     The second keeps tol above the roundoff floor of the residual itself,
     about eps ||A||_inf, which the first term falls below on fine grids.
     After the solver stops (converged, or after 500 iterations) both
     residuals are recomputed from the returned vectors and their Rayleigh
-    quotients, and a pair above tol raises RuntimeError naming them.
-    ``iterations`` in the report counts the solver's loop iterations, each
-    one Rayleigh-Ritz step on new search directions; 0 when the start block
-    already met the request.
+    quotients, and a pair above tol raises RuntimeError naming them.  The
+    report's ``iterations`` is 0 when the start block already met the
+    request.
 
     Grids with fewer than 3 interior unknowns raise ValueError; a gap
     lambda1 - lambda0 below 1e-12 raises EigengapDegenerateError.
@@ -167,7 +143,8 @@ def _eigen_preconditioner(op: LinearOperator, x: np.ndarray):
 
     M r = s (-Laplacian + alpha)^-1 (s r) with s = (alpha + E)^(-1/2): the
     combined potential and kinetic preconditioner of Antoine, Levitt and
-    Tang.  x's Rayleigh quotient splits into a potential part sigma (the
+    Tang (J. Comput. Phys. 343, 2017), around the exact inverse of
+    -Laplacian + alpha (``greens.laplacian_inverse``).  x's Rayleigh quotient splits into a potential part sigma (the
     x^2-weighted mean of D) and a kinetic part K; at u* their sum is lambda0.
     With E = max(D - sigma, 0) and D frozen locally, M^-1 is within a factor
     1 + min(E, k)/alpha of alpha (A - sigma + alpha) on a mode of -Laplacian
@@ -198,22 +175,25 @@ def _eigen_preconditioner(op: LinearOperator, x: np.ndarray):
 
 def _lobpcg(apply, X: np.ndarray, precondition, tol: float, maxiter: int = 500):
     """Rows spanning the two lowest eigenvectors of the symmetric A, by
-    LOBPCG from the start rows X (2, n), and the iterations it ran.
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) from the start rows
+    X (2, n), and the iterations it ran.
 
-    Blocks are contiguous rows, one per vector; ``apply`` (x -> A x) and
-    ``precondition`` take one row at a time.  Each iteration runs Rayleigh-Ritz on the
-    rows S = [X; W; P] (``_ritz_coefficients``), W being the preconditioned
-    residuals of the active pairs and P their previous steps; X and P then
-    come from the Ritz coefficients.  W and P are made orthogonal to X,
-    which leaves span(S) as it is, and every product with A is explicit: an
-    A P updated from the coefficients drifts from the true product by a
-    factor that grows in each iteration whose update cancels, and on a
-    nearly degenerate pair (two pockets of a potential) it grew from
-    roundoff to overflow within 350 iterations.  A pair whose residual
-    ||A x - lambda x|| (x unit, lambda its Rayleigh quotient) is at most
-    ``tol`` is soft-locked: it stays in the Rayleigh-Ritz but gets no W or
-    P row.  Stops when both pairs meet ``tol`` or after ``maxiter``
-    iterations, converged or not.
+    Blocks are contiguous rows, one per vector, because ``apply``
+    (x -> A x) and ``precondition`` take one row at a time.  Each iteration
+    runs Rayleigh-Ritz on the rows S = [X; W; P] (``_ritz_coefficients``),
+    W being the preconditioned residuals of the active pairs and P their
+    previous steps; X and P then come from the Ritz coefficients.  W and P
+    are made orthogonal to X, which leaves span(S) as it is (the basis
+    handling of Hetmaniuk and Lehoucq, J. Comput. Phys. 218, 2006), and
+    every product with A is explicit: an A P updated from the coefficients
+    drifts from the true product by a factor that grows in each iteration
+    whose update cancels, and on a nearly degenerate pair (two pockets of a
+    potential) it grew from roundoff to overflow within 350 iterations.  A
+    pair whose residual ||A x - lambda x|| (x unit, lambda its Rayleigh
+    quotient) is at most ``tol`` is soft-locked: it stays in the
+    Rayleigh-Ritz but gets no W or P row, so it is not pulled off while the
+    other pair converges.  Stops when both pairs meet ``tol`` or after
+    ``maxiter`` iterations, converged or not.
     """
     n = X.shape[1]
     S, AS = np.zeros((6, n)), np.zeros((6, n))  # rows [X; W; P] and their products

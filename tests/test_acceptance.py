@@ -10,10 +10,11 @@ import scipy.linalg
 
 from gpflow.cli import main
 from gpflow.flows import RunConfig, StepPolicy, run, sign_normalize
-from gpflow.grid import GridFunction, MetricKind, build_grid, laplacian_matrix, norm_l2
+from gpflow.grid import GridFunction, MetricKind, build_grid, norm_l2
 from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from gpflow.spectral import fit_rate, linearized_operator, lowest_two_eigen
 from gpflow.verify import check_suite, failures
+from oracles import laplacian_matrix
 
 SCHEMES = (MetricKind.H1, MetricKind.A0, MetricKind.AU)
 BETAS = (0.0, 10.0, 100.0)

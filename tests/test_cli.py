@@ -438,6 +438,38 @@ def test_solves_on_two_and_three_axes_leave_scipy_unloaded():
     assert result.returncode == 0, result.stderr[-2000:]
 
 
+def test_one_axis_calls_load_scipy_linalg_only(tmp_path):
+    # a 1D run, spectrum and verify factor tridiagonals (scipy.linalg's
+    # LAPACK) and never transform or assemble a sparse matrix
+    code = f"""if True:
+        import sys, gpflow.cli
+        out = {str(tmp_path / "out")!r}
+        for argv in (['run', '--n', '63', '--beta', '10', '--scheme', 'a0'],
+                     ['spectrum', '--n', '63', '--beta', '10', '--potential', 'harmonic:20'],
+                     ['verify', '--n', '31', '--beta', '10', '--scheme', 'au', '--trials', '2']):
+            assert gpflow.cli.main(argv + ['-o', out]) == 0, argv
+        loaded = [m for m in ('scipy.fft', 'scipy.sparse', 'scipy.linalg') if m in sys.modules]
+        assert loaded == ['scipy.linalg'], loaded
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # find gpflow as we do
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+@pytest.mark.parametrize("flags", [["--init", "file", "--init-path", "empty.csv"],
+                                   ["--potential", "file:empty.csv"]])
+def test_empty_node_value_file_prints_one_error_line(flags, tmp_path):
+    # in a subprocess: pytest records warnings in-process, so numpy's
+    # "input contained no data" warning would not reach the stderr checked here
+    (tmp_path / "empty.csv").write_text("")
+    code = "import sys, gpflow.cli; sys.exit(gpflow.cli.main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # find gpflow as we do
+    result = subprocess.run([sys.executable, "-c", code, "run", "--n", "3", *flags, "-o", "out"],
+                            env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: "), result.stderr
+
+
 def _stall_lobpcg(A, X, *args, **kwargs):
     # the start rows back, after no iteration: no eigenpairs
     return X, 0
@@ -522,6 +554,10 @@ def test_spectrum_byte_identical(tmp_path):
         (["verify", "--n", "7", "--trials", "1" + "0" * 300], 1, False),
         (["verify", "--n", "7", "--config", "{cfg_trials_huge}"], 1, False),
         (["run", "--dim", "3", "--n", "100000"], 1, False),
+        # a well with reversed or NaN bounds, or a NaN depth
+        (["run", "--n", "3", "--potential", "well:1:0.75:0.25"], 1, False),
+        (["run", "--n", "3", "--potential", "well:1:nan:1"], 1, False),
+        (["run", "--n", "3", "--potential", "well:nan:0.25:0.75"], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):

@@ -20,7 +20,6 @@ from gpflow.grid import (
     dirichlet_moments,
     inner,
     inner_l2,
-    laplacian_matrix,
     neg_laplacian,
     norm,
     norm_l2,
@@ -30,6 +29,7 @@ from gpflow.grid import (
 )
 from gpflow.problem import Problem, zero_potential
 from gpflow.spectral import laplacian_min_eigenvalue
+from oracles import laplacian_matrix
 from strategies import PROPERTY_SETTINGS, small_problems
 
 

@@ -53,10 +53,13 @@ def test_compare_invocations_by_value(tmp_path, capsys):
 
 
 def test_cli_invocations_records_the_parser(tmp_path, monkeypatch, capsys):
-    # only the parser's invocations: usage errors, --help and --version
+    # only the usage errors, --help and --version: the parser's, and the
+    # file inputs' usage errors
     invocations = _load("cli_invocations")
+    calls = invocations.PARSER + tuple(
+        call for call in invocations.FILES if call[0].startswith("usage-"))
     monkeypatch.setenv("COLUMNS", "80")  # the tool sets it; restored after the test
-    monkeypatch.setattr(invocations, "invocations", lambda: iter(invocations.PARSER))
+    monkeypatch.setattr(invocations, "invocations", lambda: iter(calls))
     out = tmp_path / "out"
     assert invocations.main([str(out)]) == 0
     capsys.readouterr()
@@ -64,7 +67,7 @@ def test_cli_invocations_records_the_parser(tmp_path, monkeypatch, capsys):
     def read(name, part):
         return (out / name / part).read_text()
 
-    for name, _ in invocations.PARSER:
+    for name, _ in calls:
         usage_error = name.startswith("usage-")
         assert read(name, "code") == ("1\n" if usage_error else "0\n")
         if usage_error:

@@ -123,10 +123,12 @@ INPUTS = {
     # a potential on the 2D-15^2 grid that is not additive across the axes
     "potential.csv": "".join(f"{10 * ((i - 4) ** 2 + (j - 9) ** 2) + 500 * (i > 7 and j < 5)}\n"
                              for i in range(15) for j in range(15)),
+    "empty.csv": "",
 }
 
 # the CLI's file inputs: a start file under run and under verify's three
-# cross-scheme runs, and a potential file, whose path meta.potential prints
+# cross-scheme runs, a potential file, whose path meta.potential prints, and
+# an empty start and potential file (usage errors, one error line)
 FILES = (
     ("run-init-file",
      ["run", "--dim", "2", "--n", "31", "--beta", "10", "--potential", "harmonic:20",
@@ -136,6 +138,8 @@ FILES = (
       "--init", "file", "--init-path", "{start-1d.csv}", "--cross-scheme", "--trials", "3"]),
     ("run-potential-file",
      ["run", "--dim", "2", "--n", "15", "--beta", "10", "--potential", "file:{potential.csv}"]),
+    ("usage-init-file-empty", ["run", "--n", "3", "--init", "file", "--init-path", "{empty.csv}"]),
+    ("usage-potential-file-empty", ["run", "--n", "3", "--potential", "file:{empty.csv}"]),
 )
 
 # the parser: usage errors (exit 1, one error line), whose stderr is compared,
@@ -155,6 +159,7 @@ PARSER = (
     ("usage-seed-negative", ["run", "--seed", "-1"]),
     ("usage-beta-x", ["run", "--beta", "x"]),
     ("usage-beta-nan", ["run", "--beta", "nan"]),
+    ("usage-well-reversed", ["run", "--n", "3", "--potential", "well:1:0.75:0.25"]),
     ("usage-trials-on-run", ["run", "--trials", "1"]),
     ("usage-alphas-on-run", ["run", "--alphas", "0.1"]),
     ("usage-sweep-no-alphas", ["sweep"]),
