@@ -22,12 +22,9 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from collections.abc import Callable
 from dataclasses import make_dataclass, replace
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .flows import (
@@ -35,6 +32,7 @@ from .flows import (
     FlowBreakdownError,
     RunConfig,
     StepPolicy,
+    read_node_values,
     retract,
     run,
 )
@@ -333,21 +331,13 @@ def build_potential(cfg: CliConfig, grid) -> GridFunction:
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         try:
-            values = _read_node_values(path)
+            values = read_node_values(path)
         except OSError as exc:
             raise UsageError(f"cannot read potential file {path}: {exc}")
         return GridFunction(grid, values)
     raise UsageError(
         f"unknown potential {spec!r}; use zero, harmonic:<omega>, well:<depth>:<lo>:<hi> or file:<path>"
     )
-
-
-def _read_node_values(path: str) -> np.ndarray:
-    """A node-value file's numbers, flat.  An empty file gives no values,
-    which the grid's size check rejects, without numpy's warning on stderr."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, delimiter=",").ravel()
 
 
 def build_problem(cfg: CliConfig) -> tuple[Problem, GridFunction | None]:
@@ -361,7 +351,7 @@ def build_problem(cfg: CliConfig) -> tuple[Problem, GridFunction | None]:
     u0 = None
     if cfg.init == "file" and cfg.init_path:
         try:
-            u0 = GridFunction(grid, _read_node_values(cfg.init_path))
+            u0 = GridFunction(grid, read_node_values(cfg.init_path))
             retract(u0)  # a zero start has no direction
         except ValueError as exc:
             raise UsageError(f"cannot use start file {cfg.init_path}: {exc}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .grid import (
     inner_l2,
     norm_l2,
 )
-from . import greens
 from .greens import LinearOperator, solve_green
 from .problem import Problem
 
@@ -222,16 +221,13 @@ class SchemeState:
     Its four vectors are value arrays (dof,) on ``problem.grid``.
     ``gradient`` holds the values of the metric gradient at u, from the
     state's own solve (a state solved at greens.CG_RTOL without a start, as
-    ``scheme_state`` returns it without ``prev``, has exactly
+    ``scheme_state`` returns it by default, has exactly
     ``metric_gradient``'s values), and ``riemannian_gradient`` is
     gradient - gamma * G u.
     ``green_u`` is G u and ``green_term`` the unscaled Green solve inside the
     gradient (G_H1(V u + beta u^3) for H1, G_a0(u^3) for a0, None when the
-    gradient has none); the next step's solves start from them.  ``rtol`` is
-    the relative residual the CG solves behind the state stopped at, and
-    greens.CG_RTOL when the operator is ``exact`` (``LinearOperator.exact``
-    says which are), whose solves run no CG.  ``cg_iterations`` counts the
-    CG iterations it took, every solve counted.
+    gradient has none); the next step's solves start from them.
+    ``cg_iterations`` counts the CG iterations it took, every solve counted.
     ``moments``, of u and riemannian_gradient, give residual and line search.
     """
 
@@ -241,7 +237,6 @@ class SchemeState:
     residual: float
     green_u: np.ndarray
     green_term: np.ndarray | None
-    rtol: float
     cg_iterations: int
     moments: StepMoments
 
@@ -253,7 +248,7 @@ def _solve_state(
     uu: float,
     op: LinearOperator,
     start: SchemeState | None,
-    rtol: float,
+    rtol: float | None,
 ) -> SchemeState:
     """The state at u (values), whose (u, u)_L2 is ``uu``, with every solve
     at ``rtol``, started from ``start``'s."""
@@ -273,7 +268,7 @@ def _solve_state(
     moments = _step_moments(problem, u, g, uu)
     d_term = 0.0 if kind is MetricKind.H1 else w * np.dot(op.diagonal_term, g * g)
     residual = math.sqrt(moments.dirichlet[2] + d_term)  # ||g||_X^2 = a(g, g) + w sum D g^2
-    return SchemeState(g, grad, gamma, residual, gu, solution, rtol, iterations, moments)
+    return SchemeState(g, grad, gamma, residual, gu, solution, iterations, moments)
 
 
 def scheme_state(
@@ -282,7 +277,7 @@ def scheme_state(
     u: GridFunction,
     op: LinearOperator | None = None,
     prev: SchemeState | None = None,
-    tol: float | None = None,
+    rtol: float | None = None,
 ) -> SchemeState:
     """Riemannian gradient, multiplier and residual norm at u, in one pass.
 
@@ -291,32 +286,16 @@ def scheme_state(
     state of the previous iterate, warm-starts the CG solves: its G u starts
     the solve for G u (also across a_u's change of operator between steps)
     and its ``green_term`` the a0 solve for G u^3.  A start changes the
-    solves only within their tolerance, never their stopping test.
-
-    Every solve stops at relative residual greens.CG_RTOL, with one
-    exception.  When ``tol`` (the flow's residual tolerance) and ``prev``
-    are both given and the operator is not ``exact``
-    (``LinearOperator.exact``), the solves stop at the forcing term
-    clamp(CG_FORCING * prev.residual, CG_RTOL, CG_RTOL_MAX): an inexact
-    G u still gives a direction exactly
-    tangent to the sphere (gamma = numer / denom), and the residual is the
-    norm of that direction.  Such a state is certified before it can end a
-    run: if its residual is at most ``tol``, the solves are rerun at
-    CG_RTOL, started from the loose solutions, and the tight state is
-    returned, its ``cg_iterations`` counting both passes.
+    solves only within their tolerance, never their stopping test.  The
+    G u and a0 solves stop at relative residual ``rtol`` (None means
+    greens.CG_RTOL); an inexact G u still gives a direction exactly tangent
+    to the sphere (gamma = numer / denom), and the residual is the norm of
+    that direction.
     """
     uu = _require_unit(u)
     if op is None:
         op = LinearOperator(metric_for(kind, u), problem)
-    if tol is None or prev is None or op.exact:
-        return _solve_state(kind, problem, u.values, uu, op, prev, greens.CG_RTOL)
-    forcing = greens.CG_FORCING * prev.residual
-    rtol = min(max(forcing, greens.CG_RTOL), greens.CG_RTOL_MAX)
-    state = _solve_state(kind, problem, u.values, uu, op, prev, rtol)
-    if state.residual > tol or rtol == greens.CG_RTOL:
-        return state
-    tight = _solve_state(kind, problem, u.values, uu, op, state, greens.CG_RTOL)
-    return replace(tight, cg_iterations=state.cg_iterations + tight.cg_iterations)
+    return _solve_state(kind, problem, u.values, uu, op, prev, rtol)
 
 
 def retract(u: GridFunction) -> GridFunction:

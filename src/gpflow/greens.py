@@ -24,10 +24,6 @@ from .problem import Problem
 # CG stops once its residual ||b - A x||_2 is at most rtol ||b||_2; rtol is
 # CG_RTOL unless the caller passes its own
 CG_RTOL = 1e-13
-# Along a flow the a0 and a_u solves run at the forcing term
-# clamp(CG_FORCING * previous residual, CG_RTOL, CG_RTOL_MAX) (energy.scheme_state)
-CG_FORCING = 0.01
-CG_RTOL_MAX = 1e-3
 
 
 class GreenSolveError(RuntimeError):

@@ -59,7 +59,8 @@ def harmonic_potential(grid: Grid, omega: float) -> GridFunction:
 
 
 def well_potential(grid: Grid, depth: float, lo: float, hi: float) -> GridFunction:
-    """V = depth outside [lo, hi] on every axis, 0 inside."""
+    """V = depth outside [lo, hi] on every axis, 0 inside; the well must
+    hold at least one interior node."""
     if not depth >= 0.0:  # also rejects NaN
         raise ValueError("well depth must be non-negative")
     if not lo <= hi:
@@ -68,5 +69,7 @@ def well_potential(grid: Grid, depth: float, lo: float, hi: float) -> GridFuncti
     inside = np.ones(grid.n, dtype=bool)
     for x in coords:
         inside &= (x >= lo) & (x <= hi)
+    if not inside.any():
+        raise ValueError(f"well [{lo}, {hi}] holds no interior node")
     V = np.where(inside, 0.0, depth)
     return GridFunction(grid, V.ravel())

@@ -89,6 +89,9 @@ def test_potential_presets():
     cfg = parse_config(["run", "--potential", "well:100:0.4:0.6"])
     V = build_potential(cfg, grid)
     np.testing.assert_allclose(V.values, [100.0, 0.0, 100.0])
+    # a well over every node is valid: V = 0 throughout
+    cfg = parse_config(["run", "--potential", "well:100:0:1"])
+    np.testing.assert_array_equal(build_potential(cfg, grid).values, [0.0, 0.0, 0.0])
     with pytest.raises(UsageError):
         build_potential(parse_config(["run", "--potential", "mystery"]), grid)
     with pytest.raises(UsageError):
@@ -558,6 +561,8 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--n", "3", "--potential", "well:1:0.75:0.25"], 1, False),
         (["run", "--n", "3", "--potential", "well:1:nan:1"], 1, False),
         (["run", "--n", "3", "--potential", "well:nan:0.25:0.75"], 1, False),
+        # a well that holds no interior node
+        (["run", "--n", "3", "--potential", "well:1:2:3"], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,18 @@ def test_init_from_file(tmp_path):
     assert len(report.records) <= 3  # already at the solution
 
 
+def test_empty_start_file_raises_without_a_warning(tmp_path):
+    # run reads a start file through the CLI's reader: an empty file is the
+    # grid's size error alone, with no numpy warning before it
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            run(nonlinear_problem(), RunConfig(init="file", init_path=str(path)))
+    assert [str(w.message) for w in caught] == []
+
+
 def test_run_from_u0_matches_file_start(tmp_path):
     prob = nonlinear_problem()
     start = initial_guess(prob, "random", seed=4)
@@ -241,16 +254,24 @@ def cg_problem(scheme, n=31, beta=100.0):
 
 
 def track_states(monkeypatch):
-    """Record (tol, state) for every scheme_state call run makes."""
+    """Record (rtol, state, resolve) for every state run solves: each public
+    scheme_state call (resolve False), and each tight re-solve that run
+    makes through energy._solve_state (resolve True)."""
     calls = []
-    original = flows.scheme_state
+    public, private = flows.scheme_state, flows._solve_state
 
     def tracking(*args, **kwargs):
-        state = original(*args, **kwargs)
-        calls.append((kwargs.get("tol"), state))
+        state = public(*args, **kwargs)
+        calls.append((kwargs["rtol"], state, False))
+        return state
+
+    def resolving(*args):
+        state = private(*args)
+        calls.append((args[-1], state, True))
         return state
 
     monkeypatch.setattr(flows, "scheme_state", tracking)
+    monkeypatch.setattr(flows, "_solve_state", resolving)
     return calls
 
 
@@ -263,8 +284,8 @@ def test_reported_state_is_certified(scheme, max_iter, monkeypatch):
     report = run(prob, cfg)
     assert report.status == ("converged" if max_iter > 10 else "max_iter")
     # the run solved loosely along the way, but the state it reports is tight
-    assert any(state.rtol > greens.CG_RTOL for _, state in calls)
-    assert calls[-1][1].rtol == greens.CG_RTOL
+    assert any(rtol > greens.CG_RTOL for rtol, _, _ in calls)
+    assert calls[-1][0] == greens.CG_RTOL
     fresh = scheme_state(scheme, prob, report.final)
     last = report.final_record
     assert last.gamma == pytest.approx(fresh.gamma, rel=1e-12)
@@ -280,13 +301,21 @@ def test_reported_state_is_certified(scheme, max_iter, monkeypatch):
 def test_floor_reached_along_a_loose_direction_is_retried(scheme, monkeypatch):
     # a forcing term of 1 solves so loosely that some line searches reach the
     # floor; each is retried along the tight direction at the same iterate
-    monkeypatch.setattr(greens, "CG_FORCING", 1.0)
+    monkeypatch.setattr(flows, "CG_FORCING", 1.0)
     calls = track_states(monkeypatch)
-    report = run(cg_problem(scheme), RunConfig(scheme=scheme))
-    retries = [state for tol, state in calls if tol is None]
+    cfg = RunConfig(scheme=scheme)
+    report = run(cg_problem(scheme), cfg)
+    resolves = [state for _, state, resolve in calls if resolve]
+    # a re-solve after a loose state that missed tol (before max_iter) is a
+    # floor retry; the others certify the converged state
+    retries = [
+        (rtol, state)
+        for (_, loose, _), (rtol, state, resolve) in zip(calls, calls[1:])
+        if resolve and loose.residual > cfg.tol
+    ]
     assert retries
-    assert all(state.rtol == greens.CG_RTOL for state in retries)
-    assert len(calls) == len(report.records) + len(retries)
+    assert all(rtol == greens.CG_RTOL for rtol, _ in retries)
+    assert len(calls) == len(report.records) + len(resolves)
     assert report.status == "converged"
     assert all(r.sufficient_decrease for r in report.records)
 
@@ -294,14 +323,14 @@ def test_floor_reached_along_a_loose_direction_is_retried(scheme, monkeypatch):
 @pytest.mark.parametrize(
     "scheme, policy, forcing",
     [
-        (MetricKind.A0, StepPolicy(), greens.CG_FORCING),
+        (MetricKind.A0, StepPolicy(), flows.CG_FORCING),
         (MetricKind.A0, StepPolicy(), 1.0),  # with floor retries
-        (MetricKind.AU, StepPolicy(mode="fixed", alpha0=0.1), greens.CG_FORCING),
-        (MetricKind.A0, StepPolicy(alpha0=4.0, alpha_floor=1.0), greens.CG_FORCING),  # stepsize_floor
+        (MetricKind.AU, StepPolicy(mode="fixed", alpha0=0.1), flows.CG_FORCING),
+        (MetricKind.A0, StepPolicy(alpha0=4.0, alpha_floor=1.0), flows.CG_FORCING),  # stepsize_floor
     ],
 )
 def test_records_count_trials_and_cg_iterations(scheme, policy, forcing, monkeypatch):
-    monkeypatch.setattr(greens, "CG_FORCING", forcing)
+    monkeypatch.setattr(flows, "CG_FORCING", forcing)
     iterations, trials = [], []
     solve, step_decreases = greens.LinearOperator.solve, flows._step_decreases
 
@@ -407,16 +436,38 @@ def test_fixed_steps_that_cycle_end_the_run(monkeypatch):
         return result
 
     monkeypatch.setattr(flows, "_search", recording_search)
+    calls = track_states(monkeypatch)
     grid = build_grid(2, [7, 7], [(0.0, 1.0)] * 2)
     prob = Problem(grid, zero_potential(grid), 1e200)
     report = run(prob, RunConfig(scheme=MetricKind.AU, policy=StepPolicy(mode="fixed")))
     assert report.status == "stalled"
     assert len(report.records) <= 100
+    # a fixed step is never re-solved: one public scheme_state call per
+    # record, and the run ends on its last, loose state
+    assert len(report.records) == len(calls) == 51
+    assert not any(resolve for _, _, resolve in calls)
+    assert calls[-1][0] > greens.CG_RTOL
     last = report.final_record
     assert last.decrease == 0.0 and not last.sufficient_decrease and last.alpha > 0.0
     u, u_next = steps[-1]
     assert not np.array_equal(u_next.values, u.values)  # a cycle, not a step that stays
     assert any(np.array_equal(u_next.values, earlier.values) for earlier, _ in steps[-8:-1])
+
+
+def test_backtracking_stall_ends_tight_with_one_scheme_state_per_record(monkeypatch):
+    # at beta = 1e200 backtracking a_u steps reach the floor along loose
+    # directions; each is retried at a tight state through the private
+    # solve, so the public scheme_state runs once per record
+    calls = track_states(monkeypatch)
+    grid = build_grid(2, [7, 7], [(0.0, 1.0)] * 2)
+    prob = Problem(grid, zero_potential(grid), 1e200)
+    report = run(prob, RunConfig(scheme=MetricKind.AU))
+    assert report.status == "stalled"
+    assert sum(not resolve for _, _, resolve in calls) == len(report.records)
+    assert any(resolve for _, _, resolve in calls)
+    rtol, state, _ = calls[-1]  # the last step's operator is exact, so it needs no re-solve
+    assert rtol == greens.CG_RTOL
+    assert report.final_record.residual == state.residual
 
 
 @pytest.mark.parametrize("scheme, beta", [(MetricKind.H1, 100.0), (MetricKind.A0, 100.0),

@@ -81,6 +81,11 @@ EXTRA = (
     # fixed steps that return to an earlier iterate end the run too
     ("run-au-fixed-beta-1e200",
      ["run", "--dim", "2", "--n", "7", "--beta", "1e200", "--scheme", "au", "--mode", "fixed"]),
+    # backtracking searches that end unaccepted along loosely solved states:
+    # each state is re-solved tightly and the step decided again, until one
+    # stalls
+    ("run-2d-au-stall",
+     ["run", "--dim", "2", "--n", "7", "--beta", "1e200", "--scheme", "au"]),
     # a well is not additive across the axes, so its a0 solves run CG,
     # preconditioned by the exact solve of the potential's additive part
     ("run-2d-well-a0",
@@ -160,6 +165,7 @@ PARSER = (
     ("usage-beta-x", ["run", "--beta", "x"]),
     ("usage-beta-nan", ["run", "--beta", "nan"]),
     ("usage-well-reversed", ["run", "--n", "3", "--potential", "well:1:0.75:0.25"]),
+    ("usage-well-outside", ["run", "--n", "3", "--potential", "well:1:2:3"]),
     ("usage-trials-on-run", ["run", "--trials", "1"]),
     ("usage-alphas-on-run", ["run", "--alphas", "0.1"]),
     ("usage-sweep-no-alphas", ["sweep"]),
