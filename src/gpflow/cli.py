@@ -51,11 +51,14 @@ class SolveError(RuntimeError):
     """A solver stopped short of its goal; maps to exit code 2."""
 
 
-# caps that keep a call bounded: draws per sampled check (a 1,000-trial
-# verify of a 63 x 63 well takes 71 s), and interior unknowns, prod(n),
-# checked before anything is allocated (32 MiB per vector)
+# caps that keep a call bounded: draws per sampled check, interior unknowns,
+# prod(n), checked before anything is allocated (32 MiB per vector), and a
+# verify's work, trials * prod(n): each cap bounds one count, not their
+# product (a 1,000-trial verify of a 63 x 63 well takes 71 s), and
+# MAX_VERIFY_WORK admits 264 trials at 63 x 63
 MAX_TRIALS = 1000
 MAX_UNKNOWNS = 2**22
+MAX_VERIFY_WORK = 2**20
 
 
 # --- converters: (value, flag) -> value, for flag strings and JSON values alike
@@ -289,6 +292,11 @@ def parse_config(argv: list[str] | None) -> CliConfig:
         raise UsageError(f"--n gives {len(n)} axes but --dim is {dim}")
     if min(n) >= 1 and math.prod(n) > MAX_UNKNOWNS:  # a count below 1 is build_grid's error
         raise UsageError(f"--n gives more than {MAX_UNKNOWNS} interior unknowns")
+    if ns.command == "verify" and values["trials"] * math.prod(n) > MAX_VERIFY_WORK:
+        raise UsageError(
+            f"--trials {values['trials']} on {math.prod(n)} interior unknowns exceeds the "
+            f"verify budget of {MAX_VERIFY_WORK} trial-unknowns"
+        )
     if ns.command in ("verify", "spectrum") and math.prod(n) < 3:
         raise UsageError(
             f"{ns.command} needs at least 3 interior unknowns for its eigensolve, "

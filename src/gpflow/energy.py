@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def metric_for(kind: MetricKind, u: GridFunction | None = None) -> Metric:
 
 def _require_unit(u: GridFunction) -> float:
     """(u, u)_L2, as inner_l2 takes it, once u is checked to be unit."""
-    uu = u.grid.cell_volume * float(np.dot(u.values, u.values))
+    uu = u.grid.cell_volume * float(u.values.dot(u.values))
     if abs(math.sqrt(uu) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("function is not unit L2-norm within 1e-10")
     return uu
@@ -103,10 +103,10 @@ def _step_moments(problem: Problem, u: np.ndarray, g: np.ndarray, uu: float) -> 
     w, V, ug, u2, g2 = problem.grid.cell_volume, problem.V.values, u * g, u * u, g * g
     bw = problem.beta * w
     return StepMoments(
-        (np.float64(uu), w * np.dot(g, u), w * np.dot(g, g)),
+        (np.float64(uu), w * g.dot(u), w * g.dot(g)),
         dirichlet_moments(problem.grid, u, g),
-        (w * np.dot(V, u2), w * np.dot(V, ug), w * np.dot(V, g2)),
-        tuple(bw * np.dot(a, b) for a, b in ((u2, u2), (u2, ug), (ug, ug), (ug, g2), (g2, g2))),
+        (w * V.dot(u2), w * V.dot(ug), w * V.dot(g2)),
+        (bw * u2.dot(u2), bw * u2.dot(ug), bw * ug.dot(ug), bw * ug.dot(g2), bw * g2.dot(g2)),
     )
 
 
@@ -214,8 +214,7 @@ def project_tangent(
     return GridFunction(u.grid, xi.values - coeff * gu.values)
 
 
-@dataclass(frozen=True, eq=False)
-class SchemeState:
+class SchemeState(NamedTuple):
     """Everything one iteration needs: direction, multiplier, residual.
 
     Its four vectors are value arrays (dof,) on ``problem.grid``.
@@ -258,16 +257,18 @@ def _solve_state(
     w = problem.grid.cell_volume
     gu = op.solve(u, start_u, rtol)
     iterations = op.iterations
-    denom = w * float(np.dot(gu, u))  # (G u, u)_L2, equal to ||G u||_X^2
+    denom = w * float(gu.dot(u))  # (G u, u)_L2, equal to ||G u||_X^2
     grad, gv, solution = _gradient(kind, problem, u, op, start_term, rtol)
     if solution is not None:  # op.iterations now counts the gradient's solve
         iterations += op.iterations
-    numer = 1.0 if gv is None else 1.0 + w * float(np.dot(gv, u))
+    numer = 1.0 if gv is None else 1.0 + w * float(gv.dot(u))
     gamma = numer / denom
     g = grad - gamma * gu
     moments = _step_moments(problem, u, g, uu)
-    d_term = 0.0 if kind is MetricKind.H1 else w * np.dot(op.diagonal_term, g * g)
-    residual = math.sqrt(moments.dirichlet[2] + d_term)  # ||g||_X^2 = a(g, g) + w sum D g^2
+    # ||g||_X^2 = a(g, g) + w sum D g^2, whose last term is a moment for a0 (D = V)
+    d_term = (0.0 if kind is MetricKind.H1 else moments.potential[2] if kind is MetricKind.A0
+              else w * op.diagonal_term.dot(g * g))
+    residual = math.sqrt(moments.dirichlet[2] + d_term)
     return SchemeState(g, grad, gamma, residual, gu, solution, iterations, moments)
 
 

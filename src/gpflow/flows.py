@@ -318,7 +318,8 @@ def _decide(problem, cfg, n, u, state, recent):
     # a step back to a recent iterate (or to u) decreases nothing; one entry
     # is compared first, so a miss costs one scalar test
     x, k = u_next.values, u.values.size // 2
-    stalled = any(x[k] == v.values[k] and np.array_equal(x, v.values) for v in recent)
+    xk = x[k]
+    stalled = any(v.values[k] == xk and np.array_equal(x, v.values) for v in recent)
     if stalled:
         decrease, accepted = 0.0, False
     return (alpha, u_next, decrease, accepted), stalled, trials

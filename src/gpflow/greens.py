@@ -11,6 +11,7 @@ potential's per-axis eigenbases).  ``solve_green`` is one solve.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -45,13 +46,20 @@ def laplacian_inverse(grid: Grid, shift) -> Callable[[np.ndarray], np.ndarray]:
     GreenSolveError when the matrix is not positive definite.  On two or
     three axes it is one DST-I pair with the sine eigenvalues shifted by
     mean(shift): exact when the shift is constant, and otherwise the
-    inverse of -Laplacian + mean(shift).  The operators' maps and the
+    inverse of -Laplacian + mean(shift).  On axes of at most DENSE_SINE_MAX
+    nodes the pair calls ``axis_products`` with the grid's sine factors,
+    bound here once; a grid with a longer axis calls ``sine_transform``,
+    which takes ``scipy.fft.dstn`` there.  The operators' maps and the
     eigensolve's preconditioner (``spectral._eigen_preconditioner``) both
     call it.
     """
     if grid.dim > 1:
-        eig = sine_basis(grid).ravel() + float(np.mean(shift))
-        return lambda r: sine_transform(grid, sine_transform(grid, r) / eig)
+        shift = np.asarray(shift)  # its mean as np.mean takes it, sum / size
+        eig = sine_basis(grid).ravel() + float(np.add.reduce(shift, axis=None)) / shift.size
+        if max(grid.n) > DENSE_SINE_MAX:
+            return lambda r: sine_transform(grid, sine_transform(grid, r) / eig)
+        factors = grid._sine_factors
+        return lambda r: axis_products(grid, axis_products(grid, r, factors) / eig, factors)
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     (n,), (h,) = grid.n, grid.h
@@ -151,7 +159,7 @@ class LinearOperator:
         else:
             self.diagonal_term = problem.V.values + problem.beta * metric.base.values**2
         d = self.diagonal_term
-        self.exact = self.grid.dim == 1 or not np.any(d != d[0])
+        self.exact = self.grid.dim == 1 or not (d != d[0]).any()
         basis = None
         if not self.exact and (metric.kind is MetricKind.A0 or problem.beta == 0.0):
             basis = _potential_basis(problem)
@@ -162,14 +170,20 @@ class LinearOperator:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """A_X values: the grid's stencil plus D values."""
-        return neg_laplacian(self.grid, values) + self.diagonal_term * values
+        y = neg_laplacian(self.grid, values)  # a fresh array: D values is added in place
+        y += self.diagonal_term * values
+        return y
 
     def solve(
         self, rhs: np.ndarray, x0: np.ndarray | None = None, rtol: float | None = None
     ) -> np.ndarray:
         """Solve A_X x = rhs to relative residual rtol, from x0 if given.
 
-        ``rtol`` None means the module's CG_RTOL, read at call time.  An
+        ``rtol`` None means the module's CG_RTOL, read at call time.  A zero
+        rhs returns +0.0 zeros at once, and this test stays ahead of the
+        exact map: the maps answer zeros with signed zeros, ``dpttrs`` -0.0
+        for -0.0 entries and ``scipy.fft.dstn`` on a long axis -0.0 for
+        +0.0 ones, and a zero rhs holding -0.0 is common (V u on V = 0).  An
         ``exact`` operator runs no CG iteration and ignores x0 and rtol: it
         applies its map, which is then A_X^-1, once.  Otherwise CG starts at
         x0 (zero when None) from the explicitly computed residual rhs - A x0,
@@ -193,36 +207,37 @@ class LinearOperator:
         """
         self.iterations = 0
         b = np.asarray(rhs, dtype=float)
-        if not np.any(b):
+        if not b.any():
             return np.zeros_like(b)
         if self.exact:
             return self._inverse(b)
         if rtol is None:
             rtol = CG_RTOL
-        target = rtol * float(np.linalg.norm(b))
+        # ||r||_2 as np.linalg.norm takes it: one ddot, one correctly rounded root
+        target = rtol * math.sqrt(float(b.dot(b)))
         if x0 is None:
             x = np.zeros_like(b)
             r = b.copy()
         else:
             x = np.array(x0, dtype=float)
             r = b - self.apply(x)
-            if np.linalg.norm(r) <= target:
+            if math.sqrt(float(r.dot(r))) <= target:
                 return x
         z = self._inverse(r)
         p = z
-        rz = float(r @ z)
+        rz = float(r.dot(z))
         for self.iterations in range(1, 2 * self.grid.dof + 1):
             ap = self.apply(p)
-            curvature = float(p @ ap)
+            curvature = float(p.dot(ap))
             if not (rz > 0.0 and curvature > 0.0):  # breakdown: roundoff has won
                 break
             step = rz / curvature
             x += step * p
             r -= step * ap
-            if np.linalg.norm(r) <= target:
+            if math.sqrt(float(r.dot(r))) <= target:
                 return x
             z = self._inverse(r)
-            rz_next = float(r @ z)
+            rz_next = float(r.dot(z))
             # in place, bit for bit: p is the first z, a fresh array no cache holds
             p *= rz_next / rz
             p += z

@@ -140,7 +140,7 @@ class GridFunction:
             raise ValueError(
                 f"expected {self.grid.dof} values for grid {self.grid.n}, got {values.size}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("grid function contains non-finite values")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -289,7 +289,9 @@ def sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
     doubles.  The solves transform on grids of two or three axes only (a
     one-axis operator is tridiagonal and factored instead), so the cutoff is
     the 2D crossover, measured at about 128 nodes per axis; in 1D it lies
-    between 255 and 383 nodes.
+    between 255 and 383 nodes.  Their maps (``greens.laplacian_inverse``)
+    call ``axis_products`` with the sine factors themselves on short axes,
+    and this function only on a grid with a longer axis.
     """
     if max(grid.n) > DENSE_SINE_MAX:
         from scipy.fft import dstn  # deferred: importing scipy.fft costs ~0.1 s
@@ -318,7 +320,7 @@ def _dirichlet_forms(grid: Grid, xs, pairs) -> list[float]:
             q = np.zeros(after + m)
             q[after:].reshape(before, n + 1, after)[:, :n] = x.reshape(before, n, after)
             edges.append(q[after:] - q[:m])
-        totals = [t + float(np.dot(edges[i], edges[j])) / h**2 for t, (i, j) in zip(totals, pairs)]
+        totals = [t + float(edges[i].dot(edges[j])) / h**2 for t, (i, j) in zip(totals, pairs)]
         del edges, q  # one axis's edges alive at a time, not two while the next are taken
     return [grid.cell_volume * total for total in totals]
 
@@ -342,7 +344,7 @@ def inner(metric: Metric, problem, u: GridFunction, v: GridFunction) -> float:
     grid = _check_same_grid(u, v)
     w = grid.cell_volume
     if metric.kind is MetricKind.L2:
-        return w * float(np.dot(u.values, v.values))
+        return w * float(u.values.dot(v.values))
     xs = (u.values,) if v is u else (u.values, v.values)
     form = _dirichlet_forms(grid, xs, ((0, len(xs) - 1),))[0]
     if metric.kind is MetricKind.H1:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -557,6 +558,8 @@ def test_spectrum_byte_identical(tmp_path):
         (["verify", "--n", "7", "--trials", "1" + "0" * 300], 1, False),
         (["verify", "--n", "7", "--config", "{cfg_trials_huge}"], 1, False),
         (["run", "--dim", "3", "--n", "100000"], 1, False),
+        # a verify whose trials times unknowns exceed its work budget
+        (["verify", "--dim", "2", "--n", "63", "--trials", "1000"], 1, False),
         # a well with reversed or NaN bounds, or a NaN depth
         (["run", "--n", "3", "--potential", "well:1:0.75:0.25"], 1, False),
         (["run", "--n", "3", "--potential", "well:1:nan:1"], 1, False),
@@ -702,6 +705,11 @@ def fuzz_dir(tmp_path_factory):
     return root
 
 
+# the wall-time bound on one drawn call: the draws' grids, iterations and
+# trials are small, so every call ends in well under a second
+CALL_SECONDS = 20.0
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(call=cli_calls())
 # one-axis a0 and a_u runs whose operator's diagonal reaches 1e300: an
@@ -718,15 +726,20 @@ def fuzz_dir(tmp_path_factory):
 def test_every_invocation_exits_by_the_error_contract(fuzz_dir, call):
     # exit codes 0, 1 (usage), 2 (no convergence) or 3 (a check failed);
     # never a traceback, at most one error line, and exactly one for a usage
-    # error
+    # error; and every call ends within CALL_SECONDS, timed around main
+    # itself (hypothesis's deadline stays off, so a slow host does not flake
+    # a draw)
     argv, config = call
     (fuzz_dir / "config").write_text(config)
     files = {key: fuzz_dir / key for key in (*FUZZ_FILES, "config", "missing")}
     argv = [a.format(**files) for a in argv] + ["-o", str(fuzz_dir / "out")]
     stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
+    seconds = time.perf_counter() - start
     err = stderr.getvalue()
+    assert seconds <= CALL_SECONDS, (argv, seconds)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err, argv
     errors = [line for line in err.splitlines() if line.startswith("error:")]

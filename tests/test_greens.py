@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gpflow import greens
@@ -150,6 +150,112 @@ def test_zero_rhs_short_circuit():
     prob = make_problem(n=9)
     zero = GridFunction(prob.grid, np.zeros(prob.grid.dof))
     assert not np.any(solve_green(H1, prob, zero).values)
+
+
+def test_zero_rhs_of_any_sign_solves_to_positive_zeros():
+    # the exact maps answer zeros with signed zeros (dpttrs keeps -0.0, and
+    # dstn on a 130-node axis returns -0.0 for +0.0), so solve tests for a
+    # zero rhs before it applies any map, and every operator returns +0.0
+    harmonic = make_problem(n=15, dim=2)
+    long_grid = build_grid(2, [DENSE_SINE_MAX + 2, 3], [(0.0, 1.0)] * 2)
+    ops = {
+        "tridiagonal": LinearOperator(A0, make_problem(n=15)),
+        "sine": LinearOperator(H1, harmonic),
+        "potential basis": LinearOperator(A0, harmonic),
+        "dstn": LinearOperator(H1, Problem(long_grid, zero_potential(long_grid), 1.0)),
+        "cg": LinearOperator(A0, well_problem(n=15)),
+    }
+    assert ops["potential basis"]._inverse is greens._potential_basis(harmonic)[0]
+    assert [op.exact for op in ops.values()] == [True, True, True, True, False]
+    for name, op in ops.items():
+        dof = op.grid.dof
+        mixed = np.where(np.arange(dof) % 2 == 0, 0.0, -0.0)
+        for rhs in (np.zeros(dof), np.full(dof, -0.0), mixed):
+            x = op.solve(rhs, x0=np.ones(dof), rtol=1e-3)
+            np.testing.assert_array_equal(x, np.zeros(dof))
+            assert not np.signbit(x).any(), name
+            assert op.iterations == 0
+
+
+def _reference_pcg(op, b, x0, rtol):
+    """Preconditioned CG as ``LinearOperator.solve`` runs it, written plainly:
+    np.linalg.norm for every norm and np.dot for every dot, a fresh array
+    for every update, A x as stencil plus D x, and the operator's own
+    preconditioner.  (x, iterations), or None where CG breaks down or hits
+    its cap."""
+    def apply(v):
+        return neg_laplacian(op.grid, v) + op.diagonal_term * v
+
+    target = rtol * np.linalg.norm(b)
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()
+    else:
+        x = x0.copy()
+        r = b - apply(x)
+        if np.linalg.norm(r) <= target:
+            return x, 0
+    z = op._inverse(r)
+    p, rz = z, float(np.dot(r, z))
+    for iterations in range(1, 2 * op.grid.dof + 1):
+        ap = apply(p)
+        curvature = float(np.dot(p, ap))
+        if not (rz > 0.0 and curvature > 0.0):
+            return None
+        step = rz / curvature
+        x = x + step * p
+        r = r - step * ap
+        if np.linalg.norm(r) <= target:
+            return x, iterations
+        z = op._inverse(r)
+        rz_next = float(np.dot(r, z))
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return None
+
+
+@st.composite
+def cg_operators(draw):
+    """A CG operator on a 2D grid of at most 15^2 or a 3D grid of at most 7^3
+    nodes: a0 on a drawn well, or a_u at beta > 0 on a random base; and a
+    seeded generator."""
+    dim = draw(st.integers(2, 3))
+    n = draw(st.lists(st.integers(2, 15 if dim == 2 else 7), min_size=dim, max_size=dim))
+    grid = build_grid(dim, n, [(0.0, 1.0)] * dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.floats(0.0, 0.5))
+    hi = draw(st.floats(lo + 0.3, 1.0))
+    try:
+        V = well_potential(grid, 10.0 ** draw(st.floats(0.0, 4.0)), lo, hi)
+    except ValueError:  # a well that holds no node
+        assume(False)
+    if draw(st.booleans()):
+        op = LinearOperator(A0, Problem(grid, V, 0.0))
+    else:
+        base = GridFunction(grid, rng.uniform(-2.0, 2.0, grid.dof))
+        prob = Problem(grid, V, draw(st.sampled_from([1.0, 100.0, 1e4])))
+        op = LinearOperator(Metric(MetricKind.AU, base=base), prob)
+    assume(not op.exact)
+    return op, rng
+
+
+@PROPERTY_SETTINGS
+@given(cg_operators(), st.booleans(), st.floats(-13.0, -3.0))
+def test_cg_solve_is_the_plain_pcg_loop_bit_for_bit(case, warm, log_rtol):
+    # solve's in-place updates and its norms as one dot and a square root
+    # keep every bit of the plain loop, iteration count included
+    op, rng = case
+    b = rng.standard_normal(op.grid.dof)
+    x0 = rng.standard_normal(op.grid.dof) if warm else None
+    rtol = 10.0**log_rtol
+    expected = _reference_pcg(op, b, x0, rtol)
+    try:
+        x = op.solve(b, x0=x0, rtol=rtol)
+    except GreenSolveError:
+        assert expected is None
+        return
+    assert expected is not None
+    assert x.tobytes() == expected[0].tobytes()
+    assert op.iterations == expected[1]
 
 
 def test_warm_solve_from_exact_solution_takes_no_iterations():

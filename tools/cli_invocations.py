@@ -114,6 +114,18 @@ EXTRA = (
     # through scipy.fft.dstn
     ("spectrum-2d-long-axis",
      ["spectrum", "--dim", "2", "--n", "130,7", "--beta", "10", "--potential", "harmonic:20"]),
+    # a random start at beta = 0 on V = 0: H1's Green's term solves V u, a
+    # right-hand side of zeros that holds -0.0 wherever u < 0, which the
+    # exact operators must answer with +0.0
+    ("run-2d-zero-beta0-random",
+     ["run", "--dim", "2", "--n", "15", "--beta", "0", "--potential", "zero", "--init",
+      "random"]),
+    ("run-1d-zero-beta0-random",
+     ["run", "--n", "31", "--beta", "0", "--potential", "zero", "--init", "random"]),
+    # bench18's costliest run: warm-started CG on the well's potential basis
+    ("run-2d-63-well-a0",
+     ["run", "--dim", "2", "--n", "63", "--beta", "100", "--potential", "well:1000:0.25:0.75",
+      "--scheme", "a0"]),
 )
 
 # "{file}" in an argument names the input file ``file`` of INPUTS; its
@@ -160,6 +172,7 @@ PARSER = (
     ("usage-trials-x", ["verify", "--trials", "x"]),
     ("usage-trials-huge", ["verify", "--trials", "1" + "0" * 300]),
     ("usage-n-huge", ["run", "--dim", "3", "--n", "100000"]),
+    ("usage-verify-work", ["verify", "--dim", "2", "--n", "63", "--trials", "1000"]),
     ("usage-seed-x", ["run", "--seed", "x"]),
     ("usage-seed-negative", ["run", "--seed", "-1"]),
     ("usage-beta-x", ["run", "--beta", "x"]),
