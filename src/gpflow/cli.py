@@ -21,10 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import make_dataclass, replace
 from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .flows import (
@@ -32,7 +36,6 @@ from .flows import (
     FlowBreakdownError,
     RunConfig,
     StepPolicy,
-    read_node_values,
     retract,
     run,
 )
@@ -199,7 +202,7 @@ _OPTIONS = {
     "max_iter": _Option(_RUN.max_iter, _int, None),
     "seed": _Option(_RUN.seed, _natural, "single seed for all randomness"),
     "init": _Option(_RUN.init, _str, "default_bump | random | file"),
-    "init_path": _Option(_RUN.init_path, _maybe_str, None),
+    "init_path": _Option(None, _maybe_str, None),
     "mode": _Option(_RUN.policy.mode, _one_of("backtracking", "fixed"),
                     "backtracking | fixed stepsize policy"),
     "alpha0": _Option(_RUN.policy.alpha0, _finite, "initial / fixed stepsize"),
@@ -227,7 +230,13 @@ def _flag(name: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse would sys.exit(2) on bad flags; map them to exit code 1."""
+    """argparse would sys.exit(2) on bad flags; map them to exit code 1.  A
+    token such as -1,1 or -1e5 ('-' then a digit, or '-.' then a digit) is a
+    value, which argparse alone reads as a flag unless it is a plain number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError(message)
@@ -316,6 +325,15 @@ def parse_config(argv: list[str] | None) -> CliConfig:
     return CliConfig(command=ns.command, **values)
 
 
+def read_node_values(path: str) -> np.ndarray:
+    """A node-value file's numbers (lexicographic order), flat.  An empty
+    file gives no values, which the grid's size check rejects, without
+    numpy's warning on stderr."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, delimiter=",").ravel()
+
+
 def build_potential(cfg: CliConfig, grid) -> GridFunction:
     """Resolve a potential preset string into node values."""
     spec = cfg.potential
@@ -367,14 +385,22 @@ def build_problem(cfg: CliConfig) -> tuple[Problem, GridFunction | None]:
 
 
 def run_config(cfg: CliConfig) -> RunConfig:
+    """A file start runs from ``build_problem``'s u0 at RunConfig's default
+    init; --init and --init-path are checked after RunConfig's settings."""
+    starts = ("default_bump", "random")
     try:
         policy = StepPolicy(mode=cfg.mode, alpha0=cfg.alpha0, shrink=cfg.shrink,
                             alpha_floor=cfg.alpha_floor)
-        return RunConfig(scheme=MetricKind(cfg.scheme), policy=policy, tol=cfg.tol,
-                         max_iter=cfg.max_iter, seed=cfg.seed, init=cfg.init,
-                         init_path=cfg.init_path)
+        config = RunConfig(scheme=MetricKind(cfg.scheme), policy=policy, tol=cfg.tol,
+                           max_iter=cfg.max_iter, seed=cfg.seed,
+                           init=cfg.init if cfg.init in starts else _RUN.init)
     except ValueError as exc:
         raise UsageError(str(exc))
+    if cfg.init not in (*starts, "file"):
+        raise UsageError("init must be 'default_bump', 'random' or 'file'")
+    if cfg.init == "file" and not cfg.init_path:
+        raise UsageError("init 'file' requires init_path")
+    return config
 
 
 # --- serialization -----------------------------------------------------------

@@ -9,7 +9,6 @@ every accepted step without knowing the admissible-stepsize constant.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -67,8 +66,7 @@ class RunConfig:
     tol: float = 1e-9
     max_iter: int = 50000
     seed: int = 0
-    init: str = "default_bump"  # "default_bump", "random" or "file"
-    init_path: str | None = None
+    init: str = "default_bump"  # "default_bump" or "random"
 
     def __post_init__(self):
         if self.scheme is MetricKind.L2:
@@ -79,10 +77,8 @@ class RunConfig:
             raise ValueError("max_iter must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.init not in ("default_bump", "random", "file"):
-            raise ValueError("init must be 'default_bump', 'random' or 'file'")
-        if self.init == "file" and not self.init_path:
-            raise ValueError("init 'file' requires init_path")
+        if self.init not in ("default_bump", "random"):
+            raise ValueError("init must be 'default_bump' or 'random'")
 
 
 @dataclass(frozen=True)
@@ -139,20 +135,6 @@ def initial_guess(problem: Problem, init: str, seed: int = 0) -> GridFunction:
     return retract(u)
 
 
-def read_node_values(path: str) -> np.ndarray:
-    """A node-value file's numbers (lexicographic order), flat.  An empty
-    file gives no values, which the grid's size check rejects, without
-    numpy's warning on stderr."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, delimiter=",").ravel()
-
-
-def load_function(problem: Problem, path: str) -> GridFunction:
-    """Read a node-value file (``read_node_values``) and normalize."""
-    return retract(GridFunction(problem.grid, read_node_values(path)))
-
-
 def sign_normalize(u: GridFunction) -> GridFunction:
     """Fix the sign ambiguity of an eigenfunction: make the mean non-negative."""
     total = u.grid.cell_volume * float(np.sum(u.values))
@@ -197,8 +179,8 @@ def run(
     difference-form decreases, so monotonicity of the trace reflects the
     accepted line-search decreases rather than rounding of O(1) energies.
     When ``reference`` is given, each record carries the H1 distance to it.
-    When ``u0`` is given, the run starts from retract(u0), exactly as from a
-    file holding u0, and ``cfg.init`` is ignored.
+    When ``u0`` is given, the run starts from retract(u0) and ``cfg.init`` is
+    ignored.
 
     The first step's solves, and every solve of an ``exact`` operator
     (``LinearOperator.exact``), stop at greens.CG_RTOL; every later one at
@@ -223,12 +205,7 @@ def run(
     FlowBreakdownError naming the step, instead of the input check that
     the broken iterate would fail next.
     """
-    if u0 is not None:
-        u = retract(u0)
-    elif cfg.init == "file":
-        u = load_function(problem, cfg.init_path)
-    else:
-        u = initial_guess(problem, cfg.init, cfg.seed)
+    u = retract(u0) if u0 is not None else initial_guess(problem, cfg.init, cfg.seed)
 
     records: list[IterationRecord] = []
     try:

@@ -4,8 +4,9 @@ A_X g = w with A_X = -Laplacian + D and D = 0, V or V + beta*base^2.
 ``LinearOperator`` holds one operator and one map r -> M^-1 r, its exact
 inverse or the preconditioner of its CG, and says which metric and grid
 take which map.  The maps are ``laplacian_inverse`` (tridiagonal factors on
-one axis, a shifted DST-I pair on more) and ``_potential_basis`` (the
-potential's per-axis eigenbases).  ``solve_green`` is one solve.
+one axis, a shifted DST-I pair on more, and the package's only scipy
+imports) and ``_potential_basis`` (the potential's per-axis eigenbases).
+``solve_green`` is one solve.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .grid import (
     DENSE_SINE_MAX, Grid, GridFunction, GridMismatchError, Metric, MetricKind, axis_products,
-    neg_laplacian, sine_basis, sine_transform,
+    neg_laplacian, sine_basis,
 )
 from .problem import Problem
 
@@ -34,30 +35,33 @@ class GreenSolveError(RuntimeError):
 
 def laplacian_inverse(grid: Grid, shift) -> Callable[[np.ndarray], np.ndarray]:
     """The map r -> (-Laplacian + shift)^-1 r for one vector r (dof,);
-    ``shift`` is a scalar or one value per node.
+    ``shift`` is a scalar or one value per node.  The package imports scipy
+    here alone, when first needed, so that other grids never load it.
 
     On a one-axis grid it is exact for every shift: one L D L^T
     factorization, taken here, of the stencil's tridiagonal (2/h^2 on the
     diagonal, -1/h^2 off it) plus the shift, and one ``dpttrs`` per apply.
-    LAPACK is imported here, at the first one-axis factorization, as
-    ``scipy.fft`` is at the first long-axis transform, so that grids of more
-    axes never load scipy.  LAPACK's wrapper asks for an off-diagonal of at
-    least one entry, which a one-node grid does not read.  Raises
-    GreenSolveError when the matrix is not positive definite.  On two or
-    three axes it is one DST-I pair with the sine eigenvalues shifted by
-    mean(shift): exact when the shift is constant, and otherwise the
-    inverse of -Laplacian + mean(shift).  On axes of at most DENSE_SINE_MAX
-    nodes the pair calls ``axis_products`` with the grid's sine factors,
-    bound here once; a grid with a longer axis calls ``sine_transform``,
-    which takes ``scipy.fft.dstn`` there.  The operators' maps and the
-    eigensolve's preconditioner (``spectral._eigen_preconditioner``) both
-    call it.
+    LAPACK's wrapper asks for an off-diagonal of at least one entry, which
+    a one-node grid does not read.  Raises GreenSolveError when the matrix
+    is not positive definite.  On two or three axes it is one orthonormal
+    DST-I pair with the sine eigenvalues shifted by mean(shift): exact when
+    the shift is constant, and otherwise the inverse of -Laplacian +
+    mean(shift).  On axes of at most DENSE_SINE_MAX nodes each transform is
+    ``axis_products`` with the grid's sine factors, bound here once, since
+    scipy's per-call overhead dominates there.  A longer axis takes
+    ``scipy.fft.dstn`` (~0.1 s to import), where a dense product's O(n)
+    cost per unknown loses to the FFT and S_n would take n^2 doubles: the
+    2D crossover, measured at about 128 nodes per axis.  The operators'
+    maps and the eigensolve's preconditioner both call it.
     """
     if grid.dim > 1:
         shift = np.asarray(shift)  # its mean as np.mean takes it, sum / size
         eig = sine_basis(grid).ravel() + float(np.add.reduce(shift, axis=None)) / shift.size
         if max(grid.n) > DENSE_SINE_MAX:
-            return lambda r: sine_transform(grid, sine_transform(grid, r) / eig)
+            from scipy.fft import dstn
+
+            eig, dst = eig.reshape(grid.n), functools.partial(dstn, type=1, norm="ortho")
+            return lambda r: dst(dst(r.reshape(grid.n)) / eig).ravel()
         factors = grid._sine_factors
         return lambda r: axis_products(grid, axis_products(grid, r, factors) / eig, factors)
     from scipy.linalg.lapack import dpttrf, dpttrs

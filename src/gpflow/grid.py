@@ -1,10 +1,10 @@
 """Tensor-product box grids with zero Dirichlet boundaries, functions on
 their interior nodes, and the kernels of the discrete -Laplacian and its
 form: ``neg_laplacian`` (the stencil product), ``neg_laplacian_norm`` (its
-inf-norm), ``sine_basis`` (its DST-I spectrum), ``sine_transform`` and
-``axis_products`` (the per-axis transforms the solves run) and
-``_dirichlet_forms`` (the form a(u, v), which ``inner`` and
-``dirichlet_moments`` read).  Each kernel's docstring says how it computes.
+inf-norm), ``sine_basis`` (its DST-I spectrum), ``axis_products`` (the
+per-axis transforms the solves run) and ``_dirichlet_forms`` (the form
+a(u, v), which ``inner`` and ``dirichlet_moments`` read).  Each kernel's
+docstring says how it computes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # the longest axis on which the sine transform is a dense product
-# (``sine_transform`` says why)
+# (``greens.laplacian_inverse`` says why)
 DENSE_SINE_MAX = 128
 
 
@@ -275,29 +275,6 @@ def axis_products(grid: Grid, x: np.ndarray, factors) -> np.ndarray:
         else:
             y = matrix @ y.reshape(before, n, after)
     return y.reshape(x.shape)
-
-
-def sine_transform(grid: Grid, x: np.ndarray) -> np.ndarray:
-    """The orthonormal DST-I of x (dof,) along every axis of the grid: it
-    diagonalizes the -Laplacian and is its own inverse.
-
-    On grids of at most ``DENSE_SINE_MAX`` nodes per axis it is
-    ``axis_products`` with the symmetric S_n, its own transpose, on every
-    axis, since scipy's per-call overhead dominates ``dstn`` there.  A grid
-    with a longer axis goes through one ``scipy.fft.dstn``, where a dense
-    product's O(n) cost per unknown loses to the FFT and S_n would take n^2
-    doubles.  The solves transform on grids of two or three axes only (a
-    one-axis operator is tridiagonal and factored instead), so the cutoff is
-    the 2D crossover, measured at about 128 nodes per axis; in 1D it lies
-    between 255 and 383 nodes.  Their maps (``greens.laplacian_inverse``)
-    call ``axis_products`` with the sine factors themselves on short axes,
-    and this function only on a grid with a longer axis.
-    """
-    if max(grid.n) > DENSE_SINE_MAX:
-        from scipy.fft import dstn  # deferred: importing scipy.fft costs ~0.1 s
-
-        return dstn(x.reshape(grid.n), type=1, norm="ortho").reshape(x.shape)
-    return axis_products(grid, x, grid._sine_factors)
 
 
 def _dirichlet_forms(grid: Grid, xs, pairs) -> list[float]:

@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -287,6 +289,24 @@ def test_a_call_reads_its_start_file_once(tmp_path, monkeypatch, capsys):
     assert err == f"error: cannot use start file {start}: retraction undefined at zero\n"
 
 
+def test_a_value_that_starts_with_a_minus_sign_is_no_flag(capsys):
+    # '-' then a digit, or '-.' then a digit, starts a value: argparse alone
+    # reads -1,1 and -1e5 as flags and reports their option's value missing
+    args = ["run", "--n", "15", "--potential", "harmonic:20", "--beta", "10"]
+    assert parse_config(args + ["--bounds", "-1,1"]).bounds == ((-1.0, 1.0),)
+    assert main(args + ["--bounds", "-1,1"]) == 0
+    spaced = capsys.readouterr()
+    assert main(args + ["--bounds=-1,1"]) == 0
+    assert capsys.readouterr() == spaced
+    assert main(["run", "--beta", "-1e5"]) == 1
+    assert capsys.readouterr().err == "error: beta must be non-negative\n"
+    # values that are no such number keep their messages
+    for flag, value, err in (("--seed", "-1", "--seed must be >= 0, got -1"),
+                             ("--tol", "-inf", "argument --tol: expected one argument")):
+        assert main(["run", flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_config_cross_scheme_takes_json_booleans(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"cross_scheme": True}))
@@ -440,6 +460,48 @@ def test_solves_on_two_and_three_axes_leave_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # find gpflow as we do
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_a_long_axis_loads_scipy_fft_only(tmp_path):
+    # a 2D grid with an axis over DENSE_SINE_MAX nodes transforms through
+    # scipy.fft.dstn, and factors no tridiagonal and assembles no sparse matrix
+    code = f"""if True:
+        import sys, gpflow.cli
+        argv = ['run', '--dim', '2', '--n', '130', '--beta', '10', '--potential', 'harmonic:20',
+                '--scheme', 'au', '-o', {str(tmp_path / "out")!r}]
+        assert gpflow.cli.main(argv) == 0
+        loaded = [m for m in ('scipy.fft', 'scipy.sparse', 'scipy.linalg') if m in sys.modules]
+        assert loaded == ['scipy.fft'], loaded
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))  # find gpflow as we do
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_scipy_is_imported_in_one_function():
+    # static: every scipy import of the package sits in
+    # greens.laplacian_inverse, so which calls load scipy is its choice alone
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "gpflow"
+    owners = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, owner + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            owners.extend((module, ".".join(owner)) for name in names
+                          if name.split(".")[0] == "scipy")
+            visit(child, module, owner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, [])
+    assert owners and set(owners) == {("greens", "laplacian_inverse")}, owners
 
 
 def test_one_axis_calls_load_scipy_linalg_only(tmp_path):

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from gpflow.flows import (
     StepPolicy,
     _search,
     initial_guess,
-    load_function,
     run,
     sign_normalize,
 )
@@ -123,42 +121,6 @@ def test_step_moves_downhill():
     _, v = step_decrease(prob, u, g, 0.2)
     assert norm_l2(v) == pytest.approx(1.0)
     assert energy(prob, v) < energy(prob, u)
-
-
-def test_init_from_file(tmp_path):
-    prob = nonlinear_problem()
-    target = run(prob, RunConfig(scheme=MetricKind.H1)).final
-    path = tmp_path / "start.csv"
-    np.savetxt(path, target.values)
-    loaded = load_function(prob, str(path))
-    np.testing.assert_allclose(loaded.values, target.values, atol=1e-14)
-    report = run(prob, RunConfig(scheme=MetricKind.H1, init="file", init_path=str(path)))
-    assert report.status == "converged"
-    assert len(report.records) <= 3  # already at the solution
-
-
-def test_empty_start_file_raises_without_a_warning(tmp_path):
-    # run reads a start file through the CLI's reader: an empty file is the
-    # grid's size error alone, with no numpy warning before it
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(ValueError):
-            run(nonlinear_problem(), RunConfig(init="file", init_path=str(path)))
-    assert [str(w.message) for w in caught] == []
-
-
-def test_run_from_u0_matches_file_start(tmp_path):
-    prob = nonlinear_problem()
-    start = initial_guess(prob, "random", seed=4)
-    path = tmp_path / "start.csv"
-    np.savetxt(path, start.values)
-    cfg = RunConfig(scheme=MetricKind.A0, max_iter=20)
-    from_file = run(prob, RunConfig(scheme=MetricKind.A0, max_iter=20, init="file", init_path=str(path)))
-    from_u0 = run(prob, cfg, u0=start)
-    assert [r.energy for r in from_u0.records] == [r.energy for r in from_file.records]
-    np.testing.assert_array_equal(from_u0.final.values, from_file.final.values)
 
 
 def test_run_config_validation():

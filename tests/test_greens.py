@@ -20,7 +20,6 @@ from gpflow.grid import (
     inner,
     inner_l2,
     neg_laplacian,
-    sine_transform,
 )
 from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from oracles import laplacian_matrix, operator_matrix
@@ -119,7 +118,6 @@ def test_no_kernel_hashes_the_grid(monkeypatch):
     op.apply(rhs)
     neg_laplacian(grid, rhs)
     dirichlet_moments(grid, rhs, rhs)
-    sine_transform(grid, rhs)
     assert len(hashes) == 0
 
 

@@ -126,6 +126,10 @@ EXTRA = (
     ("run-2d-63-well-a0",
      ["run", "--dim", "2", "--n", "63", "--beta", "100", "--potential", "well:1000:0.25:0.75",
       "--scheme", "a0"]),
+    # a box centred on 0, its bounds given as a separate token that starts
+    # with a minus sign
+    ("run-bounds-negative",
+     ["run", "--n", "15", "--bounds", "-1,1", "--potential", "harmonic:20", "--beta", "10"]),
 )
 
 # "{file}" in an argument names the input file ``file`` of INPUTS; its
@@ -183,6 +187,10 @@ PARSER = (
     ("usage-alphas-on-run", ["run", "--alphas", "0.1"]),
     ("usage-sweep-no-alphas", ["sweep"]),
     ("usage-config-unknown-key", ["run", "--config", "{config.json}"]),
+    # the CLI's start checks, which come after the run settings' own
+    ("usage-init-no-path", ["run", "--init", "file"]),
+    ("usage-init-bogus", ["run", "--init", "x"]),
+    ("usage-init-bogus-tol", ["run", "--init", "x", "--tol", "0"]),
     ("help", ["--help"]),
     ("help-run", ["run", "--help"]),
     ("help-verify", ["verify", "--help"]),
