@@ -231,12 +231,13 @@ def _flag(name: str) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """argparse would sys.exit(2) on bad flags; map them to exit code 1.  A
-    token such as -1,1 or -1e5 ('-' then a digit, or '-.' then a digit) is a
+    token that starts like a negative number float() reads ('-' then a
+    digit, '.digit', 'inf' or 'nan', in any case: -1,1, -1e5, -inf) is a
     value, which argparse alone reads as a flag unless it is a plain number."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(message)

@@ -38,17 +38,6 @@ from .problem import Problem
 UNIT_NORM_TOL = 1e-10
 
 
-def metric_for(kind: MetricKind, u: GridFunction | None = None) -> Metric:
-    """The metric a scheme measures itself in; AU is based at the iterate."""
-    if kind is MetricKind.AU:
-        if u is None:
-            raise ValueError("AU metric requires the current iterate as base")
-        return Metric(MetricKind.AU, base=u)
-    if kind is MetricKind.L2:
-        raise ValueError("L2 is not a scheme metric")
-    return Metric(kind)
-
-
 def _require_unit(u: GridFunction) -> float:
     """(u, u)_L2, as inner_l2 takes it, once u is checked to be unit."""
     uu = u.grid.cell_volume * float(u.values.dot(u.values))
@@ -196,7 +185,7 @@ def metric_gradient(kind: MetricKind, problem: Problem, u: GridFunction) -> Grid
     """
     if u.grid != problem.grid:
         raise GridMismatchError("function does not live on the problem grid")
-    grad, _, _ = _gradient(kind, problem, u.values, LinearOperator(metric_for(kind, u), problem))
+    grad, _, _ = _gradient(kind, problem, u.values, LinearOperator(Metric(kind, u), problem))
     return GridFunction(problem.grid, grad)
 
 
@@ -295,7 +284,7 @@ def scheme_state(
     """
     uu = _require_unit(u)
     if op is None:
-        op = LinearOperator(metric_for(kind, u), problem)
+        op = LinearOperator(Metric(kind, u), problem)
     return _solve_state(kind, problem, u.values, uu, op, prev, rtol)
 
 

@@ -19,13 +19,12 @@ from .energy import (
     _solve_state,
     _step_decreases,
     energy,
-    metric_for,
     retract,
     scheme_state,
 )
 from . import greens
 from .greens import LinearOperator
-from .grid import H1, GridFunction, MetricKind, norm
+from .grid import H1, GridFunction, Metric, MetricKind, norm
 from .problem import Problem
 from .spectral import fit_rate
 
@@ -123,9 +122,9 @@ def initial_guess(problem: Problem, init: str, seed: int = 0) -> GridFunction:
     grid = problem.grid
     if init == "default_bump":
         values = np.ones(grid.n)
-        for axis, x in enumerate(grid.meshgrid()):
-            a, b = grid.bounds[axis]
-            values = values * np.sin(math.pi * (x - a) / (b - a))
+        for axis, (a, b) in enumerate(grid.bounds):
+            x = grid.axis_coords(axis)
+            values = values * grid.along(axis, np.sin(math.pi * (x - a) / (b - a)))
         u = GridFunction(grid, values.ravel())
     elif init == "random":
         rng = np.random.default_rng(seed)
@@ -233,7 +232,7 @@ def _iterate(problem, cfg, u, reference, records):
     returns (final iterate, status, largest drift of ||u|| from 1)."""
     fixed_op = None
     if cfg.scheme in (MetricKind.H1, MetricKind.A0):
-        fixed_op = LinearOperator(metric_for(cfg.scheme), problem)
+        fixed_op = LinearOperator(Metric(cfg.scheme), problem)
     backtracking = cfg.policy.mode == "backtracking"
 
     max_drift = 0.0
@@ -244,7 +243,7 @@ def _iterate(problem, cfg, u, reference, records):
     for n in range(cfg.max_iter + 1):
         op = fixed_op
         if cfg.scheme is MetricKind.AU:
-            op = LinearOperator(metric_for(cfg.scheme, u), problem)
+            op = LinearOperator(Metric(cfg.scheme, u), problem)
         rtol = greens.CG_RTOL
         if state is not None and not op.exact:
             rtol = min(max(CG_FORCING * state.residual, greens.CG_RTOL), CG_RTOL_MAX)

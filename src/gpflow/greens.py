@@ -1,5 +1,5 @@
 """Green's operators of the H1, a0 and a_u metrics, as SPD solves
-A_X g = w with A_X = -Laplacian + D and D = 0, V or V + beta*base^2.
+A_X g = w with A_X = -Laplacian + D, D from ``Metric.diagonal_term``.
 
 ``LinearOperator`` holds one operator and one map r -> M^-1 r, its exact
 inverse or the preconditioner of its CG, and says which metric and grid
@@ -105,18 +105,16 @@ def _potential_basis(problem: Problem):
     mean = float(np.mean(v))
     eig, remainder, forward, backward = mean, v - mean, [], []
     for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
-        shape = [1] * grid.dim
-        shape[axis] = n
         # the mean of a contiguous (n, dof / n) copy: numpy sums each row
         # pairwise, so the split's rounding barely grows with the grid
         marginal = np.moveaxis(v, axis, 0).reshape(n, -1).mean(axis=1) - mean
-        remainder = remainder - marginal.reshape(shape)
+        remainder = remainder - grid.along(axis, marginal)
         off = np.diag(np.full(n - 1, -1.0 / h**2), 1)
         lam, q = np.linalg.eigh(np.diag(2.0 / h**2 + marginal) + off + off.T)
         q, qt = np.ascontiguousarray(q), np.ascontiguousarray(q.T)
         forward.append((qt, q))
         backward.append((q, qt))
-        eig = eig + lam.reshape(shape)
+        eig = eig + grid.along(axis, lam)
     lam_min = float(np.min(eig))
     if not lam_min > 0.0:
         return None
@@ -126,8 +124,9 @@ def _potential_basis(problem: Problem):
 
 
 class LinearOperator:
-    """The SPD operator A_X of a metric: the grid's -Laplacian plus a
-    diagonal term D.
+    """The SPD operator A_X of a metric: the grid's -Laplacian plus the
+    metric's diagonal term D (``Metric.diagonal_term``; L2, which has none,
+    raises ValueError).
 
     ``solve`` is the one Green's solve of the package.  The operator holds
     one map r -> M^-1 r, chosen at construction, and ``exact`` says whether
@@ -148,21 +147,10 @@ class LinearOperator:
     """
 
     def __init__(self, metric: Metric, problem: Problem):
-        if metric.kind is MetricKind.L2:
-            raise ValueError("L2 has no Green's operator here; use H1, A0 or AU")
-        if metric.kind is MetricKind.AU and metric.base.grid != problem.grid:
-            raise GridMismatchError("AU base does not live on the problem grid")
         self.metric = metric
         self.problem = problem
         self.grid = problem.grid
-        # D in A_X = -Laplacian + D: 0, V or V + beta*base^2
-        if metric.kind is MetricKind.H1:
-            self.diagonal_term = np.zeros(self.grid.dof)
-        elif metric.kind is MetricKind.A0:
-            self.diagonal_term = problem.V.values.copy()
-        else:
-            self.diagonal_term = problem.V.values + problem.beta * metric.base.values**2
-        d = self.diagonal_term
+        self.diagonal_term = d = metric.diagonal_term(problem)
         self.exact = self.grid.dim == 1 or not (d != d[0]).any()
         basis = None
         if not self.exact and (metric.kind is MetricKind.A0 or problem.beta == 0.0):

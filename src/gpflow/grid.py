@@ -1,6 +1,7 @@
-"""Tensor-product box grids with zero Dirichlet boundaries, functions on
-their interior nodes, and the kernels of the discrete -Laplacian and its
-form: ``neg_laplacian`` (the stencil product), ``neg_laplacian_norm`` (its
+"""Tensor-product box grids with zero Dirichlet boundaries (``Grid.along``
+broadcasts per-axis values to their shape), functions on their interior
+nodes, and the kernels of the discrete -Laplacian and its form:
+``neg_laplacian`` (the stencil product), ``neg_laplacian_norm`` (its
 inf-norm), ``sine_basis`` (its DST-I spectrum), ``axis_products`` (the
 per-axis transforms the solves run) and ``_dirichlet_forms`` (the form
 a(u, v), which ``inner`` and ``dirichlet_moments`` read).  Each kernel's
@@ -95,10 +96,9 @@ class Grid:
         a, b = self.bounds[axis]
         return np.linspace(a, b, self.n[axis] + 2)[1:-1]
 
-    def meshgrid(self) -> list[np.ndarray]:
-        """Full interior coordinate arrays, shaped like the grid."""
-        axes = [self.axis_coords(k) for k in range(self.dim)]
-        return list(np.meshgrid(*axes, indexing="ij"))
+    def along(self, axis: int, values: np.ndarray) -> np.ndarray:
+        """Values (n[axis],) along one axis, as a view that broadcasts to the grid's shape."""
+        return values.reshape([-1 if k == axis else 1 for k in range(self.dim)])
 
 
 def build_grid(
@@ -150,8 +150,9 @@ class GridFunction:
 class Metric:
     """One of the inner products L2, H1, a0 or a_u.
 
-    The AU metric depends on a base function (the ``u`` in a_u); the other
-    kinds do not.
+    H1, a0 and a_u are the forms of -Laplacian + D, with D from
+    ``diagonal_term``.  The AU metric depends on a base function (the ``u``
+    in a_u); only AU reads one.
     """
 
     kind: MetricKind
@@ -160,6 +161,20 @@ class Metric:
     def __post_init__(self):
         if self.kind is MetricKind.AU and self.base is None:
             raise ValueError("AU metric requires a base function")
+
+    def diagonal_term(self, problem) -> np.ndarray:
+        """D (dof,) on the problem's grid, a new array: 0 for H1, V for a0
+        and V + beta*base^2 for a_u, whose base must live on that grid.  L2
+        has none and raises ValueError."""
+        if self.kind is MetricKind.H1:
+            return np.zeros(problem.grid.dof)
+        if self.kind is MetricKind.A0:
+            return problem.V.values.copy()
+        if self.kind is MetricKind.L2:
+            raise ValueError("L2 is no form of -Laplacian + D; use H1, A0 or AU")
+        if self.base.grid != problem.grid:
+            raise GridMismatchError("AU base does not live on the problem grid")
+        return problem.V.values + problem.beta * self.base.values**2
 
 
 L2 = Metric(MetricKind.L2)
@@ -213,9 +228,7 @@ def neg_laplacian_norm(grid: Grid, diagonal_term: np.ndarray) -> float:
         neighbours = np.full(n, 2.0)
         neighbours[0] -= 1.0
         neighbours[-1] -= 1.0
-        shape = [1] * grid.dim
-        shape[axis] = n
-        off = off + (neighbours / h**2).reshape(shape)
+        off = off + grid.along(axis, neighbours / h**2)
     diagonal = sum(2.0 / h**2 for h in grid.h)
     return float(np.max(np.abs(diagonal + diagonal_term) + off.ravel()))
 
@@ -233,9 +246,7 @@ def sine_basis(grid: Grid) -> np.ndarray:
     eig = np.zeros(grid.n)
     for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
         k = np.arange(1, n + 1)
-        shape = [1] * grid.dim
-        shape[axis] = n
-        eig = eig + ((4.0 / h**2) * np.sin(np.pi * k / (2 * (n + 1))) ** 2).reshape(shape)
+        eig = eig + grid.along(axis, (4.0 / h**2) * np.sin(np.pi * k / (2 * (n + 1))) ** 2)
     eig.setflags(write=False)
     return eig
 
@@ -314,9 +325,10 @@ def inner(metric: Metric, problem, u: GridFunction, v: GridFunction) -> float:
     a(u, v), summed over edges, boundary edges included: bitwise symmetric
     in (u, v), since every term is a product of one u-difference and one
     v-difference, summed in a fixed order, and algebraically equal to the L2
-    pairing of -Laplacian(u) with v (summation by parts).  a0 adds the
-    potential term to it and a_u additionally the interaction term with the
-    metric's base function.  ``problem`` may be None for L2 and H1.
+    pairing of -Laplacian(u) with v (summation by parts).  a0 and a_u add
+    the quadrature of D u v, D from ``Metric.diagonal_term``, and their
+    operands must live on the problem's grid.  ``problem`` may be None for
+    L2 and H1.
     """
     grid = _check_same_grid(u, v)
     w = grid.cell_volume
@@ -326,12 +338,9 @@ def inner(metric: Metric, problem, u: GridFunction, v: GridFunction) -> float:
     form = _dirichlet_forms(grid, xs, ((0, len(xs) - 1),))[0]
     if metric.kind is MetricKind.H1:
         return form
-    weight = problem.V.values
-    if metric.kind is MetricKind.AU:
-        _check_same_grid(u, metric.base)
-        weight = weight + problem.beta * metric.base.values**2
+    _check_same_grid(u, problem.V)
     # the pointwise product u*v comes first so the form is bitwise symmetric
-    return form + w * float(np.sum(weight * (u.values * v.values)))
+    return form + w * float(np.sum(metric.diagonal_term(problem) * (u.values * v.values)))
 
 
 def norm(metric: Metric, problem, u: GridFunction) -> float:

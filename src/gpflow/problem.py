@@ -45,11 +45,9 @@ def harmonic_potential(grid: Grid, omega: float) -> GridFunction:
 
     A potential beyond the float range is GridFunction's non-finite ValueError.
     """
-    coords = grid.meshgrid()
     V = np.zeros(grid.n)
-    for axis, x in enumerate(coords):
-        a, b = grid.bounds[axis]
-        V += (x - 0.5 * (a + b)) ** 2
+    for axis, (a, b) in enumerate(grid.bounds):
+        V += grid.along(axis, (grid.axis_coords(axis) - 0.5 * (a + b)) ** 2)
     try:
         scale = 0.5 * omega**2
     except OverflowError:
@@ -65,10 +63,10 @@ def well_potential(grid: Grid, depth: float, lo: float, hi: float) -> GridFuncti
         raise ValueError("well depth must be non-negative")
     if not lo <= hi:
         raise ValueError(f"well bounds must satisfy lo <= hi, got {lo}, {hi}")
-    coords = grid.meshgrid()
     inside = np.ones(grid.n, dtype=bool)
-    for x in coords:
-        inside &= (x >= lo) & (x <= hi)
+    for axis in range(grid.dim):
+        x = grid.axis_coords(axis)
+        inside &= grid.along(axis, (x >= lo) & (x <= hi))
     if not inside.any():
         raise ValueError(f"well [{lo}, {hi}] holds no interior node")
     V = np.where(inside, 0.0, depth)

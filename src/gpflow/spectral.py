@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
-    Grid, GridFunction, GridMismatchError, Metric, MetricKind, neg_laplacian, neg_laplacian_norm,
-    sine_basis,
+    Grid, GridFunction, Metric, MetricKind, neg_laplacian, neg_laplacian_norm, sine_basis,
 )
 from .greens import LinearOperator, laplacian_inverse
 from .problem import Problem
@@ -65,8 +64,6 @@ class RateFit:
 
 def linearized_operator(problem: Problem, ustar: GridFunction) -> LinearOperator:
     """Operator of the eigenproblem linearized at ustar."""
-    if ustar.grid != problem.grid:
-        raise GridMismatchError("linearization point does not live on the problem grid")
     return LinearOperator(Metric(MetricKind.AU, base=ustar), problem)
 
 

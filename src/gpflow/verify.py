@@ -36,7 +36,6 @@ from . import spectral as spectral_mod
 from .energy import (
     energy,
     energy_decrease,
-    metric_for,
     metric_gradient,
     project_tangent,
     retract,
@@ -221,7 +220,7 @@ def check_inner_symmetry(ctx: CheckContext, rng) -> Iterable[float]:
     u = smoothed_noise(ctx.problem, rng)
     v = smoothed_noise(ctx.problem, rng)
     base = ctx.au_base(rng)
-    for metric in (L2, *(metric_for(kind, base) for kind in SCHEMES)):
+    for metric in (L2, *(Metric(kind, base) for kind in SCHEMES)):
         yield -abs(inner(metric, ctx.problem, u, v) - inner(metric, ctx.problem, v, u))
 
 
@@ -230,7 +229,7 @@ def check_inner_symmetry(ctx: CheckContext, rng) -> Iterable[float]:
 def check_positive_definite(ctx: CheckContext, rng) -> Iterable[float]:
     u = smoothed_noise(ctx.problem, rng)
     base = ctx.au_base(rng)
-    for metric in (L2, *(metric_for(kind, base) for kind in SCHEMES)):
+    for metric in (L2, *(Metric(kind, base) for kind in SCHEMES)):
         yield inner(metric, ctx.problem, u, u)
 
 
@@ -292,7 +291,7 @@ def check_adjoint_identity(ctx: CheckContext, rng) -> Iterable[float]:
     w = smoothed_noise(ctx.problem, rng)
     rhs = inner_l2(z, w)
     base = ctx.au_base(rng)
-    for metric in (metric_for(kind, base) for kind in SCHEMES):
+    for metric in (Metric(kind, base) for kind in SCHEMES):
         lhs = inner(metric, ctx.problem, z, solve_green(metric, ctx.problem, w))
         yield SLACK_TOL * (1.0 + abs(rhs)) - abs(lhs - rhs)
 
@@ -311,7 +310,7 @@ def check_green_self_adjoint(ctx: CheckContext, rng) -> Iterable[float]:
     z = smoothed_noise(ctx.problem, rng)
     w = smoothed_noise(ctx.problem, rng)
     base = ctx.au_base(rng)
-    for metric in (metric_for(kind, base) for kind in SCHEMES):
+    for metric in (Metric(kind, base) for kind in SCHEMES):
         a = inner_l2(z, solve_green(metric, ctx.problem, w))
         b = inner_l2(w, solve_green(metric, ctx.problem, z))
         yield SLACK_TOL * (1.0 + abs(a)) - abs(a - b)
@@ -353,7 +352,7 @@ def check_gradient_consistency(ctx: CheckContext, name: str) -> CheckResult:
         fd = energy_decrease(ctx.problem, up, dn) / (2.0 * t)
         for kind in SCHEMES:
             grad = metric_gradient(kind, ctx.problem, u)
-            ip = inner(metric_for(kind, u), ctx.problem, grad, h)
+            ip = inner(Metric(kind, u), ctx.problem, grad, h)
             rel = abs(ip - fd) / max(abs(fd), abs(ip), 1e-30)
             yield -rel
 
@@ -367,7 +366,7 @@ def check_gradient_consistency(ctx: CheckContext, name: str) -> CheckResult:
 def check_pythagorean_split(ctx: CheckContext, rng) -> Iterable[float]:
     u = retract(smoothed_noise(ctx.problem, rng))
     for kind in SCHEMES:
-        metric = metric_for(kind, u)
+        metric = Metric(kind, u)
         state = scheme_state(kind, ctx.problem, u)
         grad, rgrad, gu = (GridFunction(ctx.problem.grid, x) for x in
                            (state.gradient, state.riemannian_gradient, state.green_u))
@@ -381,7 +380,7 @@ def check_pythagorean_split(ctx: CheckContext, rng) -> Iterable[float]:
 def check_projected_norm_inequality(ctx: CheckContext, rng) -> Iterable[float]:
     u = retract(smoothed_noise(ctx.problem, rng))
     for kind in SCHEMES:
-        metric = metric_for(kind, u)
+        metric = Metric(kind, u)
         state = scheme_state(kind, ctx.problem, u)
         grad, rgrad = (GridFunction(ctx.problem.grid, x) for x in
                        (state.gradient, state.riemannian_gradient))
@@ -392,7 +391,7 @@ def check_projected_norm_inequality(ctx: CheckContext, rng) -> Iterable[float]:
 def check_projection_tangency(ctx: CheckContext, rng) -> Iterable[float]:
     u = retract(smoothed_noise(ctx.problem, rng))
     xi = smoothed_noise(ctx.problem, rng)
-    for metric in (metric_for(kind, u) for kind in SCHEMES):
+    for metric in (Metric(kind, u) for kind in SCHEMES):
         r = project_tangent(metric, ctx.problem, u, xi)
         yield 1e-10 - abs(inner_l2(r, u))
 

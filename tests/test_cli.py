@@ -300,11 +300,20 @@ def test_a_value_that_starts_with_a_minus_sign_is_no_flag(capsys):
     assert capsys.readouterr() == spaced
     assert main(["run", "--beta", "-1e5"]) == 1
     assert capsys.readouterr().err == "error: beta must be non-negative\n"
-    # values that are no such number keep their messages
+    # so is a token that starts like a negative infinity or NaN, in any case:
+    # each names its value's fault, as the --flag=value form does
     for flag, value, err in (("--seed", "-1", "--seed must be >= 0, got -1"),
-                             ("--tol", "-inf", "argument --tol: expected one argument")):
+                             ("--tol", "-inf", "--tol must be finite, got '-inf'"),
+                             ("--bounds", "-inf,1", "--bounds must be finite, got '-inf'"),
+                             ("--beta", "-nan", "--beta must be finite, got '-nan'"),
+                             ("--alpha0", "-Infinity", "--alpha0 must be finite, got '-Infinity'")):
         assert main(["run", flag, value]) == 1
         assert capsys.readouterr().err == f"error: {err}\n"
+        assert main(["run", f"{flag}={value}"]) == 1
+        assert capsys.readouterr().err == f"error: {err}\n"
+    # the short flags stay flags
+    assert main(["run", "--tol", "-o"]) == 1
+    assert capsys.readouterr().err == "error: argument --tol: expected one argument\n"
 
 
 def test_config_cross_scheme_takes_json_booleans(tmp_path):

@@ -10,7 +10,6 @@ from gpflow.energy import (
     _step_moments,
     energy,
     energy_decrease,
-    metric_for,
     metric_gradient,
     project_tangent,
     retract,
@@ -21,6 +20,7 @@ from gpflow.greens import solve_green
 from gpflow.grid import (
     GridFunction,
     H1,
+    Metric,
     MetricKind,
     build_grid,
     inner,
@@ -106,7 +106,7 @@ def test_project_tangent_orthogonality_and_idempotence():
     u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
     xi = GridFunction(prob.grid, rng.standard_normal(prob.grid.dof))
     for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
-        metric = metric_for(kind, u)
+        metric = Metric(kind, u)
         p = project_tangent(metric, prob, u, xi)
         assert abs(inner_l2(p, u)) < 1e-10
         p2 = project_tangent(metric, prob, u, p)
@@ -124,7 +124,7 @@ def test_gradient_matches_finite_difference():
     fd = energy_decrease(prob, up, dn) / (2.0 * t)
     for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
         grad = metric_gradient(kind, prob, u)
-        ip = inner(metric_for(kind, u), prob, grad, hdir)
+        ip = inner(Metric(kind, u), prob, grad, hdir)
         assert ip == pytest.approx(fd, rel=1e-6)
 
 
@@ -144,13 +144,6 @@ def test_scheme_state_requires_unit_norm():
     u = GridFunction(prob.grid, np.ones(prob.grid.dof))
     with pytest.raises(ValueError):
         scheme_state(MetricKind.H1, prob, u)
-
-
-def test_metric_for_rejects_l2_and_missing_base():
-    with pytest.raises(ValueError):
-        metric_for(MetricKind.L2)
-    with pytest.raises(ValueError):
-        metric_for(MetricKind.AU)
 
 
 
@@ -215,7 +208,7 @@ def test_scheme_state_residual_and_moments():
     for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
         state = scheme_state(kind, prob, u)
         g = GridFunction(prob.grid, state.riemannian_gradient)
-        assert state.residual == pytest.approx(norm(metric_for(kind, u), prob, g), rel=1e-13)
+        assert state.residual == pytest.approx(norm(Metric(kind, u), prob, g), rel=1e-13)
         assert state.moments == _step_moments(prob, u.values, g.values, inner_l2(u, u))
         # (u, u) is the one the unit check took, bit for bit as the moment was
         assert state.moments.l2[0] == grid.cell_volume * np.dot(u.values, u.values)

@@ -492,7 +492,8 @@ def test_exact_exactly_where_the_diagonal_term_is_additive(dim, n):
     grid = build_grid(dim, [n] * dim, [(0.0, 1.0)] * dim)
     rng = np.random.default_rng(6)
     base = GridFunction(grid, rng.uniform(0.5, 1.0, grid.dof))
-    per_axis = sum(np.cos(3.0 * x + axis) ** 2 for axis, x in enumerate(grid.meshgrid()))
+    coords = np.meshgrid(*(grid.axis_coords(k) for k in range(dim)), indexing="ij")
+    per_axis = sum(np.cos(3.0 * x + axis) ** 2 for axis, x in enumerate(coords))
     additive = {
         "zero": zero_potential(grid),
         "harmonic": harmonic_potential(grid, 20.0),

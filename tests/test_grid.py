@@ -27,7 +27,9 @@ from gpflow.grid import (
     sine_basis,
     _sine_matrix,
 )
-from gpflow.problem import Problem, zero_potential
+from gpflow.energy import retract
+from gpflow.flows import initial_guess
+from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from gpflow.spectral import laplacian_min_eigenvalue
 from oracles import laplacian_matrix
 from strategies import PROPERTY_SETTINGS, small_problems
@@ -145,6 +147,55 @@ def test_grid_mismatch_raises():
     v = GridFunction(grid_1d(3, b=2.0), [1.0, 2.0, 3.0])
     with pytest.raises(GridMismatchError):
         inner_l2(u, v)
+    # a0 and a_u read V: their operands, and an a_u base, must live on V's
+    # grid, also when only the bounds differ
+    grid = grid_1d(7)
+    prob = Problem(grid, harmonic_potential(grid, 10.0), 10.0)
+    on = GridFunction(grid, np.arange(1.0, 8.0))
+    for off in (GridFunction(grid_1d(7, b=2.0), on.values), GridFunction(grid_1d(5), on.values[:5])):
+        for metric, w in ((A0, off), (Metric(MetricKind.AU, base=off), on),
+                          (Metric(MetricKind.AU, base=off), off)):
+            with pytest.raises(GridMismatchError):
+                inner(metric, prob, w, w)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_per_axis_broadcasts_match_full_meshgrid_formulas(data):
+    # Grid.along builds the potentials and the default start from one axis at
+    # a time; each equals, bit for bit, the formula on full coordinate arrays
+    dim = data.draw(st.integers(1, 3))
+    n = data.draw(st.lists(st.integers(1, 9), min_size=dim, max_size=dim))
+    starts = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=dim, max_size=dim))
+    lengths = data.draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
+    grid = build_grid(dim, n, [(a, a + length) for a, length in zip(starts, lengths)])
+    coords = np.meshgrid(*(grid.axis_coords(k) for k in range(dim)), indexing="ij")
+
+    omega = data.draw(st.floats(0.0, 50.0))
+    squares = np.zeros(grid.n)
+    for (a, b), x in zip(grid.bounds, coords):
+        squares += (x - 0.5 * (a + b)) ** 2
+    expected = ((0.5 * omega**2) * squares).ravel()
+    assert harmonic_potential(grid, omega).values.tobytes() == expected.tobytes()
+
+    depth = data.draw(st.floats(0.0, 1e3))
+    lo, hi = sorted(data.draw(st.lists(st.floats(-6.0, 16.0), min_size=2, max_size=2)))
+    inside = np.ones(grid.n, dtype=bool)
+    for x in coords:
+        inside &= (x >= lo) & (x <= hi)
+    if inside.any():
+        expected = np.where(inside, 0.0, depth).ravel()
+        assert well_potential(grid, depth, lo, hi).values.tobytes() == expected.tobytes()
+    else:
+        with pytest.raises(ValueError, match="holds no interior node"):
+            well_potential(grid, depth, lo, hi)
+
+    bump = np.ones(grid.n)
+    for (a, b), x in zip(grid.bounds, coords):
+        bump = bump * np.sin(math.pi * (x - a) / (b - a))
+    expected = retract(GridFunction(grid, bump.ravel())).values
+    start = initial_guess(Problem(grid, zero_potential(grid), 0.0), "default_bump")
+    assert start.values.tobytes() == expected.tobytes()
 
 
 def test_norm_positive_definite():

@@ -127,7 +127,7 @@ def test_lowest_two_eigen_nearly_degenerate_pockets():
     # of lambda0, and the solver needs about 80 iterations, long enough for
     # an implicitly updated A P to drift to overflow
     grid = build_grid(2, [31, 31], [(0.0, 1.0)] * 2)
-    x, y = grid.meshgrid()
+    x, y = np.meshgrid(grid.axis_coords(0), grid.axis_coords(1), indexing="ij")
     V = 1e4 + 10.0 * np.random.default_rng(0).uniform(0.0, 1.0, grid.n)
     for centre in (0.25, 0.75):
         V[(abs(x - centre) < 0.1) & (abs(y - 0.5) < 0.1)] = 0.0

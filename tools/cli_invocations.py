@@ -179,6 +179,8 @@ PARSER = (
     ("usage-verify-work", ["verify", "--dim", "2", "--n", "63", "--trials", "1000"]),
     ("usage-seed-x", ["run", "--seed", "x"]),
     ("usage-seed-negative", ["run", "--seed", "-1"]),
+    ("usage-tol-minus-inf", ["run", "--tol", "-inf"]),
+    ("usage-bounds-minus-inf", ["run", "--bounds", "-inf,1"]),
     ("usage-beta-x", ["run", "--beta", "x"]),
     ("usage-beta-nan", ["run", "--beta", "nan"]),
     ("usage-well-reversed", ["run", "--n", "3", "--potential", "well:1:0.75:0.25"]),
