@@ -43,7 +43,7 @@ from .greens import GreenSolveError
 from .grid import GridFunction, MetricKind, build_grid
 from .problem import Problem, harmonic_potential, well_potential, zero_potential
 from .spectral import SpectralReport, linearized_operator, lowest_two_eigen
-from .verify import CheckResult, check_suite, cross_scheme_agreement, failures
+from .verify import SCHEMES, CheckResult, check_suite, cross_scheme_agreement, failures
 
 
 class UsageError(ValueError):
@@ -527,8 +527,11 @@ def cmd_verify(cfg: CliConfig) -> int:
         return 2
     report, spectral = solved
     results = check_suite(problem, report, spectral, trials=cfg.trials, seed=cfg.seed)
-    if cfg.cross_scheme:
-        results = results + [cross_scheme_agreement(problem, run_config(cfg), u0)]
+    if cfg.cross_scheme:  # the other two schemes run from the same config and start
+        reports = (report if scheme is report.config.scheme
+                   else run(problem, replace(report.config, scheme=scheme), u0=u0)
+                   for scheme in SCHEMES)
+        results = results + [cross_scheme_agreement(problem, reports)]
     write_output(render_json(checks_payload(cfg, results)), cfg.output)
     return 3 if failures(results) else 0
 

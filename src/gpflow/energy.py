@@ -8,8 +8,8 @@ running eigenvalue estimate; at a critical point it equals the eigenvalue.
 The energy is quadratic plus quartic, so the decrease along a retracted
 step, E(u) - E((u - alpha g) / ||u - alpha g||), is a rational function of
 alpha.  The scheme state takes the moments of u and g once per step
-(``_step_moments``); the residual reads a(g, g) from them and the line
-search (``_step_decreases``) all of them.  ``energy_decrease``, a
+(``_step_moments``); the residual reads a(g, g) from them and the flow's
+line search (``flows._step_decreases``) all of them.  ``energy_decrease``, a
 difference form on two grid functions, is the search's independent reference.
 """
 
@@ -67,7 +67,7 @@ def energy_decrease(problem: Problem, u: GridFunction, v: GridFunction) -> float
 
     Every term factors through d = u - v, so the result stays accurate far
     below the rounding floor of the two energies.  It shares no code with
-    the line search's model (``_step_decreases``) and is its reference.
+    the line search's model (``flows._step_decreases``) and is its reference.
     """
     w = problem.grid.cell_volume
     d = GridFunction(problem.grid, u.values - v.values)
@@ -97,56 +97,6 @@ def _step_moments(problem: Problem, u: np.ndarray, g: np.ndarray, uu: float) -> 
         (w * V.dot(u2), w * V.dot(ug), w * V.dot(g2)),
         (bw * u2.dot(u2), bw * u2.dot(ug), bw * ug.dot(ug), bw * ug.dot(g2), bw * g2.dot(g2)),
     )
-
-
-def _step_decreases(moments: StepMoments):
-    """The function alpha -> decrease, read off the StepMoments of a step's
-    iterate u and direction g.  With tau = ||u||^2,
-    y = u - alpha g and s = ||y||^2 = 1 + t_y, E(u / sqrt(tau)) - E(y / sqrt(s)) is
-
-      alpha (k1 - alpha k2) / (tau s) + alpha (m0 + alpha (m1 + alpha (m2 + alpha m3))) / (tau s)^2.
-
-    u is normalized too, since its eps-level offset from the sphere would
-    drown small decreases.  Every term carries a factor alpha and is divided
-    by (tau s)^k before any is subtracted, so neither a small decrease nor a
-    large alpha cancels.  The float64 coefficients make an overflowing trial
-    raise under errstate.  A trial forms no step (``_retracted`` does).
-    """
-    (uu, p, r), (a_uu, a_gu, a_gg), (v_uu, v_gu, v_gg), (q0, q1, q2, q3, q4) = moments
-    t_u = uu - 1.0
-    tau, kp_u, q_u = 1.0 + t_u, 0.5 * a_uu + 0.5 * v_uu, 0.25 * q0
-    k1, k2 = (a_gu + v_gu) * tau - 2.0 * p * kp_u, 0.5 * (a_gg + v_gg) * tau - r * kp_u
-    m0 = tau * tau * q1 - 4.0 * tau * p * q_u
-    m1 = 2.0 * tau * r * q_u + 4.0 * p * p * q_u - 1.5 * tau * tau * q2
-    m2 = tau * tau * q3 - 4.0 * p * r * q_u
-    m3 = r * r * q_u - 0.25 * tau * tau * q4
-
-    def decrease_at(alpha: float) -> float:
-        t_y = t_u - 2.0 * alpha * p + alpha * alpha * r
-        ts = tau * (1.0 + t_y)
-        quartic = alpha * (m0 + alpha * (m1 + alpha * (m2 + alpha * m3))) / (ts * ts)
-        return float(alpha * (k1 - alpha * k2) / ts + quartic)
-
-    return decrease_at
-
-
-def _retracted(u: np.ndarray, g: np.ndarray, moments: StepMoments, alpha: float) -> np.ndarray:
-    """(u - alpha g) / ||u - alpha g|| (value arrays), with the squared norm
-    1 + t_y read off the moments as in ``_step_decreases``."""
-    uu, p, r = moments.l2
-    t_y = (uu - 1.0) - 2.0 * alpha * p + alpha * alpha * r
-    return (u - alpha * g) / math.sqrt(1.0 + t_y)
-
-
-def step_decrease(
-    problem: Problem, u: GridFunction, g: GridFunction, alpha: float
-) -> tuple[float, GridFunction]:
-    """E(u) - E(retract(u - alpha g)) and the retracted step: the line
-    search's model at one alpha, from moments taken as a scheme state takes
-    them, accurate at the alpha*residual^2 scale and at any float alpha."""
-    moments = _step_moments(problem, u.values, g.values, inner_l2(u, u))
-    decrease = _step_decreases(moments)(alpha)
-    return decrease, GridFunction(problem.grid, _retracted(u.values, g.values, moments, alpha))
 
 
 def _gradient(

@@ -8,20 +8,14 @@ every accepted step without knowing the admissible-stepsize constant.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (
-    _retracted,
-    _solve_state,
-    _step_decreases,
-    energy,
-    retract,
-    scheme_state,
-)
+from .energy import StepMoments, _solve_state, energy, retract, scheme_state
 from . import greens
 from .greens import LinearOperator
 from .grid import H1, GridFunction, Metric, MetricKind, norm
@@ -142,30 +136,6 @@ def sign_normalize(u: GridFunction) -> GridFunction:
     return u
 
 
-def _search(problem, u, state, policy):
-    """Shared candidate loop; returns (alpha, u_next, decrease, accepted, trials).
-
-    Trials read step_decrease's model on the state's moments, and only the
-    step returned is retracted, once, into a GridFunction.  The returned
-    alpha is the last one tried, so decrease and u_next belong to it, and
-    ``trials`` counts the stepsizes tried; a search stopped by the floor
-    returns its last trial unaccepted.
-    """
-    g = state.riemannian_gradient
-    decrease_at = _step_decreases(state.moments)
-    res_sq = state.residual**2
-    alpha = policy.alpha0
-    trials = 1
-    while True:
-        decrease = decrease_at(alpha)
-        accepted = decrease >= 0.5 * alpha * res_sq
-        if accepted or policy.mode == "fixed" or alpha * policy.shrink < policy.alpha_floor:
-            u_next = _retracted(u.values, g, state.moments, alpha)
-            return alpha, GridFunction(problem.grid, u_next), decrease, accepted, trials
-        alpha *= policy.shrink
-        trials += 1
-
-
 def run(
     problem: Problem,
     cfg: RunConfig,
@@ -189,9 +159,9 @@ def run(
     because the residual meets ``cfg.tol`` or n == max_iter, or a
     backtracking search returns unaccepted) first re-solves the state at u
     at CG_RTOL, started from the loose solutions, and is then decided again
-    on it.  A fixed-mode step is never re-solved, so a fixed-mode "stalled"
-    run ends on the state it stalled at, loose or not.  Each record carries
-    its step's line-search trials and CG iterations, a re-solve's included.
+    on it; a stalled fixed step stands, on the re-solved state where CG
+    reaches CG_RTOL.  Each record carries its step's line-search trials and
+    CG iterations, a re-solve's included.
 
     A step whose retracted iterate equals u or one of the 7 iterates before
     it bit for bit (at a residual so large that alpha * g is lost in u's
@@ -261,6 +231,12 @@ def _iterate(problem, cfg, u, reference, records):
             cg_iterations += state.cg_iterations
             step, stalled, tried = _decide(problem, cfg, n, u, state, recent)
             trials += tried
+        elif stalled and rtol > greens.CG_RTOL:
+            # a stalled fixed step stands, on the tight state where CG reaches
+            # CG_RTOL (at beta = 1e300 it may not, and the loose state stays)
+            with contextlib.suppress(greens.GreenSolveError):
+                state = _solve_state(cfg.scheme, problem, u.values, uu, op, state, greens.CG_RTOL)
+                cg_iterations += state.cg_iterations
 
         alpha, u_next, decrease, accepted = step or (0.0, u, 0.0, True)
         records.append(
@@ -287,10 +263,29 @@ def _iterate(problem, cfg, u, reference, records):
 def _decide(problem, cfg, n, u, state, recent):
     """Step n from u along ``state``: (step, stalled, trials), step being
     (alpha, u_next, decrease, accepted), or None when none is taken (the
-    residual meets ``cfg.tol``, or n == max_iter)."""
+    residual meets ``cfg.tol``, or n == max_iter).
+
+    Trials read ``_step_decreases``' model on the state's moments, and only
+    the step returned is retracted, once, into a GridFunction.  alpha is the
+    last stepsize tried, so decrease and u_next belong to it, and ``trials``
+    counts the stepsizes tried; a search stopped by the floor returns its
+    last trial unaccepted.
+    """
     if not state.residual > cfg.tol or n == cfg.max_iter:  # a NaN residual takes none
         return None, False, 0
-    alpha, u_next, decrease, accepted, trials = _search(problem, u, state, cfg.policy)
+    policy, g = cfg.policy, state.riemannian_gradient
+    decrease_at = _step_decreases(state.moments)
+    res_sq = state.residual**2
+    alpha = policy.alpha0
+    trials = 1
+    while True:
+        decrease = decrease_at(alpha)
+        accepted = decrease >= 0.5 * alpha * res_sq
+        if accepted or policy.mode == "fixed" or alpha * policy.shrink < policy.alpha_floor:
+            break
+        alpha *= policy.shrink
+        trials += 1
+    u_next = GridFunction(problem.grid, _retracted(u.values, g, state.moments, alpha))
     # a step back to a recent iterate (or to u) decreases nothing; one entry
     # is compared first, so a miss costs one scalar test
     x, k = u_next.values, u.values.size // 2
@@ -299,6 +294,45 @@ def _decide(problem, cfg, n, u, state, recent):
     if stalled:
         decrease, accepted = 0.0, False
     return (alpha, u_next, decrease, accepted), stalled, trials
+
+
+def _step_decreases(moments: StepMoments):
+    """The function alpha -> decrease, read off the StepMoments of a step's
+    iterate u and direction g.  With tau = ||u||^2,
+    y = u - alpha g and s = ||y||^2 = 1 + t_y, E(u / sqrt(tau)) - E(y / sqrt(s)) is
+
+      alpha (k1 - alpha k2) / (tau s) + alpha (m0 + alpha (m1 + alpha (m2 + alpha m3))) / (tau s)^2.
+
+    u is normalized too, since its eps-level offset from the sphere would
+    drown small decreases.  Every term carries a factor alpha and is divided
+    by (tau s)^k before any is subtracted, so neither a small decrease nor a
+    large alpha cancels.  The float64 coefficients make an overflowing trial
+    raise under errstate.  A trial forms no step (``_retracted`` does).
+    """
+    (uu, p, r), (a_uu, a_gu, a_gg), (v_uu, v_gu, v_gg), (q0, q1, q2, q3, q4) = moments
+    t_u = uu - 1.0
+    tau, kp_u, q_u = 1.0 + t_u, 0.5 * a_uu + 0.5 * v_uu, 0.25 * q0
+    k1, k2 = (a_gu + v_gu) * tau - 2.0 * p * kp_u, 0.5 * (a_gg + v_gg) * tau - r * kp_u
+    m0 = tau * tau * q1 - 4.0 * tau * p * q_u
+    m1 = 2.0 * tau * r * q_u + 4.0 * p * p * q_u - 1.5 * tau * tau * q2
+    m2 = tau * tau * q3 - 4.0 * p * r * q_u
+    m3 = r * r * q_u - 0.25 * tau * tau * q4
+
+    def decrease_at(alpha: float) -> float:
+        t_y = t_u - 2.0 * alpha * p + alpha * alpha * r
+        ts = tau * (1.0 + t_y)
+        quartic = alpha * (m0 + alpha * (m1 + alpha * (m2 + alpha * m3))) / (ts * ts)
+        return float(alpha * (k1 - alpha * k2) / ts + quartic)
+
+    return decrease_at
+
+
+def _retracted(u: np.ndarray, g: np.ndarray, moments: StepMoments, alpha: float) -> np.ndarray:
+    """(u - alpha g) / ||u - alpha g|| (value arrays), with the squared norm
+    1 + t_y read off the moments as in ``_step_decreases``."""
+    uu, p, r = moments.l2
+    t_y = (uu - 1.0) - 2.0 * alpha * p + alpha * alpha * r
+    return (u - alpha * g) / math.sqrt(1.0 + t_y)
 
 
 def _h1_distance(u: GridFunction, ref: GridFunction) -> float:

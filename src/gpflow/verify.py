@@ -41,7 +41,7 @@ from .energy import (
     retract,
     scheme_state,
 )
-from .flows import ConvergenceReport, RunConfig, run, sign_normalize
+from .flows import ConvergenceReport, run, sign_normalize
 from .greens import solve_green
 from .grid import (
     A0,
@@ -589,25 +589,23 @@ def failures(results: list[CheckResult]) -> list[CheckResult]:
     return [r for r in results if not r.passed and not r.skipped]
 
 
-def cross_scheme_agreement(
-    problem: Problem, cfg_base: RunConfig, u0: GridFunction | None = None
-) -> CheckResult:
-    """Run all three schemes from one config and u0; they must meet at the same state."""
+def cross_scheme_agreement(problem: Problem, reports: Iterable[ConvergenceReport]) -> CheckResult:
+    """The runs of the three schemes from one config and start, one report per
+    scheme in SCHEMES order, must meet at the same state.  A run that did not
+    converge makes the check a skip, and the reports after it are not drawn."""
     name = "verify:cross_scheme_agreement"
-    finals = {}
-    gammas = {}
-    for scheme in SCHEMES:
-        rep = run(problem, replace(cfg_base, scheme=scheme), u0=u0)
+    runs = {}
+    for rep in reports:
         if rep.status != "converged":
-            return _skip(name, f"{scheme.value} run ended with status {rep.status}")
-        finals[scheme] = sign_normalize(rep.final)
-        gammas[scheme] = rep.final_record.gamma
+            return _skip(name, f"{rep.config.scheme.value} run ended with status {rep.status}")
+        runs[rep.config.scheme] = rep
     margin = math.inf
     details = []
     pairs = [(SCHEMES[i], SCHEMES[j]) for i in range(3) for j in range(i + 1, 3)]
     for a, b in pairs:
-        dist = norm_l2(GridFunction(problem.grid, finals[a].values - finals[b].values))
-        dg = abs(gammas[a] - gammas[b])
+        ra, rb = runs[a], runs[b]
+        dist = norm_l2(GridFunction(problem.grid, ra.final.values - rb.final.values))
+        dg = abs(ra.final_record.gamma - rb.final_record.gamma)
         margin = min(margin, 1e-6 - dist, 1e-6 - dg)
         details.append(f"{a.value}/{b.value}: dist {dist:.2e}, dgamma {dg:.2e}")
     return _result(name, margin, 3, "; ".join(details))

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from gpflow.cli import (
     parse_config,
 )
 from gpflow.flows import RunConfig, run
-from gpflow.grid import GridFunction, build_grid
+from gpflow.grid import GridFunction, MetricKind, build_grid
 from gpflow.verify import CheckResult
 
 
@@ -197,6 +198,24 @@ def test_verify_exit_code_on_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "check_suite", lambda *a, **k: failing)
     out = tmp_path / "checks.json"
     assert main(["verify", "--n", "31", "-o", str(out)]) == 3
+
+
+def test_verify_cross_scheme_runs_each_scheme_once(tmp_path, monkeypatch):
+    # the configured scheme's run serves the spectrum, the suite and the
+    # cross-scheme check alike
+    configs = []
+
+    def recording_run(problem, cfg, *args, **kwargs):
+        configs.append(cfg)
+        return run(problem, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    argv = ["verify", "--n", "31", "--beta", "5", "--scheme", "a0", "--cross-scheme",
+            "--trials", "1"]
+    assert main(argv + ["-o", str(tmp_path / "checks.json")]) == 0
+    base = cli.run_config(parse_config(argv))
+    others = [dataclasses.replace(base, scheme=s) for s in (MetricKind.H1, MetricKind.AU)]
+    assert configs == [base] + others
 
 
 def test_spectrum_command(tmp_path):

@@ -8,13 +8,12 @@ from gpflow.flows import (
     FlowBreakdownError,
     RunConfig,
     StepPolicy,
-    _search,
     initial_guess,
     run,
     sign_normalize,
 )
 from gpflow import flows, greens
-from gpflow.energy import energy, retract, scheme_state, step_decrease
+from gpflow.energy import _step_moments, energy, energy_decrease, retract, scheme_state
 from gpflow.grid import GridFunction, MetricKind, build_grid, inner_l2, norm_l2
 from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from strategies import PROPERTY_SETTINGS, small_problems
@@ -117,8 +116,9 @@ def test_sign_normalize():
 def test_step_moves_downhill():
     prob = nonlinear_problem(beta=20.0)
     u = initial_guess(prob, "random", seed=1)
-    g = GridFunction(prob.grid, scheme_state(MetricKind.H1, prob, u).riemannian_gradient)
-    _, v = step_decrease(prob, u, g, 0.2)
+    cfg = RunConfig(policy=StepPolicy(mode="fixed", alpha0=0.2))
+    step, _, _ = flows._decide(prob, cfg, 0, u, scheme_state(MetricKind.H1, prob, u), ())
+    v = step[1]
     assert norm_l2(v) == pytest.approx(1.0)
     assert energy(prob, v) < energy(prob, u)
 
@@ -163,19 +163,28 @@ def test_deterministic_reports():
 
 @PROPERTY_SETTINGS
 @given(small_problems())
-def test_search_decrease_is_step_decrease_bit_for_bit(case):
-    # the search computes the terms at u once per step; every trial must
-    # still give exactly step_decrease's decrease and step
+def test_decide_step_is_the_moments_model_bit_for_bit(case):
+    # the search reads the state's moments once per step; every trial must
+    # still give exactly the model's decrease and step on moments taken
+    # afresh from u and g, and the independent difference form's decrease
     prob, rng = case
     u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
     for kind in SCHEMES:
         state = scheme_state(kind, prob, u)
+        g = state.riemannian_gradient
+        moments = _step_moments(prob, u.values, g, inner_l2(u, u))
         for policy in (StepPolicy(alpha0=4.0), StepPolicy(mode="fixed", alpha0=0.3)):
-            alpha, u_next, decrease, _, _ = _search(prob, u, state, policy)
-            g = GridFunction(prob.grid, state.riemannian_gradient)
-            expected, expected_next = step_decrease(prob, u, g, alpha)
-            assert decrease == expected
-            np.testing.assert_array_equal(u_next.values, expected_next.values)
+            step, stalled, _ = flows._decide(prob, RunConfig(policy=policy), 0, u, state, ())
+            if step is None:  # a one-node grid: u is the ground state
+                assert not state.residual > RunConfig().tol
+                continue
+            alpha, u_next, decrease, _ = step
+            assert not stalled
+            assert decrease == flows._step_decreases(moments)(alpha)
+            expected_next = flows._retracted(u.values, g, moments, alpha)
+            np.testing.assert_array_equal(u_next.values, expected_next)
+            scale = energy(prob, u) + energy(prob, u_next)
+            assert abs(decrease - energy_decrease(prob, u, u_next)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("scheme", [MetricKind.A0, MetricKind.AU])
@@ -320,12 +329,12 @@ def test_records_count_trials_and_cg_iterations(scheme, policy, forcing, monkeyp
 def test_floor_record_carries_its_last_trial(monkeypatch):
     # a search stopped by the floor reports the last stepsize it tried, next
     # to that trial's decrease
-    searches, trials = [], []
-    search, step_decreases = flows._search, flows._step_decreases
+    decisions, trials = [], []
+    decide, step_decreases = flows._decide, flows._step_decreases
 
-    def recording_search(problem, u, state, policy):
-        searches.append((problem, u, state))
-        return search(problem, u, state, policy)
+    def recording_decide(problem, cfg, n, u, state, recent):
+        decisions.append((problem, u, state))
+        return decide(problem, cfg, n, u, state, recent)
 
     def recording_decreases(moments):
         decrease_at = step_decreases(moments)
@@ -336,7 +345,7 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
 
         return trial
 
-    monkeypatch.setattr(flows, "_search", recording_search)
+    monkeypatch.setattr(flows, "_decide", recording_decide)
     monkeypatch.setattr(flows, "_step_decreases", recording_decreases)
     policy = StepPolicy(alpha0=4.0, alpha_floor=1.0)
     report = run(harmonic_2d(), RunConfig(scheme=MetricKind.A0, policy=policy))
@@ -344,9 +353,9 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
     last = report.final_record
     assert last.alpha == trials[-1]
     assert last.trials == len(trials)
-    prob, u, state = searches[-1]
-    g = GridFunction(prob.grid, state.riemannian_gradient)
-    assert last.decrease == step_decrease(prob, u, g, last.alpha)[0]
+    prob, u, state = decisions[-1]
+    moments = _step_moments(prob, u.values, state.riemannian_gradient, inner_l2(u, u))
+    assert last.decrease == step_decreases(moments)(last.alpha)
 
 
 @pytest.mark.parametrize("mode", ["backtracking", "fixed"])
@@ -355,19 +364,20 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
 def test_huge_beta_run_ends_without_claiming_null_decreases(scheme, dim, mode, monkeypatch):
     # at beta = 1e300 h1 and a0 overflow at the first step; a_u reaches
     # steps whose retracted iterate is u itself, which end the run
-    moved, logged = [], []  # per search: whether its step moves u; per record: its last one
-    search, record = flows._search, flows.IterationRecord
+    moved, logged = [], []  # per step decided: whether it moves u; per record: its last one
+    decide, record = flows._decide, flows.IterationRecord
 
-    def recording_search(problem, u, state, policy):
-        result = search(problem, u, state, policy)
-        moved.append(not np.array_equal(result[1].values, u.values))
+    def recording_decide(problem, cfg, n, u, state, recent):
+        result = decide(problem, cfg, n, u, state, recent)
+        if result[0] is not None:
+            moved.append(not np.array_equal(result[0][1].values, u.values))
         return result
 
     def recording_record(*args):
         logged.append((record(*args), moved[-1]))
         return logged[-1][0]
 
-    monkeypatch.setattr(flows, "_search", recording_search)
+    monkeypatch.setattr(flows, "_decide", recording_decide)
     monkeypatch.setattr(flows, "IterationRecord", recording_record)
     grid = build_grid(dim, [7] * dim, [(0.0, 1.0)] * dim)
     prob = Problem(grid, zero_potential(grid), 1e300)
@@ -389,31 +399,47 @@ def test_huge_beta_run_ends_without_claiming_null_decreases(scheme, dim, mode, m
 def test_fixed_steps_that_cycle_end_the_run(monkeypatch):
     # at beta = 1e200 fixed a_u steps fall into a cycle of iterates: a step
     # back to one of the last 8 is a null step, which ends the run
-    steps = []  # per search: (u, its retracted step)
-    search = flows._search
+    steps = []  # per step decided: (u, its retracted step)
+    decide = flows._decide
 
-    def recording_search(problem, u, state, policy):
-        result = search(problem, u, state, policy)
-        steps.append((u, result[1]))
+    def recording_decide(problem, cfg, n, u, state, recent):
+        result = decide(problem, cfg, n, u, state, recent)
+        steps.append((u, result[0][1]))
         return result
 
-    monkeypatch.setattr(flows, "_search", recording_search)
+    monkeypatch.setattr(flows, "_decide", recording_decide)
     calls = track_states(monkeypatch)
     grid = build_grid(2, [7, 7], [(0.0, 1.0)] * 2)
     prob = Problem(grid, zero_potential(grid), 1e200)
     report = run(prob, RunConfig(scheme=MetricKind.AU, policy=StepPolicy(mode="fixed")))
     assert report.status == "stalled"
     assert len(report.records) <= 100
-    # a fixed step is never re-solved: one public scheme_state call per
-    # record, and the run ends on its last, loose state
-    assert len(report.records) == len(calls) == 51
-    assert not any(resolve for _, _, resolve in calls)
-    assert calls[-1][0] > greens.CG_RTOL
+    # one public scheme_state call per record; the stall is decided once,
+    # and only its loose state is re-solved, at CG_RTOL
+    assert len(report.records) == len(steps) == len(calls) - 1 == 51
+    assert [resolve for _, _, resolve in calls] == [False] * 51 + [True]
+    assert calls[-2][0] > greens.CG_RTOL and calls[-1][0] == greens.CG_RTOL
     last = report.final_record
     assert last.decrease == 0.0 and not last.sufficient_decrease and last.alpha > 0.0
     u, u_next = steps[-1]
     assert not np.array_equal(u_next.values, u.values)  # a cycle, not a step that stays
     assert any(np.array_equal(u_next.values, earlier.values) for earlier, _ in steps[-8:-1])
+
+
+def test_fixed_stall_ends_on_a_certified_state():
+    # the stalled step stands, and its record reads the state at the final
+    # iterate as a tight solve gives it, not the loose state it stalled at
+    grid = build_grid(2, [7, 7], [(0.0, 1.0)] * 2)
+    prob = Problem(grid, zero_potential(grid), 1e200)
+    report = run(prob, RunConfig(scheme=MetricKind.AU, policy=StepPolicy(mode="fixed")))
+    assert report.status == "stalled"
+    fresh = scheme_state(MetricKind.AU, prob, report.final, rtol=greens.CG_RTOL)
+    last = report.final_record
+    assert last.decrease == 0.0 and not last.sufficient_decrease
+    assert last.gamma == pytest.approx(fresh.gamma, rel=1e-12)
+    # as in test_reported_state_is_certified: agreement on the scale gamma ||G u||_X
+    scale = fresh.gamma * math.sqrt(inner_l2(GridFunction(grid, fresh.green_u), report.final))
+    assert abs(last.residual - fresh.residual) <= 1e-12 * scale
 
 
 def test_backtracking_stall_ends_tight_with_one_scheme_state_per_record(monkeypatch):

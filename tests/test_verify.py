@@ -9,6 +9,7 @@ from gpflow.problem import Problem, harmonic_potential, zero_potential
 from gpflow.spectral import linearized_operator, lowest_two_eigen
 from gpflow.verify import (
     ALL_CHECKS,
+    SCHEMES,
     CheckContext,
     check_suite,
     cross_scheme_agreement,
@@ -274,10 +275,15 @@ def test_rate_vs_gap_with_sweep(nonlinear_setup):
     assert results["spectral:rate_vs_gap"].passed
 
 
+def scheme_runs(problem, cfg):
+    """The three schemes' runs from cfg, in SCHEMES order, each run when drawn."""
+    return (run(problem, dataclasses.replace(cfg, scheme=scheme)) for scheme in SCHEMES)
+
+
 def test_cross_scheme_agreement_linear():
     grid = build_grid(1, [63], [(0.0, 1.0)])
     problem = Problem(grid, zero_potential(grid), 0.0)
-    result = cross_scheme_agreement(problem, RunConfig(init="random", seed=5))
+    result = cross_scheme_agreement(problem, scheme_runs(problem, RunConfig(init="random", seed=5)))
     assert result.passed
     assert result.margin >= 0.0
 
@@ -285,6 +291,8 @@ def test_cross_scheme_agreement_linear():
 def test_cross_scheme_agreement_skips_on_nonconvergence():
     grid = build_grid(1, [63], [(0.0, 1.0)])
     problem = Problem(grid, harmonic_potential(grid, 10.0), 50.0)
-    result = cross_scheme_agreement(problem, RunConfig(max_iter=2, init="random", seed=5))
+    runs = scheme_runs(problem, RunConfig(max_iter=2, init="random", seed=5))
+    result = cross_scheme_agreement(problem, runs)
     assert result.skipped
     assert "max_iter" in result.detail
+    assert next(runs).config.scheme is MetricKind.A0  # h1's skip drew no later run

@@ -126,6 +126,12 @@ EXTRA = (
     ("run-2d-63-well-a0",
      ["run", "--dim", "2", "--n", "63", "--beta", "100", "--potential", "well:1000:0.25:0.75",
       "--scheme", "a0"]),
+    # h1 on 25^3 = 15,625 unknowns, a size at which numpy's dot products
+    # print other bits under two BLAS threads than under one, from record
+    # 0's energy on; its bytes hold at one thread
+    ("run-3d-25-h1",
+     ["run", "--dim", "3", "--n", "25", "--beta", "100", "--potential", "harmonic:20",
+      "--scheme", "h1"]),
     # a box centred on 0, its bounds given as a separate token that starts
     # with a minus sign
     ("run-bounds-negative",
