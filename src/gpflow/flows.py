@@ -186,13 +186,12 @@ def run(
         ) from exc
 
     u = sign_normalize(u)
-    rate = _fit_tail_rate(records)
     return ConvergenceReport(
         records=records,
         final=u,
         status=status,
         config=cfg,
-        rate=rate,
+        rate=_fit_tail_rate(records) if status == "converged" else None,
         max_norm_drift=max_drift,
     )
 
@@ -340,7 +339,8 @@ def _h1_distance(u: GridFunction, ref: GridFunction) -> float:
 
 
 def _fit_tail_rate(records):
-    """Geometric fit of the residual tail (latter half of the trace)."""
+    """Geometric fit of the residual tail (latter half of the trace); ``run``
+    fits converged runs only, since a residual that never falls has no rate."""
     residuals = [r.residual for r in records if r.residual > 0.0]
     if len(residuals) < 10:
         return None

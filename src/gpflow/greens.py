@@ -74,11 +74,13 @@ def laplacian_inverse(grid: Grid, shift) -> Callable[[np.ndarray], np.ndarray]:
     return lambda r: dpttrs(d, e, r)[0]
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _potential_basis(problem: Problem):
-    """The map r -> A'^-1 r for -Laplacian + V's additive part A', built at
-    most once per problem, and whether it is exact for -Laplacian + V:
-    (inverse, exact), or None.
+    """The map r -> A'^-1 r for -Laplacian + V's additive part A', and
+    whether it is exact for -Laplacian + V: (inverse, exact), or None.  The
+    cache holds the basis of the problem asked for last, and only it: an
+    operator on another problem replaces it, so no finished problem stays
+    alive in it.
 
     V splits into its mean m, its per-axis marginal means d_i(x_i) (the mean
     over the other axes, less m) and a remainder R.  A' is the Kronecker sum
@@ -91,7 +93,7 @@ def _potential_basis(problem: Problem):
     inverse applies the Q_i^T along each axis (``grid.axis_products``),
     divides by those sums and applies the Q_i.  Solving A' x = b leaves b - (A' + R) x = -R x, of
     relative size at most max|R| / lambda_min(A'); ``exact`` is whether that
-    meets CG_RTOL (read at the problem's first call), as it does to roundoff
+    meets CG_RTOL (read when the basis is built), as it does to roundoff
     for the harmonic trap, and when it does not, A' preconditions CG.  Only
     grids of two or three axes ask for it.  None on a grid with an axis over
     DENSE_SINE_MAX nodes, where dense per-axis products lose to CG's

@@ -163,13 +163,14 @@ class Metric:
             raise ValueError("AU metric requires a base function")
 
     def diagonal_term(self, problem) -> np.ndarray:
-        """D (dof,) on the problem's grid, a new array: 0 for H1, V for a0
-        and V + beta*base^2 for a_u, whose base must live on that grid.  L2
-        has none and raises ValueError."""
+        """D (dof,) on the problem's grid: a new array for H1 (zeros) and
+        for a_u (V + beta*base^2, whose base must live on that grid), and
+        for a0 V's own read-only values, not a copy.  L2 has none and raises
+        ValueError."""
         if self.kind is MetricKind.H1:
             return np.zeros(problem.grid.dof)
         if self.kind is MetricKind.A0:
-            return problem.V.values.copy()
+            return problem.V.values
         if self.kind is MetricKind.L2:
             raise ValueError("L2 is no form of -Laplacian + D; use H1, A0 or AU")
         if self.base.grid != problem.grid:
@@ -233,10 +234,12 @@ def neg_laplacian_norm(grid: Grid, diagonal_term: np.ndarray) -> float:
     return float(np.max(np.abs(diagonal + diagonal_term) + off.ravel()))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def sine_basis(grid: Grid) -> np.ndarray:
-    """The DST-I eigenvalues of the grid's -Laplacian, shaped like the grid,
-    built once and read-only.
+    """The DST-I eigenvalues of the grid's -Laplacian, shaped like the grid
+    and read-only.  The cache holds the spectrum of the grid asked for last,
+    and only it, keyed by the grid's value so that equal grids share one
+    array: a call on another grid replaces it.
 
     Along an axis with n nodes and spacing h the eigenvalue of the k-th sine
     mode is (4/h^2) sin^2(pi k / (2(n + 1))); the box operator is the

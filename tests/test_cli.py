@@ -255,6 +255,17 @@ def test_sweep_command(tmp_path):
     assert entries[0]["rho"] > entries[1]["rho"]  # larger alpha contracts faster here
 
 
+def test_sweep_entry_of_an_unconverged_run_has_no_rate(tmp_path):
+    # a run cut off by max_iter leaves 21 residuals but no rate to fit
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--n", "63", "--beta", "100", "--max-iter", "20", "--alphas", "0.1",
+            "-o", str(out)]
+    assert main(argv) == 2
+    (entry,) = json.loads(out.read_text())["sweep"]
+    assert entry["status"] == "max_iter" and entry["iterations"] == 21
+    assert entry["rho"] is None and entry["r_squared"] is None
+
+
 def test_sweep_keeps_its_entries_past_a_breakdown(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     argv = ["sweep", "--n", "7", "--beta", "10", "--alphas", "0.1,1e200", "-o", str(out)]

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
@@ -156,14 +159,16 @@ def test_zero_rhs_of_any_sign_solves_to_positive_zeros():
     # zero rhs before it applies any map, and every operator returns +0.0
     harmonic = make_problem(n=15, dim=2)
     long_grid = build_grid(2, [DENSE_SINE_MAX + 2, 3], [(0.0, 1.0)] * 2)
+    basis_op = LinearOperator(A0, harmonic)
+    # before the well's operator, which replaces the cached basis
+    assert basis_op._inverse is greens._potential_basis(harmonic)[0]
     ops = {
         "tridiagonal": LinearOperator(A0, make_problem(n=15)),
         "sine": LinearOperator(H1, harmonic),
-        "potential basis": LinearOperator(A0, harmonic),
+        "potential basis": basis_op,
         "dstn": LinearOperator(H1, Problem(long_grid, zero_potential(long_grid), 1.0)),
         "cg": LinearOperator(A0, well_problem(n=15)),
     }
-    assert ops["potential basis"]._inverse is greens._potential_basis(harmonic)[0]
     assert [op.exact for op in ops.values()] == [True, True, True, True, False]
     for name, op in ops.items():
         dof = op.grid.dof
@@ -645,6 +650,23 @@ def test_well_a0_solve_is_preconditioned_by_the_additive_part(dim, n, most):
     x = op.solve(rhs)
     assert 0 < op.iterations <= most
     assert np.linalg.norm(rhs - operator_matrix(op) @ x) <= CG_RTOL * np.linalg.norm(rhs)
+
+
+def test_solved_problems_leave_no_basis_behind():
+    # the caches hold the last problem's bases alone: once a0 has been
+    # solved on three problems in turn and they are dropped, the first two
+    # are freed, and a new operator on the third reuses its basis
+    problems = [make_problem(n=n, dim=2) for n in (15, 17, 19)]
+    for prob in problems:
+        run(prob, RunConfig(scheme=MetricKind.A0, max_iter=3))
+    refs = [weakref.ref(prob) for prob in problems]
+    last = problems[-1]
+    del problems, prob
+    gc.collect()
+    assert [ref() is None for ref in refs] == [True, True, False]
+    misses = greens._potential_basis.cache_info().misses
+    assert LinearOperator(A0, last).exact
+    assert greens._potential_basis.cache_info().misses == misses
 
 
 def test_potential_bases_are_built_once_per_problem():

@@ -142,6 +142,18 @@ def test_metric_au_requires_base():
         Metric(MetricKind.AU)
 
 
+def test_a0_diagonal_term_is_the_potential_itself():
+    # a0's D is V's own read-only values, no copy; H1's and a_u's are new
+    grid = grid_1d(7)
+    prob = Problem(grid, harmonic_potential(grid, 10.0), 10.0)
+    d = A0.diagonal_term(prob)
+    assert np.shares_memory(d, prob.V.values) and not d.flags.writeable
+    base = GridFunction(grid, np.ones(grid.dof))
+    for metric in (H1, Metric(MetricKind.AU, base=base)):
+        d = metric.diagonal_term(prob)
+        assert not np.shares_memory(d, prob.V.values) and d.flags.writeable
+
+
 def test_grid_mismatch_raises():
     u = GridFunction(grid_1d(3), [1.0, 2.0, 3.0])
     v = GridFunction(grid_1d(3, b=2.0), [1.0, 2.0, 3.0])
