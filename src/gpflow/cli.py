@@ -546,16 +546,18 @@ def cmd_spectrum(cfg: CliConfig) -> int:
 
 
 def cmd_sweep(cfg: CliConfig) -> int:
-    """One entry per alpha; a run that breaks down keeps its entry, with status
-    "breakdown" and null results, and the first breakdown is reported."""
+    """One entry per alpha, every alpha checked before the first run; a run that
+    breaks down or whose Green's solve fails keeps its entry, with status
+    "breakdown" and null results, and the first such error is reported."""
     problem, u0 = build_problem(cfg)
+    configs = [run_config(replace(cfg, mode="fixed", alpha0=alpha)) for alpha in cfg.alphas]
     entries, breakdown = [], None
-    for alpha in cfg.alphas:
+    for alpha, config in zip(cfg.alphas, configs):
         entry = {"alpha": alpha, "status": "breakdown", "lambda": None, "iterations": None,
                  "rho": None, "r_squared": None}
         try:
-            report = run(problem, run_config(replace(cfg, mode="fixed", alpha0=alpha)), u0=u0)
-        except FlowBreakdownError as exc:
+            report = run(problem, config, u0=u0)
+        except (FlowBreakdownError, GreenSolveError) as exc:
             breakdown = breakdown or exc
         else:
             entry["status"] = report.status

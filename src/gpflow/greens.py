@@ -47,7 +47,7 @@ def laplacian_inverse(grid: Grid, shift) -> Callable[[np.ndarray], np.ndarray]:
     DST-I pair with the sine eigenvalues shifted by mean(shift): exact when
     the shift is constant, and otherwise the inverse of -Laplacian +
     mean(shift).  On axes of at most DENSE_SINE_MAX nodes each transform is
-    ``axis_products`` with the grid's sine factors, bound here once, since
+    ``axis_products`` with ``sine_basis``' factors, bound here once, since
     scipy's per-call overhead dominates there.  A longer axis takes
     ``scipy.fft.dstn`` (~0.1 s to import), where a dense product's O(n)
     cost per unknown loses to the FFT and S_n would take n^2 doubles: the
@@ -56,13 +56,13 @@ def laplacian_inverse(grid: Grid, shift) -> Callable[[np.ndarray], np.ndarray]:
     """
     if grid.dim > 1:
         shift = np.asarray(shift)  # its mean as np.mean takes it, sum / size
-        eig = sine_basis(grid).ravel() + float(np.add.reduce(shift, axis=None)) / shift.size
-        if max(grid.n) > DENSE_SINE_MAX:
+        eig, factors = sine_basis(grid)
+        eig = eig.ravel() + float(np.add.reduce(shift, axis=None)) / shift.size
+        if factors is None:
             from scipy.fft import dstn
 
             eig, dst = eig.reshape(grid.n), functools.partial(dstn, type=1, norm="ortho")
             return lambda r: dst(dst(r.reshape(grid.n)) / eig).ravel()
-        factors = grid._sine_factors
         return lambda r: axis_products(grid, axis_products(grid, r, factors) / eig, factors)
     from scipy.linalg.lapack import dpttrf, dpttrs
 

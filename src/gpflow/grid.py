@@ -2,10 +2,10 @@
 broadcasts per-axis values to their shape), functions on their interior
 nodes, and the kernels of the discrete -Laplacian and its form:
 ``neg_laplacian`` (the stencil product), ``neg_laplacian_norm`` (its
-inf-norm), ``sine_basis`` (its DST-I spectrum), ``axis_products`` (the
-per-axis transforms the solves run) and ``_dirichlet_forms`` (the form
-a(u, v), which ``inner`` and ``dirichlet_moments`` read).  Each kernel's
-docstring says how it computes.
+inf-norm), ``sine_basis`` (its DST-I spectrum and eigenvectors),
+``axis_products`` (the per-axis transforms the solves run) and
+``_dirichlet_forms`` (the form a(u, v), which ``inner`` and
+``dirichlet_moments`` read).  Each kernel's docstring says how it computes.
 """
 
 from __future__ import annotations
@@ -85,11 +85,6 @@ class Grid:
         return (padded, size, lo, size - lo, (slice(1, -1),) * self.dim,
                 sum(2.0 / h**2 for h in self.h),
                 tuple((1.0 / h**2, tuple(group)) for h, group in groups.items()))
-
-    @functools.cached_property
-    def _sine_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """``axis_products``' factors of the sine transform: (S_n, S_n) per axis."""
-        return tuple((_sine_matrix(n),) * 2 for n in self.n)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         """Interior node coordinates along one axis."""
@@ -235,40 +230,41 @@ def neg_laplacian_norm(grid: Grid, diagonal_term: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=1)
-def sine_basis(grid: Grid) -> np.ndarray:
-    """The DST-I eigenvalues of the grid's -Laplacian, shaped like the grid
-    and read-only.  The cache holds the spectrum of the grid asked for last,
-    and only it, keyed by the grid's value so that equal grids share one
-    array: a call on another grid replaces it.
+def sine_basis(grid: Grid) -> tuple[np.ndarray, tuple | None]:
+    """The fast diagonalization of the grid's -Laplacian by the DST-I (Lynch,
+    Rice and Thomas, Numer. Math. 6, 1964): (eig, factors), read-only.  The
+    cache holds the basis of the grid asked for last, and only it, keyed by
+    the grid's value so that equal grids share one: a call on another grid
+    replaces it.
 
-    Along an axis with n nodes and spacing h the eigenvalue of the k-th sine
-    mode is (4/h^2) sin^2(pi k / (2(n + 1))); the box operator is the
-    Kronecker sum, so its eigenvalues broadcast to the grid's shape; the
-    first entry (k = 1 on every axis) is the smallest.
+    ``eig`` is the spectrum, shaped like the grid.  Along an axis with n
+    nodes and spacing h the eigenvalue of the k-th sine mode is
+    (4/h^2) sin^2(pi k / (2(n + 1))); the box operator is the Kronecker sum,
+    so its eigenvalues broadcast to the grid's shape; the first entry (k = 1
+    on every axis) is the smallest.
+
+    ``factors`` is ``axis_products``' pair (S_n, S_n) per axis, on grids of
+    two or three axes of at most DENSE_SINE_MAX nodes, and None on every
+    other grid.  S_n is the orthonormal DST-I matrix, one per distinct n:
+    S_jk = sqrt(2/(n+1)) sin(pi j k / (n+1)) for j, k = 1..n, with the
+    argument reduced exactly: j k mod 2(n+1) is an integer, so the sine's
+    argument stays in [0, 2 pi) and carries one rounding, not the error of
+    pi j k for large j k.  S_n is exactly symmetric and S_n^2 = I.
     """
     eig = np.zeros(grid.n)
     for axis, (n, h) in enumerate(zip(grid.n, grid.h)):
         k = np.arange(1, n + 1)
         eig = eig + grid.along(axis, (4.0 / h**2) * np.sin(np.pi * k / (2 * (n + 1))) ** 2)
     eig.setflags(write=False)
-    return eig
-
-
-@functools.cache
-def _sine_matrix(n: int) -> np.ndarray:
-    """The orthonormal DST-I matrix S_n, read-only.
-
-    S_jk = sqrt(2/(n+1)) sin(pi j k / (n+1)) for j, k = 1..n, with the
-    argument reduced exactly: j k mod 2(n+1) is an integer, so the sine's
-    argument stays in [0, 2 pi) and carries one rounding, not the error of
-    pi j k for large j k.  S_n is exactly symmetric and S_n^2 = I.  Only
-    axes of at most DENSE_SINE_MAX nodes ask for it, which bounds the cache.
-    """
-    j = np.arange(1, n + 1)
-    phase = np.outer(j, j) % (2 * (n + 1))
-    matrix = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * phase / (n + 1))
-    matrix.setflags(write=False)
-    return matrix
+    if grid.dim == 1 or max(grid.n) > DENSE_SINE_MAX:
+        return eig, None
+    matrices = {}
+    for n in set(grid.n):
+        j = np.arange(1, n + 1)
+        phase = np.outer(j, j) % (2 * (n + 1))
+        matrices[n] = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * phase / (n + 1))
+        matrices[n].setflags(write=False)
+    return eig, tuple((matrices[n],) * 2 for n in grid.n)
 
 
 def axis_products(grid: Grid, x: np.ndarray, factors) -> np.ndarray:

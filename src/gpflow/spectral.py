@@ -157,7 +157,7 @@ def _eigen_preconditioner(op: LinearOperator, x: np.ndarray):
     (A - sigma + alpha)^-1 up to a scale, which LOBPCG ignores.  ``r`` is
     one vector (dof,).
     """
-    eig = sine_basis(op.grid)
+    eig, _ = sine_basis(op.grid)
     weight = x * x / float(x @ x)
     sigma = float(op.diagonal_term @ weight)
     kinetic = max(float(x @ neg_laplacian(op.grid, x)) / float(x @ x), 0.0)
@@ -245,7 +245,7 @@ def _ritz_coefficients(S: np.ndarray, AS: np.ndarray) -> np.ndarray:
 def laplacian_min_eigenvalue(grid: Grid) -> float:
     """Smallest eigenvalue of the discrete Dirichlet -Laplacian: the first
     entry of the grid's sine spectrum (the k = 1 mode on every axis)."""
-    return float(sine_basis(grid).flat[0])
+    return float(sine_basis(grid)[0].flat[0])
 
 
 def estimate_poincare(grid: Grid) -> float:

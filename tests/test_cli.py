@@ -288,6 +288,34 @@ def test_sweep_keeps_its_entries_past_a_breakdown(tmp_path, capsys):
     assert list(broken) == list(converged)
 
 
+def test_sweep_keeps_its_entries_past_a_failed_green_solve(tmp_path, capsys):
+    # at beta = 1e300 every a_u run's CG stops short of its tolerance: each
+    # alpha keeps a breakdown entry, and the first failure is reported
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--dim", "3", "--n", "5", "--beta", "1e300", "--scheme", "au",
+            "--alphas", "0.5,1e-3", "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: preconditioned CG stopped short")
+    entries = json.loads(out.read_text())["sweep"]
+    assert [(e["alpha"], e["status"]) for e in entries] == [(0.5, "breakdown"),
+                                                           (1e-3, "breakdown")]
+
+
+def test_sweep_checks_every_alpha_before_its_first_run(monkeypatch, capsys):
+    runs, flow_run = [], cli.run
+
+    def counting_run(*args, **kwargs):
+        runs.append(args)
+        return flow_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", counting_run)
+    assert main(["sweep", "--n", "63", "--alphas", "0.1,0.2,-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: need alpha0 >= alpha_floor > 0\n"
+    assert runs == []
+
+
 def test_a_call_reads_its_start_file_once(tmp_path, monkeypatch, capsys):
     # build_problem reads the start file, and its values reach every run of
     # the call unretracted, as run's u0, which each run retracts once
@@ -541,6 +569,27 @@ def test_scipy_is_imported_in_one_function():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, [])
     assert owners and set(owners) == {("greens", "laplacian_inverse")}, owners
+
+
+def test_every_cache_holds_one_entry():
+    # static: every functools.cache and lru_cache of the package is
+    # lru_cache(maxsize=1), so a cache holds what its last call built and
+    # nothing of a finished problem or grid stays alive in it
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "gpflow"
+
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    caches, one_entry = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if name(node) in ("cache", "lru_cache"):
+                caches.append((path.stem, node.lineno))
+            if (isinstance(node, ast.Call) and name(node.func) == "lru_cache" and not node.args
+                    and [(k.arg, getattr(k.value, "value", None)) for k in node.keywords]
+                    == [("maxsize", 1)]):
+                one_entry.append((path.stem, node.lineno))
+    assert caches and sorted(caches) == sorted(one_entry), caches
 
 
 def test_one_axis_calls_load_scipy_linalg_only(tmp_path):

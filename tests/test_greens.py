@@ -1,8 +1,10 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -603,17 +605,22 @@ def test_potential_solves_match_dense_solve(case):
     # the a0 operator, and the a_u operator at beta = 0, solve -Laplacian
     # + V with the additive part's bases, exactly when the remainder's
     # bound meets CG_RTOL and as CG's preconditioner otherwise; either way
-    # the result is the dense solve's, from any start
+    # the result is the dense solve's, from any start.  Both operators' D is
+    # V bit for bit, so they share one dense matrix, split bound and
+    # Cholesky factorization
     prob, rng = case
     dof = prob.grid.dof
     base = GridFunction(prob.grid, rng.uniform(-2.0, 2.0, dof))
-    for metric in (A0, Metric(MetricKind.AU, base=base)):
+    au = Metric(MetricKind.AU, base=base)
+    assert np.array_equal(au.diagonal_term(prob), prob.V.values)
+    matrix = operator_matrix(LinearOperator(A0, prob)).toarray()
+    max_r, lam_min = _split_bound(prob, matrix)
+    factors = scipy.linalg.cho_factor(matrix)
+    for metric in (A0, au):
         op = LinearOperator(metric, prob)
-        matrix = operator_matrix(op).toarray()
-        max_r, lam_min = _split_bound(prob, matrix)
         assert op.exact is bool(max_r <= CG_RTOL * lam_min)
         rhs = rng.standard_normal(dof)
-        expected = np.linalg.solve(matrix, rhs)
+        expected = scipy.linalg.cho_solve(factors, rhs)
         for x0 in (None, rng.standard_normal(dof)):
             x = op.solve(rhs, x0=x0)
             assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -667,6 +674,24 @@ def test_solved_problems_leave_no_basis_behind():
     misses = greens._potential_basis.cache_info().misses
     assert LinearOperator(A0, last).exact
     assert greens._potential_basis.cache_info().misses == misses
+
+
+def test_solves_on_a_run_of_grids_hold_one_sine_basis():
+    # H1 solves on 2D grids 8^2 ... 64^2 in turn, each grid dropped after,
+    # leave only the last grid's sine basis held: S_64 and its spectrum,
+    # 65 KB, where one S_n kept per length would be about 760 KB
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        for n in range(8, 65):
+            prob = make_problem(n=n, dim=2)
+            solve_green(H1, prob, GridFunction(prob.grid, np.ones(prob.grid.dof)))
+        del prob
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert held < 128 * 1024, held
 
 
 def test_potential_bases_are_built_once_per_problem():

@@ -25,7 +25,6 @@ from gpflow.grid import (
     norm,
     norm_l2,
     sine_basis,
-    _sine_matrix,
 )
 from gpflow.energy import retract
 from gpflow.flows import initial_guess
@@ -263,7 +262,7 @@ def test_sine_spectrum_is_the_laplacian_spectrum_property(case):
     # the closed-form sine spectrum against a dense eigensolve of the one
     # -Laplacian matrix, on boxes with unequal sides
     grid = case[0].grid
-    eig = sine_basis(grid)
+    eig, _ = sine_basis(grid)
     dense = scipy.linalg.eigvalsh(laplacian_matrix(grid).toarray())  # ascending
     closed = np.sort(eig.ravel())
     np.testing.assert_allclose(closed, dense, rtol=1e-12, atol=0.0)
@@ -272,24 +271,31 @@ def test_sine_spectrum_is_the_laplacian_spectrum_property(case):
 
 
 @PROPERTY_SETTINGS
-@given(st.lists(st.integers(1, 40), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+@given(st.lists(st.integers(1, 40), min_size=2, max_size=3), st.integers(0, 2**32 - 1))
 @example([DENSE_SINE_MAX, 2], 0)  # the longest dense axis: needs the exact reduction
 def test_sine_transform_is_the_orthonormal_dst_property(n, seed):
-    # a vector (dof,) through the grid's sine factors against scipy's DST-I
-    # over the grid; the transform is its own inverse, and every S_n is
-    # symmetric.  Longer axes take dstn itself (greens.laplacian_inverse).
+    # a vector (dof,) through sine_basis' factors against scipy's DST-I over
+    # the grid; the transform is its own inverse, and every S_n is symmetric.
+    # Only two or three axes of at most DENSE_SINE_MAX nodes have factors:
+    # one axis and longer axes take dpttrs and dstn (greens.laplacian_inverse).
     grid = build_grid(len(n), n, [(0.0, 1.0)] * len(n))
+    _, factors = sine_basis(grid)
     x = np.random.default_rng(seed).standard_normal(grid.dof)
-    y = axis_products(grid, x, grid._sine_factors)
+    y = axis_products(grid, x, factors)
     assert y.shape == x.shape
     ref = scipy.fft.dstn(x.reshape(grid.n), type=1, norm="ortho")
     scale = np.max(np.abs(ref))
     np.testing.assert_allclose(y, ref.reshape(x.shape), rtol=0.0, atol=1e-14 * scale)
     np.testing.assert_allclose(
-        axis_products(grid, y, grid._sine_factors), x, rtol=0.0, atol=1e-14 * np.max(np.abs(x))
+        axis_products(grid, y, factors), x, rtol=0.0, atol=1e-14 * np.max(np.abs(x))
     )
-    for k in grid.n:
-        assert np.array_equal(_sine_matrix(k), _sine_matrix(k).T)
+    for k, (matrix, transposed) in zip(n, factors):
+        # one S_n per distinct n, exactly symmetric
+        assert matrix is transposed is factors[n.index(k)][0]
+        assert np.array_equal(matrix, matrix.T)
+    for other in (build_grid(1, n[:1], [(0.0, 1.0)]),
+                  build_grid(2, [DENSE_SINE_MAX + 1, 2], [(0.0, 1.0)] * 2)):
+        assert sine_basis(other)[1] is None
 
 
 def _padded_difference_form(u, v):

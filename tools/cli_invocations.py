@@ -52,6 +52,10 @@ EXTRA = (
      ["run", "--dim", "2", "--n", "31", "--beta", "100", "--scheme", "au", "--potential",
       "harmonic:20"]),
     ("sweep-breakdown", ["sweep", "--n", "7", "--beta", "10", "--alphas", "0.1,1e200"]),
+    # a Green's solve that fails keeps its alpha's entry too
+    ("sweep-cg-failure",
+     ["sweep", "--dim", "3", "--n", "5", "--beta", "1e300", "--scheme", "au", "--alphas",
+      "0.5,1e-3"]),
     ("run-alpha0-1e10",
      ["run", "--n", "7", "--beta", "10", "--alpha0", "1e10", "--max-iter", "200"]),
     ("run-alpha0-1e20",
