@@ -91,13 +91,19 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     The second keeps tol above the roundoff floor of the residual itself,
     about eps ||A||_inf, which the first term falls below on fine grids.
     After the solver stops (converged, or after 500 iterations) both
-    residuals are recomputed from the returned vectors and their Rayleigh
-    quotients, and a pair above tol raises RuntimeError naming them.  The
-    report's ``iterations`` is 0 when the start block already met the
+    residuals are recomputed from the returned vectors, their Rayleigh
+    quotients and the solver's last products with them, which are explicit
+    ``op.apply`` results of those rows, so no product is taken twice; a
+    pair above tol, or a NaN residual, raises RuntimeError naming them.
+    The report's ``iterations`` is 0 when the start block already met the
     request.
 
+    The start block is written into the solver's rows and dropped before
+    it runs: a call holds about 23 vectors of the grid at its peak.
+
     Grids with fewer than 3 interior unknowns raise ValueError; a gap
-    lambda1 - lambda0 below 1e-12 raises EigengapDegenerateError.
+    lambda1 - lambda0 below 1e-12 raises EigengapDegenerateError; a
+    Rayleigh-Ritz breakdown (``_ritz_coefficients``) raises RuntimeError.
     """
     grid = op.grid
     n = grid.dof
@@ -107,18 +113,20 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
         1e-10 * (laplacian_min_eigenvalue(grid) + float(op.diagonal_term.min())),
         16.0 * np.finfo(float).eps * neg_laplacian_norm(grid, op.diagonal_term),
     )
-    vecs = np.random.default_rng(0).uniform(0.5, 1.5, (n, 2))  # the start block
+    start = np.random.default_rng(0).uniform(0.5, 1.5, (n, 2))  # the start block
     if op.metric.base is not None:
-        vecs[:, 0] = op.metric.base.values
-    precondition = _eigen_preconditioner(op, vecs[:, 0])
-    rows, iterations = _lobpcg(op.apply, np.ascontiguousarray(vecs.T), precondition, tol / 10)
-    products = np.array([op.apply(x) for x in rows])
+        start[:, 0] = op.metric.base.values
+    precondition = _eigen_preconditioner(op, start[:, 0])
+    S = np.zeros((6, n))  # _lobpcg's rows, the start block first
+    S[:2] = start.T
+    del start
+    rows, products, iterations = _lobpcg(op.apply, S, precondition, tol / 10)
     vals = np.sum(rows * products, axis=1) / np.sum(rows * rows, axis=1)
     order = np.argsort(vals)
     vals, rows, products = vals[order], rows[order], products[order]
     residuals = np.linalg.norm(products - vals[:, None] * rows, axis=1)
     residuals /= np.linalg.norm(rows, axis=1)
-    if np.any(residuals > tol):
+    if not np.all(residuals <= tol):  # NaN residuals fail too
         raise RuntimeError(
             f"LOBPCG stopped at eigen-residuals {residuals[0]:.3e}, {residuals[1]:.3e} "
             f"above tolerance {tol:.3e}"
@@ -170,54 +178,62 @@ def _eigen_preconditioner(op: LinearOperator, x: np.ndarray):
     return lambda r: scale * inverse(scale * r)
 
 
-def _lobpcg(apply, X: np.ndarray, precondition, tol: float, maxiter: int = 500):
-    """Rows spanning the two lowest eigenvectors of the symmetric A, by
-    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) from the start rows
-    X (2, n), and the iterations it ran.
+def _lobpcg(apply, S: np.ndarray, precondition, tol: float, maxiter: int = 500):
+    """Rows X (2, n) spanning the two lowest eigenvectors of the symmetric
+    A, their products A X and the iterations run, by LOBPCG (Knyazev, SIAM
+    J. Sci. Comput. 23, 2001) from the start rows in S[:2].  X and A X are
+    views of the solver's blocks, and A X is ``apply`` of X's final rows,
+    so a caller may use it as their product bit for bit.
 
-    Blocks are contiguous rows, one per vector, because ``apply``
-    (x -> A x) and ``precondition`` take one row at a time.  Each iteration
-    runs Rayleigh-Ritz on the rows S = [X; W; P] (``_ritz_coefficients``),
-    W being the preconditioned residuals of the active pairs and P their
-    previous steps; X and P then come from the Ritz coefficients.  W and P
-    are made orthogonal to X, which leaves span(S) as it is (the basis
-    handling of Hetmaniuk and Lehoucq, J. Comput. Phys. 218, 2006), and
-    every product with A is explicit: an A P updated from the coefficients
-    drifts from the true product by a factor that grows in each iteration
-    whose update cancels, and on a nearly degenerate pair (two pockets of a
-    potential) it grew from roundoff to overflow within 350 iterations.  A
-    pair whose residual ||A x - lambda x|| (x unit, lambda its Rayleigh
-    quotient) is at most ``tol`` is soft-locked: it stays in the
-    Rayleigh-Ritz but gets no W or P row, so it is not pulled off while the
-    other pair converges.  Stops when both pairs meet ``tol`` or after
-    ``maxiter`` iterations, converged or not.
+    S (6, n) is the solver's block of rows [X; W; P], written in place, so
+    the caller need hold no other copy of the start.  Blocks are contiguous
+    rows, one per vector, because ``apply`` (x -> A x) and ``precondition``
+    take one row at a time, and each result is written straight into its row
+    of S or of A S.  Each iteration runs Rayleigh-Ritz on the rows of S
+    (``_ritz_coefficients``), W being the preconditioned residuals of the
+    active pairs and P their previous steps; X and P then come from the Ritz
+    coefficients.  W and P are made orthogonal to X, which leaves span(S) as
+    it is (the basis handling of Hetmaniuk and Lehoucq, J. Comput. Phys.
+    218, 2006), and every product with A is explicit: an A P updated from
+    the coefficients drifts from the true product by a factor that grows in
+    each iteration whose update cancels, and on a nearly degenerate pair
+    (two pockets of a potential) it grew from roundoff to overflow within
+    350 iterations.  A pair whose residual ||A x - lambda x|| (x unit,
+    lambda its Rayleigh quotient) is at most ``tol`` is soft-locked: it
+    stays in the Rayleigh-Ritz but gets no W or P row, so it is not pulled
+    off while the other pair converges.  Stops when both pairs meet ``tol``
+    or after ``maxiter`` iterations, converged or not.
     """
-    n = X.shape[1]
-    S, AS = np.zeros((6, n)), np.zeros((6, n))  # rows [X; W; P] and their products
-    P = np.zeros((2, n))
-    S[:2] = X
-    AS[:2] = [apply(x) for x in X]
+    n = S.shape[1]
+    AS, P, R = np.zeros((6, n)), np.zeros((2, n)), np.empty((2, n))
+    X, AX = S[:2], AS[:2]
+    for i in range(2):
+        AX[i] = apply(X[i])
     m = 2  # rows of S in use
     for iteration in range(maxiter + 1):
         C = _ritz_coefficients(S[:m], AS[:m])
         if m > 2:
             np.matmul(C[2:].T, S[2:m], out=P)
-        S[:2] = C[:2].T @ S[:2] + P
-        S[:2] /= np.linalg.norm(S[:2], axis=1)[:, None]
-        AS[:2] = [apply(x) for x in S[:2]]
-        X, AX = S[:2], AS[:2]
-        R = AX - np.sum(X * AX, axis=1)[:, None] * X
+        np.add(C[:2].T @ X, P, out=X)
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        for i in range(2):
+            AX[i] = apply(X[i])
+        np.multiply(X, AX, out=R)
+        np.multiply(R.sum(axis=1)[:, None], X, out=R)
+        np.subtract(AX, R, out=R)
         active = np.flatnonzero(np.linalg.norm(R, axis=1) > tol)
         if active.size == 0 or iteration == maxiter:
-            return X, iteration
-        directions = [precondition(R[i]) for i in active]
-        if iteration > 0:  # P exists from the second iteration on
-            directions += [P[i] for i in active]
-        m = 2 + len(directions)
+            return X, AX, iteration
+        k = active.size
+        m = 2 + (2 * k if iteration > 0 else k)  # P exists from the second iteration on
+        for j, i in enumerate(active):
+            S[2 + j] = precondition(R[i])
+            if iteration > 0:
+                S[2 + k + j] = P[i]
         D = S[2:m]
-        D[:] = directions
         D -= (D @ X.T) @ X
-        AS[2:m] = [apply(d) for d in D]
+        for j in range(2, m):
+            AS[j] = apply(S[j])
 
 
 def _ritz_coefficients(S: np.ndarray, AS: np.ndarray) -> np.ndarray:
@@ -229,16 +245,25 @@ def _ritz_coefficients(S: np.ndarray, AS: np.ndarray) -> np.ndarray:
     fall below RITZ_DROP times the largest are dropped, and the others,
     scaled by their eigenvalues^(-1/2), give an orthonormal basis of the
     span's well-conditioned part (SVQB: Duersch, Shao, Yang and Gu, SIAM J.
-    Sci. Comput. 40, 2018).  Rayleigh-Ritz runs in that basis.
+    Sci. Comput. 40, 2018).  Rayleigh-Ritz runs in that basis.  It breaks
+    down, raising RuntimeError, when an ``eigh`` does not converge or
+    fewer than two directions are kept, as when the products overflow.
     """
     gram, stiffness = S @ S.T, S @ AS.T
     d = np.diag(gram)
     scale = np.divide(1.0, np.sqrt(d), out=np.zeros_like(d), where=d > 0.0)
-    theta, U = np.linalg.eigh(gram * np.outer(scale, scale))
-    keep = theta > RITZ_DROP * theta[-1]
-    basis = (scale[:, None] * U[:, keep]) / np.sqrt(theta[keep])
-    reduced = basis.T @ stiffness @ basis
-    _, Y = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    try:
+        theta, U = np.linalg.eigh(gram * np.outer(scale, scale))
+        keep = theta > RITZ_DROP * theta[-1]
+        basis = (scale[:, None] * U[:, keep]) / np.sqrt(theta[keep])
+        reduced = basis.T @ stiffness @ basis
+        _, Y = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"LOBPCG's Rayleigh-Ritz broke down: {exc}") from exc
+    if Y.shape[1] < 2:
+        raise RuntimeError(
+            f"LOBPCG's Rayleigh-Ritz broke down: {Y.shape[1]} of {len(d)} directions kept, 2 needed"
+        )
     return basis @ Y[:, :2]
 
 

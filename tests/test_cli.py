@@ -624,9 +624,9 @@ def test_empty_node_value_file_prints_one_error_line(flags, tmp_path):
     assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: "), result.stderr
 
 
-def _stall_lobpcg(A, X, *args, **kwargs):
-    # the start rows back, after no iteration: no eigenpairs
-    return X, 0
+def _stall_lobpcg(A, S, *args, **kwargs):
+    # the start rows and their products back, after no iteration: no eigenpairs
+    return S[:2], np.array([A(x) for x in S[:2]]), 0
 
 
 def test_spectrum_byte_identical(tmp_path):

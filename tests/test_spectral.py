@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gpflow import spectral
-from gpflow.flows import RunConfig, run
+from gpflow.flows import RunConfig, initial_guess, run
 from gpflow.greens import LinearOperator
 from gpflow.grid import (
     A0, GridFunction, H1, Metric, MetricKind, build_grid, neg_laplacian_norm, norm_l2,
@@ -255,8 +256,8 @@ def test_lowest_two_eigen_headroom_under_perturbed_preconditioner(monkeypatch, n
 
 
 def test_lowest_two_eigen_rejects_unconverged_pairs(monkeypatch):
-    def start_unchanged(A, X, *args, **kwargs):
-        return X, 0
+    def start_unchanged(A, S, *args, **kwargs):
+        return S[:2], np.array([A(x) for x in S[:2]]), 0
 
     monkeypatch.setattr(spectral, "_lobpcg", start_unchanged)
     grid = build_grid(2, [15, 15], [(0.0, 1.0)] * 2)
@@ -264,6 +265,69 @@ def test_lowest_two_eigen_rejects_unconverged_pairs(monkeypatch):
     with pytest.raises(RuntimeError, match="above tolerance") as info:
         lowest_two_eigen(op)
     assert not isinstance(info.value, EigengapDegenerateError)
+
+
+harmonic_20 = functools.partial(harmonic_potential, omega=20.0)
+
+
+def bump_linearization(dim, n, beta, potential=zero_potential):
+    """The operator linearized at the default bump of a dim-D n^dim grid."""
+    grid = build_grid(dim, [n] * dim, [(0.0, 1.0)] * dim)
+    prob = Problem(grid, potential(grid), beta)
+    return linearized_operator(prob, initial_guess(prob, "default_bump"))
+
+
+@pytest.mark.parametrize(
+    "dim, n, beta, match",
+    [
+        (2, 7, 1e150, "Rayleigh-Ritz broke down"),  # eigh does not converge
+        (2, 7, 1e200, "Rayleigh-Ritz broke down"),  # no direction is kept
+        (2, 7, 1e300, "Rayleigh-Ritz broke down"),
+        (1, 63, 1e300, "Rayleigh-Ritz broke down"),
+        (2, 15, 1e300, "Rayleigh-Ritz broke down"),
+        (3, 7, 1e300, "Rayleigh-Ritz broke down"),
+        (2, 7, 1e308, "above tolerance"),  # D overflows: NaN residuals
+    ],
+)
+def test_lowest_two_eigen_breakdown_is_a_runtime_error(dim, n, beta, match):
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=match) as info:
+        lowest_two_eigen(bump_linearization(dim, n, beta))
+    assert not isinstance(info.value, EigengapDegenerateError)
+
+
+def test_lowest_two_eigen_working_set():
+    # the traced peak of one call, in vectors of the grid: the six rows of
+    # S and of A S, the step P and the residuals R, and the temporaries of
+    # one apply or preconditioner call (23.0 on this operator)
+    op = bump_linearization(3, 19, 100.0, harmonic_20)
+    first = lowest_two_eigen(op)  # fills the sine-basis cache and imports scipy
+    tracemalloc.start()
+    try:
+        report = lowest_two_eigen(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.lambda0, report.lambda1) == (first.lambda0, first.lambda1)
+    assert peak < 25 * 8 * op.grid.dof
+
+
+@pytest.mark.parametrize("dim, n", [(1, 63), (2, 15), (3, 7)])
+def test_lowest_two_eigen_reads_explicit_products(monkeypatch, dim, n):
+    # the products lowest_two_eigen takes from _lobpcg are op.apply of the
+    # returned rows, bit for bit: no product updated from Ritz coefficients
+    returned = []
+
+    def recording(*args, **kwargs):
+        returned.append(lobpcg(*args, **kwargs))
+        return returned[-1]
+
+    lobpcg = spectral._lobpcg
+    monkeypatch.setattr(spectral, "_lobpcg", recording)
+    op = bump_linearization(dim, n, 100.0, harmonic_20)
+    report = lowest_two_eigen(op)
+    (rows, products, iterations), = returned
+    assert iterations == report.iterations > 0
+    assert np.array_equal(products, np.array([op.apply(x) for x in rows]))
 
 
 @pytest.mark.parametrize(
