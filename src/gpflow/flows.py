@@ -8,7 +8,6 @@ every accepted step without knowing the admissible-stepsize constant.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -151,16 +150,17 @@ def run(
     When ``u0`` is given, the run starts from retract(u0) and ``cfg.init`` is
     ignored.
 
+    h1 and a0 build one operator per run, and a_u one per record, at u.
     The first step's solves, and every solve of an ``exact`` operator
     (``LinearOperator.exact``), stop at greens.CG_RTOL; every later one at
     the forcing term clamp(CG_FORCING * previous residual, CG_RTOL,
-    CG_RTOL_MAX).  One rule keeps the state that ends a run tight: a step
-    that would end the run from a loosely solved state (none is taken,
-    because the residual meets ``cfg.tol`` or n == max_iter, or a
-    backtracking search returns unaccepted) first re-solves the state at u
-    at CG_RTOL, started from the loose solutions, and is then decided again
-    on it; a stalled fixed step stands, on the re-solved state where CG
-    reaches CG_RTOL.  Each record carries its step's line-search trials and
+    CG_RTOL_MAX).  One rule keeps the state that ends a run certified: when
+    ``_decide`` ends the run from a loosely solved state, the state at u is
+    solved again at CG_RTOL, started from the loose solutions, and the step
+    is decided again on it; a fixed step that stalled stands, on the
+    re-solved state.  Where CG cannot bring that state to CG_RTOL, the
+    re-solve raises greens.GreenSolveError, so no run ends on a number it
+    cannot certify.  Each record carries its step's line-search trials and
     CG iterations, a re-solve's included.
 
     A step whose retracted iterate equals u or one of the 7 iterates before
@@ -199,9 +199,7 @@ def run(
 def _iterate(problem, cfg, u, reference, records):
     """run's loop from u: appends one record per iteration to ``records`` and
     returns (final iterate, status, largest drift of ||u|| from 1)."""
-    fixed_op = None
-    if cfg.scheme in (MetricKind.H1, MetricKind.A0):
-        fixed_op = LinearOperator(Metric(cfg.scheme), problem)
+    op = None
     backtracking = cfg.policy.mode == "backtracking"
 
     max_drift = 0.0
@@ -210,8 +208,7 @@ def _iterate(problem, cfg, u, reference, records):
     recent = deque([u], maxlen=8)  # u and the 7 iterates before it, held by reference
 
     for n in range(cfg.max_iter + 1):
-        op = fixed_op
-        if cfg.scheme is MetricKind.AU:
+        if op is None or cfg.scheme is MetricKind.AU:
             op = LinearOperator(Metric(cfg.scheme, u), problem)
         rtol = greens.CG_RTOL
         if state is not None and not op.exact:
@@ -222,36 +219,23 @@ def _iterate(problem, cfg, u, reference, records):
         cg_iterations = state.cg_iterations
         delta = _h1_distance(u, reference) if reference is not None else None
 
-        step, stalled, trials = _decide(problem, cfg, n, u, state, recent)
-        ends_run = step is None or backtracking and not step[3]  # step[3]: accepted
-        if ends_run and rtol > greens.CG_RTOL:
-            # a loose state would end the run: decide the step again at a tight one
+        step, status, trials = _decide(problem, cfg, n, u, state, recent)
+        if status is not None and rtol > greens.CG_RTOL:
+            # the run would end on a loose state: solve it again at CG_RTOL,
+            # and decide the step again on it, unless a fixed step stalled
             state = _solve_state(cfg.scheme, problem, u.values, uu, op, state, greens.CG_RTOL)
             cg_iterations += state.cg_iterations
-            step, stalled, tried = _decide(problem, cfg, n, u, state, recent)
-            trials += tried
-        elif stalled and rtol > greens.CG_RTOL:
-            # a stalled fixed step stands, on the tight state where CG reaches
-            # CG_RTOL (at beta = 1e300 it may not, and the loose state stays)
-            with contextlib.suppress(greens.GreenSolveError):
-                state = _solve_state(cfg.scheme, problem, u.values, uu, op, state, greens.CG_RTOL)
-                cg_iterations += state.cg_iterations
-
-        alpha, u_next, decrease, accepted = step or (0.0, u, 0.0, True)
+            if backtracking or step[1] is u:  # step[1] is u: no step is taken
+                step, status, tried = _decide(problem, cfg, n, u, state, recent)
+                trials += tried
+        alpha, u_next, decrease, accepted = step
         records.append(
             IterationRecord(
                 n, current_energy, state.residual, state.gamma, alpha, decrease, accepted,
                 delta, trials, cg_iterations,
             )
         )
-        if step is None:
-            status = "converged" if state.residual <= cfg.tol else "max_iter"
-            break
-        if stalled:
-            status = "stalled"
-            break
-        if not accepted and backtracking:
-            status = "stepsize_floor"
+        if status is not None:
             break
         current_energy -= decrease
         u = u_next
@@ -260,9 +244,15 @@ def _iterate(problem, cfg, u, reference, records):
 
 
 def _decide(problem, cfg, n, u, state, recent):
-    """Step n from u along ``state``: (step, stalled, trials), step being
-    (alpha, u_next, decrease, accepted), or None when none is taken (the
-    residual meets ``cfg.tol``, or n == max_iter).
+    """Step n from u along ``state``, and the one decision of whether it
+    ends the run: (step, status, trials), step being (alpha, u_next,
+    decrease, accepted).  ``status`` is None while the run goes on, and
+    otherwise "converged" or "max_iter" when no step is taken (the residual
+    meets ``cfg.tol``, or n == max_iter; a NaN residual is "max_iter"; the
+    step is then (0.0, u, 0.0, True)), "stalled" when the retracted iterate
+    equals u or one of ``recent`` bit for bit (the step is then unaccepted
+    and decreases nothing), or "stepsize_floor" when a backtracking search
+    ends unaccepted.
 
     Trials read ``_step_decreases``' model on the state's moments, and only
     the step returned is retracted, once, into a GridFunction.  alpha is the
@@ -271,7 +261,7 @@ def _decide(problem, cfg, n, u, state, recent):
     last trial unaccepted.
     """
     if not state.residual > cfg.tol or n == cfg.max_iter:  # a NaN residual takes none
-        return None, False, 0
+        return (0.0, u, 0.0, True), "converged" if state.residual <= cfg.tol else "max_iter", 0
     policy, g = cfg.policy, state.riemannian_gradient
     decrease_at = _step_decreases(state.moments)
     res_sq = state.residual**2
@@ -289,10 +279,10 @@ def _decide(problem, cfg, n, u, state, recent):
     # is compared first, so a miss costs one scalar test
     x, k = u_next.values, u.values.size // 2
     xk = x[k]
-    stalled = any(v.values[k] == xk and np.array_equal(x, v.values) for v in recent)
-    if stalled:
-        decrease, accepted = 0.0, False
-    return (alpha, u_next, decrease, accepted), stalled, trials
+    if any(v.values[k] == xk and np.array_equal(x, v.values) for v in recent):
+        return (alpha, u_next, 0.0, False), "stalled", trials
+    status = None if accepted or policy.mode == "fixed" else "stepsize_floor"
+    return (alpha, u_next, decrease, accepted), status, trials
 
 
 def _step_decreases(moments: StepMoments):

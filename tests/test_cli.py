@@ -178,6 +178,20 @@ def test_run_that_stops_moving_ends_at_once(tmp_path):
     assert payload["iterations"][-1]["decrease"] == 0.0
 
 
+def test_run_that_cannot_certify_its_stall_is_an_error(tmp_path, capsys):
+    # at beta = 1e300 on 7^2 nodes fixed a_u steps stall at a state CG
+    # cannot solve to its tight tolerance: no report, one error line
+    out = tmp_path / "r.json"
+    argv = ["run", "--dim", "2", "--n", "7", "--beta", "1e300", "--scheme", "au", "--mode",
+            "fixed", "-o", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: preconditioned CG stopped short")
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["run", "--scheme", "bogus"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -300,6 +314,21 @@ def test_sweep_keeps_its_entries_past_a_failed_green_solve(tmp_path, capsys):
     entries = json.loads(out.read_text())["sweep"]
     assert [(e["alpha"], e["status"]) for e in entries] == [(0.5, "breakdown"),
                                                            (1e-3, "breakdown")]
+
+
+def test_sweep_keeps_an_entry_per_uncertifiable_stall(tmp_path, capsys):
+    # the fixed a_u stall that CG cannot certify (see
+    # test_run_that_cannot_certify_its_stall_is_an_error) is a breakdown at
+    # every alpha
+    out = tmp_path / "sweep.json"
+    argv = ["sweep", "--dim", "2", "--n", "7", "--beta", "1e300", "--scheme", "au", "--mode",
+            "fixed", "--alphas", "0.5,0.1", "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: preconditioned CG stopped short")
+    entries = json.loads(out.read_text())["sweep"]
+    assert [(e["alpha"], e["status"]) for e in entries] == [(0.5, "breakdown"),
+                                                           (0.1, "breakdown")]
 
 
 def test_sweep_checks_every_alpha_before_its_first_run(monkeypatch, capsys):

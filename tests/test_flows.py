@@ -182,7 +182,8 @@ def test_decide_takes_no_step_at_a_one_node_ground_state():
     for kind in SCHEMES:
         state = scheme_state(kind, prob, u)
         assert not state.residual > RunConfig().tol
-        assert flows._decide(prob, RunConfig(), 0, u, state, ()) == (None, False, 0)
+        assert flows._decide(prob, RunConfig(), 0, u, state, ()) == ((0.0, u, 0.0, True),
+                                                                      "converged", 0)
 
 
 @PROPERTY_SETTINGS
@@ -200,9 +201,9 @@ def test_decide_step_is_the_moments_model_bit_for_bit(case):
         g = state.riemannian_gradient
         moments = _step_moments(prob, u.values, g, inner_l2(u, u))
         for policy in (StepPolicy(alpha0=4.0), StepPolicy(mode="fixed", alpha0=0.3)):
-            step, stalled, _ = flows._decide(prob, RunConfig(policy=policy), 0, u, state, ())
+            step, status, _ = flows._decide(prob, RunConfig(policy=policy), 0, u, state, ())
             alpha, u_next, decrease, _ = step
-            assert not stalled
+            assert status is None
             assert decrease == flows._step_decreases(moments)(alpha)
             expected_next = flows._retracted(u.values, g, moments, alpha)
             np.testing.assert_array_equal(u_next.values, expected_next)
@@ -392,8 +393,9 @@ def test_huge_beta_run_ends_without_claiming_null_decreases(scheme, dim, mode, m
 
     def recording_decide(problem, cfg, n, u, state, recent):
         result = decide(problem, cfg, n, u, state, recent)
-        if result[0] is not None:
-            moved.append(not np.array_equal(result[0][1].values, u.values))
+        step = result[0]
+        if step[1] is not u:  # a step is taken
+            moved.append(not np.array_equal(step[1].values, u.values))
         return result
 
     def recording_record(*args):
@@ -407,6 +409,12 @@ def test_huge_beta_run_ends_without_claiming_null_decreases(scheme, dim, mode, m
     cfg = RunConfig(scheme=scheme, policy=StepPolicy(mode=mode))
     if scheme is not MetricKind.AU:
         with pytest.raises(FlowBreakdownError, match="step 0"):
+            run(prob, cfg)
+        return
+    if dim == 2 and mode == "fixed":
+        # CG cannot solve the state this stall ends on to CG_RTOL: a run
+        # never ends on a state it cannot certify, so it raises
+        with pytest.raises(greens.GreenSolveError, match="relative residual 1e-13"):
             run(prob, cfg)
         return
     report = run(prob, cfg)
@@ -499,6 +507,26 @@ def test_run_builds_one_grid_function_per_step(scheme, beta, monkeypatch):
     report = run(prob, RunConfig(scheme=scheme))
     assert report.status == "converged"
     assert len(built) <= len(report.records) + 2
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_builds_one_operator_or_one_per_au_record(scheme, monkeypatch):
+    # h1 and a0 keep one operator for the whole run; a_u's metric is
+    # linearized at each iterate, so it builds one per record, and the
+    # tight re-solve that ends a CG run reuses its record's operator
+    built = []
+    init = greens.LinearOperator.__init__
+
+    def counting_init(self, metric, problem):
+        built.append(metric.kind)
+        init(self, metric, problem)
+
+    monkeypatch.setattr(greens.LinearOperator, "__init__", counting_init)
+    calls = track_states(monkeypatch)
+    report = run(cg_problem(scheme, n=15), RunConfig(scheme=scheme))
+    assert report.status == "converged"
+    assert built == [scheme] * (len(report.records) if scheme is MetricKind.AU else 1)
+    assert any(resolve for _, _, resolve in calls) == (scheme is not MetricKind.H1)
 
 
 def repulsive_7():

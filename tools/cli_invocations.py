@@ -85,6 +85,10 @@ EXTRA = (
     # fixed steps that return to an earlier iterate end the run too
     ("run-au-fixed-beta-1e200",
      ["run", "--dim", "2", "--n", "7", "--beta", "1e200", "--scheme", "au", "--mode", "fixed"]),
+    # a fixed stall whose state CG cannot solve to CG_RTOL: a run does not
+    # end on a state it cannot certify, so it is an error (exit 2)
+    ("run-au-fixed-beta-1e300",
+     ["run", "--dim", "2", "--n", "7", "--beta", "1e300", "--scheme", "au", "--mode", "fixed"]),
     # backtracking searches that end unaccepted along loosely solved states:
     # each state is re-solved tightly and the step decided again, until one
     # stalls
