@@ -35,7 +35,6 @@ from .flows import (
     FlowBreakdownError,
     IterationRecord,
     RunConfig,
-    StepPolicy,
     initial_guess,
     run,
     sign_normalize,

@@ -10,8 +10,7 @@ Each setting is one row of ``_OPTIONS``: its default, the converter that
 checks a value, its help text and the commands that take it as a flag.  The
 flags, the keys of a ``--config`` JSON file, ``_DEFAULTS`` and ``CliConfig``
 derive from that table, and the run settings' defaults are ``RunConfig``'s
-and ``StepPolicy``'s own.  A flag wins over the file, the file over the
-default.
+own.  A flag wins over the file, the file over the default.
 
 Exit codes: 0 success, 1 usage error, 2 non-convergence, 3 check failure.
 """
@@ -35,7 +34,6 @@ from .flows import (
     ConvergenceReport,
     FlowBreakdownError,
     RunConfig,
-    StepPolicy,
     retract,
     run,
 )
@@ -203,11 +201,10 @@ _OPTIONS = {
     "seed": _Option(_RUN.seed, _natural, "single seed for all randomness"),
     "init": _Option(_RUN.init, _str, "default_bump | random | file"),
     "init_path": _Option(None, _maybe_str, None),
-    "mode": _Option(_RUN.policy.mode, _one_of("backtracking", "fixed"),
-                    "backtracking | fixed stepsize policy"),
-    "alpha0": _Option(_RUN.policy.alpha0, _finite, "initial / fixed stepsize"),
-    "shrink": _Option(_RUN.policy.shrink, _finite, "backtracking shrink factor"),
-    "alpha_floor": _Option(_RUN.policy.alpha_floor, _finite, None),
+    "mode": _Option(_RUN.mode, _one_of("backtracking", "fixed"), "backtracking | fixed stepsize policy"),
+    "alpha0": _Option(_RUN.alpha0, _finite, "initial / fixed stepsize"),
+    "shrink": _Option(_RUN.shrink, _finite, "backtracking shrink factor"),
+    "alpha_floor": _Option(_RUN.alpha_floor, _finite, None),
     "output": _Option(None, _maybe_str, "output path (default: stdout)"),
     "format": _Option("json", _one_of("json", "csv", convert=_lower), "json | csv (csv: run only)"),
     "trials": _Option(20, _trials, "random trials per sampled check", ("verify",)),
@@ -390,9 +387,8 @@ def run_config(cfg: CliConfig) -> RunConfig:
     init; --init and --init-path are checked after RunConfig's settings."""
     starts = ("default_bump", "random")
     try:
-        policy = StepPolicy(mode=cfg.mode, alpha0=cfg.alpha0, shrink=cfg.shrink,
-                            alpha_floor=cfg.alpha_floor)
-        config = RunConfig(scheme=MetricKind(cfg.scheme), policy=policy, tol=cfg.tol,
+        config = RunConfig(scheme=MetricKind(cfg.scheme), mode=cfg.mode, alpha0=cfg.alpha0,
+                           shrink=cfg.shrink, alpha_floor=cfg.alpha_floor, tol=cfg.tol,
                            max_iter=cfg.max_iter, seed=cfg.seed,
                            init=cfg.init if cfg.init in starts else _RUN.init)
     except ValueError as exc:

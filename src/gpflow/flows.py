@@ -1,6 +1,7 @@
 """The three discrete projected gradient-descent schemes with line search.
 
-The backtracking policy enforces the per-step sufficient-decrease inequality
+One RunConfig fixes a run: its scheme, its stepsize rule and its stopping
+rule.  Backtracking enforces the per-step sufficient-decrease inequality
 E(u_n) - E(u_{n+1}) >= (alpha/2) * residual^2, which is exactly the condition
 the energy-decay results are built on, so the theorems' hypothesis holds at
 every accepted step without knowing the admissible-stepsize constant.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +33,20 @@ class FlowBreakdownError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StepPolicy:
-    """Stepsize policy: a fixed stepsize or backtracking from alpha0."""
+class RunConfig:
+    """Configuration of one gradient-flow run: the scheme, the stepsize rule
+    (a fixed stepsize alpha0, or backtracking from alpha0 by ``shrink`` down
+    to ``alpha_floor``) and the stopping rule."""
 
+    scheme: MetricKind = MetricKind.H1
     mode: str = "backtracking"  # "fixed" or "backtracking"
     alpha0: float = 0.5
     shrink: float = 0.5
     alpha_floor: float = 1e-8
+    tol: float = 1e-9
+    max_iter: int = 50000
+    seed: int = 0
+    init: str = "default_bump"  # "default_bump" or "random"
 
     def __post_init__(self):
         if self.mode not in ("fixed", "backtracking"):
@@ -47,20 +55,6 @@ class StepPolicy:
             raise ValueError("shrink must be in (0, 1)")
         if self.alpha_floor <= 0.0 or self.alpha0 < self.alpha_floor:
             raise ValueError("need alpha0 >= alpha_floor > 0")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Configuration of one gradient-flow run."""
-
-    scheme: MetricKind = MetricKind.H1
-    policy: StepPolicy = field(default_factory=StepPolicy)
-    tol: float = 1e-9
-    max_iter: int = 50000
-    seed: int = 0
-    init: str = "default_bump"  # "default_bump" or "random"
-
-    def __post_init__(self):
         if self.scheme is MetricKind.L2:
             raise ValueError("L2 is not a scheme")
         if not self.tol > 0.0:  # also rejects NaN
@@ -200,7 +194,7 @@ def _iterate(problem, cfg, u, reference, records):
     """run's loop from u: appends one record per iteration to ``records`` and
     returns (final iterate, status, largest drift of ||u|| from 1)."""
     op = None
-    backtracking = cfg.policy.mode == "backtracking"
+    backtracking = cfg.mode == "backtracking"
 
     max_drift = 0.0
     current_energy = energy(problem, u)
@@ -262,17 +256,17 @@ def _decide(problem, cfg, n, u, state, recent):
     """
     if not state.residual > cfg.tol or n == cfg.max_iter:  # a NaN residual takes none
         return (0.0, u, 0.0, True), "converged" if state.residual <= cfg.tol else "max_iter", 0
-    policy, g = cfg.policy, state.riemannian_gradient
+    g = state.riemannian_gradient
     decrease_at = _step_decreases(state.moments)
     res_sq = state.residual**2
-    alpha = policy.alpha0
+    alpha = cfg.alpha0
     trials = 1
     while True:
         decrease = decrease_at(alpha)
         accepted = decrease >= 0.5 * alpha * res_sq
-        if accepted or policy.mode == "fixed" or alpha * policy.shrink < policy.alpha_floor:
+        if accepted or cfg.mode == "fixed" or alpha * cfg.shrink < cfg.alpha_floor:
             break
-        alpha *= policy.shrink
+        alpha *= cfg.shrink
         trials += 1
     u_next = GridFunction(problem.grid, _retracted(u.values, g, state.moments, alpha))
     # a step back to a recent iterate (or to u) decreases nothing; one entry
@@ -281,7 +275,7 @@ def _decide(problem, cfg, n, u, state, recent):
     xk = x[k]
     if any(v.values[k] == xk and np.array_equal(x, v.values) for v in recent):
         return (alpha, u_next, 0.0, False), "stalled", trials
-    status = None if accepted or policy.mode == "fixed" else "stepsize_floor"
+    status = None if accepted or cfg.mode == "fixed" else "stepsize_floor"
     return (alpha, u_next, decrease, accepted), status, trials
 
 

@@ -99,7 +99,7 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     request.
 
     The start block is written into the solver's rows and dropped before
-    it runs: a call holds about 23 vectors of the grid at its peak.
+    it runs: a call holds about 19 vectors of the grid at its peak.
 
     Grids with fewer than 3 interior unknowns raise ValueError; a gap
     lambda1 - lambda0 below 1e-12 raises EigengapDegenerateError; a
@@ -202,11 +202,12 @@ def _lobpcg(apply, S: np.ndarray, precondition, tol: float, maxiter: int = 500):
     lambda its Rayleigh quotient) is at most ``tol`` is soft-locked: it
     stays in the Rayleigh-Ritz but gets no W or P row, so it is not pulled
     off while the other pair converges.  Stops when both pairs meet ``tol``
-    or after ``maxiter`` iterations, converged or not.
+    or after ``maxiter`` iterations, converged or not.  The residuals R
+    and the step P are rows 2-3 and 4-5 of A S, dead between the
+    Rayleigh-Ritz and the next products; P starts as zeros with A S.
     """
-    n = S.shape[1]
-    AS, P, R = np.zeros((6, n)), np.zeros((2, n)), np.empty((2, n))
-    X, AX = S[:2], AS[:2]
+    AS = np.zeros_like(S)
+    X, AX, R, P = S[:2], AS[:2], AS[2:4], AS[4:]
     for i in range(2):
         AX[i] = apply(X[i])
     m = 2  # rows of S in use

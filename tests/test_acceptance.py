@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from gpflow.cli import main
-from gpflow.flows import RunConfig, StepPolicy, run, sign_normalize
+from gpflow.flows import RunConfig, run, sign_normalize
 from gpflow.grid import GridFunction, MetricKind, build_grid, norm_l2
 from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from gpflow.spectral import fit_rate, linearized_operator, lowest_two_eigen
@@ -120,12 +120,8 @@ def test_criterion_4_eigengap_and_rate():
 
     rhos = {}
     for alpha in (0.05, 0.1, 0.2, 0.4):
-        policy = StepPolicy(mode="fixed", alpha0=alpha)
-        report = run(
-            problem,
-            RunConfig(scheme=MetricKind.H1, policy=policy, max_iter=3000),
-            reference=ref,
-        )
+        cfg = RunConfig(scheme=MetricKind.H1, mode="fixed", alpha0=alpha, max_iter=3000)
+        report = run(problem, cfg, reference=ref)
         deltas = [r.delta for r in report.records if r.delta is not None and r.delta > 1e-7]
         rhos[alpha] = fit_rate(deltas[len(deltas) // 3 :], threshold=math.inf).rho
     assert rhos[0.05] > rhos[0.1]  # linear-in-alpha regime

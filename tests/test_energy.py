@@ -15,7 +15,7 @@ from gpflow.energy import (
     retract,
     scheme_state,
 )
-from gpflow.flows import RunConfig, StepPolicy, _decide
+from gpflow.flows import RunConfig, _decide
 from gpflow.greens import solve_green
 from gpflow.grid import (
     GridFunction,
@@ -46,7 +46,7 @@ def fixed_step(problem, u, state, alpha):
     """The flow's step of size alpha from u along ``state``, as (alpha,
     u_next, decrease, accepted); (0.0, u, 0.0, True) when ``state`` takes
     none."""
-    cfg = RunConfig(policy=StepPolicy(mode="fixed", alpha0=alpha))
+    cfg = RunConfig(mode="fixed", alpha0=alpha)
     return _decide(problem, cfg, 0, u, state, ())[0]
 
 

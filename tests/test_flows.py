@@ -7,7 +7,6 @@ from hypothesis import given
 from gpflow.flows import (
     FlowBreakdownError,
     RunConfig,
-    StepPolicy,
     initial_guess,
     run,
     sign_normalize,
@@ -75,8 +74,7 @@ def test_energy_trace_monotone_and_sufficient_decrease():
 
 def test_fixed_stepsize_converges_for_small_alpha():
     prob = nonlinear_problem(beta=10.0)
-    policy = StepPolicy(mode="fixed", alpha0=0.1)
-    report = run(prob, RunConfig(scheme=MetricKind.H1, policy=policy))
+    report = run(prob, RunConfig(scheme=MetricKind.H1, mode="fixed", alpha0=0.1))
     assert report.status == "converged"
 
 
@@ -116,7 +114,7 @@ def test_sign_normalize():
 def test_step_moves_downhill():
     prob = nonlinear_problem(beta=20.0)
     u = initial_guess(prob, "random", seed=1)
-    cfg = RunConfig(policy=StepPolicy(mode="fixed", alpha0=0.2))
+    cfg = RunConfig(mode="fixed", alpha0=0.2)
     step, _, _ = flows._decide(prob, cfg, 0, u, scheme_state(MetricKind.H1, prob, u), ())
     v = step[1]
     assert norm_l2(v) == pytest.approx(1.0)
@@ -137,12 +135,12 @@ def test_run_config_validation():
 
 
 def test_step_policy_validation():
-    with pytest.raises(ValueError):
-        StepPolicy(mode="newton")
-    with pytest.raises(ValueError):
-        StepPolicy(shrink=1.0)
-    with pytest.raises(ValueError):
-        StepPolicy(alpha0=1e-9, alpha_floor=1e-8)
+    with pytest.raises(ValueError, match="mode must be 'fixed' or 'backtracking'"):
+        RunConfig(mode="newton")
+    with pytest.raises(ValueError, match=r"shrink must be in \(0, 1\)"):
+        RunConfig(shrink=1.0)
+    with pytest.raises(ValueError, match="need alpha0 >= alpha_floor > 0"):
+        RunConfig(alpha0=1e-9, alpha_floor=1e-8)
 
 
 def test_rate_fit_attached_to_long_runs():
@@ -157,7 +155,7 @@ def test_runs_that_do_not_converge_get_no_rate():
     # however many records it leaves: 51 for the stalled run here
     grid = build_grid(2, [7, 7], [(0.0, 1.0)] * 2)
     stalled = run(Problem(grid, zero_potential(grid), 1e200),
-                  RunConfig(scheme=MetricKind.AU, policy=StepPolicy(mode="fixed")))
+                  RunConfig(scheme=MetricKind.AU, mode="fixed"))
     capped = run(nonlinear_problem(beta=100.0), RunConfig(max_iter=20))
     assert (stalled.status, capped.status) == ("stalled", "max_iter")
     assert len(stalled.records) == 51 and len(capped.records) == 21
@@ -200,8 +198,8 @@ def test_decide_step_is_the_moments_model_bit_for_bit(case):
         assert state.residual > RunConfig().tol
         g = state.riemannian_gradient
         moments = _step_moments(prob, u.values, g, inner_l2(u, u))
-        for policy in (StepPolicy(alpha0=4.0), StepPolicy(mode="fixed", alpha0=0.3)):
-            step, status, _ = flows._decide(prob, RunConfig(policy=policy), 0, u, state, ())
+        for cfg in (RunConfig(alpha0=4.0), RunConfig(mode="fixed", alpha0=0.3)):
+            step, status, _ = flows._decide(prob, cfg, 0, u, state, ())
             alpha, u_next, decrease, _ = step
             assert status is None
             assert decrease == flows._step_decreases(moments)(alpha)
@@ -318,10 +316,10 @@ def test_floor_reached_along_a_loose_direction_is_retried(scheme, monkeypatch):
 @pytest.mark.parametrize(
     "scheme, policy, forcing",
     [
-        (MetricKind.A0, StepPolicy(), flows.CG_FORCING),
-        (MetricKind.A0, StepPolicy(), 1.0),  # with floor retries
-        (MetricKind.AU, StepPolicy(mode="fixed", alpha0=0.1), flows.CG_FORCING),
-        (MetricKind.A0, StepPolicy(alpha0=4.0, alpha_floor=1.0), flows.CG_FORCING),  # stepsize_floor
+        (MetricKind.A0, {}, flows.CG_FORCING),
+        (MetricKind.A0, {}, 1.0),  # with floor retries
+        (MetricKind.AU, {"mode": "fixed", "alpha0": 0.1}, flows.CG_FORCING),
+        (MetricKind.A0, {"alpha0": 4.0, "alpha_floor": 1.0}, flows.CG_FORCING),  # stepsize_floor
     ],
 )
 def test_records_count_trials_and_cg_iterations(scheme, policy, forcing, monkeypatch):
@@ -345,7 +343,7 @@ def test_records_count_trials_and_cg_iterations(scheme, policy, forcing, monkeyp
 
     monkeypatch.setattr(greens.LinearOperator, "solve", counting_solve)
     monkeypatch.setattr(flows, "_step_decreases", counting_decreases)
-    report = run(cg_problem(scheme), RunConfig(scheme=scheme, policy=policy, max_iter=200))
+    report = run(cg_problem(scheme), RunConfig(scheme=scheme, **policy, max_iter=200))
     assert sum(r.cg_iterations for r in report.records) == sum(iterations) > 0
     assert sum(r.trials for r in report.records) == len(trials) > 0
 
@@ -371,8 +369,7 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
 
     monkeypatch.setattr(flows, "_decide", recording_decide)
     monkeypatch.setattr(flows, "_step_decreases", recording_decreases)
-    policy = StepPolicy(alpha0=4.0, alpha_floor=1.0)
-    report = run(harmonic_2d(), RunConfig(scheme=MetricKind.A0, policy=policy))
+    report = run(harmonic_2d(), RunConfig(scheme=MetricKind.A0, alpha0=4.0, alpha_floor=1.0))
     assert report.status == "stepsize_floor"
     last = report.final_record
     assert last.alpha == trials[-1]
@@ -406,7 +403,7 @@ def test_huge_beta_run_ends_without_claiming_null_decreases(scheme, dim, mode, m
     monkeypatch.setattr(flows, "IterationRecord", recording_record)
     grid = build_grid(dim, [7] * dim, [(0.0, 1.0)] * dim)
     prob = Problem(grid, zero_potential(grid), 1e300)
-    cfg = RunConfig(scheme=scheme, policy=StepPolicy(mode=mode))
+    cfg = RunConfig(scheme=scheme, mode=mode)
     if scheme is not MetricKind.AU:
         with pytest.raises(FlowBreakdownError, match="step 0"):
             run(prob, cfg)
@@ -442,7 +439,7 @@ def test_fixed_steps_that_cycle_end_the_run(monkeypatch):
     calls = track_states(monkeypatch)
     grid = build_grid(2, [7, 7], [(0.0, 1.0)] * 2)
     prob = Problem(grid, zero_potential(grid), 1e200)
-    report = run(prob, RunConfig(scheme=MetricKind.AU, policy=StepPolicy(mode="fixed")))
+    report = run(prob, RunConfig(scheme=MetricKind.AU, mode="fixed"))
     assert report.status == "stalled"
     assert len(report.records) <= 100
     # one public scheme_state call per record; the stall is decided once,
@@ -462,7 +459,7 @@ def test_fixed_stall_ends_on_a_certified_state():
     # iterate as a tight solve gives it, not the loose state it stalled at
     grid = build_grid(2, [7, 7], [(0.0, 1.0)] * 2)
     prob = Problem(grid, zero_potential(grid), 1e200)
-    report = run(prob, RunConfig(scheme=MetricKind.AU, policy=StepPolicy(mode="fixed")))
+    report = run(prob, RunConfig(scheme=MetricKind.AU, mode="fixed"))
     assert report.status == "stalled"
     fresh = scheme_state(MetricKind.AU, prob, report.final, rtol=greens.CG_RTOL)
     last = report.final_record
@@ -541,8 +538,7 @@ def test_backtracking_from_a_huge_alpha0_converges(scheme, alpha0):
     # accepted trial throws the run out of the basin and it never converges
     prob = repulsive_7()
     default = run(prob, RunConfig(scheme=scheme, max_iter=300))
-    policy = StepPolicy(alpha0=alpha0)
-    report = run(prob, RunConfig(scheme=scheme, policy=policy, max_iter=300))
+    report = run(prob, RunConfig(scheme=scheme, alpha0=alpha0, max_iter=300))
     assert report.status == "converged"
     assert report.final_record.gamma == pytest.approx(default.final_record.gamma, rel=1e-8)
     final_energy = energy(prob, report.final)
@@ -555,9 +551,9 @@ def test_backtracking_from_a_huge_alpha0_converges(scheme, alpha0):
 def test_stepsize_beyond_the_float_range_converges_or_breaks_down(scheme, mode, alpha0):
     # an overflowing trial is a breakdown, never an OverflowError, ValueError
     # or ZeroDivisionError, and never a report with a non-finite energy
-    policy = StepPolicy(mode=mode, alpha0=alpha0)
+    cfg = RunConfig(scheme=scheme, mode=mode, alpha0=alpha0, max_iter=300)
     try:
-        report = run(repulsive_7(), RunConfig(scheme=scheme, policy=policy, max_iter=300))
+        report = run(repulsive_7(), cfg)
     except FlowBreakdownError:
         return
     assert report.status == "converged"

@@ -186,6 +186,9 @@ PARSER = (
     ("usage-format", ["run", "--format", "xml"]),
     ("usage-format-csv-verify", ["verify", "--format", "csv"]),
     ("usage-mode", ["run", "--mode", "x"]),
+    # RunConfig checks the stepsize rule first, then tol
+    ("usage-shrink-tol", ["run", "--shrink", "1", "--tol", "0"]),
+    ("usage-alpha0-floor", ["run", "--alpha0", "1e-9"]),
     ("usage-max-iter", ["run", "--max-iter", "2.5"]),
     ("usage-trials-x", ["verify", "--trials", "x"]),
     ("usage-trials-huge", ["verify", "--trials", "1" + "0" * 300]),
