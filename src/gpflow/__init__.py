@@ -11,7 +11,6 @@ from .grid import (
     GridFunction,
     GridMismatchError,
     H1,
-    L2,
     Metric,
     MetricKind,
     build_grid,

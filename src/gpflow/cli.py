@@ -41,7 +41,7 @@ from .greens import GreenSolveError
 from .grid import GridFunction, MetricKind, build_grid
 from .problem import Problem, harmonic_potential, well_potential, zero_potential
 from .spectral import SpectralReport, linearized_operator, lowest_two_eigen
-from .verify import SCHEMES, CheckResult, check_suite, cross_scheme_agreement, failures
+from .verify import CheckResult, check_suite, cross_scheme_agreement, failures
 
 
 class UsageError(ValueError):
@@ -526,7 +526,7 @@ def cmd_verify(cfg: CliConfig) -> int:
     if cfg.cross_scheme:  # the other two schemes run from the same config and start
         reports = (report if scheme is report.config.scheme
                    else run(problem, replace(report.config, scheme=scheme), u0=u0)
-                   for scheme in SCHEMES)
+                   for scheme in MetricKind)
         results = results + [cross_scheme_agreement(problem, reports)]
     write_output(render_json(checks_payload(cfg, results)), cfg.output)
     return 3 if failures(results) else 0

@@ -53,10 +53,10 @@ class RunConfig:
             raise ValueError("mode must be 'fixed' or 'backtracking'")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must be in (0, 1)")
-        if self.alpha_floor <= 0.0 or self.alpha0 < self.alpha_floor:
+        if not (self.alpha_floor > 0.0 and self.alpha0 >= self.alpha_floor):  # also rejects NaN
             raise ValueError("need alpha0 >= alpha_floor > 0")
-        if self.scheme is MetricKind.L2:
-            raise ValueError("L2 is not a scheme")
+        if not isinstance(self.scheme, MetricKind):
+            raise ValueError(f"scheme must be a MetricKind, got {self.scheme!r}")
         if not self.tol > 0.0:  # also rejects NaN
             raise ValueError("tol must be positive")
         if self.max_iter < 1:

@@ -127,8 +127,7 @@ def _potential_basis(problem: Problem):
 
 class LinearOperator:
     """The SPD operator A_X of a metric: the grid's -Laplacian plus the
-    metric's diagonal term D (``Metric.diagonal_term``; L2, which has none,
-    raises ValueError).
+    metric's diagonal term D (``Metric.diagonal_term``).
 
     ``solve`` is the one Green's solve of the package.  The operator holds
     one map r -> M^-1 r, chosen at construction, and ``exact`` says whether

@@ -27,9 +27,8 @@ class GridMismatchError(ValueError):
 
 
 class MetricKind(enum.Enum):
-    """Inner products available on a grid."""
+    """The metrics of the flows, each a form of -Laplacian + D, in scheme order."""
 
-    L2 = "l2"
     H1 = "h1"
     A0 = "a0"
     AU = "au"
@@ -143,37 +142,33 @@ class GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class Metric:
-    """One of the inner products L2, H1, a0 or a_u.
-
-    H1, a0 and a_u are the forms of -Laplacian + D, with D from
-    ``diagonal_term``.  The AU metric depends on a base function (the ``u``
-    in a_u); only AU reads one.
+    """One of the inner products H1, a0 or a_u: the forms of -Laplacian + D,
+    with D from ``diagonal_term``.  The AU metric depends on a base function
+    (the ``u`` in a_u); only AU reads one.
     """
 
     kind: MetricKind
     base: GridFunction | None = field(default=None)
 
     def __post_init__(self):
+        if not isinstance(self.kind, MetricKind):
+            raise ValueError(f"metric kind must be a MetricKind, got {self.kind!r}")
         if self.kind is MetricKind.AU and self.base is None:
             raise ValueError("AU metric requires a base function")
 
     def diagonal_term(self, problem) -> np.ndarray:
         """D (dof,) on the problem's grid: a new array for H1 (zeros) and
         for a_u (V + beta*base^2, whose base must live on that grid), and
-        for a0 V's own read-only values, not a copy.  L2 has none and raises
-        ValueError."""
+        for a0 V's own read-only values, not a copy."""
         if self.kind is MetricKind.H1:
             return np.zeros(problem.grid.dof)
         if self.kind is MetricKind.A0:
             return problem.V.values
-        if self.kind is MetricKind.L2:
-            raise ValueError("L2 is no form of -Laplacian + D; use H1, A0 or AU")
         if self.base.grid != problem.grid:
             raise GridMismatchError("AU base does not live on the problem grid")
         return problem.V.values + problem.beta * self.base.values**2
 
 
-L2 = Metric(MetricKind.L2)
 H1 = Metric(MetricKind.H1)
 A0 = Metric(MetricKind.A0)
 
@@ -320,26 +315,22 @@ def dirichlet_moments(grid: Grid, u: np.ndarray, g: np.ndarray) -> tuple[float, 
 def inner(metric: Metric, problem, u: GridFunction, v: GridFunction) -> float:
     """Discrete inner product in the given metric.
 
-    L2 is the uniform-weight quadrature sum.  H1 is the Dirichlet form
-    a(u, v), summed over edges, boundary edges included: bitwise symmetric
-    in (u, v), since every term is a product of one u-difference and one
-    v-difference, summed in a fixed order, and algebraically equal to the L2
-    pairing of -Laplacian(u) with v (summation by parts).  a0 and a_u add
-    the quadrature of D u v, D from ``Metric.diagonal_term``, and their
-    operands must live on the problem's grid.  ``problem`` may be None for
-    L2 and H1.
+    H1 is the Dirichlet form a(u, v), summed over edges, boundary edges
+    included: bitwise symmetric in (u, v), since every term is a product of
+    one u-difference and one v-difference, summed in a fixed order, and
+    algebraically equal to ``inner_l2`` of -Laplacian(u) and v (summation
+    by parts).  a0 and a_u add the quadrature of D u v, D from
+    ``Metric.diagonal_term``, and their operands must live on the problem's
+    grid.  ``problem`` may be None for H1.
     """
     grid = _check_same_grid(u, v)
-    w = grid.cell_volume
-    if metric.kind is MetricKind.L2:
-        return w * float(u.values.dot(v.values))
     xs = (u.values,) if v is u else (u.values, v.values)
     form = _dirichlet_forms(grid, xs, ((0, len(xs) - 1),))[0]
     if metric.kind is MetricKind.H1:
         return form
     _check_same_grid(u, problem.V)
     # the pointwise product u*v comes first so the form is bitwise symmetric
-    return form + w * float(np.sum(metric.diagonal_term(problem) * (u.values * v.values)))
+    return form + grid.cell_volume * float(np.sum(metric.diagonal_term(problem) * (u.values * v.values)))
 
 
 def norm(metric: Metric, problem, u: GridFunction) -> float:
@@ -349,8 +340,8 @@ def norm(metric: Metric, problem, u: GridFunction) -> float:
 
 def inner_l2(u: GridFunction, v: GridFunction) -> float:
     """Plain discrete L2 inner product, (prod h) * sum(u v)."""
-    return inner(L2, None, u, v)
+    return _check_same_grid(u, v).cell_volume * float(u.values.dot(v.values))
 
 
 def norm_l2(u: GridFunction) -> float:
-    return norm(L2, None, u)
+    return math.sqrt(inner_l2(u, u))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,13 +18,11 @@ class Problem:
         grid: the discretization.
         V: potential values at the interior nodes, V >= 0.
         beta: interaction strength, beta >= 0.
-        v_max: max of V, cached for norm-equivalence bounds.
     """
 
     grid: Grid
     V: GridFunction
     beta: float
-    v_max: float = field(init=False)
 
     def __post_init__(self):
         if self.V.grid != self.grid:
@@ -33,7 +31,6 @@ class Problem:
             raise ValueError("potential must be non-negative")
         if not self.beta >= 0.0:  # also rejects NaN
             raise ValueError("beta must be non-negative")
-        object.__setattr__(self, "v_max", float(np.max(self.V.values)))
 
 
 def zero_potential(grid: Grid) -> GridFunction:

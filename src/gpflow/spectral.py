@@ -59,7 +59,6 @@ class RateFit:
 
     rho: float
     r_squared: float
-    window: tuple[int, int]
 
 
 def linearized_operator(problem: Problem, ustar: GridFunction) -> LinearOperator:
@@ -292,7 +291,6 @@ def fit_rate(deltas, threshold: float) -> RateFit:
         raise ValueError(
             f"need at least 5 entries below threshold, got {idx.size}"
         )
-    start, end = int(idx[0]), int(idx[-1])
     x = idx.astype(float)
     y = np.log(deltas[idx])
     slope, intercept = np.polyfit(x, y, 1)
@@ -300,4 +298,4 @@ def fit_rate(deltas, threshold: float) -> RateFit:
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return RateFit(rho=float(np.exp(slope)), r_squared=r_squared, window=(start, end + 1))
+    return RateFit(rho=float(np.exp(slope)), r_squared=r_squared)

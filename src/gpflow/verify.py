@@ -25,6 +25,7 @@ in the suite.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import zlib
 from collections.abc import Callable, Iterable
@@ -47,7 +48,6 @@ from .grid import (
     A0,
     H1,
     GridFunction,
-    L2,
     Metric,
     MetricKind,
     inner,
@@ -60,7 +60,6 @@ from .problem import Problem
 from .spectral import SpectralReport, estimate_poincare, fit_rate
 
 SLACK_TOL = 1e-9
-SCHEMES = (MetricKind.H1, MetricKind.A0, MetricKind.AU)
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,8 @@ def check_inner_symmetry(ctx: CheckContext, rng) -> Iterable[float]:
     u = smoothed_noise(ctx.problem, rng)
     v = smoothed_noise(ctx.problem, rng)
     base = ctx.au_base(rng)
-    for metric in (L2, *(Metric(kind, base) for kind in SCHEMES)):
+    yield -abs(inner_l2(u, v) - inner_l2(v, u))
+    for metric in (Metric(kind, base) for kind in MetricKind):
         yield -abs(inner(metric, ctx.problem, u, v) - inner(metric, ctx.problem, v, u))
 
 
@@ -229,7 +229,8 @@ def check_inner_symmetry(ctx: CheckContext, rng) -> Iterable[float]:
 def check_positive_definite(ctx: CheckContext, rng) -> Iterable[float]:
     u = smoothed_noise(ctx.problem, rng)
     base = ctx.au_base(rng)
-    for metric in (L2, *(Metric(kind, base) for kind in SCHEMES)):
+    yield inner_l2(u, u)
+    for metric in (Metric(kind, base) for kind in MetricKind):
         yield inner(metric, ctx.problem, u, u)
 
 
@@ -244,7 +245,7 @@ def check_summation_by_parts(ctx: CheckContext, rng) -> Iterable[float]:
 
 def _a0_h1_constant(ctx: CheckContext) -> float:
     """The a0 norm's bound in H1 norms, sqrt(1 + C_P^2 max V)."""
-    return math.sqrt(1.0 + estimate_poincare(ctx.problem.grid) ** 2 * ctx.problem.v_max)
+    return math.sqrt(1.0 + estimate_poincare(ctx.problem.grid) ** 2 * float(np.max(ctx.problem.V.values)))
 
 
 @_sampled("lemma:equiv_a0_H1",
@@ -291,7 +292,7 @@ def check_adjoint_identity(ctx: CheckContext, rng) -> Iterable[float]:
     w = smoothed_noise(ctx.problem, rng)
     rhs = inner_l2(z, w)
     base = ctx.au_base(rng)
-    for metric in (Metric(kind, base) for kind in SCHEMES):
+    for metric in (Metric(kind, base) for kind in MetricKind):
         lhs = inner(metric, ctx.problem, z, solve_green(metric, ctx.problem, w))
         yield SLACK_TOL * (1.0 + abs(rhs)) - abs(lhs - rhs)
 
@@ -310,7 +311,7 @@ def check_green_self_adjoint(ctx: CheckContext, rng) -> Iterable[float]:
     z = smoothed_noise(ctx.problem, rng)
     w = smoothed_noise(ctx.problem, rng)
     base = ctx.au_base(rng)
-    for metric in (Metric(kind, base) for kind in SCHEMES):
+    for metric in (Metric(kind, base) for kind in MetricKind):
         a = inner_l2(z, solve_green(metric, ctx.problem, w))
         b = inner_l2(w, solve_green(metric, ctx.problem, z))
         yield SLACK_TOL * (1.0 + abs(a)) - abs(a - b)
@@ -350,7 +351,7 @@ def check_gradient_consistency(ctx: CheckContext, name: str) -> CheckResult:
         # the difference form avoids the rounding floor of the two O(1)
         # energies, which would drown the derivative at this t
         fd = energy_decrease(ctx.problem, up, dn) / (2.0 * t)
-        for kind in SCHEMES:
+        for kind in MetricKind:
             grad = metric_gradient(kind, ctx.problem, u)
             ip = inner(Metric(kind, u), ctx.problem, grad, h)
             rel = abs(ip - fd) / max(abs(fd), abs(ip), 1e-30)
@@ -365,7 +366,7 @@ def check_gradient_consistency(ctx: CheckContext, name: str) -> CheckResult:
 @_sampled("energy:pythagorean_split", detail="||grad||^2 = ||proj||^2 + gamma^2 ||G u||^2")
 def check_pythagorean_split(ctx: CheckContext, rng) -> Iterable[float]:
     u = retract(smoothed_noise(ctx.problem, rng))
-    for kind in SCHEMES:
+    for kind in MetricKind:
         metric = Metric(kind, u)
         state = scheme_state(kind, ctx.problem, u)
         grad, rgrad, gu = (GridFunction(ctx.problem.grid, x) for x in
@@ -379,7 +380,7 @@ def check_pythagorean_split(ctx: CheckContext, rng) -> Iterable[float]:
 @_sampled("lemma:esti_gradEu", detail="projected gradient never exceeds the full gradient")
 def check_projected_norm_inequality(ctx: CheckContext, rng) -> Iterable[float]:
     u = retract(smoothed_noise(ctx.problem, rng))
-    for kind in SCHEMES:
+    for kind in MetricKind:
         metric = Metric(kind, u)
         state = scheme_state(kind, ctx.problem, u)
         grad, rgrad = (GridFunction(ctx.problem.grid, x) for x in
@@ -391,7 +392,7 @@ def check_projected_norm_inequality(ctx: CheckContext, rng) -> Iterable[float]:
 def check_projection_tangency(ctx: CheckContext, rng) -> Iterable[float]:
     u = retract(smoothed_noise(ctx.problem, rng))
     xi = smoothed_noise(ctx.problem, rng)
-    for metric in (Metric(kind, u) for kind in SCHEMES):
+    for metric in (Metric(kind, u) for kind in MetricKind):
         r = project_tangent(metric, ctx.problem, u, xi)
         yield 1e-10 - abs(inner_l2(r, u))
 
@@ -591,7 +592,7 @@ def failures(results: list[CheckResult]) -> list[CheckResult]:
 
 def cross_scheme_agreement(problem: Problem, reports: Iterable[ConvergenceReport]) -> CheckResult:
     """The runs of the three schemes from one config and start, one report per
-    scheme in SCHEMES order, must meet at the same state.  A run that did not
+    scheme in MetricKind order, must meet at the same state.  A run that did not
     converge makes the check a skip, and the reports after it are not drawn."""
     name = "verify:cross_scheme_agreement"
     runs = {}
@@ -601,8 +602,7 @@ def cross_scheme_agreement(problem: Problem, reports: Iterable[ConvergenceReport
         runs[rep.config.scheme] = rep
     margin = math.inf
     details = []
-    pairs = [(SCHEMES[i], SCHEMES[j]) for i in range(3) for j in range(i + 1, 3)]
-    for a, b in pairs:
+    for a, b in itertools.combinations(MetricKind, 2):
         ra, rb = runs[a], runs[b]
         dist = norm_l2(GridFunction(problem.grid, ra.final.values - rb.final.values))
         dg = abs(ra.final_record.gamma - rb.final_record.gamma)

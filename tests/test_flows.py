@@ -13,11 +13,11 @@ from gpflow.flows import (
 )
 from gpflow import flows, greens
 from gpflow.energy import _step_moments, energy, energy_decrease, retract, scheme_state
-from gpflow.grid import GridFunction, MetricKind, build_grid, inner_l2, norm_l2
+from gpflow.grid import GridFunction, Metric, MetricKind, build_grid, inner_l2, norm_l2
 from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from strategies import PROPERTY_SETTINGS, small_problems
 
-SCHEMES = (MetricKind.H1, MetricKind.A0, MetricKind.AU)
+SCHEMES = tuple(MetricKind)
 
 
 def linear_problem(n=31):
@@ -122,8 +122,10 @@ def test_step_moves_downhill():
 
 
 def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(scheme=MetricKind.L2)
+    with pytest.raises(ValueError, match="need alpha0 >= alpha_floor > 0"):
+        RunConfig(alpha0=math.nan)
+    with pytest.raises(ValueError, match="need alpha0 >= alpha_floor > 0"):
+        RunConfig(alpha_floor=math.nan)
     with pytest.raises(ValueError):
         RunConfig(tol=0.0)
     with pytest.raises(ValueError):
@@ -132,6 +134,16 @@ def test_run_config_validation():
         RunConfig(init="file")
     with pytest.raises(ValueError):
         RunConfig(init="bogus")
+
+
+def test_scheme_must_be_a_metric_kind():
+    # the flow's branches test the kind by identity, so a string would take
+    # the a_u gradient with an operator built once, a mixed scheme
+    u = initial_guess(linear_problem(), "default_bump")
+    with pytest.raises(ValueError, match="scheme must be a MetricKind"):
+        RunConfig(scheme="h1")
+    with pytest.raises(ValueError, match="metric kind must be a MetricKind"):
+        Metric("h1", u)
 
 
 def test_step_policy_validation():

@@ -143,12 +143,6 @@ def test_cg_stopping_short_raises(monkeypatch):
     LinearOperator(H1, prob).solve(rhs)
 
 
-def test_l2_has_no_green_operator():
-    prob = make_problem(n=9)
-    with pytest.raises(ValueError):
-        LinearOperator(Metric(MetricKind.L2), prob)
-
-
 def test_zero_rhs_short_circuit():
     prob = make_problem(n=9)
     zero = GridFunction(prob.grid, np.zeros(prob.grid.dof))

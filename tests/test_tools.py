@@ -78,3 +78,38 @@ def test_cli_invocations_records_the_parser(tmp_path, monkeypatch, capsys):
     assert read("help-verify", "stdout").startswith("usage: gpflow verify [-h]")
     assert "--cross-scheme" in read("help-verify", "stdout")
     assert read("version", "stdout").startswith("gpflow ")
+
+
+def test_count_lines_by_kind(tmp_path, capsys):
+    count_lines = _load("count_lines")
+    source = '''"""Module docstring,
+on two lines."""
+
+import os  # a trailing comment is code
+
+
+# a comment line
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Method
+        docstring.
+        """
+        text = """not a docstring
+
+        but a string"""
+        return (text,
+                os.sep)
+'''
+    assert count_lines.count(source) == {
+        "total": 19, "code": 8, "docstring": 6, "comment": 1, "blank": 4}
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "m.py").write_text(source)
+    (tmp_path / "pkg" / "empty.py").write_text("")
+    assert count_lines.main([str(tmp_path / "pkg")]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["module", "total", "code", "docstring", "comment", "blank"]
+    assert rows[1:] == [["empty.py", "0", "0", "0", "0", "0"],
+                        ["m.py", "19", "8", "6", "1", "4"],
+                        ["total", "19", "8", "6", "1", "4"]]

@@ -9,7 +9,6 @@ from gpflow.problem import Problem, harmonic_potential, zero_potential
 from gpflow.spectral import linearized_operator, lowest_two_eigen
 from gpflow.verify import (
     ALL_CHECKS,
-    SCHEMES,
     CheckContext,
     check_suite,
     cross_scheme_agreement,
@@ -276,8 +275,8 @@ def test_rate_vs_gap_with_sweep(nonlinear_setup):
 
 
 def scheme_runs(problem, cfg):
-    """The three schemes' runs from cfg, in SCHEMES order, each run when drawn."""
-    return (run(problem, dataclasses.replace(cfg, scheme=scheme)) for scheme in SCHEMES)
+    """The three schemes' runs from cfg, in MetricKind order, each run when drawn."""
+    return (run(problem, dataclasses.replace(cfg, scheme=scheme)) for scheme in MetricKind)
 
 
 def test_cross_scheme_agreement_linear():
