@@ -39,6 +39,7 @@ from .flows import (
     sign_normalize,
 )
 from .spectral import (
+    EigenSolveError,
     EigengapDegenerateError,
     RateFit,
     SpectralReport,

@@ -40,16 +40,12 @@ from .flows import (
 from .greens import GreenSolveError
 from .grid import GridFunction, MetricKind, build_grid
 from .problem import Problem, harmonic_potential, well_potential, zero_potential
-from .spectral import SpectralReport, linearized_operator, lowest_two_eigen
+from .spectral import EigenSolveError, SpectralReport, linearized_operator, lowest_two_eigen
 from .verify import CheckResult, check_suite, cross_scheme_agreement, failures
 
 
 class UsageError(ValueError):
     """Bad flags or inconsistent configuration; maps to exit code 1."""
-
-
-class SolveError(RuntimeError):
-    """A solver stopped short of its goal; maps to exit code 2."""
 
 
 # caps that keep a call bounded: draws per sampled check, interior unknowns,
@@ -88,10 +84,10 @@ def _int(value, flag):
     return number
 
 
-def _natural(value, flag):
+def _natural(value, flag, least=0):
     number = _int(value, flag)
-    if number < 0:
-        raise UsageError(f"{flag} must be >= 0, got {value}")
+    if number < least:  # named as written: int(-1e300) has 301 digits
+        raise UsageError(f"{flag} must be >= {least}, got {value}")
     return number
 
 
@@ -115,10 +111,6 @@ def _str(value, flag):
     return value
 
 
-def _maybe_str(value, flag):
-    return None if value is None else _str(value, flag)
-
-
 def _lower(value, flag):
     return _str(value, flag).lower()
 
@@ -139,29 +131,25 @@ def _one_of(*choices, convert=_str):
     return one_of
 
 
-def _alphas(value, flag):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return _parse_float_list(value, flag)
-    if not isinstance(value, list):
-        raise UsageError(f"{flag} expects a list of numbers, got {value!r}")
-    return tuple(_finite(a, flag) for a in value)
+def _optional(convert):
+    """``convert``, passing None through."""
+    return lambda value, flag: None if value is None else convert(value, flag)
 
 
-def _parse_int_list(value, flag):
-    text = str(value)
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise UsageError(f"{flag} expects comma-separated integers, got {text!r}")
+def _list_of(convert):
+    """A converter of a comma-separated string (blank parts skipped), a JSON
+    list or one JSON value to a tuple of at least one ``convert``ed entry."""
 
+    def list_of(value, flag):
+        if isinstance(value, str):
+            value = [part for part in value.split(",") if part.strip()]
+        elif not isinstance(value, list):
+            value = [value]
+        if not value:
+            raise UsageError(f"{flag} expects at least one value")
+        return tuple(convert(entry, flag) for entry in value)
 
-def _parse_float_list(value, flag):
-    values = tuple(_finite(part, flag) for part in str(value).split(",") if part.strip())
-    if not values:
-        raise UsageError(f"{flag} expects at least one value")
-    return values
+    return list_of
 
 
 # --- the settings ------------------------------------------------------------
@@ -185,33 +173,35 @@ class _Option(NamedTuple):
 
 
 _RUN = RunConfig()
+_SCHEMES = tuple(kind.value for kind in MetricKind)
 
 # one row per setting, in --help order; the name is the config-file key, and
 # with dashes for underscores the flag
 _OPTIONS = {
     "dim": _Option(1, _one_of(1, 2, 3, convert=_int), "spatial dimension (1-3)"),
-    "n": _Option("127", _parse_int_list, "interior nodes per axis, e.g. 127 or 63,63"),
-    "bounds": _Option("0,1", _parse_float_list, "box interval per axis, e.g. 0,1"),
+    "n": _Option("127", _list_of(lambda value, flag: _natural(value, flag, 1)),
+                 "interior nodes per axis, e.g. 127 or 63,63"),
+    "bounds": _Option("0,1", _list_of(_finite), "box interval per axis, e.g. 0,1"),
     "potential": _Option("zero", _str,
                          "zero | harmonic:<omega> | well:<depth>:<lo>:<hi> | file:<path>"),
     "beta": _Option(0.0, _finite, "interaction strength (>= 0)"),
-    "scheme": _Option(_RUN.scheme.value, _one_of("h1", "a0", "au", convert=_lower), "h1 | a0 | au"),
+    "scheme": _Option(_RUN.scheme.value, _one_of(*_SCHEMES, convert=_lower), " | ".join(_SCHEMES)),
     "tol": _Option(_RUN.tol, _finite, "residual stopping tolerance"),
     "max_iter": _Option(_RUN.max_iter, _int, None),
     "seed": _Option(_RUN.seed, _natural, "single seed for all randomness"),
     "init": _Option(_RUN.init, _str, "default_bump | random | file"),
-    "init_path": _Option(None, _maybe_str, None),
+    "init_path": _Option(None, _optional(_str), None),
     "mode": _Option(_RUN.mode, _one_of("backtracking", "fixed"), "backtracking | fixed stepsize policy"),
     "alpha0": _Option(_RUN.alpha0, _finite, "initial / fixed stepsize"),
     "shrink": _Option(_RUN.shrink, _finite, "backtracking shrink factor"),
     "alpha_floor": _Option(_RUN.alpha_floor, _finite, None),
-    "output": _Option(None, _maybe_str, "output path (default: stdout)"),
+    "output": _Option(None, _optional(_str), "output path (default: stdout)"),
     "format": _Option("json", _one_of("json", "csv", convert=_lower), "json | csv (csv: run only)"),
     "trials": _Option(20, _trials, "random trials per sampled check", ("verify",)),
     "cross_scheme": _Option(False, _bool, "also run all three schemes and check they agree",
                             ("verify",)),
-    "alphas": _Option(None, _alphas, "comma-separated stepsizes, e.g. 0.05,0.1,0.2",
-                      ("sweep",)),
+    "alphas": _Option(None, _optional(_list_of(_finite)),
+                      "comma-separated stepsizes, e.g. 0.05,0.1,0.2", ("sweep",)),
 }
 
 _DEFAULTS = {name: option.default for name, option in _OPTIONS.items()}
@@ -297,7 +287,7 @@ def parse_config(argv: list[str] | None) -> CliConfig:
         n = values["n"] = n * dim
     if len(n) != dim:
         raise UsageError(f"--n gives {len(n)} axes but --dim is {dim}")
-    if min(n) >= 1 and math.prod(n) > MAX_UNKNOWNS:  # a count below 1 is build_grid's error
+    if math.prod(n) > MAX_UNKNOWNS:
         raise UsageError(f"--n gives more than {MAX_UNKNOWNS} interior unknowns")
     if ns.command == "verify" and values["trials"] * math.prod(n) > MAX_VERIFY_WORK:
         raise UsageError(
@@ -402,8 +392,11 @@ def run_config(cfg: CliConfig) -> RunConfig:
 
 # --- serialization -----------------------------------------------------------
 
-# the IterationRecord fields of run's JSON iterations and CSV trace, in order
+# in order: the IterationRecord fields of run's JSON iterations and CSV trace,
+# the CheckResult fields of a check row, the SpectralReport fields of spectrum
 _COLUMNS = ("n", "energy", "residual", "gamma", "alpha", "decrease")
+_CHECK_FIELDS = ("name", "passed", "skipped", "margin", "trials", "detail")
+_SPECTRUM_FIELDS = ("lambda0", "lambda1", "gap_factor", "iterations", "residuals", "tol")
 
 
 def _meta(cfg: CliConfig) -> dict:
@@ -439,31 +432,14 @@ def checks_payload(cfg: CliConfig, results: list[CheckResult]) -> dict:
 
     return {
         "meta": _meta(cfg),
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "skipped": r.skipped,
-                "margin": jsonable(r.margin),
-                "trials": r.trials,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [{f: jsonable(getattr(r, f)) for f in _CHECK_FIELDS} for r in results],
     }
 
 
 def spectral_payload(cfg: CliConfig, report: ConvergenceReport, spectral: SpectralReport) -> dict:
     return {
         "meta": _meta(cfg),
-        "spectrum": {
-            "lambda0": spectral.lambda0,
-            "lambda1": spectral.lambda1,
-            "gap_factor": spectral.gap_factor,
-            "iterations": spectral.iterations,
-            "residuals": spectral.residuals,
-            "tol": spectral.tol,
-        },
+        "spectrum": {f: getattr(spectral, f) for f in _SPECTRUM_FIELDS},
         "final": {"status": report.status, "lambda": report.final_record.gamma},
     }
 
@@ -509,11 +485,7 @@ def _solve_to_spectrum(cfg: CliConfig, problem: Problem, u0: GridFunction | None
     if report.status != "converged":
         write_output(render_json(report_payload(cfg, report)), cfg.output)
         return None
-    op = linearized_operator(problem, report.final)
-    try:
-        return report, lowest_two_eigen(op)
-    except RuntimeError as exc:  # degenerate eigengap, or an unconverged eigenpair
-        raise SolveError(str(exc)) from exc
+    return report, lowest_two_eigen(linearized_operator(problem, report.final))
 
 
 def cmd_verify(cfg: CliConfig) -> int:
@@ -584,8 +556,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError) as exc:
         _print_error(exc)
         return 1
-    # GreenSolveError: CG hit its cap; FlowBreakdownError: a step left the float range
-    except (SolveError, GreenSolveError, FlowBreakdownError) as exc:
+    # CG hit its cap, a step left the float range, or the eigensolve found
+    # no certified pair (an unconverged pair, a breakdown, a degenerate gap)
+    except (GreenSolveError, FlowBreakdownError, EigenSolveError) as exc:
         _print_error(exc)
         return 2
 

@@ -46,6 +46,13 @@ def _require_unit(u: GridFunction) -> float:
     return uu
 
 
+def _require_on_grid(problem: Problem, *funcs: GridFunction) -> None:
+    """Raise GridMismatchError unless every function lives on the problem's grid."""
+    for f in funcs:
+        if f.grid is not problem.grid and f.grid != problem.grid:
+            raise GridMismatchError("function does not live on the problem grid")
+
+
 def energy(problem: Problem, u: GridFunction) -> float:
     """Discrete Gross-Pitaevskii energy.
 
@@ -53,8 +60,7 @@ def energy(problem: Problem, u: GridFunction) -> float:
     the same pointwise quadrature as every other integral, so all discrete
     identities hold exactly.
     """
-    if u.grid != problem.grid:
-        raise GridMismatchError("function does not live on the problem grid")
+    _require_on_grid(problem, u)
     w = problem.grid.cell_volume
     kinetic = 0.5 * inner(H1, None, u, u)
     potential = 0.5 * w * float(np.sum(problem.V.values * u.values**2))
@@ -69,6 +75,7 @@ def energy_decrease(problem: Problem, u: GridFunction, v: GridFunction) -> float
     below the rounding floor of the two energies.  It shares no code with
     the line search's model (``flows._step_decreases``) and is its reference.
     """
+    _require_on_grid(problem, u, v)
     w = problem.grid.cell_volume
     d = GridFunction(problem.grid, u.values - v.values)
     summ = GridFunction(problem.grid, u.values + v.values)
@@ -133,8 +140,7 @@ def metric_gradient(kind: MetricKind, problem: Problem, u: GridFunction) -> Grid
 
     H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u: u itself.
     """
-    if u.grid != problem.grid:
-        raise GridMismatchError("function does not live on the problem grid")
+    _require_on_grid(problem, u)
     grad, _, _ = _gradient(kind, problem, u.values, LinearOperator(Metric(kind, u), problem))
     return GridFunction(problem.grid, grad)
 
@@ -230,11 +236,14 @@ def scheme_state(
     G u and a0 solves stop at relative residual ``rtol`` (None means
     greens.CG_RTOL); an inexact G u still gives a direction exactly tangent
     to the sphere (gamma = numer / denom), and the residual is the norm of
-    that direction.
+    that direction.  ``op`` must be of the scheme's metric.
     """
+    _require_on_grid(problem, u)
     uu = _require_unit(u)
     if op is None:
         op = LinearOperator(Metric(kind, u), problem)
+    elif op.metric.kind is not kind:
+        raise ValueError(f"operator of metric {op.metric.kind.value} given for scheme {kind.value}")
     return _solve_state(kind, problem, u.values, uu, op, prev, rtol)
 
 

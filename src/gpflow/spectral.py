@@ -49,7 +49,11 @@ class SpectralReport:
         return min(1.0, (self.lambda1 - self.lambda0) / (4.0 * self.lambda0))
 
 
-class EigengapDegenerateError(RuntimeError):
+class EigenSolveError(RuntimeError):
+    """``lowest_two_eigen`` found no two eigenpairs it can certify."""
+
+
+class EigengapDegenerateError(EigenSolveError):
     """lambda1 - lambda0 below resolution: the eigengap assumption fails."""
 
 
@@ -93,16 +97,17 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     residuals are recomputed from the returned vectors, their Rayleigh
     quotients and the solver's last products with them, which are explicit
     ``op.apply`` results of those rows, so no product is taken twice; a
-    pair above tol, or a NaN residual, raises RuntimeError naming them.
+    pair above tol, or a NaN residual, raises EigenSolveError naming them.
     The report's ``iterations`` is 0 when the start block already met the
     request.
 
     The start block is written into the solver's rows and dropped before
     it runs: a call holds about 19 vectors of the grid at its peak.
 
-    Grids with fewer than 3 interior unknowns raise ValueError; a gap
-    lambda1 - lambda0 below 1e-12 raises EigengapDegenerateError; a
-    Rayleigh-Ritz breakdown (``_ritz_coefficients``) raises RuntimeError.
+    Grids with fewer than 3 interior unknowns raise ValueError.  Every
+    failed solve raises EigenSolveError: a Rayleigh-Ritz breakdown
+    (``_ritz_coefficients``), a pair above tol, and a gap lambda1 - lambda0
+    below 1e-12, as its subclass EigengapDegenerateError.
     """
     grid = op.grid
     n = grid.dof
@@ -126,7 +131,7 @@ def lowest_two_eigen(op: LinearOperator) -> SpectralReport:
     residuals = np.linalg.norm(products - vals[:, None] * rows, axis=1)
     residuals /= np.linalg.norm(rows, axis=1)
     if not np.all(residuals <= tol):  # NaN residuals fail too
-        raise RuntimeError(
+        raise EigenSolveError(
             f"LOBPCG stopped at eigen-residuals {residuals[0]:.3e}, {residuals[1]:.3e} "
             f"above tolerance {tol:.3e}"
         )
@@ -246,7 +251,7 @@ def _ritz_coefficients(S: np.ndarray, AS: np.ndarray) -> np.ndarray:
     scaled by their eigenvalues^(-1/2), give an orthonormal basis of the
     span's well-conditioned part (SVQB: Duersch, Shao, Yang and Gu, SIAM J.
     Sci. Comput. 40, 2018).  Rayleigh-Ritz runs in that basis.  It breaks
-    down, raising RuntimeError, when an ``eigh`` does not converge or
+    down, raising EigenSolveError, when an ``eigh`` does not converge or
     fewer than two directions are kept, as when the products overflow.
     """
     gram, stiffness = S @ S.T, S @ AS.T
@@ -259,9 +264,9 @@ def _ritz_coefficients(S: np.ndarray, AS: np.ndarray) -> np.ndarray:
         reduced = basis.T @ stiffness @ basis
         _, Y = np.linalg.eigh(0.5 * (reduced + reduced.T))
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"LOBPCG's Rayleigh-Ritz broke down: {exc}") from exc
+        raise EigenSolveError(f"LOBPCG's Rayleigh-Ritz broke down: {exc}") from exc
     if Y.shape[1] < 2:
-        raise RuntimeError(
+        raise EigenSolveError(
             f"LOBPCG's Rayleigh-Ritz broke down: {Y.shape[1]} of {len(d)} directions kept, 2 needed"
         )
     return basis @ Y[:, :2]

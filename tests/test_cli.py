@@ -507,6 +507,41 @@ def test_flag_and_file_value_parse_alike(name, tmp_path):
     assert getattr(from_flag, name) == parsed
 
 
+@pytest.mark.parametrize(
+    "name, text, file_values, parsed",
+    [
+        ("n", "31,15", [[31, 15]], (31, 15)),
+        ("n", "31", [[31], 31], (31, 31)),
+        ("bounds", "-1,1", [[-1, 1], [-1.0, 1.0]], ((-1.0, 1.0), (-1.0, 1.0))),
+        ("alphas", "0.1,0.2", [[0.1, 0.2]], (0.1, 0.2)),
+        ("alphas", "0.1", [[0.1], 0.1], (0.1,)),
+    ],
+)
+def test_list_setting_parses_text_a_json_list_or_one_number(name, text, file_values, parsed,
+                                                            tmp_path):
+    command = ["sweep"] if name == "alphas" else ["run", "--dim", "2"]
+    from_flag = parse_config(command + ["--" + name, text])
+    assert getattr(from_flag, name) == parsed
+    path = tmp_path / "cfg.json"
+    for value in file_values:
+        path.write_text(json.dumps({name: value}))
+        assert parse_config(command + ["--config", str(path)]) == from_flag
+
+
+@pytest.mark.parametrize("name", ["n", "bounds", "alphas"])
+def test_list_setting_names_a_bad_entry_and_rejects_no_entry(name, tmp_path):
+    command = ["sweep"] if name == "alphas" else ["run"]
+    flag = "--" + name
+    kind = "an integer" if name == "n" else "a number"
+    with pytest.raises(UsageError, match=f"^{flag} expects {kind}, got '6x'$"):
+        parse_config(command + [flag, "6x,3"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: []}))
+    for argv in ([flag, ""], [flag, " , "], ["--config", str(path)]):
+        with pytest.raises(UsageError, match=f"^{flag} expects at least one value$"):
+            parse_config(command + argv)
+
+
 def test_import_leaves_scipy_fft_unloaded():
     # scipy.fft pulls in scipy.special (~0.1 s); only the sine transform on a
     # grid with an axis over 128 nodes imports it, and a one-axis grid never
@@ -708,7 +743,7 @@ def test_spectrum_byte_identical(tmp_path):
         # config-file values of the wrong type under a flag that overrides them
         (["run", "--n", "7", "--config", "{cfg_output}"], 1, False),
         (["verify", "--n", "7", "--cross-scheme", "--config", "{cfg_cross}"], 1, False),
-        # a config-file alpha list that is a bare number
+        # a config-file alpha list that is empty
         (["sweep", "--n", "7", "--config", "{cfg_alphas}"], 1, False),
         # csv is a run trace format only
         (["verify", "--n", "15", "--trials", "1", "--format", "csv"], 1, False),
@@ -745,6 +780,8 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--n", "3", "--potential", "well:nan:0.25:0.75"], 1, False),
         # a well that holds no interior node
         (["run", "--n", "3", "--potential", "well:1:2:3"], 1, False),
+        # a file's node count far out of range is named as written too
+        (["run", "--config", "{cfg_n_huge}"], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):
@@ -762,11 +799,12 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
         "cfg_cross": json.dumps({"cross_scheme": "false"}),
         "cfg_init_path": json.dumps({"init": "file", "init_path": 3}),
         "cfg_output": json.dumps({"output": 3}),  # "-o out" is appended below
-        "cfg_alphas": json.dumps({"alphas": 0.1}),
+        "cfg_alphas": json.dumps({"alphas": []}),
         "cfg_null": "null",
         "cfg_dim_huge": json.dumps({"dim": 1e300}),
         "cfg_seed_huge": json.dumps({"seed": -1e300}),
         "cfg_trials_huge": json.dumps({"trials": 1e300}),
+        "cfg_n_huge": json.dumps({"n": [7, -1e300]}),
     }
     files = {key: tmp_path / key for key in contents}
     for key, text in contents.items():

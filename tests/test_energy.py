@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,9 +17,10 @@ from gpflow.energy import (
     scheme_state,
 )
 from gpflow.flows import RunConfig, _decide
-from gpflow.greens import solve_green
+from gpflow.greens import LinearOperator, solve_green
 from gpflow.grid import (
     GridFunction,
+    GridMismatchError,
     H1,
     Metric,
     MetricKind,
@@ -152,6 +154,35 @@ def test_scheme_state_requires_unit_norm():
     with pytest.raises(ValueError):
         scheme_state(MetricKind.H1, prob, u)
 
+
+
+def test_operands_off_the_problem_grid_are_rejected():
+    # the 2D (3, 4) and (4, 3) grids of the unit square have the same dof
+    # and cell volume, so only a grid check tells their functions apart
+    grid, other = (build_grid(2, n, [(0.0, 1.0)] * 2) for n in ([3, 4], [4, 3]))
+    prob = Problem(grid, harmonic_potential(grid, 10.0), 10.0)
+    u = retract(GridFunction(other, np.arange(1.0, 13.0)))
+    v = retract(GridFunction(other, np.arange(12.0, 0.0, -1.0)))
+    for kind in MetricKind:
+        with pytest.raises(GridMismatchError, match="problem grid"):
+            scheme_state(kind, prob, u)
+        with pytest.raises(GridMismatchError, match="problem grid"):
+            metric_gradient(kind, prob, u)
+    with pytest.raises(GridMismatchError, match="problem grid"):
+        energy_decrease(prob, u, v)
+    with pytest.raises(GridMismatchError, match="problem grid"):
+        energy(prob, u)
+
+
+def test_scheme_state_rejects_an_operator_of_another_scheme():
+    grid = build_grid(2, [7, 7], [(0.0, 1.0)] * 2)
+    prob = Problem(grid, harmonic_potential(grid, 20.0), 10.0)
+    u = retract(GridFunction(grid, np.arange(1.0, 50.0)))
+    for kind, other in itertools.permutations(MetricKind, 2):
+        op = LinearOperator(Metric(other, u), prob)
+        with pytest.raises(ValueError, match=f"metric {other.value} given for scheme {kind.value}$"):
+            scheme_state(kind, prob, u, op=op)
+        assert scheme_state(other, prob, u, op=op).residual > 0.0
 
 
 def test_a0_at_beta_zero_skips_the_cubic_solve(monkeypatch):

@@ -17,6 +17,7 @@ from gpflow.grid import (
 )
 from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from gpflow.spectral import (
+    EigenSolveError,
     EigengapDegenerateError,
     SpectralReport,
     estimate_poincare,
@@ -293,6 +294,25 @@ def test_lowest_two_eigen_breakdown_is_a_runtime_error(dim, n, beta, match):
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=match) as info:
         lowest_two_eigen(bump_linearization(dim, n, beta))
     assert not isinstance(info.value, EigengapDegenerateError)
+
+
+@pytest.mark.parametrize(
+    "beta, stall, match",
+    [
+        (10.0, True, "above tolerance"),
+        (1e150, False, "Rayleigh-Ritz broke down"),  # eigh raises LinAlgError
+        (1e200, False, "broke down: 0 of 4 directions kept"),
+    ],
+)
+def test_every_failed_eigensolve_is_an_eigen_solve_error(beta, stall, match, monkeypatch):
+    # lowest_two_eigen's three failure paths; a degenerate gap is the fourth kind
+    assert issubclass(EigengapDegenerateError, EigenSolveError)
+    if stall:  # the start rows and their products back, unconverged
+        monkeypatch.setattr(spectral, "_lobpcg",
+                            lambda A, S, *args: (S[:2], np.array([A(x) for x in S[:2]]), 0))
+    with np.errstate(all="ignore"), pytest.raises(EigenSolveError, match=match) as info:
+        lowest_two_eigen(bump_linearization(2, 7, beta))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError) == (beta == 1e150)
 
 
 def test_lowest_two_eigen_working_set():

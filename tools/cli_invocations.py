@@ -159,11 +159,15 @@ INPUTS = {
     "potential.csv": "".join(f"{10 * ((i - 4) ** 2 + (j - 9) ** 2) + 500 * (i > 7 and j < 5)}\n"
                              for i in range(15) for j in range(15)),
     "empty.csv": "",
+    # list settings as JSON lists: n one entry per axis, bounds one shared pair
+    "config-lists.json": '{"dim": 2, "n": [15, 15], "bounds": [-1, 1], "potential": "harmonic:20", '
+                         '"beta": 10}',
 }
 
 # the CLI's file inputs: a start file under run and under verify's three
-# cross-scheme runs, a potential file, whose path meta.potential prints, and
-# an empty start and potential file (usage errors, one error line)
+# cross-scheme runs, a potential file, whose path meta.potential prints, an
+# empty start and potential file (usage errors, one error line), and a
+# config file of list settings
 FILES = (
     ("run-init-file",
      ["run", "--dim", "2", "--n", "31", "--beta", "10", "--potential", "harmonic:20",
@@ -175,6 +179,7 @@ FILES = (
      ["run", "--dim", "2", "--n", "15", "--beta", "10", "--potential", "file:{potential.csv}"]),
     ("usage-init-file-empty", ["run", "--n", "3", "--init", "file", "--init-path", "{empty.csv}"]),
     ("usage-potential-file-empty", ["run", "--n", "3", "--potential", "file:{empty.csv}"]),
+    ("run-config-lists", ["run", "--config", "{config-lists.json}"]),
 )
 
 # the parser: usage errors (exit 1, one error line), whose stderr is compared,
@@ -193,6 +198,8 @@ PARSER = (
     ("usage-trials-x", ["verify", "--trials", "x"]),
     ("usage-trials-huge", ["verify", "--trials", "1" + "0" * 300]),
     ("usage-n-huge", ["run", "--dim", "3", "--n", "100000"]),
+    # a bad entry of a list setting is named alone
+    ("usage-n-entry", ["run", "--n", "6x,3"]),
     ("usage-verify-work", ["verify", "--dim", "2", "--n", "63", "--trials", "1000"]),
     ("usage-seed-x", ["run", "--seed", "x"]),
     ("usage-seed-negative", ["run", "--seed", "-1"]),
