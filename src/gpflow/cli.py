@@ -8,9 +8,9 @@ byte-identical files.
 
 Each setting is one row of ``_OPTIONS``: its default, the converter that
 checks a value, its help text and the commands that take it as a flag.  The
-flags, the keys of a ``--config`` JSON file, ``_DEFAULTS`` and ``CliConfig``
-derive from that table, and the run settings' defaults are ``RunConfig``'s
-own.  A flag wins over the file, the file over the default.
+flags, the keys of a ``--config`` JSON file and ``CliConfig`` derive from
+that table, and the run settings' defaults are ``RunConfig``'s own.  A
+flag wins over the file, the file over the default.
 
 Exit codes: 0 success, 1 usage error, 2 non-convergence, 3 check failure.
 """
@@ -58,18 +58,28 @@ MAX_UNKNOWNS = 2**22
 MAX_VERIFY_WORK = 2**20
 
 
+# an error line echoes a value as ``_echo`` shows it: cut to ECHO_MAX
+# characters and "..." when longer, so one bad value cannot flood the line
+ECHO_MAX = 40
+
+
+def _echo(value, show=repr) -> str:
+    text = show(value)
+    return text if len(text) <= ECHO_MAX else text[:ECHO_MAX] + "..."
+
+
 # --- converters: (value, flag) -> value, for flag strings and JSON values alike
 
 
 def _finite(value, flag):
     if isinstance(value, bool):  # float(True) is 1.0
-        raise UsageError(f"{flag} expects a number, got {value!r}")
+        raise UsageError(f"{flag} expects a number, got {_echo(value)}")
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{flag} expects a number, got {value!r}")
+        raise UsageError(f"{flag} expects a number, got {_echo(value)}")
     if not math.isfinite(number):
-        raise UsageError(f"{flag} must be finite, got {value!r}")
+        raise UsageError(f"{flag} must be finite, got {_echo(value)}")
     return number
 
 
@@ -77,22 +87,21 @@ def _int(value, flag):
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{flag} expects an integer, got {value!r}")
+        raise UsageError(f"{flag} expects an integer, got {_echo(value)}")
     # 2.5 would truncate, and int(True) is 1
     if isinstance(value, bool) or (not isinstance(value, str) and number != value):
-        raise UsageError(f"{flag} expects an integer, got {value!r}")
+        raise UsageError(f"{flag} expects an integer, got {_echo(value)}")
     return number
 
 
 def _natural(value, flag, least=0):
     number = _int(value, flag)
     if number < least:  # named as written: int(-1e300) has 301 digits
-        raise UsageError(f"{flag} must be >= {least}, got {value}")
+        raise UsageError(f"{flag} must be >= {least}, got {_echo(value, str)}")
     return number
 
 
 def _trials(value, flag):
-    # the value is not echoed: a flag's huge count runs to hundreds of digits
     number = _natural(value, flag)
     if number > MAX_TRIALS:
         raise UsageError(f"{flag} must be at most {MAX_TRIALS}")
@@ -101,13 +110,13 @@ def _trials(value, flag):
 
 def _bool(value, flag):
     if not isinstance(value, bool):  # "false" would be truthy
-        raise UsageError(f"{flag} expects true or false, got {value!r}")
+        raise UsageError(f"{flag} expects true or false, got {_echo(value)}")
     return value
 
 
 def _str(value, flag):
     if not isinstance(value, str):
-        raise UsageError(f"{flag} expects a string, got {value!r}")
+        raise UsageError(f"{flag} expects a string, got {_echo(value)}")
     return value
 
 
@@ -125,7 +134,7 @@ def _one_of(*choices, convert=_str):
         if converted not in choices:
             # a file's number as written: int(1e300) has 301 digits
             shown = converted if isinstance(value, str) else value
-            raise UsageError(f"{flag} must be {wording}, got {shown!r}")
+            raise UsageError(f"{flag} must be {wording}, got {_echo(shown)}")
         return converted
 
     return one_of
@@ -204,8 +213,6 @@ _OPTIONS = {
                       "comma-separated stepsizes, e.g. 0.05,0.1,0.2", ("sweep",)),
 }
 
-_DEFAULTS = {name: option.default for name, option in _OPTIONS.items()}
-
 CliConfig = make_dataclass("CliConfig", ["command", *_OPTIONS], frozen=True, namespace={
     "__doc__": "Fully resolved invocation: command plus every knob with its default.",
     "__module__": __name__,
@@ -271,7 +278,7 @@ def parse_config(argv: list[str] | None) -> CliConfig:
             raise UsageError(f"config file {ns.config} must hold a JSON object")
         unknown = set(file_values) - set(_OPTIONS)
         if unknown:
-            raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise UsageError(f"unknown config keys: {_echo(', '.join(sorted(unknown)), str)}")
 
     values = {}
     for name, option in _OPTIONS.items():
@@ -331,16 +338,16 @@ def build_potential(cfg: CliConfig, grid) -> GridFunction:
         try:
             omega = float(spec.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"malformed harmonic preset {spec!r}; expected harmonic:<omega>")
+            raise UsageError(f"malformed harmonic preset {_echo(spec)}; expected harmonic:<omega>")
         return harmonic_potential(grid, omega)
     if spec.startswith("well:"):
         parts = spec.split(":")
         if len(parts) != 4:
-            raise UsageError(f"malformed well preset {spec!r}; expected well:<depth>:<lo>:<hi>")
+            raise UsageError(f"malformed well preset {_echo(spec)}; expected well:<depth>:<lo>:<hi>")
         try:
             depth, lo, hi = (float(p) for p in parts[1:])
         except ValueError:
-            raise UsageError(f"malformed well preset {spec!r}; numbers expected")
+            raise UsageError(f"malformed well preset {_echo(spec)}; numbers expected")
         return well_potential(grid, depth, lo, hi)
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
@@ -350,7 +357,7 @@ def build_potential(cfg: CliConfig, grid) -> GridFunction:
             raise UsageError(f"cannot read potential file {path}: {exc}")
         return GridFunction(grid, values)
     raise UsageError(
-        f"unknown potential {spec!r}; use zero, harmonic:<omega>, well:<depth>:<lo>:<hi> or file:<path>"
+        f"unknown potential {_echo(spec)}; use zero, harmonic:<omega>, well:<depth>:<lo>:<hi> or file:<path>"
     )
 
 

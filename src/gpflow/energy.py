@@ -4,6 +4,7 @@ The three schemes share one structure: metric gradient, projection onto the
 tangent space of the unit L2 sphere, and normalization back onto it.  The
 scalar coefficient of the Green-solve direction (the multiplier gamma) is the
 running eigenvalue estimate; at a critical point it equals the eigenvalue.
+A scheme's state reads its metric and problem off its operator alone.
 
 The energy is quadratic plus quartic, so the decrease along a retracted
 step, E(u) - E((u - alpha g) / ||u - alpha g||), is a rational function of
@@ -107,21 +108,17 @@ def _step_moments(problem: Problem, u: np.ndarray, g: np.ndarray, uu: float) -> 
 
 
 def _gradient(
-    kind: MetricKind,
-    problem: Problem,
-    u: np.ndarray,
-    op: LinearOperator,
-    x0: np.ndarray | None = None,
-    rtol: float | None = None,
+    op: LinearOperator, u: np.ndarray, x0: np.ndarray | None = None, rtol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Metric gradient values at u (values), the Green-solve term added to
     u, and that term's unscaled Green solve.
 
     H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u, and a0 at
     beta = 0: u itself, with no Green-solve term (None, None).  ``op`` is the
-    scheme's operator at u; the a0 solve starts from ``x0`` and stops at
-    ``rtol``.
+    scheme's operator at u, and names the scheme and the problem; the a0
+    solve starts from ``x0`` and stops at ``rtol``.
     """
+    kind, problem = op.metric.kind, op.problem
     if kind is MetricKind.H1:
         rhs = problem.V.values * u
         if problem.beta != 0.0:
@@ -141,7 +138,7 @@ def metric_gradient(kind: MetricKind, problem: Problem, u: GridFunction) -> Grid
     H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u: u itself.
     """
     _require_on_grid(problem, u)
-    grad, _, _ = _gradient(kind, problem, u.values, LinearOperator(Metric(kind, u), problem))
+    grad, _, _ = _gradient(LinearOperator(Metric(kind, u), problem), u.values)
     return GridFunction(problem.grid, grad)
 
 
@@ -162,7 +159,7 @@ def project_tangent(
 class SchemeState(NamedTuple):
     """Everything one iteration needs: direction, multiplier, residual.
 
-    Its four vectors are value arrays (dof,) on ``problem.grid``.
+    Its four vectors are value arrays (dof,) on the operator's problem grid.
     ``gradient`` holds the values of the metric gradient at u, from the
     state's own solve (a state solved at greens.CG_RTOL without a start, as
     ``scheme_state`` returns it by default, has exactly
@@ -186,24 +183,19 @@ class SchemeState(NamedTuple):
 
 
 def _solve_state(
-    kind: MetricKind,
-    problem: Problem,
-    u: np.ndarray,
-    uu: float,
-    op: LinearOperator,
-    start: SchemeState | None,
-    rtol: float | None,
+    op: LinearOperator, u: np.ndarray, uu: float, start: SchemeState | None, rtol: float | None
 ) -> SchemeState:
-    """The state at u (values), whose (u, u)_L2 is ``uu``, with every solve
-    at ``rtol``, started from ``start``'s."""
+    """The state at u (values), whose (u, u)_L2 is ``uu``, in ``op``'s metric
+    and problem, with every solve at ``rtol``, started from ``start``'s."""
     start_u = start_term = None
     if start is not None:
         start_u, start_term = start.green_u, start.green_term
+    kind, problem = op.metric.kind, op.problem
     w = problem.grid.cell_volume
     gu = op.solve(u, start_u, rtol)
     iterations = op.iterations
     denom = w * float(gu.dot(u))  # (G u, u)_L2, equal to ||G u||_X^2
-    grad, gv, solution = _gradient(kind, problem, u, op, start_term, rtol)
+    grad, gv, solution = _gradient(op, u, start_term, rtol)
     if solution is not None:  # op.iterations now counts the gradient's solve
         iterations += op.iterations
     numer = 1.0 if gv is None else 1.0 + w * float(gv.dot(u))
@@ -218,33 +210,26 @@ def _solve_state(
 
 
 def scheme_state(
-    kind: MetricKind,
-    problem: Problem,
+    op: LinearOperator,
     u: GridFunction,
-    op: LinearOperator | None = None,
     prev: SchemeState | None = None,
     rtol: float | None = None,
 ) -> SchemeState:
     """Riemannian gradient, multiplier and residual norm at u, in one pass.
 
-    A prebuilt LinearOperator may be passed to reuse it across iterations
-    (the H1 and a0 operators never change within a run).  ``prev``, the
-    state of the previous iterate, warm-starts the CG solves: its G u starts
-    the solve for G u (also across a_u's change of operator between steps)
-    and its ``green_term`` the a0 solve for G u^3.  A start changes the
-    solves only within their tolerance, never their stopping test.  The
-    G u and a0 solves stop at relative residual ``rtol`` (None means
-    greens.CG_RTOL); an inexact G u still gives a direction exactly tangent
-    to the sphere (gamma = numer / denom), and the residual is the norm of
-    that direction.  ``op`` must be of the scheme's metric.
+    ``op``, the scheme's operator at u, names the metric and the problem.
+    ``prev``, the state of the previous iterate, warm-starts the CG solves:
+    its G u starts the solve for G u (also across a_u's change of operator
+    between steps) and its ``green_term`` the a0 solve for G u^3.  A start
+    changes the solves only within their tolerance, never their stopping
+    test.  The G u and a0 solves stop at relative residual ``rtol`` (None
+    means greens.CG_RTOL); an inexact G u still gives a direction exactly
+    tangent to the sphere (gamma = numer / denom), and the residual is the
+    norm of that direction.
     """
-    _require_on_grid(problem, u)
+    _require_on_grid(op.problem, u)
     uu = _require_unit(u)
-    if op is None:
-        op = LinearOperator(Metric(kind, u), problem)
-    elif op.metric.kind is not kind:
-        raise ValueError(f"operator of metric {op.metric.kind.value} given for scheme {kind.value}")
-    return _solve_state(kind, problem, u.values, uu, op, prev, rtol)
+    return _solve_state(op, u.values, uu, prev, rtol)
 
 
 def retract(u: GridFunction) -> GridFunction:

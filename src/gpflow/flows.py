@@ -144,18 +144,18 @@ def run(
     When ``u0`` is given, the run starts from retract(u0) and ``cfg.init`` is
     ignored.
 
-    h1 and a0 build one operator per run, and a_u one per record, at u.
-    The first step's solves, and every solve of an ``exact`` operator
-    (``LinearOperator.exact``), stop at greens.CG_RTOL; every later one at
-    the forcing term clamp(CG_FORCING * previous residual, CG_RTOL,
-    CG_RTOL_MAX).  One rule keeps the state that ends a run certified: when
-    ``_decide`` ends the run from a loosely solved state, the state at u is
-    solved again at CG_RTOL, started from the loose solutions, and the step
-    is decided again on it; a fixed step that stalled stands, on the
-    re-solved state.  Where CG cannot bring that state to CG_RTOL, the
-    re-solve raises greens.GreenSolveError, so no run ends on a number it
-    cannot certify.  Each record carries its step's line-search trials and
-    CG iterations, a re-solve's included.
+    The operator names the metric and the problem to ``scheme_state``; h1 and
+    a0 build one per run, a_u one per record, at u.  The first step's solves
+    and those of an ``exact`` operator (``LinearOperator.exact``) stop at
+    greens.CG_RTOL, every later one at the forcing term clamp(CG_FORCING *
+    previous residual, CG_RTOL, CG_RTOL_MAX).  One rule keeps the state that
+    ends a run certified: when ``_decide`` ends the run from a loosely solved
+    state, the state at u is solved again at CG_RTOL, started from the loose
+    solutions, and the step is decided again on it; a fixed step that stalled
+    stands, on the re-solved state.  Where CG cannot bring that state to
+    CG_RTOL, the re-solve raises greens.GreenSolveError, so no run ends on a
+    number it cannot certify.  Each record carries its step's line-search
+    trials and CG iterations, a re-solve's included.
 
     A step whose retracted iterate equals u or one of the 7 iterates before
     it bit for bit (at a residual so large that alpha * g is lost in u's
@@ -207,20 +207,20 @@ def _iterate(problem, cfg, u, reference, records):
         rtol = greens.CG_RTOL
         if state is not None and not op.exact:
             rtol = min(max(CG_FORCING * state.residual, greens.CG_RTOL), CG_RTOL_MAX)
-        state = scheme_state(cfg.scheme, problem, u, op=op, prev=state, rtol=rtol)
+        state = scheme_state(op, u, prev=state, rtol=rtol)
         uu = state.moments.l2[0]  # (u, u)_L2
         max_drift = max(max_drift, abs(math.sqrt(uu) - 1.0))  # |norm_l2(u) - 1|
         cg_iterations = state.cg_iterations
         delta = _h1_distance(u, reference) if reference is not None else None
 
-        step, status, trials = _decide(problem, cfg, n, u, state, recent)
+        step, status, trials = _decide(cfg, n, u, state, recent)
         if status is not None and rtol > greens.CG_RTOL:
             # the run would end on a loose state: solve it again at CG_RTOL,
             # and decide the step again on it, unless a fixed step stalled
-            state = _solve_state(cfg.scheme, problem, u.values, uu, op, state, greens.CG_RTOL)
+            state = _solve_state(op, u.values, uu, state, greens.CG_RTOL)
             cg_iterations += state.cg_iterations
             if backtracking or step[1] is u:  # step[1] is u: no step is taken
-                step, status, tried = _decide(problem, cfg, n, u, state, recent)
+                step, status, tried = _decide(cfg, n, u, state, recent)
                 trials += tried
         alpha, u_next, decrease, accepted = step
         records.append(
@@ -237,7 +237,7 @@ def _iterate(problem, cfg, u, reference, records):
     return u, status, max_drift
 
 
-def _decide(problem, cfg, n, u, state, recent):
+def _decide(cfg, n, u, state, recent):
     """Step n from u along ``state``, and the one decision of whether it
     ends the run: (step, status, trials), step being (alpha, u_next,
     decrease, accepted).  ``status`` is None while the run goes on, and
@@ -268,7 +268,7 @@ def _decide(problem, cfg, n, u, state, recent):
             break
         alpha *= cfg.shrink
         trials += 1
-    u_next = GridFunction(problem.grid, _retracted(u.values, g, state.moments, alpha))
+    u_next = GridFunction(u.grid, _retracted(u.values, g, state.moments, alpha))
     # a step back to a recent iterate (or to u) decreases nothing; one entry
     # is compared first, so a miss costs one scalar test
     x, k = u_next.values, u.values.size // 2

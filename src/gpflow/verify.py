@@ -43,7 +43,7 @@ from .energy import (
     scheme_state,
 )
 from .flows import ConvergenceReport, run, sign_normalize
-from .greens import solve_green
+from .greens import LinearOperator, solve_green
 from .grid import (
     A0,
     H1,
@@ -368,7 +368,7 @@ def check_pythagorean_split(ctx: CheckContext, rng) -> Iterable[float]:
     u = retract(smoothed_noise(ctx.problem, rng))
     for kind in MetricKind:
         metric = Metric(kind, u)
-        state = scheme_state(kind, ctx.problem, u)
+        state = scheme_state(LinearOperator(metric, ctx.problem), u)
         grad, rgrad, gu = (GridFunction(ctx.problem.grid, x) for x in
                            (state.gradient, state.riemannian_gradient, state.green_u))
         full = inner(metric, ctx.problem, grad, grad)
@@ -382,7 +382,7 @@ def check_projected_norm_inequality(ctx: CheckContext, rng) -> Iterable[float]:
     u = retract(smoothed_noise(ctx.problem, rng))
     for kind in MetricKind:
         metric = Metric(kind, u)
-        state = scheme_state(kind, ctx.problem, u)
+        state = scheme_state(LinearOperator(metric, ctx.problem), u)
         grad, rgrad = (GridFunction(ctx.problem.grid, x) for x in
                        (state.gradient, state.riemannian_gradient))
         yield norm(metric, ctx.problem, grad) - norm(metric, ctx.problem, rgrad) + SLACK_TOL

@@ -431,9 +431,10 @@ def test_cli_defaults_are_the_library_defaults(tmp_path):
     assert cli.run_config(parse_config(["run"])) == RunConfig()
     # a config file that spells out every default changes nothing
     path = tmp_path / "cfg.json"
+    defaults = {name: option.default for name, option in cli._OPTIONS.items()}
     for command in ("run", "verify", "spectrum", "sweep"):
         alphas = [0.1] if command == "sweep" else None
-        path.write_text(json.dumps({**cli._DEFAULTS, "alphas": alphas}))
+        path.write_text(json.dumps({**defaults, "alphas": alphas}))
         flags = ["--alphas", "0.1"] if alphas else []
         assert parse_config([command, "--config", str(path)]) == parse_config([command] + flags)
 
@@ -459,8 +460,8 @@ def test_every_config_key_is_valid_for_every_command(tmp_path):
     path = tmp_path / "cfg.json"
     for command in ("run", "verify", "spectrum", "sweep"):
         flags = ["--alphas", "0.1"] if command == "sweep" else []
-        for key, default in cli._DEFAULTS.items():
-            path.write_text(json.dumps({key: default}))
+        for key, option in cli._OPTIONS.items():
+            path.write_text(json.dumps({key: option.default}))
             assert parse_config([command, "--config", str(path)] + flags).command == command
 
 
@@ -491,7 +492,7 @@ SETTINGS = {
 
 
 def test_settings_cover_the_option_table():
-    assert set(SETTINGS) == set(cli._DEFAULTS)
+    assert set(SETTINGS) == set(cli._OPTIONS)
 
 
 @pytest.mark.parametrize("name", list(SETTINGS))
@@ -782,6 +783,13 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--n", "3", "--potential", "well:1:2:3"], 1, False),
         # a file's node count far out of range is named as written too
         (["run", "--config", "{cfg_n_huge}"], 1, False),
+        # a long value is echoed cut short, whichever converter rejects it
+        (["run", "--seed", "-1" + "0" * 300], 1, False),
+        (["run", "--n", "-1" + "0" * 300], 1, False),
+        (["run", "--dim", "-1" + "0" * 300], 1, False),
+        (["run", "--beta", "x" * 300], 1, False),
+        (["run", "--n", "3", "--potential", "harmonic:" + "x" * 300], 1, False),
+        (["run", "--config", "{cfg_key_long}"], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):
@@ -805,6 +813,7 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
         "cfg_seed_huge": json.dumps({"seed": -1e300}),
         "cfg_trials_huge": json.dumps({"trials": 1e300}),
         "cfg_n_huge": json.dumps({"n": [7, -1e300]}),
+        "cfg_key_long": json.dumps({"x" * 300: 1}),
     }
     files = {key: tmp_path / key for key in contents}
     for key, text in contents.items():
@@ -870,7 +879,7 @@ CONFIGS = (
     }).map(json.dumps),
     st.one_of(
         st.dictionaries(
-            st.sampled_from(sorted(cli._DEFAULTS) + ["bogus"]),
+            st.sampled_from(sorted(cli._OPTIONS) + ["bogus"]),
             st.one_of(st.none(), st.booleans(), st.integers(-2, 15), st.floats(),
                       st.text(max_size=4), st.lists(st.integers(-1, 3), max_size=2)),
             min_size=1, max_size=4,

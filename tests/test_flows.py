@@ -13,6 +13,7 @@ from gpflow.flows import (
 )
 from gpflow import flows, greens
 from gpflow.energy import _step_moments, energy, energy_decrease, retract, scheme_state
+from gpflow.greens import LinearOperator
 from gpflow.grid import GridFunction, Metric, MetricKind, build_grid, inner_l2, norm_l2
 from gpflow.problem import Problem, harmonic_potential, well_potential, zero_potential
 from strategies import PROPERTY_SETTINGS, small_problems
@@ -115,7 +116,8 @@ def test_step_moves_downhill():
     prob = nonlinear_problem(beta=20.0)
     u = initial_guess(prob, "random", seed=1)
     cfg = RunConfig(mode="fixed", alpha0=0.2)
-    step, _, _ = flows._decide(prob, cfg, 0, u, scheme_state(MetricKind.H1, prob, u), ())
+    state = scheme_state(LinearOperator(Metric(MetricKind.H1, u), prob), u)
+    step, _, _ = flows._decide(cfg, 0, u, state, ())
     v = step[1]
     assert norm_l2(v) == pytest.approx(1.0)
     assert energy(prob, v) < energy(prob, u)
@@ -190,10 +192,10 @@ def test_decide_takes_no_step_at_a_one_node_ground_state():
     prob = Problem(grid, GridFunction(grid, np.array([3.0])), 10.0)
     u = retract(GridFunction(grid, np.array([-2.0])))
     for kind in SCHEMES:
-        state = scheme_state(kind, prob, u)
+        state = scheme_state(LinearOperator(Metric(kind, u), prob), u)
         assert not state.residual > RunConfig().tol
-        assert flows._decide(prob, RunConfig(), 0, u, state, ()) == ((0.0, u, 0.0, True),
-                                                                      "converged", 0)
+        assert flows._decide(RunConfig(), 0, u, state, ()) == ((0.0, u, 0.0, True),
+                                                                "converged", 0)
 
 
 @PROPERTY_SETTINGS
@@ -206,12 +208,12 @@ def test_decide_step_is_the_moments_model_bit_for_bit(case):
     prob, rng = case
     u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
     for kind in SCHEMES:
-        state = scheme_state(kind, prob, u)
+        state = scheme_state(LinearOperator(Metric(kind, u), prob), u)
         assert state.residual > RunConfig().tol
         g = state.riemannian_gradient
         moments = _step_moments(prob, u.values, g, inner_l2(u, u))
         for cfg in (RunConfig(alpha0=4.0), RunConfig(mode="fixed", alpha0=0.3)):
-            step, status, _ = flows._decide(prob, cfg, 0, u, state, ())
+            step, status, _ = flows._decide(cfg, 0, u, state, ())
             alpha, u_next, decrease, _ = step
             assert status is None
             assert decrease == flows._step_decreases(moments)(alpha)
@@ -291,7 +293,7 @@ def test_reported_state_is_certified(scheme, max_iter, monkeypatch):
     # the run solved loosely along the way, but the state it reports is tight
     assert any(rtol > greens.CG_RTOL for rtol, _, _ in calls)
     assert calls[-1][0] == greens.CG_RTOL
-    fresh = scheme_state(scheme, prob, report.final)
+    fresh = scheme_state(LinearOperator(Metric(scheme, report.final), prob), report.final)
     last = report.final_record
     assert last.gamma == pytest.approx(fresh.gamma, rel=1e-12)
     # the residual is a difference of terms of size gamma ||G u||_X, so two
@@ -366,9 +368,9 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
     decisions, trials = [], []
     decide, step_decreases = flows._decide, flows._step_decreases
 
-    def recording_decide(problem, cfg, n, u, state, recent):
-        decisions.append((problem, u, state))
-        return decide(problem, cfg, n, u, state, recent)
+    def recording_decide(cfg, n, u, state, recent):
+        decisions.append((u, state))
+        return decide(cfg, n, u, state, recent)
 
     def recording_decreases(moments):
         decrease_at = step_decreases(moments)
@@ -381,12 +383,13 @@ def test_floor_record_carries_its_last_trial(monkeypatch):
 
     monkeypatch.setattr(flows, "_decide", recording_decide)
     monkeypatch.setattr(flows, "_step_decreases", recording_decreases)
-    report = run(harmonic_2d(), RunConfig(scheme=MetricKind.A0, alpha0=4.0, alpha_floor=1.0))
+    prob = harmonic_2d()
+    report = run(prob, RunConfig(scheme=MetricKind.A0, alpha0=4.0, alpha_floor=1.0))
     assert report.status == "stepsize_floor"
     last = report.final_record
     assert last.alpha == trials[-1]
     assert last.trials == len(trials)
-    prob, u, state = decisions[-1]
+    u, state = decisions[-1]
     moments = _step_moments(prob, u.values, state.riemannian_gradient, inner_l2(u, u))
     assert last.decrease == step_decreases(moments)(last.alpha)
 
@@ -400,8 +403,8 @@ def test_huge_beta_run_ends_without_claiming_null_decreases(scheme, dim, mode, m
     moved, logged = [], []  # per step decided: whether it moves u; per record: its last one
     decide, record = flows._decide, flows.IterationRecord
 
-    def recording_decide(problem, cfg, n, u, state, recent):
-        result = decide(problem, cfg, n, u, state, recent)
+    def recording_decide(cfg, n, u, state, recent):
+        result = decide(cfg, n, u, state, recent)
         step = result[0]
         if step[1] is not u:  # a step is taken
             moved.append(not np.array_equal(step[1].values, u.values))
@@ -442,8 +445,8 @@ def test_fixed_steps_that_cycle_end_the_run(monkeypatch):
     steps = []  # per step decided: (u, its retracted step)
     decide = flows._decide
 
-    def recording_decide(problem, cfg, n, u, state, recent):
-        result = decide(problem, cfg, n, u, state, recent)
+    def recording_decide(cfg, n, u, state, recent):
+        result = decide(cfg, n, u, state, recent)
         steps.append((u, result[0][1]))
         return result
 
@@ -473,7 +476,8 @@ def test_fixed_stall_ends_on_a_certified_state():
     prob = Problem(grid, zero_potential(grid), 1e200)
     report = run(prob, RunConfig(scheme=MetricKind.AU, mode="fixed"))
     assert report.status == "stalled"
-    fresh = scheme_state(MetricKind.AU, prob, report.final, rtol=greens.CG_RTOL)
+    op = LinearOperator(Metric(MetricKind.AU, report.final), prob)
+    fresh = scheme_state(op, report.final, rtol=greens.CG_RTOL)
     last = report.final_record
     assert last.decrease == 0.0 and not last.sufficient_decrease
     assert last.gamma == pytest.approx(fresh.gamma, rel=1e-12)
@@ -536,6 +540,8 @@ def test_run_builds_one_operator_or_one_per_au_record(scheme, monkeypatch):
     assert report.status == "converged"
     assert built == [scheme] * (len(report.records) if scheme is MetricKind.AU else 1)
     assert any(resolve for _, _, resolve in calls) == (scheme is not MetricKind.H1)
+    # one public scheme_state call per record, which a traced run counts
+    assert sum(not resolve for _, _, resolve in calls) == len(report.records)
 
 
 def repulsive_7():

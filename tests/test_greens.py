@@ -324,7 +324,7 @@ def test_scheme_state_gradient_is_projected_metric_gradient(case):
     prob, rng = case
     u = retract(GridFunction(prob.grid, rng.standard_normal(prob.grid.dof)))
     for kind in (MetricKind.H1, MetricKind.A0, MetricKind.AU):
-        state = scheme_state(kind, prob, u)
+        state = scheme_state(LinearOperator(Metric(kind, u), prob), u)
         grad = metric_gradient(kind, prob, u)
         np.testing.assert_array_equal(state.gradient, grad.values)
         np.testing.assert_array_equal(

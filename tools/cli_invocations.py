@@ -203,10 +203,13 @@ PARSER = (
     ("usage-verify-work", ["verify", "--dim", "2", "--n", "63", "--trials", "1000"]),
     ("usage-seed-x", ["run", "--seed", "x"]),
     ("usage-seed-negative", ["run", "--seed", "-1"]),
+    # a long value is echoed cut short
+    ("usage-seed-huge", ["run", "--seed", "-1" + "0" * 300]),
     ("usage-tol-minus-inf", ["run", "--tol", "-inf"]),
     ("usage-bounds-minus-inf", ["run", "--bounds", "-inf,1"]),
     ("usage-beta-x", ["run", "--beta", "x"]),
     ("usage-beta-nan", ["run", "--beta", "nan"]),
+    ("usage-beta-long", ["run", "--beta", "x" * 300]),
     ("usage-well-reversed", ["run", "--n", "3", "--potential", "well:1:0.75:0.25"]),
     ("usage-well-outside", ["run", "--n", "3", "--potential", "well:1:2:3"]),
     ("usage-trials-on-run", ["run", "--trials", "1"]),
