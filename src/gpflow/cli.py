@@ -227,11 +227,18 @@ class _Parser(argparse.ArgumentParser):
     """argparse would sys.exit(2) on bad flags; map them to exit code 1.  A
     token that starts like a negative number float() reads ('-' then a
     digit, '.digit', 'inf' or 'nan', in any case: -1,1, -1e5, -inf) is a
-    value, which argparse alone reads as a flag unless it is a plain number."""
+    value, which argparse alone reads as a flag unless it is a plain number.
+    Unrecognized arguments are listed as ``_echo`` shows them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def parse_args(self, args=None, namespace=None):
+        ns, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {_echo(' '.join(extras), str)}")
+        return ns
 
     def error(self, message):
         raise UsageError(message)
@@ -272,10 +279,10 @@ def parse_config(argv: list[str] | None) -> CliConfig:
         try:
             with open(ns.config) as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {ns.config}: {exc}")
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+            raise UsageError(f"cannot read config file {_echo(ns.config, str)}: {_echo(exc, str)}")
         if not isinstance(file_values, dict):
-            raise UsageError(f"config file {ns.config} must hold a JSON object")
+            raise UsageError(f"config file {_echo(ns.config, str)} must hold a JSON object")
         unknown = set(file_values) - set(_OPTIONS)
         if unknown:
             raise UsageError(f"unknown config keys: {_echo(', '.join(sorted(unknown)), str)}")
@@ -354,7 +361,7 @@ def build_potential(cfg: CliConfig, grid) -> GridFunction:
         try:
             values = read_node_values(path)
         except OSError as exc:
-            raise UsageError(f"cannot read potential file {path}: {exc}")
+            raise UsageError(f"cannot read potential file {_echo(path, str)}: {_echo(exc, str)}")
         return GridFunction(grid, values)
     raise UsageError(
         f"unknown potential {_echo(spec)}; use zero, harmonic:<omega>, well:<depth>:<lo>:<hi> or file:<path>"
@@ -552,8 +559,10 @@ _COMMANDS = {"run": cmd_run, "verify": cmd_verify, "spectrum": cmd_spectrum, "sw
 
 
 def _print_error(exc: Exception) -> None:
-    # one line, whatever the message: numpy's loadtxt errors span two
-    print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+    # one line, whatever the message: numpy's loadtxt errors span two; an
+    # OS error's text names its path, so it is echoed cut short
+    text = " ".join(str(exc).split())
+    print("error: " + (_echo(text, str) if isinstance(exc, OSError) else text), file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,9 +25,9 @@ import numpy as np
 from .grid import (
     H1,
     GridFunction,
-    GridMismatchError,
     Metric,
     MetricKind,
+    _require_grid,
     dirichlet_moments,
     inner,
     inner_l2,
@@ -47,13 +47,6 @@ def _require_unit(u: GridFunction) -> float:
     return uu
 
 
-def _require_on_grid(problem: Problem, *funcs: GridFunction) -> None:
-    """Raise GridMismatchError unless every function lives on the problem's grid."""
-    for f in funcs:
-        if f.grid is not problem.grid and f.grid != problem.grid:
-            raise GridMismatchError("function does not live on the problem grid")
-
-
 def energy(problem: Problem, u: GridFunction) -> float:
     """Discrete Gross-Pitaevskii energy.
 
@@ -61,8 +54,7 @@ def energy(problem: Problem, u: GridFunction) -> float:
     the same pointwise quadrature as every other integral, so all discrete
     identities hold exactly.
     """
-    _require_on_grid(problem, u)
-    w = problem.grid.cell_volume
+    w = _require_grid(problem.grid, u).cell_volume
     kinetic = 0.5 * inner(H1, None, u, u)
     potential = 0.5 * w * float(np.sum(problem.V.values * u.values**2))
     quartic = 0.25 * problem.beta * w * float(np.sum(u.values**4))
@@ -76,8 +68,7 @@ def energy_decrease(problem: Problem, u: GridFunction, v: GridFunction) -> float
     below the rounding floor of the two energies.  It shares no code with
     the line search's model (``flows._step_decreases``) and is its reference.
     """
-    _require_on_grid(problem, u, v)
-    w = problem.grid.cell_volume
+    w = _require_grid(problem.grid, u, v).cell_volume
     d = GridFunction(problem.grid, u.values - v.values)
     summ = GridFunction(problem.grid, u.values + v.values)
     kinetic = 0.5 * inner(H1, None, d, summ)
@@ -137,7 +128,7 @@ def metric_gradient(kind: MetricKind, problem: Problem, u: GridFunction) -> Grid
 
     H1: u + G_H1(V u + beta u^3); a0: u + beta G_a0(u^3); a_u: u itself.
     """
-    _require_on_grid(problem, u)
+    _require_grid(problem.grid, u)
     grad, _, _ = _gradient(LinearOperator(Metric(kind, u), problem), u.values)
     return GridFunction(problem.grid, grad)
 
@@ -227,7 +218,7 @@ def scheme_state(
     tangent to the sphere (gamma = numer / denom), and the residual is the
     norm of that direction.
     """
-    _require_on_grid(op.problem, u)
+    _require_grid(op.problem.grid, u)
     uu = _require_unit(u)
     return _solve_state(op, u.values, uu, prev, rtol)
 

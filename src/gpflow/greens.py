@@ -18,7 +18,7 @@ from collections.abc import Callable
 import numpy as np
 
 from .grid import (
-    DENSE_SINE_MAX, Grid, GridFunction, GridMismatchError, Metric, MetricKind, axis_products,
+    DENSE_SINE_MAX, Grid, GridFunction, Metric, MetricKind, _require_grid, axis_products,
     neg_laplacian, sine_basis,
 )
 from .problem import Problem
@@ -248,6 +248,5 @@ def solve_green(metric: Metric, problem: Problem, w: GridFunction) -> GridFuncti
     (z, g)_X = (z, w)_L2 for every z.  One solve through a fresh
     LinearOperator; a zero right-hand side short-circuits to zero output.
     """
-    if w.grid != problem.grid:
-        raise GridMismatchError("right-hand side does not live on the problem grid")
+    _require_grid(problem.grid, w)
     return GridFunction(problem.grid, LinearOperator(metric, problem).solve(w.values))

@@ -1,11 +1,12 @@
 """Tensor-product box grids with zero Dirichlet boundaries (``Grid.along``
 broadcasts per-axis values to their shape), functions on their interior
-nodes, and the kernels of the discrete -Laplacian and its form:
-``neg_laplacian`` (the stencil product), ``neg_laplacian_norm`` (its
-inf-norm), ``sine_basis`` (its DST-I spectrum and eigenvectors),
-``axis_products`` (the per-axis transforms the solves run) and
-``_dirichlet_forms`` (the form a(u, v), which ``inner`` and
-``dirichlet_moments`` read).  Each kernel's docstring says how it computes.
+nodes (``_require_grid``, the one test that operands live on a grid), and
+the kernels of the discrete -Laplacian and its form: ``neg_laplacian``
+(the stencil product), ``neg_laplacian_norm`` (its inf-norm),
+``sine_basis`` (its DST-I spectrum and eigenvectors), ``axis_products``
+(the per-axis transforms the solves run) and ``_dirichlet_forms`` (the
+form a(u, v), which ``inner`` and ``dirichlet_moments`` read).  Each
+kernel's docstring says how it computes.
 """
 
 from __future__ import annotations
@@ -164,8 +165,7 @@ class Metric:
             return np.zeros(problem.grid.dof)
         if self.kind is MetricKind.A0:
             return problem.V.values
-        if self.base.grid != problem.grid:
-            raise GridMismatchError("AU base does not live on the problem grid")
+        _require_grid(problem.grid, self.base)
         return problem.V.values + problem.beta * self.base.values**2
 
 
@@ -173,9 +173,10 @@ H1 = Metric(MetricKind.H1)
 A0 = Metric(MetricKind.A0)
 
 
-def _check_same_grid(*funcs: GridFunction) -> Grid:
-    grid = funcs[0].grid
-    for f in funcs[1:]:
+def _require_grid(grid: Grid, *funcs: GridFunction) -> Grid:
+    """``grid``, once every function lives on it (the same object, else an
+    equal grid): the package's one grid-membership test."""
+    for f in funcs:
         if f.grid is not grid and f.grid != grid:
             raise GridMismatchError("grid functions live on different grids")
     return grid
@@ -323,12 +324,12 @@ def inner(metric: Metric, problem, u: GridFunction, v: GridFunction) -> float:
     ``Metric.diagonal_term``, and their operands must live on the problem's
     grid.  ``problem`` may be None for H1.
     """
-    grid = _check_same_grid(u, v)
+    grid = _require_grid(u.grid, v)
     xs = (u.values,) if v is u else (u.values, v.values)
     form = _dirichlet_forms(grid, xs, ((0, len(xs) - 1),))[0]
     if metric.kind is MetricKind.H1:
         return form
-    _check_same_grid(u, problem.V)
+    _require_grid(problem.grid, u)
     # the pointwise product u*v comes first so the form is bitwise symmetric
     return form + grid.cell_volume * float(np.sum(metric.diagonal_term(problem) * (u.values * v.values)))
 
@@ -340,7 +341,7 @@ def norm(metric: Metric, problem, u: GridFunction) -> float:
 
 def inner_l2(u: GridFunction, v: GridFunction) -> float:
     """Plain discrete L2 inner product, (prod h) * sum(u v)."""
-    return _check_same_grid(u, v).cell_volume * float(u.values.dot(v.values))
+    return _require_grid(u.grid, v).cell_volume * float(u.values.dot(v.values))
 
 
 def norm_l2(u: GridFunction) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, _require_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,8 +25,7 @@ class Problem:
     beta: float
 
     def __post_init__(self):
-        if self.V.grid != self.grid:
-            raise ValueError("potential does not live on the problem grid")
+        _require_grid(self.grid, self.V)
         if np.any(self.V.values < 0.0):
             raise ValueError("potential must be non-negative")
         if not self.beta >= 0.0:  # also rejects NaN

@@ -1,11 +1,12 @@
 """Named, reportable checks for every numerical invariant of the solver.
 
 Each check packages one lemma/theorem-derived property as a pass/fail result
-with the smallest observed slack as its margin; a check with nothing to
-observe (no trials, no accepted steps, a one-record trace) is a skip, never a
-pass.  Inequality checks carry an additive 1e-9 tolerance on the slack to
-absorb the error of the Green's solves (exact up to roundoff for H1, CG to
-relative residual 1e-13 for a0 and a_u).
+with the smallest observed slack as its margin, folded by ``_least`` alone,
+so a NaN slack fails the check; a check with nothing to observe (no trials,
+no accepted steps, a one-record trace) is a skip, never a pass.  Inequality
+checks carry an additive 1e-9 tolerance on the slack to absorb the error of
+the Green's solves (exact up to roundoff for H1, CG to relative residual
+1e-13 for a0 and a_u).
 
 Every check is registered in ALL_CHECKS by ``@_check(name, *needs)``, which
 turns a body ``body(ctx, name)`` into the module-level ``check_*(ctx)``.
@@ -17,7 +18,7 @@ missing one, in the order given, before its body runs.  A sampled check
 registers only its draw, ``draw(ctx, rng)``, which yields margins, with
 ``@_sampled(name, *needs, detail=...)``: the decorator adds ``trials`` to
 the needs, draws ``ctx.trials`` times from the check's one generator, seeded
-from (seed, check name), and reports the smallest margin.  No check reads
+from (seed, check name), and folds every margin drawn.  No check reads
 another's generator, so identical inputs yield identical results, alone or
 in the suite.
 """
@@ -165,34 +166,32 @@ def _check(name: str, *needs: str):
     return register
 
 
-def _fold(ctx: CheckContext, name: str, draw: Callable[..., Iterable[float]]) -> float:
-    """The smallest margin over ctx.trials draws, from inf.
-
-    ``draw(ctx, rng)`` runs one draw and yields the margins it observes;
-    every draw reads the check's one generator, seeded from (ctx.seed,
-    name), in turn.
-    """
-    rng = _rng_for(ctx.seed, name)
-    margin = math.inf
-    for _ in range(ctx.trials):
-        for observed in draw(ctx, rng):
-            margin = min(margin, observed)
-    return margin
+def _least(margins: Iterable[float]) -> float:
+    """The smallest margin, inf if there is none, NaN as soon as one is NaN."""
+    least = math.inf
+    for margin in margins:
+        if math.isnan(margin):
+            return math.nan
+        if margin < least:
+            least = margin
+    return least
 
 
 def _sampled(name: str, *needs: str, detail: str | Callable[[CheckContext, float], str]):
     """Register the draw ``draw(ctx, rng)`` in ALL_CHECKS as the sampled check ``name``.
 
-    The check needs ``needs``, then ``trials``; its margin is ``_fold``'s
-    over ctx.trials draws, and its detail is ``detail``, or
-    ``detail(ctx, margin)`` when that is a function.
+    The check needs ``needs``, then ``trials``; it draws ctx.trials times
+    from its one generator, seeded from (ctx.seed, name), and its margin is
+    the ``_least`` of the margins drawn, so a NaN fails it.  Its detail is
+    ``detail``, or ``detail(ctx, margin)`` when that is a function.
     """
 
     def register(draw):
         @_check(name, *needs, "trials")
         @functools.wraps(draw)
         def check(ctx: CheckContext, name: str) -> CheckResult:
-            margin = _fold(ctx, name, draw)
+            rng = _rng_for(ctx.seed, name)
+            margin = _least(m for _ in range(ctx.trials) for m in draw(ctx, rng))
             text = detail(ctx, margin) if callable(detail) else detail
             return _result(name, margin, ctx.trials, text)
 
@@ -278,7 +277,7 @@ def check_stab_au(ctx: CheckContext, name: str) -> CheckResult:
             abs(norm(metric, ctx.problem, z) / norm(ref, ctx.problem, z) - 1.0) for z in probes
         )
         devs.append(dev)
-    margin = min(devs[k] - devs[k + 1] + SLACK_TOL for k in range(len(devs) - 1))
+    margin = _least(devs[k] - devs[k + 1] + SLACK_TOL for k in range(len(devs) - 1))
     detail = "deviations along shrinking perturbations: " + ", ".join(f"{d:.3e}" for d in devs)
     return _result(name, margin, len(probes), detail)
 
@@ -331,7 +330,7 @@ def check_gau_lipschitz(ctx: CheckContext, name: str) -> CheckResult:
         ratios.append(norm(ref, ctx.problem, diff_g) / norm(ref, ctx.problem, diff_u))
     # bounded ratio: no blow-up as the perturbation shrinks
     bound = 4.0 * ratios[0] + 1.0
-    margin = bound - max(ratios)
+    margin = _least(bound - r for r in ratios)
     detail = "Lipschitz ratios: " + ", ".join(f"{r:.4f}" for r in ratios)
     return _result(name, margin, len(ratios), detail)
 
@@ -339,28 +338,21 @@ def check_gau_lipschitz(ctx: CheckContext, name: str) -> CheckResult:
 # --- energy invariants -------------------------------------------------------
 
 
-@_check("energy:gradient_consistency", "trials")
-def check_gradient_consistency(ctx: CheckContext, name: str) -> CheckResult:
+@_sampled("energy:gradient_consistency",
+          detail=lambda ctx, margin: f"max relative FD mismatch {1e-6 - margin:.3e}")
+def check_gradient_consistency(ctx: CheckContext, rng) -> Iterable[float]:
     t = 1e-5
-
-    def draw(ctx, rng):  # yields minus each relative mismatch
-        u = retract(smoothed_noise(ctx.problem, rng))
-        h = _tangent_probe(ctx.problem, u, rng)
-        up = GridFunction(ctx.problem.grid, u.values + t * h.values)
-        dn = GridFunction(ctx.problem.grid, u.values - t * h.values)
-        # the difference form avoids the rounding floor of the two O(1)
-        # energies, which would drown the derivative at this t
-        fd = energy_decrease(ctx.problem, up, dn) / (2.0 * t)
-        for kind in MetricKind:
-            grad = metric_gradient(kind, ctx.problem, u)
-            ip = inner(Metric(kind, u), ctx.problem, grad, h)
-            rel = abs(ip - fd) / max(abs(fd), abs(ip), 1e-30)
-            yield -rel
-
-    # not _sampled: 1e-6 - margin need not give the worst mismatch back exactly
-    worst = -_fold(ctx, name, draw)
-    # rounding is monotone, so 1e-6 - worst is the least 1e-6 - mismatch
-    return _result(name, 1e-6 - worst, ctx.trials, f"max relative FD mismatch {worst:.3e}")
+    u = retract(smoothed_noise(ctx.problem, rng))
+    h = _tangent_probe(ctx.problem, u, rng)
+    up = GridFunction(ctx.problem.grid, u.values + t * h.values)
+    dn = GridFunction(ctx.problem.grid, u.values - t * h.values)
+    # the difference form avoids the rounding floor of the two O(1)
+    # energies, which would drown the derivative at this t
+    fd = energy_decrease(ctx.problem, up, dn) / (2.0 * t)
+    for kind in MetricKind:
+        grad = metric_gradient(kind, ctx.problem, u)
+        ip = inner(Metric(kind, u), ctx.problem, grad, h)
+        yield 1e-6 - abs(ip - fd) / max(abs(fd), abs(ip), 1e-30)
 
 
 @_sampled("energy:pythagorean_split", detail="||grad||^2 = ||proj||^2 + gamma^2 ||G u||^2")
@@ -443,7 +435,7 @@ def check_energy_decay(ctx: CheckContext, name: str) -> CheckResult:
     energies = [r.energy for r in ctx.report.records]
     if len(energies) < 2:
         return _skip(name, "trace too short to decrease")
-    margin = min(energies[k] - energies[k + 1] for k in range(len(energies) - 1))
+    margin = _least(energies[k] - energies[k + 1] for k in range(len(energies) - 1))
     return _result(name, margin, len(energies), f"min per-step energy decrease {margin:.3e}")
 
 
@@ -456,7 +448,7 @@ def check_sufficient_decrease(ctx: CheckContext, name: str) -> CheckResult:
     accepted = _accepted_steps(ctx.report)
     if not accepted:
         return _skip(name, "no accepted steps in the trace")
-    margin = min(r.decrease - 0.5 * r.alpha * r.residual**2 for r in accepted)
+    margin = _least(r.decrease - 0.5 * r.alpha * r.residual**2 for r in accepted)
     return _result(name, margin, len(accepted), "logged decreases re-verified against the predicate")
 
 
@@ -464,9 +456,9 @@ def check_sufficient_decrease(ctx: CheckContext, name: str) -> CheckResult:
 def check_iterate_boundedness(ctx: CheckContext, name: str) -> CheckResult:
     e0 = ctx.report.records[0].energy
     bound = math.sqrt(max(2.0 * e0, 0.0))
-    margin = min(bound - math.sqrt(max(2.0 * r.energy, 0.0)) for r in ctx.report.records)
     final_norm = norm(H1, ctx.problem, ctx.report.final)
-    margin = min(margin, bound - final_norm + SLACK_TOL)
+    slacks = [bound - math.sqrt(max(2.0 * r.energy, 0.0)) for r in ctx.report.records]
+    margin = _least(slacks + [bound - final_norm + SLACK_TOL])
     detail = f"sqrt(2 E0) = {bound:.4f}, final H1 norm {final_norm:.4f}"
     return _result(name, margin, len(ctx.report.records), detail)
 
@@ -562,7 +554,7 @@ def check_rate_vs_gap(ctx: CheckContext, name: str) -> CheckResult:
     sweep = sorted(ctx.sweep)
     gap = ctx.spectral.gap_factor
     k_fit = max((rho - (1.0 - alpha * gap)) / alpha**2 for alpha, rho in sweep)
-    margin = min(sweep[0][1] - sweep[1][1], min(1.0 - rho for _, rho in sweep))
+    margin = _least([sweep[0][1] - sweep[1][1], *(1.0 - rho for _, rho in sweep)])
     detail = (
         "rho per alpha: "
         + ", ".join(f"{a:g}->{r:.4f}" for a, r in sweep)
@@ -600,12 +592,11 @@ def cross_scheme_agreement(problem: Problem, reports: Iterable[ConvergenceReport
         if rep.status != "converged":
             return _skip(name, f"{rep.config.scheme.value} run ended with status {rep.status}")
         runs[rep.config.scheme] = rep
-    margin = math.inf
-    details = []
+    margins, details = [], []
     for a, b in itertools.combinations(MetricKind, 2):
         ra, rb = runs[a], runs[b]
         dist = norm_l2(GridFunction(problem.grid, ra.final.values - rb.final.values))
         dg = abs(ra.final_record.gamma - rb.final_record.gamma)
-        margin = min(margin, 1e-6 - dist, 1e-6 - dg)
+        margins += (1e-6 - dist, 1e-6 - dg)
         details.append(f"{a.value}/{b.value}: dist {dist:.2e}, dgamma {dg:.2e}")
-    return _result(name, margin, 3, "; ".join(details))
+    return _result(name, _least(margins), 3, "; ".join(details))

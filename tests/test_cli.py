@@ -790,6 +790,13 @@ def test_spectrum_byte_identical(tmp_path):
         (["run", "--beta", "x" * 300], 1, False),
         (["run", "--n", "3", "--potential", "harmonic:" + "x" * 300], 1, False),
         (["run", "--config", "{cfg_key_long}"], 1, False),
+        # long unrecognized arguments, and long paths of files that cannot
+        # be read, together with the OS error that names them
+        (["run", "--trials", "1" * 300], 1, False),
+        (["run", "w" * 300], 1, False),
+        (["run", "--config", "{missing}/" + "p" * 300], 1, False),
+        (["run", "--n", "3", "--potential", "file:{missing}/" + "p" * 300], 1, False),
+        (["run", "--n", "3", "--init", "file", "--init-path", "{missing}/" + "p" * 300], 1, False),
     ],
 )
 def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkeypatch, capsys):
@@ -822,12 +829,24 @@ def test_bad_input_exits_with_one_error_line(argv, code, stall, tmp_path, monkey
         monkeypatch.setattr("gpflow.spectral._lobpcg", _stall_lobpcg)
     elif stall == "cg":
         monkeypatch.setattr("gpflow.greens.CG_RTOL", 0.0)
-    argv = [a.format(**files) for a in argv]
+    argv = [a.format(**files, missing=tmp_path / "missing") for a in argv]
     assert main(argv + ["-o", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert len(err) <= 200
     assert "Traceback" not in err
+
+
+def test_unreadable_config_and_output_files_exit_with_one_error_line(tmp_path, capsys):
+    # a config file that is not UTF-8 text, and an output path whose
+    # directory is missing: each one short error line, exit 1
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe")
+    output = str(tmp_path / "missing" / ("p" * 300))
+    for argv in (["run", "--n", "3", "--config", str(config)], ["run", "--n", "3", "-o", output]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and len(err) <= 200, err
 
 
 # --- a fuzz test of the error contract ----------------------------------------

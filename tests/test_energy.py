@@ -165,13 +165,13 @@ def test_operands_off_the_problem_grid_are_rejected():
     u = retract(GridFunction(other, np.arange(1.0, 13.0)))
     v = retract(GridFunction(other, np.arange(12.0, 0.0, -1.0)))
     for kind in MetricKind:
-        with pytest.raises(GridMismatchError, match="problem grid"):
+        with pytest.raises(GridMismatchError, match="different grids"):
             scheme_state(LinearOperator(Metric(kind, u), prob), u)
-        with pytest.raises(GridMismatchError, match="problem grid"):
+        with pytest.raises(GridMismatchError, match="different grids"):
             metric_gradient(kind, prob, u)
-    with pytest.raises(GridMismatchError, match="problem grid"):
+    with pytest.raises(GridMismatchError, match="different grids"):
         energy_decrease(prob, u, v)
-    with pytest.raises(GridMismatchError, match="problem grid"):
+    with pytest.raises(GridMismatchError, match="different grids"):
         energy(prob, u)
 
 

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -168,6 +170,32 @@ def test_grid_mismatch_raises():
                           (Metric(MetricKind.AU, base=off), off)):
             with pytest.raises(GridMismatchError):
                 inner(metric, prob, w, w)
+
+
+def test_problem_rejects_a_potential_off_its_grid():
+    grid = grid_1d(7)
+    with pytest.raises(GridMismatchError):
+        Problem(grid, zero_potential(grid_1d(7, b=2.0)), 1.0)
+
+
+def test_grid_mismatch_is_raised_in_one_function():
+    # static: the package's one raise of GridMismatchError sits in
+    # grid._require_grid, so every operand meets the same membership test
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "gpflow"
+    raises = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, owner + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and "GridMismatchError" in ast.unparse(child):
+                raises.append((module, ".".join(owner)))
+            visit(child, module, owner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, [])
+    assert raises == [("grid", "_require_grid")], raises
 
 
 @PROPERTY_SETTINGS

@@ -1,6 +1,9 @@
 import importlib.util
+import inspect
 import json
 import os
+
+from gpflow import verify
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
@@ -113,3 +116,22 @@ class A:
     assert rows[1:] == [["empty.py", "0", "0", "0", "0", "0"],
                         ["m.py", "19", "8", "6", "1", "4"],
                         ["total", "19", "8", "6", "1", "4"]]
+
+
+def test_trace_lines_finds_the_lines_no_call_runs(monkeypatch, capsys):
+    # a verify without a sweep skips spectral:rate_vs_gap before its body
+    trace = _load("trace_lines")
+    calls = (("verify", ["verify", "--n", "7", "--trials", "1"]), ("run", ["run", "--n", "7"]))
+    monkeypatch.setattr(trace, "invocations", lambda: iter(calls))
+    assert trace.main([]) == 0
+    rows = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    missed = {int(n) for n in rows["verify.py"].split("not run: ")[1].split(", ") if n}
+    source = inspect.getsource(verify).splitlines()
+
+    def line_of(text):
+        return next(k for k, line in enumerate(source, 1) if line.strip() == text)
+
+    assert line_of("if not ctx.sweep or len(ctx.sweep) < 2:") not in missed
+    assert line_of("sweep = sorted(ctx.sweep)") in missed
+    assert line_of("return _result(name, margin, len(sweep), detail)") in missed
+    assert rows["total"].endswith(" not run")

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from gpflow import verify
 from gpflow.flows import RunConfig, run
 from gpflow.grid import MetricKind, build_grid
 from gpflow.problem import Problem, harmonic_potential, zero_potential
@@ -262,6 +263,30 @@ def test_tampered_report_fails_energy_decay(nonlinear_setup):
     decay = results["thm:energy_decay"]
     assert not decay.passed and not decay.skipped
     assert decay.margin < 0.0
+
+
+def test_a_nan_observation_fails_a_sampled_check(monkeypatch, linear_setup):
+    # registered in a private registry: the suite keeps its 27 checks
+    monkeypatch.setattr(verify, "ALL_CHECKS", {})
+
+    @verify._sampled("test:nan", detail="yields only NaN")
+    def check_nan(ctx, rng):
+        yield math.nan
+
+    problem, report, spectral = linear_setup
+    result = check_nan(CheckContext(problem, report, spectral, trials=3, seed=0))
+    assert (result.passed, result.skipped, result.trials) == (False, False, 3)
+    assert math.isnan(result.margin)
+
+
+def test_a_nan_energy_fails_energy_decay(nonlinear_setup):
+    # the NaN comes last, after a finite decrease that would be the least
+    problem, report, spectral = nonlinear_setup
+    records = [dataclasses.replace(report.records[0], energy=e) for e in (2.0, 1.0, math.nan)]
+    nan_report = dataclasses.replace(report, records=records)
+    result = verify.check_energy_decay(CheckContext(problem, nan_report, spectral, 0, 0))
+    assert (result.passed, result.skipped) == (False, False)
+    assert math.isnan(result.margin)
 
 
 def test_rate_vs_gap_with_sweep(nonlinear_setup):

@@ -205,6 +205,9 @@ PARSER = (
     ("usage-seed-negative", ["run", "--seed", "-1"]),
     # a long value is echoed cut short
     ("usage-seed-huge", ["run", "--seed", "-1" + "0" * 300]),
+    # long unrecognized arguments are echoed cut short too
+    ("usage-unrecognized-long", ["run", "--trials", "1" * 300]),
+    ("usage-unrecognized-word", ["run", "w" * 300]),
     ("usage-tol-minus-inf", ["run", "--tol", "-inf"]),
     ("usage-bounds-minus-inf", ["run", "--bounds", "-inf,1"]),
     ("usage-beta-x", ["run", "--beta", "x"]),
