@@ -559,9 +559,10 @@ _COMMANDS = {"run": cmd_run, "verify": cmd_verify, "spectrum": cmd_spectrum, "sw
 
 
 def _print_error(exc: Exception) -> None:
-    # one line, whatever the message: numpy's loadtxt errors span two; an
-    # OS error's text names its path, so it is echoed cut short
-    text = " ".join(str(exc).split())
+    # one line, whatever the message: numpy's loadtxt errors span two.  Each
+    # word, such as a value that argparse or numpy quotes, is echoed cut
+    # short; an OS error's text names its path, so it is cut short as a whole
+    text = " ".join(_echo(word, str) for word in str(exc).split())
     print("error: " + (_echo(text, str) if isinstance(exc, OSError) else text), file=sys.stderr)
 
 

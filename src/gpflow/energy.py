@@ -56,8 +56,10 @@ def energy(problem: Problem, u: GridFunction) -> float:
     """
     w = _require_grid(problem.grid, u).cell_volume
     kinetic = 0.5 * inner(H1, None, u, u)
-    potential = 0.5 * w * float(np.sum(problem.V.values * u.values**2))
-    quartic = 0.25 * problem.beta * w * float(np.sum(u.values**4))
+    power = u.values * u.values
+    potential = 0.5 * w * float(np.sum(problem.V.values * power))
+    power *= power  # u^4 as (u u)(u u), as _cube takes u^3
+    quartic = 0.25 * problem.beta * w * float(np.sum(power))
     return kinetic + potential + quartic
 
 
@@ -98,6 +100,15 @@ def _step_moments(problem: Problem, u: np.ndarray, g: np.ndarray, uu: float) -> 
     )
 
 
+def _cube(x: np.ndarray) -> np.ndarray:
+    """x^3 as the product x*x*x, in one new array.  A product of IEEE
+    multiplies has the same bits on every CPU; numpy's ``x**3`` runs a pow
+    that its CPU dispatch picks, and a slow scalar one on negative values."""
+    cube = x * x
+    cube *= x
+    return cube
+
+
 def _gradient(
     op: LinearOperator, u: np.ndarray, x0: np.ndarray | None = None, rtol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -113,10 +124,12 @@ def _gradient(
     if kind is MetricKind.H1:
         rhs = problem.V.values * u
         if problem.beta != 0.0:
-            rhs += problem.beta * u**3
+            cube = _cube(u)
+            cube *= problem.beta
+            rhs += cube
         gv = solution = op.solve(rhs)
     elif kind is MetricKind.A0 and problem.beta != 0.0:
-        solution = op.solve(u**3, x0, rtol)
+        solution = op.solve(_cube(u), x0, rtol)
         gv = problem.beta * solution
     else:
         return u, None, None

@@ -297,10 +297,11 @@ def fit_rate(deltas, threshold: float) -> RateFit:
             f"need at least 5 entries below threshold, got {idx.size}"
         )
     x = idx.astype(float)
-    y = np.log(deltas[idx])
+    # libm's log and exp, not numpy's, whose CPU dispatch moves their last bits
+    y = np.array([math.log(d) for d in deltas[idx]])
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return RateFit(rho=float(np.exp(slope)), r_squared=r_squared)
+    return RateFit(rho=math.exp(slope), r_squared=r_squared)

@@ -342,7 +342,7 @@ def check_gau_lipschitz(ctx: CheckContext, name: str) -> CheckResult:
           detail=lambda ctx, margin: f"max relative FD mismatch {1e-6 - margin:.3e}")
 def check_gradient_consistency(ctx: CheckContext, rng) -> Iterable[float]:
     t = 1e-5
-    u = retract(smoothed_noise(ctx.problem, rng))
+    u = smoothed_noise(ctx.problem, rng)
     h = _tangent_probe(ctx.problem, u, rng)
     up = GridFunction(ctx.problem.grid, u.values + t * h.values)
     dn = GridFunction(ctx.problem.grid, u.values - t * h.values)
@@ -357,7 +357,7 @@ def check_gradient_consistency(ctx: CheckContext, rng) -> Iterable[float]:
 
 @_sampled("energy:pythagorean_split", detail="||grad||^2 = ||proj||^2 + gamma^2 ||G u||^2")
 def check_pythagorean_split(ctx: CheckContext, rng) -> Iterable[float]:
-    u = retract(smoothed_noise(ctx.problem, rng))
+    u = smoothed_noise(ctx.problem, rng)
     for kind in MetricKind:
         metric = Metric(kind, u)
         state = scheme_state(LinearOperator(metric, ctx.problem), u)
@@ -371,7 +371,7 @@ def check_pythagorean_split(ctx: CheckContext, rng) -> Iterable[float]:
 
 @_sampled("lemma:esti_gradEu", detail="projected gradient never exceeds the full gradient")
 def check_projected_norm_inequality(ctx: CheckContext, rng) -> Iterable[float]:
-    u = retract(smoothed_noise(ctx.problem, rng))
+    u = smoothed_noise(ctx.problem, rng)
     for kind in MetricKind:
         metric = Metric(kind, u)
         state = scheme_state(LinearOperator(metric, ctx.problem), u)
@@ -382,7 +382,7 @@ def check_projected_norm_inequality(ctx: CheckContext, rng) -> Iterable[float]:
 
 @_sampled("energy:projection_tangency", detail="projected vector is L2-orthogonal to the base")
 def check_projection_tangency(ctx: CheckContext, rng) -> Iterable[float]:
-    u = retract(smoothed_noise(ctx.problem, rng))
+    u = smoothed_noise(ctx.problem, rng)
     xi = smoothed_noise(ctx.problem, rng)
     for metric in (Metric(kind, u) for kind in MetricKind):
         r = project_tangent(metric, ctx.problem, u, xi)
@@ -391,7 +391,7 @@ def check_projection_tangency(ctx: CheckContext, rng) -> Iterable[float]:
 
 @_sampled("lemma:esti_retraction", detail="retraction drift within the quadratic bound")
 def check_retraction_bound(ctx: CheckContext, rng) -> Iterable[float]:
-    u = retract(smoothed_noise(ctx.problem, rng))
+    u = smoothed_noise(ctx.problem, rng)
     t = _tangent_probe(ctx.problem, u, rng)
     for scale in (1e-3, 1e-2, 1e-1, 0.5):
         xi = GridFunction(ctx.problem.grid, scale * t.values)
@@ -406,21 +406,22 @@ def check_linear_error_expansion(ctx: CheckContext, rng) -> Iterable[float]:
     problem = ctx.problem
     w = problem.grid.cell_volume
     beta = problem.beta
-    u = retract(smoothed_noise(problem, rng))
+    u = smoothed_noise(problem, rng)
     v0 = smoothed_noise(problem, rng)
     v = GridFunction(problem.grid, 0.5 * v0.values)
     grad = metric_gradient(MetricKind.H1, problem, u)
     upv = GridFunction(problem.grid, u.values + v.values)
     lhs = energy(problem, upv) - energy(problem, u) - inner(H1, problem, grad, v)
+    v2 = v.values * v.values  # v^3 and v^4 as products, as energy takes u^3 and u^4
     rhs = (
         0.5 * inner(H1, problem, v, v)
-        + 0.5 * w * float(np.sum(problem.V.values * v.values**2))
+        + 0.5 * w * float(np.sum(problem.V.values * v2))
         + w
         * float(
             np.sum(
-                1.5 * beta * u.values**2 * v.values**2
-                + beta * u.values * v.values**3
-                + 0.25 * beta * v.values**4
+                1.5 * beta * u.values**2 * v2
+                + beta * u.values * (v2 * v.values)
+                + 0.25 * beta * (v2 * v2)
             )
         )
     )

@@ -23,6 +23,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from test_tools import _load
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -35,8 +36,10 @@ RTOL = 1e-10
 
 def fingerprint() -> dict:
     """What the outputs' bits depend on besides the code: the numpy and scipy
-    builds (their kernels and bundled BLAS), the CPU features numpy
-    dispatches on (integer powers, for one, round by them), and Python's
+    builds (their kernels and bundled BLAS), the CPU's features (OpenBLAS
+    picks its dot and matrix kernels by the CPU, and they round differently;
+    numpy's own dispatch on them moves no output, as
+    test_outputs_do_not_depend_on_numpys_cpu_dispatch pins), and Python's
     version (argparse's help layout)."""
     from numpy._core._multiarray_umath import __cpu_features__
 
@@ -108,6 +111,52 @@ def test_invocations_print_the_committed_bytes(tmp_path):
     assert status == 0, f"{where}; compared by value at rtol {RTOL:g}, outputs moved:\n{report}"
     warnings.warn(f"{where}: the invocation set was compared by value at rtol {RTOL:g}, "
                   "not by bytes, and agrees")
+
+
+# numpy's dispatch targets above its x86-64 build baseline: turning them off
+# gives the kernels that an SSE4.2-only CPU would run
+DISPATCH_OFF = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+# cubes and quartics in a flow's gradient and energy, signed ones from a
+# random start and the check suite's probes, and rate fits
+DISPATCH_CALLS = ("run-1d-a0", "run-1d-random-seed0", "sweep-breakdown", "verify-3d-9")
+
+
+def test_outputs_do_not_depend_on_numpys_cpu_dispatch(tmp_path):
+    # the same calls, at the default dispatch and with DISPATCH_OFF turned
+    # off in their own processes, print the same bytes; OpenBLAS keeps its
+    # kernels, as it reads no numpy setting
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    if not set(DISPATCH_OFF) <= set(__cpu_dispatch__):
+        pytest.skip(f"numpy does not dispatch on {DISPATCH_OFF}")
+    code = f"""if True:
+        import importlib.util, sys
+        from numpy._core._multiarray_umath import __cpu_features__
+        spec = importlib.util.spec_from_file_location(
+            "cli_invocations", {os.path.join(ROOT, "tools", "cli_invocations.py")!r})
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        calls = [call for call in tool.invocations() if call[0] in {DISPATCH_CALLS!r}]
+        tool.invocations = lambda: iter(calls)
+        tool.main([sys.argv[1]])
+        print(sorted(name for name in {DISPATCH_OFF!r} if __cpu_features__.get(name)))
+    """
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    outputs = []
+    for disabled in ("", " ".join(DISPATCH_OFF)):
+        outdir = tmp_path / f"out{len(outputs)}"
+        result = subprocess.run([sys.executable, "-c", code, str(outdir)], capture_output=True,
+                                text=True, env=dict(env, NPY_DISABLE_CPU_FEATURES=disabled))
+        assert result.returncode == 0, result.stderr[-2000:]
+        if disabled:
+            assert result.stdout.splitlines()[-1] == "[]", result.stdout[-200:]
+        outputs.append({call.name: {part.name: part.read_bytes() for part in call.iterdir()}
+                        for call in outdir.iterdir()})
+    assert sorted(outputs[0]) == sorted(DISPATCH_CALLS)
+    moved = sorted(name for name in DISPATCH_CALLS if outputs[0][name] != outputs[1][name])
+    assert not moved, f"these calls print other bytes with {DISPATCH_OFF} off: {moved}"
 
 
 def main() -> int:
